@@ -32,7 +32,7 @@
 #include "gravity/poisson.hpp"
 #include "hybrid/hybrid_solver.hpp"
 #include "mesh/decomposition.hpp"
-#include "mesh/halo.hpp"
+#include "mesh/halo_plan.hpp"
 #include "nbody/particles.hpp"
 #include "common/rng.hpp"
 #include "parallel/distributed_solver.hpp"
@@ -233,9 +233,15 @@ struct RealVlasovResult {
   std::uint64_t bytes_per_rank = 0;
 };
 
+/// Message-tag base of the halo plan in measure_real_vlasov (distinct from
+/// every production exchange).
+constexpr int kRealVlasovHaloTagBase = 420;
+
 /// Run `steps` split steps of a brick-decomposed phase space on `ranks`
-/// simulated ranks.  The global spatial grid is `global` cells per axis
-/// (pass local * dims for weak scaling, a fixed cube for strong scaling).
+/// simulated ranks, exchanging each drift axis' faces through
+/// mesh::HaloPlan as the production drift does.  The global spatial grid
+/// is `global` cells per axis (pass local * dims for weak scaling, a fixed
+/// cube for strong scaling).
 inline RealVlasovResult measure_real_vlasov(int ranks,
                                             std::array<int, 3> global, int nu,
                                             int steps) {
@@ -260,6 +266,7 @@ inline RealVlasovResult measure_real_vlasov(int ranks,
     f.fill(0.4f);
     mesh::Grid3D<double> accel(d.nx, d.ny, d.nz);
     accel.fill(0.06);
+    mesh::HaloPlan plan(cart, d, kRealVlasovHaloTagBase);
 
     comm.reset_traffic_counters();
     double comm_acc = 0.0;
@@ -271,7 +278,8 @@ inline RealVlasovResult measure_real_vlasov(int ranks,
                              vlasov::SweepKernel::kAuto);
       for (int axis = 0; axis < 3; ++axis) {
         Stopwatch cw;
-        mesh::exchange_phase_space_halo(f, cart);
+        plan.begin_axis(f, axis);
+        plan.finish_axis(f, axis);
         comm_acc += cw.seconds();
         advect_position_axis(f, axis, 0.35, vlasov::SweepKernel::kAuto);
       }
@@ -304,15 +312,10 @@ struct DistributedStepResult {
   double step_seconds = 0.0;  // per step, max over ranks
   double halo_seconds = 0.0;  // phase-space halo exchange, max over ranks
   double pm_seconds = 0.0;    // distributed PM solve, max over ranks
-  // Overlap diagnostics (overlap=true runs; per step, max over ranks):
+  // Overlap diagnostics (per step, max over ranks):
   double halo_wait_seconds = 0.0;  // exposed (blocked) part of halo_seconds
   double exposed_seconds = 0.0;   // all comm time spent *blocked* (halo +
                                   // fold + slab waits) — the un-hidden part
-  double interior_seconds = 0.0;  // ghost-independent interior sweeps
-  double boundary_seconds = 0.0;  // boundary-shell sweeps (+ windows)
-  double full_seconds = 0.0;      // full-line sweeps (split disengaged:
-                                  // undecomposed/thin axes, or the
-                                  // V6D_OVERLAP_SPLIT heuristic)
   std::uint64_t bytes_per_rank = 0;  // all comm (halo + FFT + reductions)
   // Comm-layer counters (max over ranks, per step where noted):
   std::uint64_t msgs_per_rank = 0;        // p2p messages sent per step
@@ -326,7 +329,8 @@ struct DistributedStepResult {
 /// exchange, ghost fold, distributed-FFT Poisson, allreduced CFL — on
 /// `ranks` simulated ranks with a fixed local_n^3 brick per rank (weak
 /// scaling).  This is the same code path `v6d run ranks=N` executes;
-/// `overlap` selects the overlapped or the synchronous reference pipeline.
+/// `overlap` completes each fold/slab exchange after the compute it hides
+/// behind (true) or right after its begin (false).
 inline DistributedStepResult measure_distributed_step(int ranks, int local_n,
                                                       int nu, int steps,
                                                       bool overlap = true) {
@@ -372,9 +376,6 @@ inline DistributedStepResult measure_distributed_step(int ranks, int local_n,
   std::vector<double> pm_time(static_cast<std::size_t>(ranks), 0.0);
   std::vector<double> halo_wait(static_cast<std::size_t>(ranks), 0.0);
   std::vector<double> exposed_time(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<double> interior_time(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<double> boundary_time(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<double> full_time(static_cast<std::size_t>(ranks), 0.0);
   std::vector<std::uint64_t> bytes(static_cast<std::size_t>(ranks), 0);
   std::vector<std::uint64_t> msgs(static_cast<std::size_t>(ranks), 0);
   std::vector<std::uint64_t> recv_bytes(static_cast<std::size_t>(ranks), 0);
@@ -401,20 +402,12 @@ inline DistributedStepResult measure_distributed_step(int ranks, int local_n,
     step_time[r] = total.seconds() / steps;
     halo_time[r] = ds.timers().total("halo") / steps;
     pm_time[r] = ds.timers().total("pm") / steps;
-    // Exposed comm = the blocked waits the overlap failed to hide.  The
-    // synchronous path has no wait buckets: everything it spends in the
-    // halo is exposed by construction.
-    halo_wait[r] =
-        overlap ? ds.timers().total("halo-wait") / steps : halo_time[r];
-    exposed_time[r] =
-        overlap ? (ds.timers().total("halo-wait") +
-                   ds.timers().total("fold-wait") +
-                   ds.timers().total("slab-wait")) /
-                      steps
-                : halo_time[r];
-    interior_time[r] = ds.timers().total("sweep-interior") / steps;
-    boundary_time[r] = ds.timers().total("sweep-boundary") / steps;
-    full_time[r] = ds.timers().total("sweep-full") / steps;
+    // Exposed comm = the blocked waits the overlap failed to hide.
+    halo_wait[r] = ds.timers().total("halo-wait") / steps;
+    exposed_time[r] = (ds.timers().total("halo-wait") +
+                       ds.timers().total("fold-wait") +
+                       ds.timers().total("slab-wait")) /
+                      steps;
     bytes[r] = comm.bytes_sent() / static_cast<std::uint64_t>(steps);
     const comm::MailboxStats recv1 = comm.recv_stats();
     msgs[r] = comm.messages_sent() / static_cast<std::uint64_t>(steps);
@@ -432,11 +425,6 @@ inline DistributedStepResult measure_distributed_step(int ranks, int local_n,
     result.halo_wait_seconds =
         std::max(result.halo_wait_seconds, halo_wait[i]);
     result.exposed_seconds = std::max(result.exposed_seconds, exposed_time[i]);
-    result.interior_seconds =
-        std::max(result.interior_seconds, interior_time[i]);
-    result.boundary_seconds =
-        std::max(result.boundary_seconds, boundary_time[i]);
-    result.full_seconds = std::max(result.full_seconds, full_time[i]);
     result.bytes_per_rank = std::max(result.bytes_per_rank, bytes[i]);
     result.msgs_per_rank = std::max(result.msgs_per_rank, msgs[i]);
     result.recv_bytes_per_rank =

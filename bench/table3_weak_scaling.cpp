@@ -32,18 +32,17 @@ int main(int argc, char** argv) {
     std::printf("      the same path `v6d run ranks=N` executes.  Ranks are\n");
     std::printf("      threads, so wall time oversubscribes beyond the core\n");
     std::printf("      count — per-rank comm volume is the signal.  Each\n");
-    std::printf("      rank count runs twice: overlap=off (blocking\n");
-    std::printf("      reference) and overlap=on (the production pipeline);\n");
-    std::printf("      halo eff = exposed halo wait / total halo time —\n");
-    std::printf("      lower means more communication hidden)\n\n");
-    // Bricks must be meaningfully deeper than 2*ghost = 6 or the
-    // interior/boundary split degenerates (no interior to hide behind).
+    std::printf("      rank count runs twice over the same exchanges:\n");
+    std::printf("      overlap=off (each finish right after its begin) and\n");
+    std::printf("      overlap=on (finishes after the compute they hide\n");
+    std::printf("      behind); halo eff = exposed halo wait / total halo\n");
+    std::printf("      time — lower means more communication hidden)\n\n");
     const int local_nx = opt.get_int("local_nx", bench::scaled(12, 8));
     const int nu = opt.get_int("nu", bench::scaled(10, 6));
     const int steps = opt.get_int("steps", 2);
     io::TableWriter table({"ranks", "global grid", "sync [s]", "ovlp [s]",
                            "sync halo", "ovlp halo", "halo eff",
-                           "int+full [s]", "boundary [s]", "bytes/rank"});
+                           "bytes/rank"});
     for (int ranks : {1, 2, 4, 8}) {
       // The global grid grows with the decomposition so every rank keeps a
       // local_nx^3 brick (weak scaling).
@@ -61,18 +60,13 @@ int main(int argc, char** argv) {
                      "s");
       harness.metric("halo_s_ranks_" + tag, ovlp.halo_seconds, "s");
       // Exposed / total communication: 0 = fully hidden, 1 = fully on the
-      // critical path (the synchronous reference is 1 by construction).
+      // critical path.
       const double eff = ovlp.halo_seconds > 0.0
                              ? ovlp.halo_wait_seconds / ovlp.halo_seconds
                              : 0.0;
       harness.metric("halo_overlap_efficiency_ranks_" + tag, eff);
       harness.metric("comm_exposed_s_ranks_" + tag, ovlp.exposed_seconds,
                      "s");
-      harness.metric("sweep_interior_s_ranks_" + tag, ovlp.interior_seconds,
-                     "s");
-      harness.metric("sweep_boundary_s_ranks_" + tag, ovlp.boundary_seconds,
-                     "s");
-      harness.metric("sweep_full_s_ranks_" + tag, ovlp.full_seconds, "s");
       // Comm-layer counters (p2p only; collectives use the staged-pointer
       // path): messages/bytes per step and the mailbox-side view.
       harness.metric("comm_msgs_ranks_" + tag,
@@ -91,9 +85,6 @@ int main(int argc, char** argv) {
                  io::TableWriter::fmt(sync.halo_seconds, 3),
                  io::TableWriter::fmt(ovlp.halo_seconds, 3),
                  io::TableWriter::fmt(eff, 3),
-                 io::TableWriter::fmt(ovlp.interior_seconds +
-                                      ovlp.full_seconds, 3),
-                 io::TableWriter::fmt(ovlp.boundary_seconds, 3),
                  io::TableWriter::fmt(
                      static_cast<double>(ovlp.bytes_per_rank), 3)});
     }

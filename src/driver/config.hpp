@@ -61,10 +61,10 @@ struct SimulationConfig {
                                    // the run aborts with a retryable
                                    // TransportError (0 = detection off;
                                    // meaningless for inproc)
-  bool overlap = true;        // hide halo/fold/slab communication behind
-                              // interior compute (bit-identical to the
-                              // synchronous reference path; off = PR-4
-                              // blocking exchanges, kept for comparison)
+  bool overlap = true;        // complete each fold/slab exchange after
+                              // the compute it hides behind (off: right
+                              // after its begin); both modes send the
+                              // same messages and are bit-identical
 
   // --- driver control ---
   int max_steps = 0;          // stop after this many total steps (0 = off)

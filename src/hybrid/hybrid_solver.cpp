@@ -92,8 +92,6 @@ void HybridSolver::deposit_nu_density() {
 
   rho_nu_.fill(0.0);
   const double cell_mass_factor = g.dvol();
-  const double h = box_ / options_.pm_grid;
-  const double inv_h3 = 1.0 / (h * h * h);
   std::vector<double> px(1), py(1), pz(1);
   for (int ix = 0; ix < d.nx; ++ix)
     for (int iy = 0; iy < d.ny; ++iy)
@@ -105,7 +103,6 @@ void HybridSolver::deposit_nu_density() {
         mesh::deposit(rho_nu_, patch_, px, py, pz, mass,
                       mesh::Assignment::kCic);
       }
-  (void)inv_h3;
   rho_nu_.fold_ghosts_periodic();
 }
 

@@ -1,33 +1,25 @@
-// Halo (ghost layer) exchange across the brick decomposition.
+// Blocking ghost-cell exchange of scalar mesh fields across the brick
+// decomposition.
 //
-// Position-space Vlasov sweeps need `ghost` spatial layers of full velocity
-// blocks from the neighboring bricks (paper §5.1.3: this copy dominates the
-// position-sweep cost relative to the communication-free velocity sweeps).
-// Mesh fields (density/potential) use the same pattern with scalar cells.
+// The distributed force solve refills the ghost cells of its force bricks
+// with this call before sampling them (CIC reads one ghost layer).  The
+// exchange runs axis by axis (x, then y, then z) over slabs that span the
+// already-extended transverse range, so edge and corner ghosts are filled
+// transitively.  Buffered sends keep periodic rings deadlock-free.
 //
-// The exchange runs axis by axis (x, then y, then z) over slabs that span
-// the already-extended transverse range, so edge and corner ghosts are
-// filled transitively.  Buffered sends keep periodic rings deadlock-free.
+// Phase-space halos and deposit folds go through the split plans of
+// mesh/halo_plan.hpp instead.
 #pragma once
 
 #include "comm/cart.hpp"
 #include "mesh/grid.hpp"
-#include "vlasov/phase_space.hpp"
 
 namespace v6d::mesh {
 
-/// Exchange all spatial ghost blocks of the local phase-space brick.
-/// Single-rank topologies fall back to the periodic self-copy.
-void exchange_phase_space_halo(vlasov::PhaseSpace& f,
-                               comm::CartTopology& cart);
-
-/// Exchange ghost cells of a scalar mesh field.
+/// Exchange all ghost cells of a scalar mesh field.  Single-rank
+/// topologies fall back to the periodic self-copy.  Throws
+/// std::invalid_argument if a decomposed axis is thinner than the ghost
+/// width.
 void exchange_grid_halo(Grid3D<double>& g, comm::CartTopology& cart);
-void exchange_grid_halo(Grid3D<float>& g, comm::CartTopology& cart);
-
-/// Add ghost-cell contributions onto the owning neighbor's interior and
-/// zero the local ghosts (the parallel counterpart of
-/// Grid3D::fold_ghosts_periodic; used after CIC deposits near brick edges).
-void fold_grid_halo(Grid3D<double>& g, comm::CartTopology& cart);
 
 }  // namespace v6d::mesh

@@ -26,7 +26,7 @@ inline void transverse_axes(int axis, int& ta, int& tb) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// HaloPlan — split single-axis phase-space face exchange
+// HaloPlan — single-axis phase-space face exchange
 // ---------------------------------------------------------------------------
 
 HaloPlan::HaloPlan(comm::CartTopology& cart,
@@ -43,7 +43,6 @@ HaloPlan::HaloPlan(comm::CartTopology& cart,
     ap.t1n = n[ta];
     ap.t2n = n[tb];
     ap.decomposed = cart.dims()[static_cast<std::size_t>(axis)] > 1;
-    ap.split = ap.decomposed && ap.n >= 2 * ghost_;
     ap.face_floats = static_cast<std::size_t>(ghost_) * ap.t1n * ap.t2n *
                      block_;
     if (ap.decomposed && ap.n < ghost_)
@@ -112,7 +111,7 @@ void HaloPlan::unpack_face(vlasov::PhaseSpace& f, int axis, int lo,
 
 void HaloPlan::wrap_axis(vlasov::PhaseSpace& f, int axis) const {
   // Whole axis on this rank: the ghosts are the local periodic image (the
-  // modulo handles extents below the ghost width, as in halo.cpp).
+  // modulo handles extents below the ghost width, e.g. quasi-1D grids).
   const auto& ap = axes_[static_cast<std::size_t>(axis)];
   const std::size_t bytes = block_ * sizeof(float);
   for (int a = -ghost_; a < ap.n + ghost_; ++a) {
@@ -178,24 +177,6 @@ void HaloPlan::finish_axis(vlasov::PhaseSpace& f, int axis) {
   unpack_face(f, axis, ap.n, recv_buf_.data());
 }
 
-void HaloPlan::finish_axis_into(float* lo_face, float* hi_face, int axis) {
-  trace::Span span("halo-finish");
-  const auto& ap = axes_[static_cast<std::size_t>(axis)];
-  const auto ax = static_cast<std::size_t>(axis);
-  {
-    trace::Span wait_span("halo-wait");
-    Stopwatch w;
-    pending_lo_[ax].wait_into(lo_face, ap.face_floats);
-    wait_s_ += w.seconds();
-  }
-  {
-    trace::Span wait_span("halo-wait");
-    Stopwatch w;
-    pending_hi_[ax].wait_into(hi_face, ap.face_floats);
-    wait_s_ += w.seconds();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // GridFoldPlan — split ghost-deposit fold
 // ---------------------------------------------------------------------------
@@ -209,7 +190,7 @@ struct FoldRange {
 
 // Transverse ranges of `axis` in the fold order (z, then y, then x): axes
 // *below* the current one still carry live ghost contributions and must be
-// included; higher axes are already folded.  Mirrors fold_grid_halo.
+// included; higher axes are already folded.
 inline void fold_ranges(const Grid3D<double>& grid, int axis, FoldRange r[3]) {
   const int g = grid.ghost();
   const int n[3] = {grid.nx(), grid.ny(), grid.nz()};
@@ -323,8 +304,8 @@ void GridFoldPlan::begin(Grid3D<double>& grid) {
   trace::Span span("fold-begin");
   pending_axis_ = -1;
   if (cart_->comm().size() == 1) {
-    // Bit-identical to the blocking path: the single-rank fold is the
-    // direct periodic scan, not the axis-by-axis chain.
+    // The single-rank fold is the direct periodic scan (the serial
+    // solver's), not the axis-by-axis chain.
     grid.fold_ghosts_periodic();
     return;
   }

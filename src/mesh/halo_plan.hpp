@@ -1,28 +1,31 @@
-// Precomputed plans + persistent buffers for the *overlapped* halo
-// exchanges of the distributed stepping path (paper §5.1.3: halo exchange
-// is the dominant non-compute cost; hiding it behind interior updates is
-// what makes the Fugaku runs scale).
+// Precomputed plans + persistent buffers for the halo exchanges of the
+// distributed stepping path (paper §5.1.3: halo exchange is the dominant
+// non-compute cost; hiding it behind interior updates is what makes the
+// Fugaku runs scale).
 //
-// mesh/halo.hpp keeps the blocking reference exchanges; the plans here
-// restructure the same data movement into begin/finish halves so the
-// caller can advect interior cells (or accumulate local density) while the
-// face messages are in flight:
+// Each plan splits its data movement into begin/finish halves.  The
+// distributed solver either completes an exchange right after its begin
+// or lets independent compute run (local density accumulation, spectral
+// work) while the messages are in flight; both placements move the same
+// bytes and produce bit-identical fields.
 //
-//  * HaloPlan — split single-axis phase-space exchange.  A position sweep
-//    along axis a reads only that axis' ghost blocks at interior
-//    transverse positions, so each sweep needs one face pair, not the full
-//    transitively-extended 3-axis exchange.  begin_axis() packs both faces
-//    into persistent buffers, posts the (buffered, non-blocking) sends and
-//    the receive handles; finish_axis() completes the receives and unpacks
-//    into the axis ghosts.  Undecomposed axes do the local periodic wrap
-//    in begin_axis() (no communication to overlap).
+//  * HaloPlan — single-axis phase-space exchange, the only phase-space
+//    halo of the distributed path.  A position sweep along axis a reads
+//    only that axis' ghost blocks at interior transverse positions, so
+//    each sweep needs one face pair, not a transitively-extended 3-axis
+//    exchange.  begin_axis() packs both faces into persistent buffers,
+//    posts the (buffered, non-blocking) sends and the receive handles;
+//    finish_axis() completes the receives and unpacks into the axis
+//    ghosts.  Undecomposed axes do the local periodic wrap in
+//    begin_axis() (no communication).
 //
-//  * GridFoldPlan — split ghost-deposit fold.  begin() runs the fold from
-//    axis z down through any local-wrap axes and stops after posting the
-//    sends of the first decomposed axis; finish() completes that axis and
-//    runs the remaining ones.  The per-axis operations and summation
-//    order are exactly fold_grid_halo's, so the folded field is
-//    bit-identical to the blocking path.
+//  * GridFoldPlan — split ghost-deposit fold (the parallel counterpart of
+//    Grid3D::fold_ghosts_periodic).  begin() runs the fold from axis z
+//    down through any local-wrap axes and stops after posting the sends of
+//    the first decomposed axis; finish() completes that axis and runs the
+//    remaining ones.  Axes fold in reverse order of the halo fill,
+//    shrinking the transverse range as they go, so every ghost
+//    contribution lands on its owner exactly once.
 //
 // Both plans accumulate the time spent *blocked* waiting for messages
 // (take_wait()), which is the exposed communication cost the overlap
@@ -40,7 +43,6 @@ class HaloPlan {
  public:
   struct AxisPlan {
     bool decomposed = false;  // more than one rank along the axis
-    bool split = false;       // overlap-eligible: decomposed and n >= 2*ghost
     int n = 0;                // local interior extent along the axis
     int t1n = 0, t2n = 0;     // interior transverse extents (ascending axes)
     std::size_t face_floats = 0;  // ghost * t1n * t2n * block_size
@@ -50,8 +52,7 @@ class HaloPlan {
   /// Plan the single-axis face exchanges for bricks of shape `dims` on
   /// `cart`.  `tag_base` must be distinct from every other exchange kind
   /// live on the same communicator.  Throws std::invalid_argument if a
-  /// decomposed axis is thinner than the ghost width (same rule as
-  /// exchange_phase_space_halo).
+  /// decomposed axis is thinner than the ghost width.
   HaloPlan(comm::CartTopology& cart, const vlasov::PhaseSpaceDims& dims,
            int tag_base);
 
@@ -67,15 +68,6 @@ class HaloPlan {
   /// Complete both receives and unpack them into the axis ghosts at
   /// interior transverse positions.  No-op for undecomposed axes.
   void finish_axis(vlasov::PhaseSpace& f, int axis);
-
-  /// Complete both receives of a *split* axis straight into the overlapped
-  /// sweep's boundary windows, skipping f's ghost blocks entirely: a face
-  /// payload has exactly the window-chunk layout ([layer][t1][t2][block]),
-  /// so completion is two plain copies.  `lo_face` receives the backward
-  /// neighbor's face (window cells [-ghost, 0)), `hi_face` the forward
-  /// one's (window cells [n, n+ghost)); each must hold axis(a).face_floats
-  /// floats.  Only valid after begin_axis on a decomposed axis.
-  void finish_axis_into(float* lo_face, float* hi_face, int axis);
 
   /// Seconds spent blocked in message waits since the last call (the
   /// exposed, un-overlapped communication time).
@@ -115,8 +107,8 @@ class GridFoldPlan {
   /// touch `grid` until finish().
   void begin(Grid3D<double>& grid);
   /// Complete the posted axis and fold the remaining ones (blocking, with
-  /// persistent buffers).  begin()/finish() together perform exactly
-  /// fold_grid_halo's operations in the same order.
+  /// persistent buffers).  Throws std::invalid_argument if a decomposed
+  /// axis is thinner than the ghost width.
   void finish(Grid3D<double>& grid);
 
   double take_wait() {

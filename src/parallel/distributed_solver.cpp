@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <string>
-#include <thread>
 
 #include "common/trace.hpp"
 #include "mesh/halo.hpp"
@@ -18,9 +15,9 @@ namespace v6d::parallel {
 
 namespace {
 
-// Message-tag bases of the overlapped exchanges; distinct from each other
-// and from the blocking exchanges in mesh/halo.cpp (100/150/200), so an
-// in-flight overlapped message can never be claimed by a blocking call.
+// Message-tag bases of the plan exchanges; distinct from each other and
+// from the grid ghost fill in mesh/halo.cpp (150), so an in-flight plan
+// message can never be claimed by a blocking call.
 constexpr int kPsHaloTagBase = 300;   // phase-space faces (axis*4 + dir)
 constexpr int kFoldCdmTagBase = 340;  // CDM density fold
 constexpr int kFoldNuTagBase = 360;   // neutrino density fold
@@ -28,18 +25,19 @@ constexpr int kSlabCdmTagBase = 380;  // rho_cdm brick -> slab
 constexpr int kSlabNuTagBase = 384;   // rho_nu brick -> slab
 constexpr int kSlabOutTagBase = 388;  // force slab -> brick
 
-/// Should the overlapped drift split sweeps into interior + boundary
-/// shells?  The split buys latency hiding at the price of re-reading the
-/// stencil margins (up to (n + 6g) / (n + 2g) more strided loads per
-/// line), so it only pays when rank threads actually run concurrently.
-/// V6D_OVERLAP_SPLIT=on|off overrides; auto (default) asks the hardware.
-bool resolve_split_sweeps() {
-  if (const char* env = std::getenv("V6D_OVERLAP_SPLIT")) {
-    const std::string v(env);
-    if (v == "on" || v == "1") return true;
-    if (v == "off" || v == "0") return false;
+/// Completes an exchange whose begin was just posted.  Overlapped, the
+/// independent `hidden` compute runs while the messages fly and `finish`
+/// after it; otherwise `finish` runs first, right after the begin.  Both
+/// placements send the same messages and compute the same values.
+template <class Hidden, class Finish>
+void finish_behind(bool overlap, Hidden&& hidden, Finish&& finish) {
+  if (overlap) {
+    hidden();
+    finish();
+  } else {
+    finish();
+    hidden();
   }
-  return std::thread::hardware_concurrency() > 1;
 }
 
 /// Local phase-space brick of the global f: same geometry with the origin
@@ -78,8 +76,7 @@ DistributedHybridSolver::DistributedHybridSolver(
       box_(global.box()),
       background_(global.background()),
       options_(global.options()),
-      overlap_(overlap),
-      split_sweeps_(overlap && resolve_split_sweeps()) {
+      overlap_(overlap) {
   const auto& gd = global.neutrinos().dims();
   has_nu_ = gd.total_interior() > 0;
 
@@ -123,8 +120,6 @@ DistributedHybridSolver::DistributedHybridSolver(
     ps_plan_ = mesh::HaloPlan(cart_, f_.dims(), kPsHaloTagBase);
   }
 
-  // Overlap plans (constructed unconditionally: cheap, and the sync path
-  // never touches them).
   fold_cdm_ = mesh::GridFoldPlan(cart_, kFoldCdmTagBase);
   fold_nu_ = mesh::GridFoldPlan(cart_, kFoldNuTagBase);
   slab_cdm_x_ = SlabExchange(pm_dec_, pfft_, cart_, kSlabCdmTagBase);
@@ -135,13 +130,6 @@ DistributedHybridSolver::DistributedHybridSolver(
   // seam (resume path): recomputing it would only match to rounding.
   const auto sf = global.export_step_forces();
   if (sf.fresh) import_step_forces_global(sf);
-}
-
-vlasov::HaloFiller DistributedHybridSolver::halo_filler() {
-  return [this](vlasov::PhaseSpace& f) {
-    ScopedTimer t(timers_, "halo");
-    mesh::exchange_phase_space_halo(f, cart_);
-  };
 }
 
 bool DistributedHybridSolver::owns_particle(std::size_t i) const {
@@ -183,11 +171,6 @@ void DistributedHybridSolver::deposit_cdm_local() {
                 mesh::Assignment::kCic);
 }
 
-void DistributedHybridSolver::deposit_cdm_density() {
-  deposit_cdm_local();
-  mesh::fold_grid_halo(rho_cdm_, cart_);
-}
-
 void DistributedHybridSolver::compute_nu_moment() {
   // 0th moment of the local brick (heavy: reduces the full velocity cube
   // per spatial cell — the overlap partner of the CDM ghost fold).
@@ -216,12 +199,6 @@ void DistributedHybridSolver::inject_nu_density() {
       }
 }
 
-void DistributedHybridSolver::deposit_nu_density() {
-  compute_nu_moment();
-  inject_nu_density();
-  mesh::fold_grid_halo(rho_nu_, cart_);
-}
-
 void DistributedHybridSolver::prepare_green_tables(
     const gravity::PoissonOptions& cdm_long,
     const gravity::PoissonOptions& cdm_short,
@@ -230,7 +207,8 @@ void DistributedHybridSolver::prepare_green_tables(
   // tables hold exactly the doubles the inline evaluation would produce,
   // so using them changes nothing numerically — it only moves the
   // transcendental-heavy loop off the communication's critical path (the
-  // overlapped mode computes them while the brick -> slab messages fly).
+  // overlapped placement computes them while the brick -> slab messages
+  // fly).
   const int n = options_.pm_grid;
   const int lny = pfft_.local_ny();
   const std::size_t modes = static_cast<std::size_t>(lny) * n * n;
@@ -278,95 +256,73 @@ void DistributedHybridSolver::compute_forces(double a) {
   nu_opts.prefactor = prefactor;
   nu_opts.deconvolve_order = 0;
 
-  // --- densities (deposit + ghost fold) ---
-  if (!overlap_) {
-    {
-      ScopedTimer t(timers_, "pm");
-      deposit_cdm_density();
-    }
-    if (has_nu_) {
-      ScopedTimer t(timers_, "vlasov-moments");
-      deposit_nu_density();
-    }
-    {
-      ScopedTimer t(timers_, "pm");
-      prepare_green_tables(cdm_long, cdm_opts, nu_opts);
-    }
-  } else {
-    // Post the CDM ghost-fold sends, accumulate the (heavy, local) Vlasov
-    // moment while they fly, then complete the fold.
-    {
-      ScopedTimer t(timers_, "pm");
-      deposit_cdm_local();
-      fold_cdm_.begin(rho_cdm_);
-    }
-    if (has_nu_) {
-      ScopedTimer t(timers_, "vlasov-moments");
-      compute_nu_moment();
-    }
-    {
-      ScopedTimer t(timers_, "pm");
-      fold_cdm_.finish(rho_cdm_);
-    }
-    if (has_nu_) {
-      {
+  // --- densities (deposit + ghost fold), bricks -> x-slabs ---
+  // Every fold/slab exchange completes through finish_behind, which sets
+  // its finish after the compute named as hiding it (overlap) or right
+  // after its begin.
+  {
+    ScopedTimer t(timers_, "pm");
+    deposit_cdm_local();
+    fold_cdm_.begin(rho_cdm_);
+  }
+  // The CDM ghost fold flies during the (heavy, local) Vlasov moment.
+  finish_behind(
+      overlap_,
+      [&] {
+        if (!has_nu_) return;
         ScopedTimer t(timers_, "vlasov-moments");
-        inject_nu_density();
-      }
-      ScopedTimer t(timers_, "pm");
-      fold_nu_.begin(rho_nu_);
-    }
+        compute_nu_moment();
+      },
+      [&] {
+        ScopedTimer t(timers_, "pm");
+        fold_cdm_.finish(rho_cdm_);
+      });
+  if (has_nu_) {
+    ScopedTimer t(timers_, "vlasov-moments");
+    inject_nu_density();
   }
 
   {
     ScopedTimer t(timers_, "pm");
-    // Bricks -> x-slabs, then the distributed forward transforms.
+    if (has_nu_) fold_nu_.begin(rho_nu_);
+    // The nu fold and the CDM redistribution fly during the Green-function
+    // tables; the nu redistribution flies during the CDM forward
+    // transform.
     std::vector<fft::cplx>* slab_cdm = nullptr;
     std::vector<fft::cplx>* slab_nu = nullptr;
-    if (!overlap_) {
-      slab_cdm_sync_ = brick_to_slab(rho_cdm_, pm_dec_, pfft_, cart_);
-      {
-        trace::Span fft_span("fft-forward");
-        pfft_.forward(slab_cdm_sync_);
-      }
-      slab_cdm = &slab_cdm_sync_;
-      if (has_nu_) {
-        slab_nu_sync_ = brick_to_slab(rho_nu_, pm_dec_, pfft_, cart_);
-        {
-          trace::Span fft_span("fft-forward");
-          pfft_.forward(slab_nu_sync_);
-        }
-        slab_nu = &slab_nu_sync_;
-      }
+    auto forward = [&](std::vector<fft::cplx>& slab) {
+      trace::Span fft_span("fft-forward");
+      pfft_.forward(slab);
+    };
+    finish_behind(
+        overlap_,
+        [&] {
+          slab_cdm_x_.begin_to_slab(rho_cdm_);
+          finish_behind(
+              overlap_,
+              [&] { prepare_green_tables(cdm_long, cdm_opts, nu_opts); },
+              [&] { slab_cdm = &slab_cdm_x_.finish_to_slab(); });
+        },
+        [&] {
+          if (has_nu_) fold_nu_.finish(rho_nu_);
+        });
+    if (has_nu_) {
+      slab_nu_x_.begin_to_slab(rho_nu_);
+      finish_behind(
+          overlap_, [&] { forward(*slab_cdm); },
+          [&] { slab_nu = &slab_nu_x_.finish_to_slab(); });
+      forward(*slab_nu);
     } else {
-      // The CDM redistribution (and the still-flying nu fold) overlap the
-      // Green-function tables; the nu redistribution overlaps the CDM
-      // forward transform.
-      slab_cdm_x_.begin_to_slab(rho_cdm_);
-      prepare_green_tables(cdm_long, cdm_opts, nu_opts);
-      if (has_nu_) {
-        fold_nu_.finish(rho_nu_);
-        slab_nu_x_.begin_to_slab(rho_nu_);
-      }
-      slab_cdm = &slab_cdm_x_.finish_to_slab();
-      {
-        trace::Span fft_span("fft-forward");
-        pfft_.forward(*slab_cdm);
-      }
-      if (has_nu_) {
-        slab_nu = &slab_nu_x_.finish_to_slab();
-        trace::Span fft_span("fft-forward");
-        pfft_.forward(*slab_nu);
-      }
+      forward(*slab_cdm);
     }
 
     // One force set = the combined potential of both species under the
     // given CDM green table, differentiated spectrally (-i k_d) and
     // brought back to brick layout per component.  phi_k is evaluated once
     // per mode (as in the serial PoissonSolver::solve_forces); only the
-    // cheap -i k_d multiply runs per direction.  In overlapped mode each
-    // component's slab -> brick return flies during the next component's
-    // spectral multiply + inverse FFT.
+    // cheap -i k_d multiply runs per direction.  Each component's slab ->
+    // brick return flies during the next component's spectral multiply +
+    // inverse FFT.
     auto solve_set = [&](const std::vector<double>& green,
                          mesh::Grid3D<double>& gx, mesh::Grid3D<double>& gy,
                          mesh::Grid3D<double>& gz) {
@@ -378,8 +334,7 @@ void DistributedHybridSolver::compute_forces(double a) {
         phi_[m] = phi_k;
         ++m;
       });
-      mesh::Grid3D<double>* outs[3] = {&gx, &gy, &gz};
-      for (int d = 0; d < 3; ++d) {
+      auto component = [&](int d) {
         spec_.resize(phi_.size());
         m = 0;
         pfft_.for_each_mode(spec_, [&](int bx, int by, int bz, fft::cplx& s) {
@@ -388,27 +343,22 @@ void DistributedHybridSolver::compute_forces(double a) {
           s = fft::cplx(0.0, -1.0) * k_d * phi_[m];
           ++m;
         });
-        {
-          trace::Span fft_span("fft-inverse");
-          pfft_.inverse_normalized(spec_);
-        }
-        if (!overlap_) {
-          slab_to_brick(spec_, pfft_, pm_dec_, cart_, *outs[d]);
-        } else {
-          if (d > 0) {
-            slab_out_.finish_to_brick(*outs[d - 1]);
-            mesh::exchange_grid_halo(*outs[d - 1], cart_);
-          }
-          slab_out_.begin_to_brick(spec_);
-        }
-      }
-      if (!overlap_) {
-        mesh::exchange_grid_halo(gx, cart_);
-        mesh::exchange_grid_halo(gy, cart_);
-        mesh::exchange_grid_halo(gz, cart_);
-      } else {
-        slab_out_.finish_to_brick(*outs[2]);
-        mesh::exchange_grid_halo(*outs[2], cart_);
+        trace::Span fft_span("fft-inverse");
+        pfft_.inverse_normalized(spec_);
+      };
+      mesh::Grid3D<double>* outs[3] = {&gx, &gy, &gz};
+      component(0);
+      for (int d = 0; d < 3; ++d) {
+        slab_out_.begin_to_brick(spec_);
+        finish_behind(
+            overlap_,
+            [&] {
+              if (d < 2) component(d + 1);
+            },
+            [&] {
+              slab_out_.finish_to_brick(*outs[d]);
+              mesh::exchange_grid_halo(*outs[d], cart_);
+            });
       }
     };
     solve_set(green_long_, gx_cdm_, gy_cdm_, gz_cdm_);
@@ -451,12 +401,9 @@ void DistributedHybridSolver::compute_forces(double a) {
           }
     }
   }
-  if (overlap_) {
-    timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
-    timers_.add("slab-wait", slab_cdm_x_.take_wait() +
-                                 slab_nu_x_.take_wait() +
-                                 slab_out_.take_wait());
-  }
+  timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
+  timers_.add("slab-wait", slab_cdm_x_.take_wait() + slab_nu_x_.take_wait() +
+                               slab_out_.take_wait());
 
   // --- tree short-range: replicated over the replicated particle set,
   //     identical on every rank (the serial solver's exact block) ---
@@ -469,72 +416,16 @@ void DistributedHybridSolver::compute_forces(double a) {
 }
 
 void DistributedHybridSolver::drift(double drift_factor) {
-  if (drift_factor == 0.0) return;
-  if (!overlap_) {
-    // Synchronous reference: full (3-axis, transitively extended) halo
-    // refill before every axis sweep.
-    vlasov::drift_full(f_, drift_factor, options_.kernel, halo_filler());
-    return;
-  }
-  // Overlapped pipeline, same operator sequence and subcycling as
-  // vlasov::drift_full: per axis, post the single-axis face exchange,
-  // advect the ghost-independent interior while the messages fly, then
-  // complete the exchange and sweep the two boundary shells from their
-  // pre-sweep windows.  Bit-identical to the reference because a position
-  // sweep along an axis reads only that axis' ghosts at interior
-  // transverse positions, and every restricted range sees the same
-  // stencil values as the full-line sweep.
-  const double max_shift = vlasov::max_position_shift(f_, drift_factor);
-  const int cycles =
-      std::max(1, static_cast<int>(std::ceil(max_shift / 0.999)));
-  const double sub = drift_factor / cycles;
-  const int g = f_.dims().ghost;
-  for (int axis : {2, 1, 0}) {
-    const auto& ap = ps_plan_.axis(axis);
-    for (int c = 0; c < cycles; ++c) {
-      if (!ap.split || !split_sweeps_) {
-        // Undecomposed (local wrap), thinner than 2*ghost, or the split
-        // heuristic disengaged: run the lean exchange blocking, then the
-        // full-line sweep.  Timed under its own bucket so the
-        // interior/boundary metrics always describe the split pipeline
-        // alone.
-        {
-          ScopedTimer t(timers_, "halo");
-          ps_plan_.begin_axis(f_, axis);
-          ps_plan_.finish_axis(f_, axis);
-        }
-        ScopedTimer t(timers_, "sweep-full");
-        vlasov::advect_position_axis(f_, axis, sub, options_.kernel);
-        continue;
-      }
-      {
-        ScopedTimer t(timers_, "halo");
-        ps_plan_.begin_axis(f_, axis);
-      }
-      {
-        ScopedTimer t(timers_, "sweep-boundary");
-        vlasov::save_position_boundary(f_, axis, boundary_);
-      }
-      {
-        ScopedTimer t(timers_, "sweep-interior");
-        vlasov::advect_position_axis_range(f_, axis, sub, options_.kernel, g,
-                                           ap.n - g);
-      }
-      {
-        // Faces land straight in the boundary windows (same layout as the
-        // packed payload), skipping the f-ghost unpack + window reload.
-        ScopedTimer t(timers_, "halo");
-        ps_plan_.finish_axis_into(
-            boundary_.lo.data(),
-            boundary_.hi.data() + 2 * ap.face_floats, axis);
-      }
-      {
-        ScopedTimer t(timers_, "sweep-boundary");
-        vlasov::advect_position_axis_boundary(f_, axis, sub, options_.kernel,
-                                              boundary_);
-      }
-    }
-  }
+  // The serial drift loop with the single-axis face exchange as its ghost
+  // filler: a position sweep along one axis reads only that axis' ghosts
+  // at interior transverse positions, so each sweep needs one face pair,
+  // not a transitively extended 3-axis halo.
+  vlasov::drift_full(f_, drift_factor, options_.kernel,
+                     [this](vlasov::PhaseSpace& f, int axis) {
+                       ScopedTimer t(timers_, "halo");
+                       ps_plan_.begin_axis(f, axis);
+                       ps_plan_.finish_axis(f, axis);
+                     });
   timers_.add("halo-wait", ps_plan_.take_wait());
 }
 

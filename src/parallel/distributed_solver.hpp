@@ -16,28 +16,24 @@
 //   * the CFL step search and the conservation diagnostics are
 //     allreduce-d so every rank takes identical steps.
 //
-// Two stepping modes share this skeleton (ctor flag / `overlap=` config):
+// Every exchange goes through a plan object (mesh::HaloPlan,
+// mesh::GridFoldPlan, parallel::SlabExchange) with begin/finish halves.
+// Position sweeps take a single-axis face exchange before each sweep
+// (HaloPlan, filled through vlasov::drift_full's axis-aware HaloFiller);
+// the CDM ghost fold can fly during the Vlasov moment accumulation, the
+// brick -> x-slab FFT redistribution during Green-function table prep,
+// and each force component's slab -> brick return during the next
+// component's spectral work.
 //
-//   * synchronous (the reference): every exchange is a blocking call
-//     before or after the compute it serves — exactly the PR-4 path;
-//   * overlapped (default): communication is split into begin/finish
-//     halves and hidden behind independent compute, the paper's central
-//     scaling technique.  Position sweeps advect the ghost-independent
-//     interior while the single-axis face messages fly, then sweep the
-//     ghost-width boundary shells (vlasov range-restricted entry points +
-//     mesh::HaloPlan); the CDM ghost fold flies during the Vlasov moment
-//     accumulation (mesh::GridFoldPlan); the brick -> x-slab FFT
-//     redistribution flies during Green-function table prep, and each
-//     force component's slab -> brick return flies during the next
-//     component's spectral work (parallel::SlabExchange).
-//
-// The two modes are bit-identical: every restructured stage performs the
-// same floating-point operations in the same order, only earlier relative
-// to the communication (tests/test_parallel.cpp asserts exact equality).
-// Exposed (un-hidden) communication time is tracked separately in the
-// "halo-wait" / "fold-wait" / "slab-wait" timer buckets, and the
-// interior/boundary sweep split in "sweep-interior" / "sweep-boundary" —
-// bench/table3 turns these into the halo_overlap_efficiency metric.
+// The ctor flag / `overlap=` config key only moves where each fold or
+// slab plan's finish sits: overlapped (default), after the compute it
+// hides behind — the paper's central scaling technique; otherwise right
+// after its begin.  Both modes send the same messages and compute every
+// field with the same floating-point operations, so they are
+// bit-identical (tests/test_parallel.cpp asserts exact equality and equal
+// per-rank traffic).  Exposed (un-hidden) communication time is tracked
+// in the "halo-wait" / "fold-wait" / "slab-wait" timer buckets, which
+// bench/table3 turns into the halo_overlap_efficiency metric.
 //
 // Deliberate deviation from the paper, documented in docs/ARCHITECTURE.md:
 // CDM particles are *replicated* on every rank (each rank deposits only
@@ -72,9 +68,9 @@ class DistributedHybridSolver {
   /// global object is only read during construction.  `decomp` must
   /// multiply to comm.size() and satisfy parallel::validate_decomp.
   /// A fresh force cache on the global solver is sharded too, so a
-  /// resumed run continues bit-identically.  `overlap` selects the
-  /// overlapped stepping pipeline (bit-identical to the synchronous
-  /// reference; default on).
+  /// resumed run continues bit-identically.  `overlap` places each fold
+  /// and slab exchange's finish after the compute it hides behind (default
+  /// on) instead of right after its begin; the results are bit-identical.
   DistributedHybridSolver(const hybrid::HybridSolver& global,
                           comm::Communicator& comm,
                           std::array<int, 3> decomp, bool overlap = true);
@@ -122,15 +118,12 @@ class DistributedHybridSolver {
   void compute_forces(double a);
   bool owns_particle(std::size_t i) const;
   void deposit_cdm_local();
-  void deposit_cdm_density();
   void compute_nu_moment();
   void inject_nu_density();
-  void deposit_nu_density();
   void prepare_green_tables(const gravity::PoissonOptions& cdm_long,
                             const gravity::PoissonOptions& cdm_short,
                             const gravity::PoissonOptions& nu_opts);
   void drift(double drift_factor);
-  vlasov::HaloFiller halo_filler();
 
   comm::Communicator& comm_;
   comm::CartTopology cart_;
@@ -158,22 +151,14 @@ class DistributedHybridSolver {
   bool forces_fresh_ = false;
   bool has_nu_ = false;
   bool overlap_ = true;
-  bool split_sweeps_ = true;  // interior/boundary split inside overlap mode
-                              // (V6D_OVERLAP_SPLIT=on|off|auto; auto engages
-                              // it only when hardware threads can actually
-                              // run ranks concurrently — the split re-reads
-                              // stencil margins, which pays only when there
-                              // is real concurrency to hide latency behind)
 
-  // Overlap pipeline state: precomputed plans + persistent buffers (no
+  // Exchange plans: precomputed ranges + persistent buffers (no
   // steady-state allocation on the stepping path).
-  mesh::HaloPlan ps_plan_;                   // split phase-space faces
-  mesh::GridFoldPlan fold_cdm_, fold_nu_;    // split deposit folds
+  mesh::HaloPlan ps_plan_;                   // phase-space axis faces
+  mesh::GridFoldPlan fold_cdm_, fold_nu_;    // deposit ghost folds
   SlabExchange slab_cdm_x_, slab_nu_x_;      // brick -> slab (densities)
   SlabExchange slab_out_;                    // slab -> brick (forces)
-  vlasov::PositionBoundarySlabs boundary_;   // pre-sweep shell windows
   std::vector<double> green_long_, green_short_, green_nu_;  // mode tables
-  std::vector<fft::cplx> slab_cdm_sync_, slab_nu_sync_;      // sync path
   std::vector<fft::cplx> phi_, spec_;
 
   TimerRegistry timers_;

@@ -1,8 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "vlasov/sweeps.hpp"
@@ -21,15 +18,9 @@ namespace v6d::vlasov {
 // shared by every thread — the hot loop reduces to table lookups plus the
 // line kernels.  Threading is over spatial lines (collapse(2)); each
 // thread keeps one reusable AdvectWorkspace so the kernels never allocate
-// in steady state.
-//
-// All entry points (full line, interior range, boundary shells) funnel
-// through sweep_lines below, which updates axis cells [lo, hi) of every
-// interior line reading from a caller-supplied source base — f itself for
-// the full/interior sweeps, the pre-sweep boundary windows for the
-// overlapped boundary sweep.  The flux at every interface is a pure
-// function of its local stencil, so any partition of a line into ranges
-// with correct source values reproduces the full-line result bit for bit.
+// in steady state.  Every interior line is advected in place over its
+// full extent, reading the axis ghosts (filled beforehand) as stencil
+// margins.
 
 namespace {
 
@@ -40,11 +31,11 @@ inline void transverse_extents(const PhaseSpaceDims& d, int axis, int& t1n,
   t2n = axis == 2 ? d.ny : d.nz;
 }
 
-// Block of spatial cell with coordinate `a` along `axis` and transverse
-// coordinates (t1, t2) in ascending-axis order.
-inline float* block_at(PhaseSpace& f, int axis, int a, int t1, int t2) {
+// First interior block of the line along `axis` at transverse coordinates
+// (t1, t2) in ascending-axis order.
+inline float* line_start(PhaseSpace& f, int axis, int t1, int t2) {
   int idx[3];
-  idx[axis] = a;
+  idx[axis] = 0;
   int tpos = 0;
   for (int t = 0; t < 3; ++t) {
     if (t == axis) continue;
@@ -54,19 +45,16 @@ inline float* block_at(PhaseSpace& f, int axis, int a, int t1, int t2) {
   return f.block(idx[0], idx[1], idx[2]);
 }
 
-// Core sweep: advect axis cells [lo, hi) of every interior line, writing f
-// in place.  src_at(t1, t2) returns the *source* pointer of axis cell `lo`
-// for line (t1, t2); source cells are src_stride floats apart and must
-// expose valid values over [lo - required_ghost, hi + required_ghost).
-template <class SrcAt>
-void sweep_lines(PhaseSpace& f, int axis, double drift_factor,
-                 SweepKernel kernel, int lo, int hi, SrcAt&& src_at,
-                 std::ptrdiff_t src_stride) {
-  if (hi <= lo) return;
+}  // namespace
+
+void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
+                          SweepKernel kernel) {
   const auto& d = f.dims();
+  const int n_cells = axis == 0 ? d.nx : axis == 1 ? d.ny : d.nz;
+  if (n_cells <= 0) return;
   const auto& g = f.geom();
   const double dx = axis == 0 ? g.dx : axis == 1 ? g.dy : g.dz;
-  const std::ptrdiff_t dst_stride =
+  const std::ptrdiff_t stride =
       static_cast<std::ptrdiff_t>(axis == 0   ? f.block_stride_x()
                                   : axis == 1 ? f.block_stride_y()
                                               : f.block_stride_z()) *
@@ -78,7 +66,6 @@ void sweep_lines(PhaseSpace& f, int axis, double drift_factor,
       simd::resolve_sweep_kernel(kernel, /*contiguous_axis=*/false);
   const bool scalar = resolved == SweepKernel::kScalar;
   const double inv_dx_drift = drift_factor / dx;
-  const int n_cells = hi - lo;
 
   // Shift tables, hoisted out of the spatial loops: for the x/y sweeps xi
   // is indexed by iux (resp. iuy); for the z sweep it is indexed by iuz
@@ -105,8 +92,7 @@ void sweep_lines(PhaseSpace& f, int axis, double drift_factor,
 #endif
     for (int t1 = 0; t1 < t1n; ++t1) {
       for (int t2 = 0; t2 < t2n; ++t2) {
-        float* dst_block = block_at(f, axis, lo, t1, t2);
-        const float* src_block = src_at(t1, t2);
+        float* line = line_start(f, axis, t1, t2);
         for (int a = 0; a < d.nux; ++a) {
           for (int b = 0; b < d.nuy; ++b) {
             if (axis == 0 || axis == 1) {
@@ -114,15 +100,15 @@ void sweep_lines(PhaseSpace& f, int axis, double drift_factor,
               int c = 0;
               for (; !scalar && c + kLanes <= d.nuz; c += kLanes) {
                 const std::size_t vi = f.velocity_index(a, b, c);
-                advect_lines_simd(src_block + vi, src_stride, dst_block + vi,
-                                  dst_stride, n_cells, xi, Limiter::kMpp,
+                advect_lines_simd(line + vi, stride, line + vi, stride,
+                                  n_cells, xi, Limiter::kMpp,
                                   GhostMode::kFromSource, ws);
               }
               for (; c < d.nuz; ++c) {
                 const std::size_t vi = f.velocity_index(a, b, c);
-                advect_line_strided_scalar(src_block + vi, src_stride,
-                                           dst_block + vi, dst_stride,
-                                           n_cells, xi, Limiter::kMpp,
+                advect_line_strided_scalar(line + vi, stride, line + vi,
+                                           stride, n_cells, xi,
+                                           Limiter::kMpp,
                                            GhostMode::kFromSource, ws);
               }
             } else {
@@ -130,16 +116,15 @@ void sweep_lines(PhaseSpace& f, int axis, double drift_factor,
               int c = 0;
               for (; !scalar && c + kLanes <= d.nuz; c += kLanes) {
                 const std::size_t vi = f.velocity_index(a, b, c);
-                advect_lines_simd_multi(src_block + vi, src_stride,
-                                        dst_block + vi, dst_stride, n_cells,
-                                        &xi_table[c], Limiter::kMpp,
+                advect_lines_simd_multi(line + vi, stride, line + vi, stride,
+                                        n_cells, &xi_table[c], Limiter::kMpp,
                                         GhostMode::kFromSource, ws);
               }
               for (; c < d.nuz; ++c) {
                 const std::size_t vi = f.velocity_index(a, b, c);
-                advect_line_strided_scalar(src_block + vi, src_stride,
-                                           dst_block + vi, dst_stride,
-                                           n_cells, xi_table[c], Limiter::kMpp,
+                advect_line_strided_scalar(line + vi, stride, line + vi,
+                                           stride, n_cells, xi_table[c],
+                                           Limiter::kMpp,
                                            GhostMode::kFromSource, ws);
               }
             }
@@ -148,134 +133,6 @@ void sweep_lines(PhaseSpace& f, int axis, double drift_factor,
       }
     }
   }
-}
-
-// Copy axis cells [cell_lo, cell_lo + count) at interior transverse
-// positions out of f into a boundary window buffer whose axis index starts
-// at window cell `win_lo`.
-void copy_to_window(const PhaseSpace& f, int axis, int cell_lo, int count,
-                    AlignedVector<float>& window, int win_lo) {
-  const auto& d = f.dims();
-  int t1n = 0, t2n = 0;
-  transverse_extents(d, axis, t1n, t2n);
-  const std::size_t block = f.block_size();
-  const std::size_t needed =
-      static_cast<std::size_t>(3 * d.ghost) * t1n * t2n * block;
-  if (window.size() < needed) window.resize(needed);
-  const std::size_t bytes = block * sizeof(float);
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-  for (int w = 0; w < count; ++w)
-    for (int t1 = 0; t1 < t1n; ++t1) {
-      std::size_t o =
-          (static_cast<std::size_t>(win_lo + w) * t1n + t1) * t2n * block;
-      for (int t2 = 0; t2 < t2n; ++t2, o += block) {
-        int idx[3];
-        idx[axis] = cell_lo + w;
-        int tpos = 0;
-        for (int t = 0; t < 3; ++t) {
-          if (t == axis) continue;
-          idx[t] = tpos == 0 ? t1 : t2;
-          ++tpos;
-        }
-        std::memcpy(window.data() + o, f.block(idx[0], idx[1], idx[2]),
-                    bytes);
-      }
-    }
-}
-
-void require_splittable(const PhaseSpaceDims& d, int axis, int n,
-                        const char* fn) {
-  if (n < 2 * d.ghost)
-    throw std::invalid_argument(
-        std::string(fn) + ": axis " + std::to_string(axis) + " extent " +
-        std::to_string(n) + " is below 2*ghost = " +
-        std::to_string(2 * d.ghost) +
-        "; use the full-line sweep for this axis");
-}
-
-inline int axis_extent(const PhaseSpaceDims& d, int axis) {
-  return axis == 0 ? d.nx : axis == 1 ? d.ny : d.nz;
-}
-
-}  // namespace
-
-void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
-                          SweepKernel kernel) {
-  const int n = axis_extent(f.dims(), axis);
-  advect_position_axis_range(f, axis, drift_factor, kernel, 0, n);
-}
-
-void advect_position_axis_range(PhaseSpace& f, int axis, double drift_factor,
-                                SweepKernel kernel, int lo, int hi) {
-  const std::ptrdiff_t stride =
-      static_cast<std::ptrdiff_t>(axis == 0   ? f.block_stride_x()
-                                  : axis == 1 ? f.block_stride_y()
-                                              : f.block_stride_z()) *
-      static_cast<std::ptrdiff_t>(f.block_size());
-  sweep_lines(
-      f, axis, drift_factor, kernel, lo, hi,
-      [&](int t1, int t2) -> const float* {
-        return block_at(f, axis, lo, t1, t2);
-      },
-      stride);
-}
-
-void save_position_boundary(const PhaseSpace& f, int axis,
-                            PositionBoundarySlabs& slabs) {
-  const auto& d = f.dims();
-  const int g = d.ghost;
-  const int n = axis_extent(d, axis);
-  require_splittable(d, axis, n, "save_position_boundary");
-  // Windows cover axis cells [-g, 2g) (lo) and [n-2g, n+g) (hi); the
-  // interior 2g-cell parts are snapshotted here, before the in-place
-  // interior sweep overwrites [g, n-g).
-  copy_to_window(f, axis, 0, 2 * g, slabs.lo, g);
-  copy_to_window(f, axis, n - 2 * g, 2 * g, slabs.hi, 0);
-}
-
-void load_position_boundary_ghosts(const PhaseSpace& f, int axis,
-                                   PositionBoundarySlabs& slabs) {
-  const auto& d = f.dims();
-  const int g = d.ghost;
-  const int n = axis_extent(d, axis);
-  require_splittable(d, axis, n, "load_position_boundary_ghosts");
-  copy_to_window(f, axis, -g, g, slabs.lo, 0);
-  copy_to_window(f, axis, n, g, slabs.hi, 2 * g);
-}
-
-void advect_position_axis_boundary(PhaseSpace& f, int axis,
-                                   double drift_factor, SweepKernel kernel,
-                                   const PositionBoundarySlabs& slabs) {
-  const auto& d = f.dims();
-  const int g = d.ghost;
-  const int n = axis_extent(d, axis);
-  require_splittable(d, axis, n, "advect_position_axis_boundary");
-  int t1n = 0, t2n = 0;
-  transverse_extents(d, axis, t1n, t2n);
-  const std::size_t block = f.block_size();
-  const std::ptrdiff_t win_stride =
-      static_cast<std::ptrdiff_t>(t1n) * t2n * block;
-  // Window axis index g holds the first swept cell of each shell (cell 0
-  // for the low shell, cell n-g for the high one).
-  auto window_at = [&](const AlignedVector<float>& win, int t1, int t2) {
-    return win.data() +
-           (static_cast<std::size_t>(g) * t1n + t1) * t2n * block +
-           static_cast<std::size_t>(t2) * block;
-  };
-  sweep_lines(
-      f, axis, drift_factor, kernel, 0, g,
-      [&](int t1, int t2) -> const float* {
-        return window_at(slabs.lo, t1, t2);
-      },
-      win_stride);
-  sweep_lines(
-      f, axis, drift_factor, kernel, n - g, n,
-      [&](int t1, int t2) -> const float* {
-        return window_at(slabs.hi, t1, t2);
-      },
-      win_stride);
 }
 
 double max_position_shift(const PhaseSpace& f, double drift_factor) {

@@ -6,7 +6,7 @@
 namespace v6d::vlasov {
 
 HaloFiller periodic_halo_filler() {
-  return [](PhaseSpace& f) { f.fill_ghosts_periodic(); };
+  return [](PhaseSpace& f, int) { f.fill_ghosts_periodic(); };
 }
 
 void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,
@@ -34,7 +34,7 @@ void drift_full(PhaseSpace& f, double drift_factor, SweepKernel kernel,
   // invalidates ghosts, so the halo filler runs before every axis.
   for (int axis : {2, 1, 0}) {
     for (int c = 0; c < cycles; ++c) {
-      halo(f);
+      halo(f, axis);
       advect_position_axis(f, axis, sub, kernel);
     }
   }

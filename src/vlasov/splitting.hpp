@@ -15,9 +15,11 @@
 
 namespace v6d::vlasov {
 
-/// Fills spatial ghosts before the position sweeps: the serial default is
-/// the periodic self-copy; parallel runs plug in halo exchange.
-using HaloFiller = std::function<void(PhaseSpace&)>;
+/// Fills the spatial ghosts the position sweep along `axis` reads (that
+/// axis' ghosts at interior transverse positions) before it runs.  The
+/// serial default is the periodic self-copy; distributed runs plug in the
+/// single-axis face exchange (mesh::HaloPlan).
+using HaloFiller = std::function<void(PhaseSpace&, int axis)>;
 
 HaloFiller periodic_halo_filler();
 
@@ -45,7 +47,8 @@ void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,
                SweepKernel kernel);
 
 /// The drift sequence Dx Dy Dz; requires filled ghosts per axis — the
-/// halo filler runs before each axis (ghosts are invalidated by sweeps).
+/// halo filler runs before each axis sweep and subcycle (ghosts are
+/// invalidated by sweeps).
 void drift_full(PhaseSpace& f, double drift_factor, SweepKernel kernel,
                 const HaloFiller& halo);
 

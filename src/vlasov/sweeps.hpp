@@ -29,42 +29,6 @@ using SweepKernel = simd::SweepKernel;
 void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
                           SweepKernel kernel);
 
-/// Range-restricted position sweep: update only axis cells [lo, hi) of
-/// every interior line, in place.  The stencil reads axis cells
-/// [lo - ghost, hi + ghost) of f, so the caller must ensure those hold
-/// valid pre-sweep values (for the interior range [ghost, n - ghost) they
-/// are all interior — no halo needed).  Bit-identical to the same cells of
-/// a full-line sweep: the flux at every interface is a pure function of
-/// its local stencil.
-void advect_position_axis_range(PhaseSpace& f, int axis, double drift_factor,
-                                SweepKernel kernel, int lo, int hi);
-
-/// Pre-sweep copies of the two boundary shells of a position sweep, used
-/// to overlap the halo exchange with the interior update:
-///
-///   save() snapshots axis cells [0, 2*ghost) and [n - 2*ghost, n) before
-///   the in-place interior sweep overwrites [ghost, n - ghost);
-///   load_ghosts() copies the (by then exchanged) axis ghosts in;
-///   the boundary sweep then advects cells [0, ghost) and [n - ghost, n)
-///   reading exclusively from these windows.
-///
-/// Buffers are reused across calls (zero steady-state allocation).
-/// Requires n >= 2*ghost along the swept axis.
-struct PositionBoundarySlabs {
-  AlignedVector<float> lo, hi;  // [3*ghost][t1][t2][velocity block]
-};
-
-void save_position_boundary(const PhaseSpace& f, int axis,
-                            PositionBoundarySlabs& slabs);
-void load_position_boundary_ghosts(const PhaseSpace& f, int axis,
-                                   PositionBoundarySlabs& slabs);
-/// Advect the two ghost-width boundary shells of `axis`, reading pre-sweep
-/// values from `slabs` and writing f in place.  Call after the interior
-/// range sweep and after load_position_boundary_ghosts().
-void advect_position_axis_boundary(PhaseSpace& f, int axis,
-                                   double drift_factor, SweepKernel kernel,
-                                   const PositionBoundarySlabs& slabs);
-
 /// Advect along velocity axis (0=ux, 1=uy, 2=uz) with acceleration field
 /// `accel` (= -dphi/dx_axis on the spatial grid) over time dt.
 void advect_velocity_axis(PhaseSpace& f, int axis,

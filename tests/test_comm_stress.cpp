@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "blocking_fold.hpp"
 #include "comm/cart.hpp"
 #include "comm/communicator.hpp"
 #include "comm/faulty_transport.hpp"
@@ -33,7 +34,6 @@
 #include "fft/parallel_fft.hpp"
 #include "mesh/decomposition.hpp"
 #include "mesh/grid.hpp"
-#include "mesh/halo.hpp"
 #include "mesh/halo_plan.hpp"
 #include "parallel/field_exchange.hpp"
 #include "vlasov/phase_space.hpp"
@@ -435,7 +435,7 @@ TEST(CommStress, ConcurrentPlanBeginFinishInterleavings) {
 
       // Fold must match the blocking reference (bit-identical contract).
       comm.barrier();  // separate plan traffic from the blocking reference
-      mesh::fold_grid_halo(fold_ref, cart);
+      test::fold_grid_halo(fold_ref, cart);
       for (int i = 0; i < fold_grid.nx(); ++i)
         for (int j = 0; j < fold_grid.ny(); ++j)
           for (int k = 0; k < fold_grid.nz(); ++k)

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "blocking_fold.hpp"
 #include "comm/runner.hpp"
 #include "mesh/decomposition.hpp"
 #include "mesh/halo.hpp"
@@ -18,49 +19,85 @@ float cell_value(int gx, int gy, int gz, std::size_t v) {
          static_cast<float>(v) * 1e-4f;
 }
 
+vlasov::PhaseSpaceDims local_dims(const mesh::BrickDecomposition& dec,
+                                  int nu) {
+  vlasov::PhaseSpaceDims dims;
+  dims.nx = dec.local_n(0);
+  dims.ny = dec.local_n(1);
+  dims.nz = dec.local_n(2);
+  dims.nux = dims.nuy = dims.nuz = nu;
+  return dims;
+}
+
+// Every interior block holds its global analytic value.
+void fill_global_pattern(vlasov::PhaseSpace& f,
+                         const mesh::BrickDecomposition& dec) {
+  const auto& d = f.dims();
+  for (int i = 0; i < d.nx; ++i)
+    for (int j = 0; j < d.ny; ++j)
+      for (int k = 0; k < d.nz; ++k) {
+        float* blk = f.block(i, j, k);
+        for (std::size_t v = 0; v < f.block_size(); ++v)
+          blk[v] = cell_value(dec.offset(0) + i, dec.offset(1) + j,
+                              dec.offset(2) + k, v);
+      }
+}
+
+// Exchange `axis` through the plan and check exactly the blocks the
+// position sweep along it reads beyond the interior: the axis ghosts at
+// interior transverse positions must equal the global periodic field
+// (multi-wrap aware, so extents below the ghost width are covered).
+void exchange_and_expect_axis_ghosts(mesh::HaloPlan& plan,
+                                     vlasov::PhaseSpace& f,
+                                     const mesh::BrickDecomposition& dec,
+                                     int axis, int rank) {
+  plan.begin_axis(f, axis);
+  plan.finish_axis(f, axis);
+  const auto global = dec.global();
+  const int g = f.dims().ghost;
+  const auto& ap = plan.axis(axis);
+  auto wrap = [](int i, int n) { return ((i % n) + n) % n; };
+  for (int a = -g; a < ap.n + g; ++a) {
+    if (a >= 0 && a < ap.n) continue;  // interior untouched
+    for (int t1 = 0; t1 < ap.t1n; ++t1)
+      for (int t2 = 0; t2 < ap.t2n; ++t2) {
+        int idx[3];
+        idx[axis] = a;
+        int tpos = 0;
+        for (int t = 0; t < 3; ++t) {
+          if (t == axis) continue;
+          idx[t] = tpos == 0 ? t1 : t2;
+          ++tpos;
+        }
+        int gidx[3];
+        for (int t = 0; t < 3; ++t)
+          gidx[t] = wrap(dec.offset(t) + idx[t], global[t]);
+        const float* blk = f.block(idx[0], idx[1], idx[2]);
+        for (std::size_t v = 0; v < f.block_size(); ++v)
+          ASSERT_FLOAT_EQ(blk[v], cell_value(gidx[0], gidx[1], gidx[2], v))
+              << "rank " << rank << " axis " << axis << " cell " << idx[0]
+              << "," << idx[1] << "," << idx[2];
+      }
+  }
+}
+
 class HaloRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(HaloRanks, PhaseSpaceHaloMatchesGlobalPeriodicField) {
+  // Per-axis plan exchange at every rank count: decomposed axes receive
+  // the neighbors' faces, undecomposed ones (all of them at p = 1) wrap
+  // locally.
   const int p = GetParam();
   const int n_global = 8;
-  const int nu = 2;
   comm::run(p, [&](comm::Communicator& comm) {
     comm::CartTopology cart(comm, comm::CartTopology::choose_dims(p));
     mesh::BrickDecomposition dec({n_global, n_global, n_global}, cart.dims(),
                                  cart.coords());
-    vlasov::PhaseSpaceDims dims;
-    dims.nx = dec.local_n(0);
-    dims.ny = dec.local_n(1);
-    dims.nz = dec.local_n(2);
-    dims.nux = dims.nuy = dims.nuz = nu;
-    vlasov::PhaseSpaceGeometry geom;
-    vlasov::PhaseSpace f(dims, geom);
-
-    for (int i = 0; i < dims.nx; ++i)
-      for (int j = 0; j < dims.ny; ++j)
-        for (int k = 0; k < dims.nz; ++k) {
-          float* blk = f.block(i, j, k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            blk[v] = cell_value(dec.offset(0) + i, dec.offset(1) + j,
-                                dec.offset(2) + k, v);
-        }
-
-    mesh::exchange_phase_space_halo(f, cart);
-
-    const int g = dims.ghost;
-    auto wrap = [&](int i) { return ((i % n_global) + n_global) % n_global; };
-    for (int i = -g; i < dims.nx + g; ++i)
-      for (int j = -g; j < dims.ny + g; ++j)
-        for (int k = -g; k < dims.nz + g; ++k) {
-          const float* blk = f.block(i, j, k);
-          const int gx = wrap(dec.offset(0) + i);
-          const int gy = wrap(dec.offset(1) + j);
-          const int gz = wrap(dec.offset(2) + k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            ASSERT_FLOAT_EQ(blk[v], cell_value(gx, gy, gz, v))
-                << "rank " << comm.rank() << " cell " << i << "," << j << ","
-                << k;
-        }
+    vlasov::PhaseSpace f(local_dims(dec, 2), vlasov::PhaseSpaceGeometry{});
+    fill_global_pattern(f, dec);
+    mesh::HaloPlan plan(cart, f.dims(), 900);
+    for (int axis = 0; axis < 3; ++axis)
+      exchange_and_expect_axis_ghosts(plan, f, dec, axis, comm.rank());
   });
 }
 
@@ -106,7 +143,9 @@ TEST_P(HaloRanks, FoldHaloAccumulatesDepositsOnce) {
     for (int i = -1; i < grid.nx() + 1; ++i)
       for (int j = -1; j < grid.ny() + 1; ++j)
         for (int k = -1; k < grid.nz() + 1; ++k) grid.at(i, j, k) = 1.0;
-    mesh::fold_grid_halo(grid, cart);
+    mesh::GridFoldPlan fold(cart, 940);
+    fold.begin(grid);
+    fold.finish(grid);
 
     // Each global cell collects one contribution per covering *image* of
     // every rank's extended region (interior + 1-cell ghost ring); with
@@ -145,24 +184,10 @@ TEST_P(HaloRanks, FoldHaloAccumulatesDepositsOnce) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, HaloRanks, ::testing::Values(1, 2, 4, 8));
 
 TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
-  // 4 cells split over 4 ranks -> local extent 1 < ghost 3: the pack would
-  // read out-of-range interior; the exchange must refuse instead.
-  EXPECT_THROW(
-      comm::run(4,
-                [&](comm::Communicator& comm) {
-                  comm::CartTopology cart(comm, {4, 1, 1});
-                  mesh::BrickDecomposition dec({4, 4, 4}, cart.dims(),
-                                               cart.coords());
-                  vlasov::PhaseSpaceDims dims;
-                  dims.nx = dec.local_n(0);
-                  dims.ny = dec.local_n(1);
-                  dims.nz = dec.local_n(2);
-                  dims.nux = dims.nuy = dims.nuz = 2;
-                  vlasov::PhaseSpace f(dims, vlasov::PhaseSpaceGeometry{});
-                  mesh::exchange_phase_space_halo(f, cart);
-                }),
-      std::invalid_argument);
-
+  // 4 cells split over 4 ranks -> local extent 1 < ghost 2: the pack would
+  // read out-of-range interior; the exchange and the fold must refuse
+  // instead.  (HaloPlan.RejectsDecomposedAxisThinnerThanGhost covers the
+  // phase-space faces.)
   EXPECT_THROW(
       comm::run(4,
                 [&](comm::Communicator& comm) {
@@ -177,59 +202,39 @@ TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
                 [&](comm::Communicator& comm) {
                   comm::CartTopology cart(comm, {4, 1, 1});
                   mesh::Grid3D<double> grid(1, 8, 8, 2);
-                  mesh::fold_grid_halo(grid, cart);
+                  mesh::GridFoldPlan fold(cart, 940);
+                  fold.begin(grid);
+                  fold.finish(grid);
                 }),
       std::invalid_argument);
 }
 
-TEST(HaloValidation, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
-  // ny = nz = 2 with ghost 3 (the quasi-1D two_stream shape): the halo of
-  // the undecomposed axes must be the periodic wrap — a self-send of
-  // "interior slabs" would read out-of-range cells.
-  const int n_global = 8, thin = 2, nu = 2;
+TEST(HaloPlan, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
+  // ny = nz = 2 with ghost 3 (the quasi-1D two_stream shape): the axis
+  // ghosts of the undecomposed axes must be the periodic wrap — a
+  // self-send of "interior slabs" would read out-of-range cells.
+  const int n_global = 8, thin = 2;
   comm::run(2, [&](comm::Communicator& comm) {
     comm::CartTopology cart(comm, {2, 1, 1});
     mesh::BrickDecomposition dec({n_global, thin, thin}, cart.dims(),
                                  cart.coords());
-    vlasov::PhaseSpaceDims dims;
-    dims.nx = dec.local_n(0);
-    dims.ny = thin;
-    dims.nz = thin;
-    dims.nux = dims.nuy = dims.nuz = nu;
-    vlasov::PhaseSpaceGeometry geom;
-    vlasov::PhaseSpace f(dims, geom);
-    for (int i = 0; i < dims.nx; ++i)
-      for (int j = 0; j < dims.ny; ++j)
-        for (int k = 0; k < dims.nz; ++k) {
-          float* blk = f.block(i, j, k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            blk[v] = cell_value(dec.offset(0) + i, j, k, v);
-        }
-
-    mesh::exchange_phase_space_halo(f, cart);
-
-    const int g = dims.ghost;
-    auto wrap = [](int i, int n) { return ((i % n) + n) % n; };
-    for (int i = -g; i < dims.nx + g; ++i)
-      for (int j = -g; j < dims.ny + g; ++j)
-        for (int k = -g; k < dims.nz + g; ++k) {
-          const float* blk = f.block(i, j, k);
-          const int gx = wrap(dec.offset(0) + i, n_global);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            ASSERT_FLOAT_EQ(blk[v],
-                            cell_value(gx, wrap(j, thin), wrap(k, thin), v))
-                << "rank " << comm.rank() << " cell " << i << "," << j << ","
-                << k;
-        }
+    vlasov::PhaseSpace f(local_dims(dec, 2), vlasov::PhaseSpaceGeometry{});
+    fill_global_pattern(f, dec);
+    mesh::HaloPlan plan(cart, f.dims(), 900);
+    EXPECT_TRUE(plan.axis(0).decomposed);
+    EXPECT_FALSE(plan.axis(1).decomposed);
+    EXPECT_FALSE(plan.axis(2).decomposed);
+    for (int axis = 0; axis < 3; ++axis)
+      exchange_and_expect_axis_ghosts(plan, f, dec, axis, comm.rank());
   });
 }
 
-TEST(HaloValidation, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
+TEST(GridFoldPlan, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
   // Deposit-style fold on an (8, 2, 2) grid split 2 ways along x; the thin
-  // y/z axes (extent 2 < ghost 2+... ) wrap multiple times, so the fold
-  // must place every ghost contribution on its periodic image exactly
-  // once.  With all-ones deposits the result is a pure coverage count, and
-  // the fold must conserve the deposited total.
+  // y/z axes (extent 2 = ghost 2) wrap multiple times, so the fold must
+  // place every ghost contribution on its periodic image exactly once.
+  // With all-ones deposits the result is a pure coverage count, and the
+  // fold must conserve the deposited total.
   const int nx = 8, thin = 2, ghost = 2;
   comm::run(2, [&](comm::Communicator& comm) {
     comm::CartTopology cart(comm, {2, 1, 1});
@@ -242,7 +247,9 @@ TEST(HaloValidation, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
     const double deposited =
         static_cast<double>(grid.nx() + 2 * ghost) * (thin + 2 * ghost) *
         (thin + 2 * ghost);
-    mesh::fold_grid_halo(grid, cart);
+    mesh::GridFoldPlan fold(cart, 940);
+    fold.begin(grid);
+    fold.finish(grid);
 
     // Images of global index g covered by an extended region of extent
     // `local` at `off` along an axis of global size `n` (multi-wrap aware).
@@ -276,7 +283,7 @@ TEST(HaloValidation, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Split (overlapped) exchange plans
+// Exchange plan geometry and bit-identity against the blocking fold
 // ---------------------------------------------------------------------------
 
 TEST(HaloPlan, AxisRangesMatchDecomposition) {
@@ -290,15 +297,10 @@ TEST(HaloPlan, AxisRangesMatchDecomposition) {
     dims.nux = dims.nuy = dims.nuz = 2;
     mesh::HaloPlan plan(cart, dims, 900);
 
-    // x and y are decomposed; local extent 4 < 2*ghost = 6, so the split
-    // (interior/boundary) pipeline is not eligible there.
+    // x and y are decomposed; z lives wholly on this rank.
     EXPECT_TRUE(plan.axis(0).decomposed);
-    EXPECT_FALSE(plan.axis(0).split);
     EXPECT_TRUE(plan.axis(1).decomposed);
-    EXPECT_FALSE(plan.axis(1).split);
-    // z lives wholly on this rank.
     EXPECT_FALSE(plan.axis(2).decomposed);
-    EXPECT_FALSE(plan.axis(2).split);
 
     // Interior transverse extents, ascending-axis order.
     EXPECT_EQ(plan.axis(0).n, 4);
@@ -309,63 +311,6 @@ TEST(HaloPlan, AxisRangesMatchDecomposition) {
     // One face = ghost layers x interior transverse x velocity block.
     EXPECT_EQ(plan.axis(0).face_floats,
               static_cast<std::size_t>(3) * 4 * 8 * 8);
-  });
-}
-
-TEST(HaloPlan, SplitAxisExchangeFillsAxisGhosts) {
-  // begin/finish per axis must deliver exactly the ghost blocks the
-  // position sweep of that axis reads: the axis ghosts at interior
-  // transverse positions, equal to the global periodic field.
-  const int n_global = 12, nu = 2;
-  comm::run(4, [&](comm::Communicator& comm) {
-    comm::CartTopology cart(comm, {2, 2, 1});
-    mesh::BrickDecomposition dec({n_global, n_global, n_global}, cart.dims(),
-                                 cart.coords());
-    vlasov::PhaseSpaceDims dims;
-    dims.nx = dec.local_n(0);
-    dims.ny = dec.local_n(1);
-    dims.nz = dec.local_n(2);
-    dims.nux = dims.nuy = dims.nuz = nu;
-    vlasov::PhaseSpace f(dims, vlasov::PhaseSpaceGeometry{});
-    for (int i = 0; i < dims.nx; ++i)
-      for (int j = 0; j < dims.ny; ++j)
-        for (int k = 0; k < dims.nz; ++k) {
-          float* blk = f.block(i, j, k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            blk[v] = cell_value(dec.offset(0) + i, dec.offset(1) + j,
-                                dec.offset(2) + k, v);
-        }
-    mesh::HaloPlan plan(cart, dims, 900);
-    const int g = dims.ghost;
-    auto wrap = [&](int i) { return ((i % n_global) + n_global) % n_global; };
-    const int n_axis[3] = {dims.nx, dims.ny, dims.nz};
-    for (int axis = 0; axis < 3; ++axis) {
-      EXPECT_TRUE(plan.axis(axis).split || axis == 2);
-      plan.begin_axis(f, axis);
-      plan.finish_axis(f, axis);
-      for (int a = -g; a < n_axis[axis] + g; ++a) {
-        if (a >= 0 && a < n_axis[axis]) continue;  // interior untouched
-        for (int t1 = 0; t1 < plan.axis(axis).t1n; ++t1)
-          for (int t2 = 0; t2 < plan.axis(axis).t2n; ++t2) {
-            int idx[3];
-            idx[axis] = a;
-            int tpos = 0;
-            for (int t = 0; t < 3; ++t) {
-              if (t == axis) continue;
-              idx[t] = tpos == 0 ? t1 : t2;
-              ++tpos;
-            }
-            const float* blk = f.block(idx[0], idx[1], idx[2]);
-            const int gx = wrap(dec.offset(0) + idx[0]);
-            const int gy = wrap(dec.offset(1) + idx[1]);
-            const int gz = wrap(dec.offset(2) + idx[2]);
-            for (std::size_t v = 0; v < f.block_size(); ++v)
-              ASSERT_FLOAT_EQ(blk[v], cell_value(gx, gy, gz, v))
-                  << "axis " << axis << " cell " << idx[0] << "," << idx[1]
-                  << "," << idx[2];
-          }
-      }
-    }
   });
 }
 
@@ -385,8 +330,8 @@ TEST(HaloPlan, RejectsDecomposedAxisThinnerThanGhost) {
 
 TEST(GridFoldPlan, SplitFoldIsBitIdenticalToBlockingFold) {
   // Same deposits, two fold paths: begin/finish (with arbitrary local
-  // work between) must reproduce fold_grid_halo exactly — same summation
-  // order, so bit-for-bit equality, not just tolerance.
+  // work between) must reproduce the blocking reference fold exactly —
+  // same summation order, so bit-for-bit equality, not just tolerance.
   const int n_global = 8;
   for (int p : {1, 2, 4, 8}) {
     comm::run(p, [&](comm::Communicator& comm) {
@@ -402,7 +347,7 @@ TEST(GridFoldPlan, SplitFoldIsBitIdenticalToBlockingFold) {
                 0.1 * comm.rank() + 1e-3 * i + 7e-5 * j + 3e-6 * k + 1.0;
       mesh::Grid3D<double> split = blocking;
 
-      mesh::fold_grid_halo(blocking, cart);
+      test::fold_grid_halo(blocking, cart);
 
       mesh::GridFoldPlan plan(cart, 940);
       plan.begin(split);
@@ -433,7 +378,7 @@ TEST(GridFoldPlan, ThinUndecomposedAxesMatchBlockingFold) {
         for (int k = -2; k < thin + 2; ++k)
           blocking.at(i, j, k) = 1.0 + 0.01 * i + 0.1 * j + 0.3 * k;
     mesh::Grid3D<double> split = blocking;
-    mesh::fold_grid_halo(blocking, cart);
+    test::fold_grid_halo(blocking, cart);
     mesh::GridFoldPlan plan(cart, 940);
     plan.begin(split);
     plan.finish(split);

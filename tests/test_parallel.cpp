@@ -1,10 +1,11 @@
 // Distributed execution path: decomposition planning, brick <-> slab
 // redistribution, N-rank vs serial equivalence of full driver runs,
-// distributed moments, conservation, and per-rank checkpoint shard resume.
+// overlap=on/off equivalence (state and traffic), distributed moments,
+// conservation, and per-rank checkpoint shard resume.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -17,7 +18,6 @@
 #include "driver/scenario.hpp"
 #include "gravity/poisson.hpp"
 #include "mesh/decomposition.hpp"
-#include "mesh/halo.hpp"
 #include "mesh/halo_plan.hpp"
 #include "parallel/decomp_plan.hpp"
 #include "parallel/distributed_solver.hpp"
@@ -106,20 +106,23 @@ TEST(FieldExchange, BrickSlabRoundTripPreservesValues) {
                                 (dec.offset(1) + j) * 1e2 +
                                 (dec.offset(2) + k);
       fft::ParallelFft3D pfft(comm, n);
-      auto slab = parallel::brick_to_slab(brick, dec, pfft, cart);
+      parallel::SlabExchange exchange(dec, pfft, cart, 980);
+      exchange.begin_to_slab(brick);
+      const auto& slab = exchange.finish_to_slab();
       // The slab must hold the global field rows this rank owns.
       for (int x = 0; x < pfft.local_nx(); ++x)
         for (int y = 0; y < n; ++y)
           for (int z = 0; z < n; ++z) {
             const double expected =
                 (pfft.x_offset() + x) * 1e4 + y * 1e2 + z;
-            ASSERT_DOUBLE_EQ(
-                slab[(static_cast<std::size_t>(x) * n + y) * n + z].real(),
-                expected);
+            const auto& c = slab[(static_cast<std::size_t>(x) * n + y) * n + z];
+            ASSERT_DOUBLE_EQ(c.real(), expected);
+            ASSERT_EQ(c.imag(), 0.0);
           }
       mesh::Grid3D<double> back(dec.local_n(0), dec.local_n(1),
                                 dec.local_n(2), 2);
-      parallel::slab_to_brick(slab, pfft, dec, cart, back);
+      exchange.begin_to_brick(slab);
+      exchange.finish_to_brick(back);
       for (int i = 0; i < brick.nx(); ++i)
         for (int j = 0; j < brick.ny(); ++j)
           for (int k = 0; k < brick.nz(); ++k)
@@ -303,10 +306,12 @@ TEST(DistributedConservation, PositionSweepsConserveMassAcrossRanks) {
                                        0.4f * (dec.offset(1) + j) +
                                        0.9f * (dec.offset(2) + k) + 0.05f * v);
           }
+      mesh::HaloPlan plan(cart, dims, 900);
       const double m0 = comm.allreduce_sum(f.total_mass());
       for (int s = 0; s < 3; ++s)
         for (int axis : {2, 1, 0}) {
-          mesh::exchange_phase_space_halo(f, cart);
+          plan.begin_axis(f, axis);
+          plan.finish_axis(f, axis);
           vlasov::advect_position_axis(f, axis, 0.37, vlasov::SweepKernel::kAuto);
         }
       const double m1 = comm.allreduce_sum(f.total_mass());
@@ -318,21 +323,13 @@ TEST(DistributedConservation, PositionSweepsConserveMassAcrossRanks) {
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped vs synchronous stepping (exact equality)
+// overlap=on vs overlap=off stepping (exact equality, equal traffic)
 // ---------------------------------------------------------------------------
 
-// Force the interior/boundary sweep split on (its auto heuristic backs
-// off to lean blocking exchanges on single-hardware-thread hosts), so
-// these tests always exercise the full overlap pipeline.
-struct ScopedSplitOn {
-  ScopedSplitOn() { setenv("V6D_OVERLAP_SPLIT", "on", 1); }
-  ~ScopedSplitOn() { unsetenv("V6D_OVERLAP_SPLIT"); }
-};
-
-// The overlapped pipeline restructures *when* communication happens, never
-// what is computed: every stage performs the same floating-point
-// operations in the same order.  So overlap=on must match overlap=off bit
-// for bit — EXPECT_EQ on doubles, not a tolerance.
+// overlap=on moves *when* each exchange completes, never what is
+// computed: every field sees the same floating-point operations in the
+// same order.  So overlap=on must match overlap=off bit for bit —
+// EXPECT_EQ on doubles, not a tolerance.
 void expect_runs_bit_identical(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.mass_before, b.mass_before);
   EXPECT_EQ(a.mass_after, b.mass_after);
@@ -353,7 +350,6 @@ void expect_runs_bit_identical(const RunOutcome& a, const RunOutcome& b) {
 }
 
 TEST_P(DistributedRanks, OverlapBitIdenticalVlasovOnly) {
-  ScopedSplitOn split_on;
   const int p = GetParam();
   auto sync_cfg = make_cfg("vlasov_only", {{"nx", "8"},
                                            {"nu", "6"},
@@ -369,7 +365,6 @@ TEST_P(DistributedRanks, OverlapBitIdenticalVlasovOnly) {
 }
 
 TEST_P(DistributedRanks, OverlapBitIdenticalNeutrinoBox) {
-  ScopedSplitOn split_on;
   const int p = GetParam();
   auto sync_cfg = make_cfg("neutrino_box", {{"nx", "8"},
                                             {"nu", "6"},
@@ -386,10 +381,9 @@ TEST_P(DistributedRanks, OverlapBitIdenticalNeutrinoBox) {
 }
 
 TEST(DistributedOverlap, BitIdenticalAcrossThinTwoStreamAxes) {
-  ScopedSplitOn split_on;
-  // ny = nz = 2 < 2*ghost: the overlapped drift must fall back to the
-  // blocking full-line path on the thin (undecomposed, wrap-filled) axes
-  // while still splitting the decomposed x axis — and stay bit-identical.
+  // ny = nz = 2 < ghost: the thin (undecomposed) axes fill their ghosts
+  // by local periodic wrap while x exchanges faces — and both modes stay
+  // bit-identical.
   auto sync_cfg = make_cfg("two_stream", {{"nx", "16"},
                                           {"nu", "8"},
                                           {"max_steps", "3"},
@@ -400,6 +394,72 @@ TEST(DistributedOverlap, BitIdenticalAcrossThinTwoStreamAxes) {
   overlap_cfg.overlap = true;
   expect_runs_bit_identical(run_scenario(sync_cfg),
                             run_scenario(overlap_cfg));
+}
+
+void expect_bricks_bit_identical(const vlasov::PhaseSpace& a,
+                                 const vlasov::PhaseSpace& b) {
+  const auto& d = a.dims();
+  ASSERT_EQ(d.total_interior(), b.dims().total_interior());
+  for (int i = 0; i < d.nx; ++i)
+    for (int j = 0; j < d.ny; ++j)
+      for (int k = 0; k < d.nz; ++k) {
+        const float* va = a.block(i, j, k);
+        const float* vb = b.block(i, j, k);
+        for (std::size_t v = 0; v < a.block_size(); ++v)
+          ASSERT_EQ(va[v], vb[v])
+              << "cell " << i << "," << j << "," << k << " lane " << v;
+      }
+}
+
+TEST(DistributedOverlap, BothModesSendIdenticalTraffic) {
+  // The overlap flag only moves where each fold/slab exchange finishes:
+  // both modes run the same plans, so every rank must send the same
+  // point-to-point messages and bytes, and end in the same state.
+  for (int p : {2, 4}) {
+    auto cfg = make_cfg("neutrino_box", {{"nx", "8"},
+                                         {"nu", "6"},
+                                         {"np", "8"},
+                                         {"seed", "7"},
+                                         {"checkpoint_dir", ""}});
+    cfg.ranks = p;
+    driver::Driver d(cfg);
+    const auto decomp = driver::resolve_run_decomp(cfg, d.solver());
+    struct Outcome {
+      std::vector<std::uint64_t> bytes, msgs;
+      std::vector<vlasov::PhaseSpace> f;
+    };
+    auto run_mode = [&](bool overlap) {
+      const auto ranks = static_cast<std::size_t>(p);
+      Outcome out{std::vector<std::uint64_t>(ranks),
+                  std::vector<std::uint64_t>(ranks),
+                  std::vector<vlasov::PhaseSpace>(ranks)};
+      comm::run(p, [&](comm::Communicator& comm) {
+        parallel::DistributedHybridSolver ds(d.solver(), comm, decomp,
+                                             overlap);
+        comm.reset_traffic_counters();
+        double a = cfg.a_init;
+        for (int s = 0; s < 2; ++s) {
+          const double a1 = ds.suggest_next_a(a, cfg.da_max);
+          ds.step(a, a1);
+          a = a1;
+        }
+        const auto r = static_cast<std::size_t>(comm.rank());
+        out.bytes[r] = comm.bytes_sent();
+        out.msgs[r] = comm.messages_sent();
+        out.f[r] = ds.local_f();
+      });
+      return out;
+    };
+    const Outcome on = run_mode(true);
+    const Outcome off = run_mode(false);
+    for (int r = 0; r < p; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_GT(on.msgs[i], 0u) << p << " ranks, rank " << r;
+      EXPECT_EQ(on.bytes[i], off.bytes[i]) << p << " ranks, rank " << r;
+      EXPECT_EQ(on.msgs[i], off.msgs[i]) << p << " ranks, rank " << r;
+      expect_bricks_bit_identical(on.f[i], off.f[i]);
+    }
+  }
 }
 
 TEST(DistributedOverlap, AbortMidOverlapWakesPeers) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 
 #include "vlasov/moments.hpp"
 #include "vlasov/splitting.hpp"
@@ -209,75 +208,6 @@ TEST(Splitting, FixedAccelStepRoundTripsWithReversedKicks) {
         }
       }
   EXPECT_LT(std::sqrt(err / norm), 0.05);
-}
-
-// ---------------------------------------------------------------------------
-// Range-restricted sweeps (overlap pipeline building blocks)
-// ---------------------------------------------------------------------------
-
-void expect_bit_identical(const PhaseSpace& a, const PhaseSpace& b) {
-  const auto& d = a.dims();
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz) {
-        const float* va = a.block(ix, iy, iz);
-        const float* vb = b.block(ix, iy, iz);
-        for (std::size_t v = 0; v < a.block_size(); ++v)
-          ASSERT_EQ(va[v], vb[v])
-              << "cell " << ix << "," << iy << "," << iz << " lane " << v;
-      }
-}
-
-TEST(RangeSweeps, InteriorPlusBoundaryMatchesFullSweepBitForBit) {
-  // The overlapped drift's decomposition of one axis sweep: snapshot the
-  // boundary windows, advect the ghost-independent interior in place,
-  // load the (already filled) ghosts, sweep the two boundary shells.  The
-  // result must equal the full-line sweep bit for bit — this is the
-  // property the distributed overlap=on/off equivalence rests on.
-  for (int axis = 0; axis < 3; ++axis) {
-    for (double drift : {0.37, -0.52}) {
-      PhaseSpace full = make_ps(8, 6);
-      fill_blob(full);
-      PhaseSpace split = full;
-      const int g = full.dims().ghost;
-      const int n = full.dims().nx;
-
-      full.fill_ghosts_periodic();
-      advect_position_axis(full, axis, drift, SweepKernel::kAuto);
-
-      split.fill_ghosts_periodic();
-      PositionBoundarySlabs slabs;
-      save_position_boundary(split, axis, slabs);
-      advect_position_axis_range(split, axis, drift, SweepKernel::kAuto, g,
-                                 n - g);
-      load_position_boundary_ghosts(split, axis, slabs);
-      advect_position_axis_boundary(split, axis, drift, SweepKernel::kAuto,
-                                    slabs);
-
-      expect_bit_identical(full, split);
-    }
-  }
-}
-
-TEST(RangeSweeps, FullRangeEqualsFullSweep) {
-  PhaseSpace a = make_ps(7, 6);  // odd extent: exercises uneven ranges
-  fill_blob(a);
-  PhaseSpace b = a;
-  a.fill_ghosts_periodic();
-  b.fill_ghosts_periodic();
-  advect_position_axis(a, 1, 0.43, SweepKernel::kAuto);
-  advect_position_axis_range(b, 1, 0.43, SweepKernel::kAuto, 0,
-                             a.dims().ny);
-  expect_bit_identical(a, b);
-}
-
-TEST(RangeSweeps, BoundaryHelpersRejectThinAxes) {
-  PhaseSpace f = make_ps(4, 4);  // n = 4 < 2*ghost = 6
-  PositionBoundarySlabs slabs;
-  EXPECT_THROW(save_position_boundary(f, 0, slabs), std::invalid_argument);
-  EXPECT_THROW(advect_position_axis_boundary(f, 0, 0.1, SweepKernel::kAuto,
-                                             slabs),
-               std::invalid_argument);
 }
 
 }  // namespace

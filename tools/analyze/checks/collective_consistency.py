@@ -35,8 +35,8 @@ COLLECTIVES = {
     "barrier", "allreduce_sum", "allreduce_max", "allreduce_min",
     "bcast", "bcast_bytes", "allgather", "allgather_bytes",
     "alltoall", "alltoall_bytes", "alltoallv",
-    # Project collective helpers (every rank must call; field_exchange.hpp).
-    "brick_to_slab", "slab_to_brick", "allgather_bricks",
+    # Project collective helper (every rank must call; field_exchange.hpp).
+    "allgather_bricks",
 }
 
 _RANK_IDENT = re.compile(r"^(rank_?|my_?rank|world_?rank|is_lead\w*|lead\w*)$")

@@ -26,8 +26,7 @@ DESCRIPTION = ("no blocking comm (barrier/recv/pop/collectives/foreign "
                "halves")
 
 _BEGIN = {"begin_axis", "begin_to_slab", "begin_to_brick", "begin"}
-_FINISH = {"finish_axis", "finish_axis_into", "finish_to_slab",
-           "finish_to_brick", "finish"}
+_FINISH = {"finish_axis", "finish_to_slab", "finish_to_brick", "finish"}
 # `begin`/`finish` are also std iterator spellings; a plan's halves always
 # take at least one argument (the field being exchanged), an iterator
 # accessor never does.

@@ -33,9 +33,6 @@ KNOWN_EVENTS = {
     "step-control",
     "supervise-relaunch",
     "supervise-wait",
-    "sweep-boundary",
-    "sweep-full",
-    "sweep-interior",
     "tree",
     "vlasov",
     "vlasov-moments",
