@@ -14,6 +14,7 @@
 #include "mesh/grid.hpp"
 #include "simd/transpose.hpp"
 #include "vlasov/advect_kernels.hpp"
+#include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace {
@@ -57,7 +58,7 @@ void six_sweeps(vlasov::PhaseSpace& f, const mesh::Grid3D<double>& accel,
       vlasov::advect_velocity_axis(f, axis, accel, dt, kernel);
   }
   for (int axis : {2, 1, 0}) {
-    f.fill_ghosts_periodic();
+    vlasov::periodic_halo_filler()(f, axis);
     vlasov::advect_position_axis(f, axis, drift, kernel);
   }
 }

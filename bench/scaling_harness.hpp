@@ -36,6 +36,7 @@
 #include "nbody/particles.hpp"
 #include "common/rng.hpp"
 #include "parallel/distributed_solver.hpp"
+#include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::bench {
@@ -108,7 +109,7 @@ inline HostRates measure_host_rates(int nx = 6, int nu = 10) {
       for (int axis = 0; axis < 3; ++axis)
         advect_velocity_axis(f, axis, accel, 0.5, vlasov::SweepKernel::kAuto);
       for (int axis = 0; axis < 3; ++axis) {
-        f.fill_ghosts_periodic();
+        vlasov::periodic_halo_filler()(f, axis);
         advect_position_axis(f, axis, 0.4, vlasov::SweepKernel::kAuto);
       }
       for (int axis = 0; axis < 3; ++axis)

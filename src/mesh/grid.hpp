@@ -32,6 +32,9 @@ class Grid3D {
   std::size_t interior_size() const {
     return static_cast<std::size_t>(nx_) * ny_ * nz_;
   }
+  /// Elements between neighbouring cells along x and y (z is contiguous).
+  std::ptrdiff_t stride_x() const { return sx_; }
+  std::ptrdiff_t stride_y() const { return sy_; }
 
   /// Interior indices 0..n-1; ghosts at -ghost..n+ghost-1.
   T& at(int i, int j, int k) { return data_[index(i, j, k)]; }

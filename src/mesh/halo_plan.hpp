@@ -1,43 +1,48 @@
-// Precomputed plans + persistent buffers for the halo exchanges of the
+// Precomputed plans + persistent buffers for the ghost exchanges of the
 // distributed stepping path (paper §5.1.3: halo exchange is the dominant
 // non-compute cost; hiding it behind interior updates is what makes the
-// Fugaku runs scale).
+// Fugaku runs scale).  mesh::GhostFaces packs, unpacks and wraps the
+// faces; the plans send them, each under the tag `tag_base + axis * 4 +
+// dir` (dir 0: travelling +axis, 1: -axis), and reject a decomposed axis
+// thinner than the ghost width at construction, before any message.
 //
-// Each plan splits its data movement into begin/finish halves.  The
-// distributed solver either completes an exchange right after its begin
-// or lets independent compute run (local density accumulation, spectral
-// work) while the messages are in flight; both placements move the same
-// bytes and produce bit-identical fields.
+// Each plan splits its data movement into begin/finish halves, so the
+// distributed solver can let independent compute run while messages fly;
+// either placement moves the same bytes and gives bit-identical fields.
+// take_wait() returns the time spent *blocked* in message waits, the
+// exposed communication cost the overlap metrics report.
 //
-//  * HaloPlan — single-axis phase-space exchange, the only phase-space
-//    halo of the distributed path.  A position sweep along axis a reads
-//    only that axis' ghost blocks at interior transverse positions, so
-//    each sweep needs one face pair, not a transitively-extended 3-axis
-//    exchange.  begin_axis() packs both faces into persistent buffers,
-//    posts the (buffered, non-blocking) sends and the receive handles;
-//    finish_axis() completes the receives and unpacks into the axis
-//    ghosts.  Undecomposed axes do the local periodic wrap in
-//    begin_axis() (no communication).
-//
-//  * GridFoldPlan — split ghost-deposit fold (the parallel counterpart of
-//    Grid3D::fold_ghosts_periodic).  begin() runs the fold from axis z
-//    down through any local-wrap axes and stops after posting the sends of
-//    the first decomposed axis; finish() completes that axis and runs the
-//    remaining ones.  Axes fold in reverse order of the halo fill,
-//    shrinking the transverse range as they go, so every ghost
-//    contribution lands on its owner exactly once.
-//
-// Both plans accumulate the time spent *blocked* waiting for messages
-// (take_wait()), which is the exposed communication cost the overlap
-// metrics report; pack/unpack loops are OpenMP-parallel.
+//  * HaloPlan — the phase-space face pair a position sweep along one axis
+//    reads (that axis' ghosts at interior transverse positions).
+//    Undecomposed axes wrap locally in begin_axis().
+//  * GridFillPlan / GridFoldPlan — the force-grid ghost fill before CIC
+//    sampling and the deposit fold after CIC deposits.  The fold is the
+//    fill's axis chain run backwards: interior faces are copied into the
+//    ghosts x -> z, ghost faces added onto the interior z -> x.  Faces
+//    span the lower axes' ghosts, so edges and corners fill transitively
+//    and every deposit lands on its owner once.
 #pragma once
+
+#include <array>
+#include <utility>
 
 #include "comm/cart.hpp"
 #include "common/aligned.hpp"
-#include "mesh/grid.hpp"
+#include "mesh/ghost_faces.hpp"
 #include "vlasov/phase_space.hpp"
 
 namespace v6d::mesh {
+
+/// The two face messages of one axis, indexed by side (0: low, 1: high):
+/// post() packs and sends both faces and posts both receives.
+template <class T>
+struct FaceMessages {
+  std::array<AlignedVector<T>, 2> send;
+  std::array<comm::Communicator::RecvHandle, 2> from;
+
+  void post(comm::CartTopology& cart, int tag_base, const GhostFaces& faces,
+            GhostOp op, CellView<T> f, int axis);
+};
 
 class HaloPlan {
  public:
@@ -69,65 +74,66 @@ class HaloPlan {
   /// interior transverse positions.  No-op for undecomposed axes.
   void finish_axis(vlasov::PhaseSpace& f, int axis);
 
-  /// Seconds spent blocked in message waits since the last call (the
-  /// exposed, un-overlapped communication time).
-  double take_wait() {
-    const double w = wait_s_;
-    wait_s_ = 0.0;
-    return w;
-  }
+  double take_wait() { return std::exchange(wait_s_, 0.0); }
 
  private:
-  void wrap_axis(vlasov::PhaseSpace& f, int axis) const;
-  void pack_face(const vlasov::PhaseSpace& f, int axis, int lo,
-                 float* buf) const;
-  void unpack_face(vlasov::PhaseSpace& f, int axis, int lo,
-                   const float* buf) const;
-
   comm::CartTopology* cart_ = nullptr;
   int tag_base_ = 0;
-  int ghost_ = 0;
-  std::size_t block_ = 0;
+  GhostFaces faces_;
   std::array<AxisPlan, 3> axes_{};
-  std::array<AlignedVector<float>, 3> send_lo_, send_hi_;
+  std::array<FaceMessages<float>, 3> messages_;
   AlignedVector<float> recv_buf_;
-  std::array<comm::Communicator::RecvHandle, 3> pending_lo_, pending_hi_;
   double wait_s_ = 0.0;
 };
 
-class GridFoldPlan {
+/// The axis chain of GridFillPlan and GridFoldPlan: begin() runs it
+/// through any local-wrap axes and stops after posting the first
+/// decomposed axis' faces; finish() completes that axis and runs the rest.
+/// The caller must not touch the grid in between.
+class GridGhostChain {
  public:
-  GridFoldPlan() = default;
-  GridFoldPlan(comm::CartTopology& cart, int tag_base)
-      : cart_(&cart), tag_base_(tag_base) {}
+  double take_wait() { return std::exchange(wait_s_, 0.0); }
 
-  /// Start the fold: single-rank topologies run the (whole) periodic fold
-  /// here; otherwise axes z -> x are folded locally until the first
-  /// decomposed axis, whose ghost sends are posted.  The caller must not
-  /// touch `grid` until finish().
-  void begin(Grid3D<double>& grid);
-  /// Complete the posted axis and fold the remaining ones (blocking, with
-  /// persistent buffers).  Throws std::invalid_argument if a decomposed
-  /// axis is thinner than the ghost width.
-  void finish(Grid3D<double>& grid);
-
-  double take_wait() {
-    const double w = wait_s_;
-    wait_s_ = 0.0;
-    return w;
-  }
+ protected:
+  GridGhostChain() = default;
+  GridGhostChain(comm::CartTopology& cart, const Grid3D<double>& shape,
+                 int tag_base, GhostOp op);
+  void begin_chain(Grid3D<double>& grid);
+  void finish_chain(Grid3D<double>& grid);
 
  private:
-  void fold_axis_wrap(Grid3D<double>& grid, int axis) const;
-  void post_axis(Grid3D<double>& grid, int axis);
-  void complete_axis(Grid3D<double>& grid, int axis);
+  int step() const { return op_ == GhostOp::kFill ? 1 : -1; }
+  void run_from(Grid3D<double>& grid, int axis);
 
   comm::CartTopology* cart_ = nullptr;
   int tag_base_ = 0;
+  GhostOp op_ = GhostOp::kFill;
+  GhostFaces faces_;
   int pending_axis_ = -1;
-  std::vector<double> send_lo_, send_hi_, recv_buf_;
-  comm::Communicator::RecvHandle h_lo_, h_hi_;
+  FaceMessages<double> messages_;
+  AlignedVector<double> recv_buf_;
   double wait_s_ = 0.0;
+};
+
+class GridFillPlan : public GridGhostChain {
+ public:
+  GridFillPlan() = default;
+  GridFillPlan(comm::CartTopology& cart, const Grid3D<double>& shape,
+               int tag_base)
+      : GridGhostChain(cart, shape, tag_base, GhostOp::kFill) {}
+  void begin(Grid3D<double>& grid) { begin_chain(grid); }
+  void finish(Grid3D<double>& grid) { finish_chain(grid); }
+};
+
+class GridFoldPlan : public GridGhostChain {
+ public:
+  GridFoldPlan() = default;
+  GridFoldPlan(comm::CartTopology& cart, const Grid3D<double>& shape,
+               int tag_base)
+      : GridGhostChain(cart, shape, tag_base, GhostOp::kFold) {}
+  /// Single-rank topologies run the whole periodic fold here.
+  void begin(Grid3D<double>& grid);
+  void finish(Grid3D<double>& grid);
 };
 
 }  // namespace v6d::mesh

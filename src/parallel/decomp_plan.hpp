@@ -9,7 +9,7 @@
 //   * the local Vlasov extent of a decomposed axis is at least the sweep
 //     ghost width (kStencilGhost), and the local PM extent at least the
 //     mesh ghost width — smaller bricks would corrupt the halo exchange
-//     (see mesh/halo.cpp);
+//     (see mesh::GhostFaces::require_fits in mesh/ghost_faces.hpp);
 //   * the PM mesh divides evenly along decomposed axes as well.
 //
 // choose_decomp() enumerates all factorizations of `ranks` and picks the

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/trace.hpp"
-#include "mesh/halo.hpp"
 #include "mesh/interp.hpp"
 #include "parallel/decomp_plan.hpp"
 #include "vlasov/splitting.hpp"
@@ -15,15 +14,16 @@ namespace v6d::parallel {
 
 namespace {
 
-// Message-tag bases of the plan exchanges; distinct from each other and
-// from the grid ghost fill in mesh/halo.cpp (150), so an in-flight plan
-// message can never be claimed by a blocking call.
-constexpr int kPsHaloTagBase = 300;   // phase-space faces (axis*4 + dir)
-constexpr int kFoldCdmTagBase = 340;  // CDM density fold
-constexpr int kFoldNuTagBase = 360;   // neutrino density fold
-constexpr int kSlabCdmTagBase = 380;  // rho_cdm brick -> slab
-constexpr int kSlabNuTagBase = 384;   // rho_nu brick -> slab
-constexpr int kSlabOutTagBase = 388;  // force slab -> brick
+// Message-tag bases of the plan exchanges, one per exchange kind, so an
+// in-flight message of one plan can never be claimed by another.  Face
+// plans use base + axis*4 + dir (mesh/halo_plan.hpp).
+constexpr int kPsHaloTagBase = 300;    // phase-space faces
+constexpr int kGridFillTagBase = 320;  // force-grid ghost fill
+constexpr int kFoldCdmTagBase = 340;   // CDM density fold
+constexpr int kFoldNuTagBase = 360;    // neutrino density fold
+constexpr int kSlabCdmTagBase = 380;   // rho_cdm brick -> slab
+constexpr int kSlabNuTagBase = 384;    // rho_nu brick -> slab
+constexpr int kSlabOutTagBase = 388;   // force slab -> brick
 
 /// Completes an exchange whose begin was just posted.  Overlapped, the
 /// independent `hidden` compute runs while the messages fly and `finish`
@@ -120,8 +120,9 @@ DistributedHybridSolver::DistributedHybridSolver(
     ps_plan_ = mesh::HaloPlan(cart_, f_.dims(), kPsHaloTagBase);
   }
 
-  fold_cdm_ = mesh::GridFoldPlan(cart_, kFoldCdmTagBase);
-  fold_nu_ = mesh::GridFoldPlan(cart_, kFoldNuTagBase);
+  fill_ = mesh::GridFillPlan(cart_, gx_cdm_, kGridFillTagBase);
+  fold_cdm_ = mesh::GridFoldPlan(cart_, rho_cdm_, kFoldCdmTagBase);
+  fold_nu_ = mesh::GridFoldPlan(cart_, rho_nu_, kFoldNuTagBase);
   slab_cdm_x_ = SlabExchange(pm_dec_, pfft_, cart_, kSlabCdmTagBase);
   if (has_nu_) slab_nu_x_ = SlabExchange(pm_dec_, pfft_, cart_, kSlabNuTagBase);
   slab_out_ = SlabExchange(pm_dec_, pfft_, cart_, kSlabOutTagBase);
@@ -357,7 +358,8 @@ void DistributedHybridSolver::compute_forces(double a) {
             },
             [&] {
               slab_out_.finish_to_brick(*outs[d]);
-              mesh::exchange_grid_halo(*outs[d], cart_);
+              fill_.begin(*outs[d]);
+              fill_.finish(*outs[d]);
             });
       }
     };

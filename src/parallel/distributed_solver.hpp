@@ -17,7 +17,8 @@
 //     allreduce-d so every rank takes identical steps.
 //
 // Every exchange goes through a plan object (mesh::HaloPlan,
-// mesh::GridFoldPlan, parallel::SlabExchange) with begin/finish halves.
+// mesh::GridFillPlan, mesh::GridFoldPlan, parallel::SlabExchange) with
+// begin/finish halves.
 // Position sweeps take a single-axis face exchange before each sweep
 // (HaloPlan, filled through vlasov::drift_full's axis-aware HaloFiller);
 // the CDM ghost fold can fly during the Vlasov moment accumulation, the
@@ -155,6 +156,7 @@ class DistributedHybridSolver {
   // Exchange plans: precomputed ranges + persistent buffers (no
   // steady-state allocation on the stepping path).
   mesh::HaloPlan ps_plan_;                   // phase-space axis faces
+  mesh::GridFillPlan fill_;                  // force-grid ghost fill
   mesh::GridFoldPlan fold_cdm_, fold_nu_;    // deposit ghost folds
   SlabExchange slab_cdm_x_, slab_nu_x_;      // brick -> slab (densities)
   SlabExchange slab_out_;                    // slab -> brick (forces)

@@ -1,7 +1,6 @@
 #include "vlasov/phase_space.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace v6d::vlasov {
 
@@ -46,21 +45,6 @@ float PhaseSpace::min_interior() const {
 
 void PhaseSpace::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
-}
-
-void PhaseSpace::fill_ghosts_periodic() {
-  const int g = dims_.ghost;
-  const auto wrap = [](int i, int n) { return ((i % n) + n) % n; };
-  for (int ix = -g; ix < dims_.nx + g; ++ix)
-    for (int iy = -g; iy < dims_.ny + g; ++iy)
-      for (int iz = -g; iz < dims_.nz + g; ++iz) {
-        const bool interior = ix >= 0 && ix < dims_.nx && iy >= 0 &&
-                              iy < dims_.ny && iz >= 0 && iz < dims_.nz;
-        if (interior) continue;
-        const float* src = block(wrap(ix, dims_.nx), wrap(iy, dims_.ny),
-                                 wrap(iz, dims_.nz));
-        std::memcpy(block(ix, iy, iz), src, block_size() * sizeof(float));
-      }
 }
 
 }  // namespace v6d::vlasov

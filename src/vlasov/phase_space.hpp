@@ -8,8 +8,8 @@
 // SIMD kernels — noted as a deliberate deviation in DESIGN.md.)
 //
 // Spatial cells carry `ghost` layers of ghost blocks on every side; the
-// position sweeps read through them after halo exchange (or periodic
-// self-fill in serial runs).  Velocity space carries no ghosts — f has
+// position sweep along an axis reads that axis' ghosts, which the drift's
+// HaloFiller refills first.  Velocity space carries no ghosts — f has
 // compact support inside the velocity cube and the sweep kernels zero-pad.
 #pragma once
 
@@ -106,9 +106,6 @@ class PhaseSpace {
   float min_interior() const;
 
   void fill(float value);
-  /// Copy all interior spatial ghost blocks from the periodic image of the
-  /// interior (serial / single-rank runs; multi-rank uses halo exchange).
-  void fill_ghosts_periodic();
 
  private:
   std::size_t block_index(int ix, int iy, int iz) const {

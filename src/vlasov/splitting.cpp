@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mesh/ghost_faces.hpp"
+
 namespace v6d::vlasov {
 
 HaloFiller periodic_halo_filler() {
-  return [](PhaseSpace& f, int) { f.fill_ghosts_periodic(); };
+  return [](PhaseSpace& f, int axis) {
+    const auto& d = f.dims();
+    mesh::GhostFaces({d.nx, d.ny, d.nz}, d.ghost, mesh::FaceSpan::kInterior)
+        .wrap(mesh::GhostOp::kFill, mesh::cell_view(f), axis);
+  };
 }
 
 void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,

@@ -16,11 +16,13 @@
 namespace v6d::vlasov {
 
 /// Fills the spatial ghosts the position sweep along `axis` reads (that
-/// axis' ghosts at interior transverse positions) before it runs.  The
-/// serial default is the periodic self-copy; distributed runs plug in the
-/// single-axis face exchange (mesh::HaloPlan).
+/// axis' ghosts at interior transverse positions) before it runs.
+/// Distributed runs plug in the single-axis face exchange
+/// (mesh::HaloPlan).
 using HaloFiller = std::function<void(PhaseSpace&, int axis)>;
 
+/// The serial filler: the swept axis' faces from their periodic image,
+/// the wrap mesh::HaloPlan runs on undecomposed axes.
 HaloFiller periodic_halo_filler();
 
 struct SplitStepConfig {

@@ -370,7 +370,7 @@ TEST(CommStress, ConcurrentPlanBeginFinishInterleavings) {
 
     mesh::Grid3D<double> fold_grid(setup.dims.nx, setup.dims.ny,
                                    setup.dims.nz, /*ghost=*/2);
-    mesh::GridFoldPlan fold(cart, /*tag_base=*/2000);
+    mesh::GridFoldPlan fold(cart, fold_grid, /*tag_base=*/2000);
 
     fft::ParallelFft3D pfft(comm, kGlobal);
     mesh::BrickDecomposition mesh_dec({kGlobal, kGlobal, kGlobal},

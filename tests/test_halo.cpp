@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "blocking_fold.hpp"
 #include "comm/runner.hpp"
 #include "mesh/decomposition.hpp"
-#include "mesh/halo.hpp"
 #include "mesh/halo_plan.hpp"
 
 namespace {
@@ -115,7 +115,9 @@ TEST_P(HaloRanks, GridHaloMatchesGlobalField) {
         for (int k = 0; k < grid.nz(); ++k)
           grid.at(i, j, k) = (dec.offset(0) + i) * 1e4 +
                              (dec.offset(1) + j) * 1e2 + (dec.offset(2) + k);
-    mesh::exchange_grid_halo(grid, cart);
+    mesh::GridFillPlan fill(cart, grid, 920);
+    fill.begin(grid);
+    fill.finish(grid);
     auto wrap = [&](int i) { return ((i % n_global) + n_global) % n_global; };
     for (int i = -2; i < grid.nx() + 2; ++i)
       for (int j = -2; j < grid.ny() + 2; ++j)
@@ -143,7 +145,7 @@ TEST_P(HaloRanks, FoldHaloAccumulatesDepositsOnce) {
     for (int i = -1; i < grid.nx() + 1; ++i)
       for (int j = -1; j < grid.ny() + 1; ++j)
         for (int k = -1; k < grid.nz() + 1; ++k) grid.at(i, j, k) = 1.0;
-    mesh::GridFoldPlan fold(cart, 940);
+    mesh::GridFoldPlan fold(cart, grid, 940);
     fold.begin(grid);
     fold.finish(grid);
 
@@ -185,15 +187,15 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, HaloRanks, ::testing::Values(1, 2, 4, 8));
 
 TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
   // 4 cells split over 4 ranks -> local extent 1 < ghost 2: the pack would
-  // read out-of-range interior; the exchange and the fold must refuse
-  // instead.  (HaloPlan.RejectsDecomposedAxisThinnerThanGhost covers the
-  // phase-space faces.)
+  // read out-of-range interior; the fill and the fold plans must refuse
+  // at construction instead.  (HaloPlan.RejectsDecomposedAxisThinnerThanGhost
+  // covers the phase-space faces.)
   EXPECT_THROW(
       comm::run(4,
                 [&](comm::Communicator& comm) {
                   comm::CartTopology cart(comm, {4, 1, 1});
                   mesh::Grid3D<double> grid(1, 8, 8, 2);  // 1 < ghost 2
-                  mesh::exchange_grid_halo(grid, cart);
+                  mesh::GridFillPlan fill(cart, grid, 920);
                 }),
       std::invalid_argument);
 
@@ -202,11 +204,43 @@ TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
                 [&](comm::Communicator& comm) {
                   comm::CartTopology cart(comm, {4, 1, 1});
                   mesh::Grid3D<double> grid(1, 8, 8, 2);
-                  mesh::GridFoldPlan fold(cart, 940);
-                  fold.begin(grid);
-                  fold.finish(grid);
+                  mesh::GridFoldPlan fold(cart, grid, 940);
                 }),
       std::invalid_argument);
+}
+
+TEST(HaloValidation, ThinAxisRejectedBeforeAnyMessage) {
+  // 2x1x2 ranks with one thin (1 < ghost 2) and one healthy decomposed
+  // axis, placed so the chain reaches the healthy one first: the fold
+  // runs z -> x, the fill x -> z.  A plan that validated each axis as it
+  // went would post the healthy axis' faces before throwing; every rank
+  // must instead throw before sending anything.
+  std::array<int, 4> fold_sent{}, fill_sent{};
+  fold_sent.fill(-1);
+  fill_sent.fill(-1);
+  comm::run(4, [&](comm::Communicator& comm) {
+    comm::CartTopology cart(comm, {2, 1, 2});
+    const auto r = static_cast<std::size_t>(comm.rank());
+    mesh::Grid3D<double> thin_x(1, 8, 4, 2), thin_z(4, 8, 1, 2);
+    try {
+      mesh::GridFoldPlan fold(cart, thin_x, 940);
+      fold.begin(thin_x);
+      fold.finish(thin_x);
+    } catch (const std::invalid_argument&) {
+      fold_sent[r] = static_cast<int>(comm.bytes_sent());
+    }
+    try {
+      mesh::GridFillPlan fill(cart, thin_z, 920);
+      fill.begin(thin_z);
+      fill.finish(thin_z);
+    } catch (const std::invalid_argument&) {
+      fill_sent[r] = static_cast<int>(comm.bytes_sent());
+    }
+  });
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(fold_sent[r], 0) << "rank " << r;
+    EXPECT_EQ(fill_sent[r], 0) << "rank " << r;
+  }
 }
 
 TEST(HaloPlan, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
@@ -247,7 +281,7 @@ TEST(GridFoldPlan, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
     const double deposited =
         static_cast<double>(grid.nx() + 2 * ghost) * (thin + 2 * ghost) *
         (thin + 2 * ghost);
-    mesh::GridFoldPlan fold(cart, 940);
+    mesh::GridFoldPlan fold(cart, grid, 940);
     fold.begin(grid);
     fold.finish(grid);
 
@@ -349,7 +383,7 @@ TEST(GridFoldPlan, SplitFoldIsBitIdenticalToBlockingFold) {
 
       test::fold_grid_halo(blocking, cart);
 
-      mesh::GridFoldPlan plan(cart, 940);
+      mesh::GridFoldPlan plan(cart, split, 940);
       plan.begin(split);
       double sink = 0.0;  // "interior work" between the halves
       for (int w = 0; w < 100; ++w) sink += std::sqrt(1.0 + w);
@@ -379,7 +413,7 @@ TEST(GridFoldPlan, ThinUndecomposedAxesMatchBlockingFold) {
           blocking.at(i, j, k) = 1.0 + 0.01 * i + 0.1 * j + 0.3 * k;
     mesh::Grid3D<double> split = blocking;
     test::fold_grid_halo(blocking, cart);
-    mesh::GridFoldPlan plan(cart, 940);
+    mesh::GridFoldPlan plan(cart, split, 940);
     plan.begin(split);
     plan.finish(split);
     for (int i = -2; i < blocking.nx() + 2; ++i)

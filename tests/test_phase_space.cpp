@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "vlasov/phase_space.hpp"
+#include "vlasov/splitting.hpp"
 
 namespace {
 
@@ -60,16 +61,43 @@ TEST(PhaseSpace, TotalMassIntegratesPhaseSpaceVolume) {
   EXPECT_NEAR(f.total_mass(), expected, 1e-12);
 }
 
-TEST(PhaseSpace, GhostFillPeriodicWrapsAllAxes) {
-  auto f = make_ps(3, 2);
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 3; ++j)
-      for (int k = 0; k < 3; ++k)
-        f.at(i, j, k, 0, 0, 0) = static_cast<float>(100 * i + 10 * j + k);
-  f.fill_ghosts_periodic();
-  EXPECT_FLOAT_EQ(f.at(-1, 0, 0, 0, 0, 0), f.at(2, 0, 0, 0, 0, 0));
-  EXPECT_FLOAT_EQ(f.at(3, 1, 2, 0, 0, 0), f.at(0, 1, 2, 0, 0, 0));
-  EXPECT_FLOAT_EQ(f.at(-2, -3, 4, 0, 0, 0), f.at(1, 0, 1, 0, 0, 0));
+TEST(PhaseSpace, PeriodicFillerWrapsSweptAxis) {
+  // The serial drift filler sets the swept axis' ghosts at interior
+  // transverse positions to their periodic image; the modulo covers
+  // extents below the ghost width (3 here: ny = 2, nz = 1).
+  PhaseSpaceDims d;
+  d.nx = 4;
+  d.ny = 2;
+  d.nz = 1;
+  d.nux = d.nuy = d.nuz = 2;
+  PhaseSpace f(d, PhaseSpaceGeometry{});
+  for (int i = 0; i < d.nx; ++i)
+    for (int j = 0; j < d.ny; ++j)
+      for (int k = 0; k < d.nz; ++k)
+        for (std::size_t v = 0; v < f.block_size(); ++v)
+          f.block(i, j, k)[v] = static_cast<float>(100 * i + 10 * j + k) +
+                                0.125f * static_cast<float>(v);
+  const int n[3] = {d.nx, d.ny, d.nz};
+  const auto wrap = [](int i, int len) { return ((i % len) + len) % len; };
+  for (int axis = 0; axis < 3; ++axis) {
+    PhaseSpace g = f;
+    periodic_halo_filler()(g, axis);
+    for (int a = -d.ghost; a < n[axis] + d.ghost; ++a) {
+      if (a >= 0 && a < n[axis]) continue;
+      for (int i = 0; i < (axis == 0 ? 1 : d.nx); ++i)
+        for (int j = 0; j < (axis == 1 ? 1 : d.ny); ++j)
+          for (int k = 0; k < (axis == 2 ? 1 : d.nz); ++k) {
+            int ghost[3] = {i, j, k};
+            ghost[axis] = a;
+            int image[3] = {i, j, k};
+            image[axis] = wrap(a, n[axis]);
+            for (std::size_t v = 0; v < f.block_size(); ++v)
+              ASSERT_EQ(g.block(ghost[0], ghost[1], ghost[2])[v],
+                        f.block(image[0], image[1], image[2])[v])
+                  << "axis " << axis << " layer " << a;
+          }
+    }
+  }
 }
 
 TEST(PhaseSpace, MinInteriorIgnoresGhosts) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "vlasov/moments.hpp"
 #include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
+#include "whole_shell_fill.hpp"
 
 namespace {
 
@@ -52,7 +54,7 @@ TEST_P(SweepKernels, PositionSweepsConserveMass) {
   fill_blob(f);
   const double mass0 = f.total_mass();
   for (int axis = 0; axis < 3; ++axis) {
-    f.fill_ghosts_periodic();
+    periodic_halo_filler()(f, axis);
     advect_position_axis(f, axis, 0.9 * f.geom().dx / f.geom().umax,
                          GetParam());
   }
@@ -87,8 +89,8 @@ TEST_P(SweepKernels, MatchesScalarReference) {
         accel.at(i, j, k) = 0.02 * (i - j + 2 * k);
 
   for (int axis = 0; axis < 3; ++axis) {
-    fa.fill_ghosts_periodic();
-    fb.fill_ghosts_periodic();
+    periodic_halo_filler()(fa, axis);
+    periodic_halo_filler()(fb, axis);
     advect_position_axis(fa, axis, 0.5 * fa.geom().dx, SweepKernel::kScalar);
     advect_position_axis(fb, axis, 0.5 * fb.geom().dx, GetParam());
     advect_velocity_axis(fa, axis, accel, 0.7, SweepKernel::kScalar);
@@ -123,7 +125,7 @@ TEST(Sweeps, FreeStreamingTranslatesBlob) {
   // along x with dx = 1.
   fill_blob(f);
   auto ref = f;
-  f.fill_ghosts_periodic();
+  periodic_halo_filler()(f, 0);
   advect_position_axis(f, 0, 2.0, SweepKernel::kAuto);
   const auto& d = f.dims();
   const auto& g = f.geom();
@@ -208,6 +210,50 @@ TEST(Splitting, FixedAccelStepRoundTripsWithReversedKicks) {
         }
       }
   EXPECT_LT(std::sqrt(err / norm), 0.05);
+}
+
+TEST(Splitting, PeriodicFillerDriftMatchesWholeShellFill) {
+  // The serial filler copies only the swept axis' faces.  A position sweep
+  // reads nothing else, so drift_full must leave exactly the interior it
+  // leaves with every ghost filled (edges and corners too), for every
+  // kernel, extents below the ghost width, and a subcycled drift.
+  const int shapes[][3] = {{8, 8, 8}, {16, 2, 2}, {5, 3, 7}, {1, 4, 2}};
+  const int nu = 6;
+  for (const auto& s : shapes) {
+    PhaseSpaceDims d;
+    d.nx = s[0];
+    d.ny = s[1];
+    d.nz = s[2];
+    d.nux = d.nuy = d.nuz = nu;
+    PhaseSpaceGeometry g;  // dx = 1, umax = 1: shift = factor * (1 - du/2)
+    g.dux = g.duy = g.duz = 2.0 / nu;
+    PhaseSpace f0(d, g);
+    for (int ix = 0; ix < d.nx; ++ix)
+      for (int iy = 0; iy < d.ny; ++iy)
+        for (int iz = 0; iz < d.nz; ++iz)
+          for (std::size_t v = 0; v < f0.block_size(); ++v)
+            f0.block(ix, iy, iz)[v] = static_cast<float>(
+                0.5 + 0.4 * std::sin(0.7 * ix + 1.3 * iy + 2.1 * iz +
+                                     0.1 * static_cast<double>(v)));
+    for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kSimd,
+                               SweepKernel::kLat, SweepKernel::kAuto})
+      for (double factor : {0.6, 2.7}) {  // 2.7: three subcycles
+        PhaseSpace faces = f0, shell = f0;
+        drift_full(faces, factor, kernel, periodic_halo_filler());
+        drift_full(shell, factor, kernel, [](PhaseSpace& f, int) {
+          v6d::test::fill_ghosts_whole_shell(f);
+        });
+        for (int ix = 0; ix < d.nx; ++ix)
+          for (int iy = 0; iy < d.ny; ++iy)
+            for (int iz = 0; iz < d.nz; ++iz)
+              ASSERT_EQ(std::memcmp(faces.block(ix, iy, iz),
+                                    shell.block(ix, iy, iz),
+                                    f0.block_size() * sizeof(float)),
+                        0)
+                  << d.nx << "x" << d.ny << "x" << d.nz << " kernel "
+                  << static_cast<int>(kernel) << " factor " << factor;
+      }
+  }
 }
 
 }  // namespace

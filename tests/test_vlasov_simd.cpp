@@ -114,8 +114,8 @@ TEST_P(VlasovSimdEquivalence, PositionSweepsMatchScalarTo1Ulp) {
       // Large enough that floor(xi) differs across the velocity sign
       // boundary; non-round so theta never vanishes.
       const double drift = 0.73 * fa.geom().dx / fa.geom().umax;
-      fa.fill_ghosts_periodic();
-      fb.fill_ghosts_periodic();
+      vlasov::periodic_halo_filler()(fa, axis);
+      vlasov::periodic_halo_filler()(fb, axis);
       vlasov::advect_position_axis(fa, axis, drift, SweepKernel::kScalar);
       vlasov::advect_position_axis(fb, axis, drift, GetParam());
       EXPECT_LE(worst_ulp(fa, fb), 1)

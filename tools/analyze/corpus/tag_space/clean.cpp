@@ -30,7 +30,7 @@ void gather(Comm& comm, double* in) {
   comm.recv(0, kGatherTag, in, 8);
 }
 
-// An anchored-but-unfoldable local (the halo.cpp shape): bounded to
+// An anchored-but-unfoldable local (an axis-indexed face tag): bounded to
 // [kGhostTagBase + 1, kGhostTagBase + 9] via the documented axis bound,
 // disjoint from every other anchor above.
 constexpr int kGhostTagBase = 160;
