@@ -1,8 +1,12 @@
 // Barnes-Hut octree for the short-range (tree) part of TreePM (§5.1.2).
 //
 // The tree covers the periodic box; pair separations use the minimum-image
-// convention, which is exact as long as the short-range cutoff radius is
-// below half the box (the TreePM split guarantees that by construction).
+// convention, which is exact only while the short-range cutoff radius is
+// below half the box.  Nothing enforces that: rcut = rcut_over_rs *
+// rs_cells * box / pm_grid, and a coarse PM grid breaks it (pm_grid = 8
+// with the default split gives rcut = 4.5 * 1.25 * box / 8 = 0.70 box,
+// as configs/neutrino_box.cfg runs).  The walk then counts only each
+// source's nearest image, although farther images also lie within rcut.
 // Node acceptance uses the classic s/d < theta multipole acceptance
 // criterion with monopole moments; accepted nodes and leaf particles are
 // batched into per-target interaction lists evaluated by the PP kernel
@@ -18,8 +22,9 @@
 namespace v6d::gravity {
 
 struct TreeStats {
-  std::uint64_t p2p_interactions = 0;  // particle-particle pairs evaluated
-  std::uint64_t node_interactions = 0; // accepted pseudo-particles
+  // Interaction-list entries evaluated by the PP kernel: leaf particles
+  // plus accepted nodes (pseudo-particles), summed over targets.
+  std::uint64_t p2p_interactions = 0;
 };
 
 class BarnesHutTree {

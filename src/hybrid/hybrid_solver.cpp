@@ -1,6 +1,7 @@
 #include "hybrid/hybrid_solver.hpp"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/trace.hpp"
 #include "mesh/interp.hpp"
@@ -21,23 +22,31 @@ TreePmDerived TreePmDerived::from(const HybridOptions& options, double box) {
 void add_tree_accelerations(const nbody::Particles& cdm, double box,
                             const HybridOptions& options,
                             const TreePmDerived& derived, double prefactor,
+                            std::span<const std::size_t> targets,
                             std::vector<double>& ax, std::vector<double>& ay,
                             std::vector<double>& az) {
-  if (!options.enable_tree || cdm.size() == 0) return;
+  if (!options.enable_tree || targets.empty()) return;
   const double g_pair = prefactor / (4.0 * M_PI);
   gravity::BarnesHutTree tree(cdm, box, options.treepm.leaf_size);
   gravity::PpKernelParams params;
   params.eps = derived.eps;
   params.rs = derived.rs;
   params.rcut = derived.rcut;
-  std::vector<double> tx(cdm.size(), 0.0), ty(cdm.size(), 0.0),
-      tz(cdm.size(), 0.0);
-  tree.accelerations(cdm, params, derived.poly, options.treepm.theta,
-                     options.treepm.use_simd, tx, ty, tz);
-  for (std::size_t i = 0; i < cdm.size(); ++i) {
-    ax[i] += g_pair * tx[i];
-    ay[i] += g_pair * ty[i];
-    az[i] += g_pair * tz[i];
+  const std::size_t n = targets.size();
+  std::vector<double> px(n), py(n), pz(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    px[k] = cdm.x[targets[k]];
+    py[k] = cdm.y[targets[k]];
+    pz[k] = cdm.z[targets[k]];
+  }
+  std::vector<double> tx(n, 0.0), ty(n, 0.0), tz(n, 0.0);
+  tree.accumulate(px.data(), py.data(), pz.data(), n, params, derived.poly,
+                  options.treepm.theta, options.treepm.use_simd, tx.data(),
+                  ty.data(), tz.data());
+  for (std::size_t k = 0; k < n; ++k) {
+    ax[targets[k]] += g_pair * tx[k];
+    ay[targets[k]] += g_pair * ty[k];
+    az[targets[k]] += g_pair * tz[k];
   }
 }
 
@@ -194,11 +203,13 @@ void HybridSolver::compute_forces(double a) {
     }
   }
 
-  // --- tree short-range (CDM only) ---
+  // --- tree short-range (CDM only), at every particle ---
   if (options_.enable_tree && cdm_.size() > 0) {
     ScopedTimer t(timers_, "tree");
+    std::vector<std::size_t> all(cdm_.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
     add_tree_accelerations(cdm_, box_, options_, treepm_derived_, prefactor,
-                           ax_, ay_, az_);
+                           all, ax_, ay_, az_);
   }
   forces_fresh_ = true;
 }

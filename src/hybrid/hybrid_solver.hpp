@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "common/timer.hpp"
 #include "cosmology/background.hpp"
@@ -53,13 +54,18 @@ struct TreePmDerived {
   static TreePmDerived from(const HybridOptions& options, double box);
 };
 
-/// Accumulate (+=) the Barnes-Hut short-range accelerations of the full
-/// particle set, scaled by the Poisson prefactor.  No-op when the tree is
-/// disabled or there are no particles.  Serial and distributed solvers
-/// call this same block.
+/// Accumulate (+=) the Barnes-Hut short-range accelerations at the
+/// particles `targets` names (indices into `cdm`), scaled by the Poisson
+/// prefactor.  The tree is built over the whole of `cdm`; a target's
+/// force depends only on that tree and the target's position, so any
+/// partition of the indices reproduces one full pass target by target.
+/// No-op when the tree is disabled or `targets` is empty.  The serial
+/// solver passes every index, the distributed one the particles its rank
+/// owns: both call this same block.
 void add_tree_accelerations(const nbody::Particles& cdm, double box,
                             const HybridOptions& options,
                             const TreePmDerived& derived, double prefactor,
+                            std::span<const std::size_t> targets,
                             std::vector<double>& ax, std::vector<double>& ay,
                             std::vector<double>& az);
 

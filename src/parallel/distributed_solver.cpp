@@ -367,23 +367,18 @@ void DistributedHybridSolver::compute_forces(double a) {
     solve_set(green_short_, gx_nu_, gy_nu_, gz_nu_);
 
     // Particle long-range gather: each rank interpolates at the particles
-    // its brick owns (the same split as the deposit), the disjoint
-    // contributions are summed into the replicated acceleration arrays.
+    // its brick owns (the same split as the deposit); every other entry
+    // stays 0 until the allreduce below.
     ax_.assign(cdm_.size(), 0.0);
     ay_.assign(cdm_.size(), 0.0);
     az_.assign(cdm_.size(), 0.0);
-    if (cdm_.size() > 0) {
-      for (const std::size_t i : owned_) {
-        ax_[i] = mesh::interpolate(gx_cdm_, patch_, cdm_.x[i], cdm_.y[i],
-                                   cdm_.z[i], mesh::Assignment::kCic);
-        ay_[i] = mesh::interpolate(gy_cdm_, patch_, cdm_.x[i], cdm_.y[i],
-                                   cdm_.z[i], mesh::Assignment::kCic);
-        az_[i] = mesh::interpolate(gz_cdm_, patch_, cdm_.x[i], cdm_.y[i],
-                                   cdm_.z[i], mesh::Assignment::kCic);
-      }
-      comm_.allreduce_sum(ax_.data(), ax_.size());
-      comm_.allreduce_sum(ay_.data(), ay_.size());
-      comm_.allreduce_sum(az_.data(), az_.size());
+    for (const std::size_t i : owned_) {
+      ax_[i] = mesh::interpolate(gx_cdm_, patch_, cdm_.x[i], cdm_.y[i],
+                                 cdm_.z[i], mesh::Assignment::kCic);
+      ay_[i] = mesh::interpolate(gy_cdm_, patch_, cdm_.x[i], cdm_.y[i],
+                                 cdm_.z[i], mesh::Assignment::kCic);
+      az_[i] = mesh::interpolate(gz_cdm_, patch_, cdm_.x[i], cdm_.y[i],
+                                 cdm_.z[i], mesh::Assignment::kCic);
     }
 
     // Vlasov-grid acceleration sampling on the local brick.
@@ -407,12 +402,22 @@ void DistributedHybridSolver::compute_forces(double a) {
   timers_.add("slab-wait", slab_cdm_x_.take_wait() + slab_nu_x_.take_wait() +
                                slab_out_.take_wait());
 
-  // --- tree short-range: replicated over the replicated particle set,
-  //     identical on every rank (the serial solver's exact block) ---
+  // --- tree short-range at the owned particles (the serial solver's
+  //     block, on this rank's share of its targets): every rank builds the
+  //     same tree over the replicated set, so a target's force does not
+  //     depend on which rank walks it ---
   if (options_.enable_tree && cdm_.size() > 0) {
     ScopedTimer t(timers_, "tree");
     hybrid::add_tree_accelerations(cdm_, box_, options_, treepm_derived_,
-                                   prefactor, ax_, ay_, az_);
+                                   prefactor, owned_, ax_, ay_, az_);
+  }
+  // Each particle's owner holds PM + tree, every other rank 0; the ordered
+  // sum from 0 yields exactly allreduce(PM) + tree on every rank.
+  if (cdm_.size() > 0) {
+    ScopedTimer t(timers_, "pm");
+    comm_.allreduce_sum(ax_.data(), ax_.size());
+    comm_.allreduce_sum(ay_.data(), ay_.size());
+    comm_.allreduce_sum(az_.data(), az_.size());
   }
   forces_fresh_ = true;
 }

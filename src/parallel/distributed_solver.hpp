@@ -37,11 +37,13 @@
 // bench/table3 turns into the halo_overlap_efficiency metric.
 //
 // Deliberate deviation from the paper, documented in docs/ARCHITECTURE.md:
-// CDM particles are *replicated* on every rank (each rank deposits only
-// the particles inside its brick, mesh forces are allreduce-d, and the
-// short-range tree runs redundantly).  The paper's headline scaling axis
-// is the Vlasov part; a particle-exchange layer can land on this seam
-// later without touching the Vlasov side.
+// CDM particle *storage* is replicated on every rank, and so is the
+// Barnes-Hut tree build over it.  The work is split: each rank deposits,
+// gathers PM forces and walks the tree only at the particles in its PM
+// brick, and one allreduce per component assembles the full acceleration
+// arrays.  The paper's headline scaling axis is the Vlasov part; a
+// particle-exchange layer (migration, ghost import, per-rank trees) can
+// land on this seam later without touching the Vlasov side.
 //
 // Construction shards an already built (serial) HybridSolver, so scenario
 // factories and checkpoints keep a single source of truth for initial
@@ -133,7 +135,7 @@ class DistributedHybridSolver {
   fft::ParallelFft3D pfft_;
 
   vlasov::PhaseSpace f_;   // local brick (+ ghosts)
-  nbody::Particles cdm_;   // replicated
+  nbody::Particles cdm_;   // replicated; work split by owned_
   double box_;
   cosmo::Background background_;
   hybrid::HybridOptions options_;
@@ -147,8 +149,9 @@ class DistributedHybridSolver {
   mesh::Grid3D<double> nu_ax_, nu_ay_, nu_az_;     // accel on local f grid
   mesh::Grid3D<double> rho_v_;                     // nu moment scratch
   std::vector<double> ax_, ay_, az_;               // particle accelerations
-  std::vector<std::size_t> owned_;  // this rank's ownership split, refreshed
-                                    // once per force assembly
+  std::vector<std::size_t> owned_;  // particles in this PM brick: the
+                                    // deposit, gather and tree-walk split,
+                                    // refreshed once per force assembly
   bool forces_fresh_ = false;
   bool has_nu_ = false;
   bool overlap_ = true;

@@ -187,7 +187,9 @@ inline Pack<T, N> median(Pack<T, N> a, Pack<T, N> b, Pack<T, N> c) {
   return a + minmod(b - a, c - a);
 }
 
-/// Element-wise square root (the fixed-trip loop lowers to vector sqrt).
+/// Element-wise square root.  The fixed-trip loop lowers to vector sqrt
+/// only because the build passes -fno-math-errno (CMakeLists.txt); with
+/// errno-setting math each lane stays a scalar sqrt with a libm fallback.
 template <class T, int N>
 inline Pack<T, N> sqrt(Pack<T, N> a) {
   Pack<T, N> r;

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "cosmology/neutrino_ic.hpp"
 #include "cosmology/zeldovich.hpp"
 #include "hybrid/hybrid_solver.hpp"
@@ -136,6 +141,95 @@ TEST(HybridSolver, TimersAccumulatePerPart) {
   EXPECT_GT(solver.timers().total("vlasov"), 0.0);
   EXPECT_GT(solver.timers().total("pm"), 0.0);
   EXPECT_GT(solver.timers().total("tree"), 0.0);
+}
+
+// The distributed solver walks the tree only at the particles its rank
+// owns.  Any disjoint split of the target indices that covers every
+// particle must reproduce one full pass bit for bit, and walk each target
+// exactly once.
+TEST(TreeAccelerations, DisjointTargetListsSumToOneFullPass) {
+  const double box = 100.0;
+  const std::size_t n = 600;
+  nbody::Particles p(n);
+  Xoshiro256 rng(17);
+  for (std::size_t i = 0; i < n; ++i) {
+    p.x[i] = rng.next_double() * box;
+    p.y[i] = rng.next_double() * box;
+    p.z[i] = rng.next_double() * box;
+  }
+  p.mass = 1.0 / static_cast<double>(n);
+
+  hybrid::HybridOptions opt;
+  opt.pm_grid = 16;
+  const auto derived = hybrid::TreePmDerived::from(opt, box);
+  ASSERT_GT(derived.rs, 0.0);
+  ASSERT_GT(derived.rcut, 0.0);
+  const double prefactor = hybrid::HybridSolver::poisson_prefactor(0.2);
+
+  // Four lists: ascending, empty, shuffled, descending.
+  std::vector<std::vector<std::size_t>> parts(4);
+  for (std::size_t i = 0; i < n; ++i)
+    parts[i % 3 == 0 ? 0 : 1 + i % 3].push_back(i);
+  auto& shuffled = parts[2];
+  for (std::size_t k = shuffled.size() - 1; k > 0; --k)
+    std::swap(shuffled[k], shuffled[rng.next_u64() % (k + 1)]);
+  std::reverse(parts[3].begin(), parts[3].end());
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+
+  const std::size_t bytes = n * sizeof(double);
+  for (const bool use_simd : {true, false}) {
+    SCOPED_TRACE(use_simd ? "simd" : "scalar");
+    opt.treepm.use_simd = use_simd;
+    std::vector<double> fx(n, 0.0), fy(n, 0.0), fz(n, 0.0);
+    hybrid::add_tree_accelerations(p, box, opt, derived, prefactor, all, fx,
+                                   fy, fz);
+    std::vector<double> sx(n, 0.0), sy(n, 0.0), sz(n, 0.0);
+    for (const auto& part : parts) {
+      std::vector<double> ax(n, 0.0), ay(n, 0.0), az(n, 0.0);
+      hybrid::add_tree_accelerations(p, box, opt, derived, prefactor, part,
+                                     ax, ay, az);
+      for (std::size_t i = 0; i < n; ++i) {
+        sx[i] += ax[i];
+        sy[i] += ay[i];
+        sz[i] += az[i];
+      }
+    }
+    EXPECT_NE(fx[0], 0.0);
+    EXPECT_EQ(std::memcmp(sx.data(), fx.data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(sy.data(), fy.data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(sz.data(), fz.data(), bytes), 0);
+  }
+
+  // Work: the parts' interaction-list entries add up to the full pass's.
+  gravity::BarnesHutTree tree(p, box, opt.treepm.leaf_size);
+  gravity::PpKernelParams params;
+  params.eps = derived.eps;
+  params.rs = derived.rs;
+  params.rcut = derived.rcut;
+  std::vector<double> ax, ay, az;
+  gravity::TreeStats full;
+  tree.accelerations(p, params, derived.poly, opt.treepm.theta, true, ax, ay,
+                     az, &full);
+  std::uint64_t walked = 0;
+  for (const auto& part : parts) {
+    std::vector<double> tx(part.size()), ty(part.size()), tz(part.size());
+    for (std::size_t k = 0; k < part.size(); ++k) {
+      tx[k] = p.x[part[k]];
+      ty[k] = p.y[part[k]];
+      tz[k] = p.z[part[k]];
+    }
+    ax.assign(part.size(), 0.0);
+    ay.assign(part.size(), 0.0);
+    az.assign(part.size(), 0.0);
+    gravity::TreeStats stats;
+    tree.accumulate(tx.data(), ty.data(), tz.data(), part.size(), params,
+                    derived.poly, opt.treepm.theta, true, ax.data(),
+                    ay.data(), az.data(), &stats);
+    walked += stats.p2p_interactions;
+  }
+  EXPECT_GT(full.p2p_interactions, 0u);
+  EXPECT_EQ(walked, full.p2p_interactions);
 }
 
 }  // namespace
