@@ -16,9 +16,9 @@
 #include "diagnostics/noise.hpp"
 #include "diagnostics/projections.hpp"
 #include "diagnostics/spectra.hpp"
+#include "hybrid/nbody_solver.hpp"
 #include "hybrid_setup.hpp"
 #include "io/pgm.hpp"
-#include "nbody/nbody_solver.hpp"
 #include "vlasov/moments.hpp"
 
 using namespace v6d;
@@ -103,11 +103,11 @@ int main(int argc, char** argv) {
       cosmo::neutrino_thermal_velocity(params.m_nu_total_ev / 3.0);
   auto nu_parts = cosmo::sample_neutrino_particles(
       ps, cfg.box, 2 * cfg.cdm_per_side, u_th, nopt);  // 8x count (TianNu)
-  nbody::NBodySolverOptions nopt2;
-  nopt2.treepm.pm_grid = cfg.nx;
+  hybrid::HybridOptions nopt2;
+  nopt2.pm_grid = cfg.nx;
   nopt2.treepm.theta = 0.6;
   nopt2.treepm.eps_cells = 0.1;
-  nbody::NBodySolver nbody(cfg.box, bg, nopt2);
+  hybrid::NBodySolver nbody(cfg.box, bg, nopt2);
   nbody.set_cdm(std::move(cdm_ics.particles));
   nbody.set_hot(std::move(nu_parts));
   Stopwatch nbody_watch;  // stepping only, matching the hybrid_run phase

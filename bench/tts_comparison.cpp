@@ -9,9 +9,9 @@
 #include "cosmology/zeldovich.hpp"
 #include "diagnostics/noise.hpp"
 #include "diagnostics/spectra.hpp"
+#include "hybrid/nbody_solver.hpp"
 #include "hybrid_setup.hpp"
 #include "io/snapshot.hpp"
-#include "nbody/nbody_solver.hpp"
 
 using namespace v6d;
 
@@ -75,11 +75,11 @@ int main(int argc, char** argv) {
   auto nu_parts = cosmo::sample_neutrino_particles(
       ps, cfg.box, 2 * cfg.cdm_per_side, u_th, nopt);
   const double n_nu_particles = static_cast<double>(nu_parts.size());
-  nbody::NBodySolverOptions nbopt;
-  nbopt.treepm.pm_grid = cfg.nx;
+  hybrid::HybridOptions nbopt;
+  nbopt.pm_grid = cfg.nx;
   nbopt.treepm.theta = 0.6;
   nbopt.treepm.eps_cells = 0.1;
-  nbody::NBodySolver nbody(cfg.box, bg, nbopt);
+  hybrid::NBodySolver nbody(cfg.box, bg, nbopt);
   nbody.set_cdm(std::move(cdm_ics.particles));
   nbody.set_hot(std::move(nu_parts));
   int nbody_steps = 0;

@@ -1,21 +1,21 @@
 // Pure N-body cosmic-web formation with the TreePM solver — the CDM
 // substrate of the hybrid code running standalone (paper §5.1.2).
 //
-// Evolves Zel'dovich initial conditions to the target epoch, prints the
-// growth of clustering versus linear theory, and writes a projected
-// density map of the emerging web.
+// Builds the registry's cosmic_web scenario (Zel'dovich initial
+// conditions and a HybridSolver with no phase space), evolves it to the
+// target epoch, prints the growth of clustering versus linear theory, and
+// writes a projected density map of the emerging web.
 //
 //   ./examples/cosmic_web [np=20] [pm=20] [a_final=0.5] [box=150]
 #include <cmath>
 #include <cstdio>
 
 #include "common/options.hpp"
-#include "cosmology/zeldovich.hpp"
 #include "diagnostics/projections.hpp"
 #include "diagnostics/spectra.hpp"
+#include "driver/scenario.hpp"
 #include "io/pgm.hpp"
 #include "mesh/deposit.hpp"
-#include "nbody/nbody_solver.hpp"
 
 using namespace v6d;
 
@@ -42,47 +42,39 @@ int main(int argc, char** argv) {
     return 0;
   }
   const Options& opt = cli.options;
-  const int np = opt.get_int("np", 20);
-  const int pm = opt.get_int("pm", 20);
-  const double a_final = opt.get_double("a_final", 0.5);
-  const double box = opt.get_double("box", 150.0);
-  const double a_init = 0.1;
+  // The scenario's defaults are this example's; its keys override them,
+  // `pm` naming the scenario's PM mesh `nx`.
+  Options overrides;
+  for (const char* key : {"np", "a_final", "box"})
+    if (opt.has(key)) overrides.set(key, opt.get(key, ""));
+  if (opt.has("pm")) overrides.set("nx", opt.get("pm", ""));
+  const driver::SimulationConfig cfg =
+      driver::make_config(overrides, "cosmic_web");
+  const int pm = cfg.nx;
+  const double box = cfg.box, a_init = cfg.a_init, a_final = cfg.a_final;
 
-  cosmo::Params params = cosmo::Params::planck2015(0.0);
-  cosmo::PowerSpectrum ps(params);
-  cosmo::Background bg(params);
+  std::printf("cosmic_web: %d^3 particles, PM %d^3, box %.0f Mpc/h\n",
+              cfg.np, pm, box);
+  auto solver = driver::find_scenario("cosmic_web")->build(cfg, true);
+  const cosmo::Background& bg = solver->background();
 
-  std::printf("cosmic_web: %d^3 particles, PM %d^3, box %.0f Mpc/h\n", np,
-              pm, box);
-  cosmo::ZeldovichOptions zopt;
-  zopt.particles_per_side = np;
-  zopt.a_init = a_init;
-  zopt.seed = 31;
-  auto ics = cosmo::zeldovich_ics(ps, box, zopt);
-
-  nbody::NBodySolverOptions nopt;
-  nopt.treepm.pm_grid = pm;
-  nopt.treepm.theta = 0.6;
-  nopt.treepm.eps_cells = 0.15;
-  nbody::NBodySolver solver(box, bg, nopt);
-  solver.set_cdm(std::move(ics.particles));
-
-  const auto p0 = diag::measure_power(density_of(solver.cdm(), box, pm), box);
+  const auto p0 =
+      diag::measure_power(density_of(solver->cdm(), box, pm), box);
 
   double a = a_init;
   int steps = 0;
   while (a < a_final - 1e-12) {
     const double a1 = std::min(a + 0.05, a_final);
-    solver.step(a, a1);
+    solver->step(a, a1);
     a = a1;
     ++steps;
   }
   std::printf("  evolved a=%.2f -> %.2f in %d steps\n", a_init, a_final,
               steps);
   std::printf("  tree time: %.2fs, PM time: %.2fs\n",
-              solver.timers().total("tree"), solver.timers().total("pm"));
+              solver->timers().total("tree"), solver->timers().total("pm"));
 
-  const auto rho = density_of(solver.cdm(), box, pm);
+  const auto rho = density_of(solver->cdm(), box, pm);
   const auto p1 = diag::measure_power(rho, box);
   const double lin_growth =
       std::pow(bg.growth_factor(a_final) / bg.growth_factor(a_init), 2);

@@ -77,9 +77,12 @@ std::unique_ptr<hybrid::HybridSolver> build_cosmological(
       std::move(f), std::move(cdm), cfg.box, bg, hybrid_options(cfg));
 }
 
-/// Counter-streaming self-gravitating beams along x on the Vlasov grid —
-/// the comoving analogue of the classic two-stream instability (§8 of the
-/// paper notes the solver applies to kinetic problems directly).
+/// Counter-streaming self-gravitating beams along x on the Vlasov grid, in
+/// the comoving units of the classic two-stream setup (§8 of the paper
+/// notes the solver applies to kinetic problems directly).  With the mean
+/// density pinned to Omega_m the beams are Jeans-stable at the defaults:
+/// the seeded k = 1 mode decays by 0.7% from a = 1 to 1.3.
+/// examples/two_stream maps the unstable static problem onto the solver.
 std::unique_ptr<hybrid::HybridSolver> build_two_stream(
     const SimulationConfig& cfg, bool with_ics) {
   const cosmo::Params params = cosmo::Params::planck2015(0.0);
@@ -187,7 +190,7 @@ const std::vector<Scenario> kScenarios = {
     {"vlasov_only", "massive-neutrino Vlasov fluid only, no particles",
      defaults_vlasov_only, build_cosmological},
     {"two_stream",
-     "counter-streaming self-gravitating beams (kinetic instability)",
+     "counter-streaming self-gravitating beams (Jeans-stable at defaults)",
      defaults_two_stream, build_two_stream},
 };
 

@@ -15,7 +15,8 @@
 //   cosmic_web    cdm_only tuned to the larger web-formation box
 //   vlasov_only   massive-neutrino fluid only, no particles
 //   two_stream    counter-streaming self-gravitating beams on the Vlasov
-//                 grid (comoving analogue of the classic instability)
+//                 grid (Jeans-stable at its defaults; examples/two_stream
+//                 runs the unstable static problem)
 #pragma once
 
 #include <memory>

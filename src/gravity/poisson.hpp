@@ -11,8 +11,8 @@
 //  * TreePM long-range filter exp(-k^2 rs^2) that removes the short-range
 //    part carried by the tree.
 //
-// Supports anisotropic grids (nx, ny, nz over box lengths Lx, Ly, Lz) so
-// quasi-1D/2D Vlasov test problems run through the same solver.
+// Supports anisotropic grids (nx, ny, nz over box lengths Lx, Ly, Lz);
+// the solvers in src/hybrid/ use the cubic one.
 #pragma once
 
 #include "fft/rfft.hpp"
@@ -56,9 +56,8 @@ class PoissonSolver {
   void solve(const mesh::Grid3D<double>& rho, mesh::Grid3D<double>& phi,
              const PoissonOptions& options) const;
 
-  /// Spectral force: g_d = -d(phi)/d(x_d) computed as -i k_d phi_k.
-  /// More accurate than mesh differencing; used by tests and by the
-  /// reference PM path.
+  /// Spectral force: g_d = -d(phi)/d(x_d) computed as -i k_d phi_k, the
+  /// PM force of every solver in src/hybrid/.
   void solve_forces(const mesh::Grid3D<double>& rho,
                     mesh::Grid3D<double>& gx, mesh::Grid3D<double>& gy,
                     mesh::Grid3D<double>& gz,

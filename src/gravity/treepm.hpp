@@ -4,55 +4,20 @@
 // Poisson solve, exp(-k^2 rs^2)) + short-range tree force (complementary
 // erfc cutoff).  The split scale rs is a small multiple of the PM cell and
 // the short-range cutoff a small multiple of rs, so the tree walk touches
-// only local neighborhoods.
+// only local neighborhoods.  The force pass that assembles the two halves
+// is hybrid::HybridSolver's (src/hybrid/); these are its tree parameters.
 #pragma once
-
-#include <memory>
-
-#include "common/timer.hpp"
-#include "gravity/pm.hpp"
-#include "gravity/tree.hpp"
 
 namespace v6d::gravity {
 
-struct TreePmOptions {
-  int pm_grid = 32;
+struct TreePmParams {
   double theta = 0.6;          // tree opening angle
   double eps_cells = 0.05;     // Plummer softening in PM-cell units
   double rs_cells = 1.25;      // split scale rs in PM-cell units
   double rcut_over_rs = 4.5;   // short-range cutoff radius / rs
   bool use_simd = true;
   int leaf_size = 16;
-  ForceDifferencing differencing = ForceDifferencing::kSpectral;
   int cutoff_poly_degree = 14;
-};
-
-class TreePmSolver {
- public:
-  TreePmSolver(double box, const TreePmOptions& options);
-
-  /// Total TreePM accelerations with Poisson prefactor `prefactor`
-  /// multiplying (rho - mean).  The prefactor folds in 4 pi G a^2 and unit
-  /// choices; the tree force is scaled consistently (prefactor / 4 pi).
-  /// Per-part wall times go to `timers` buckets "tree" and "pm" if given.
-  void accelerations(const nbody::Particles& particles, double prefactor,
-                     std::vector<double>& ax, std::vector<double>& ay,
-                     std::vector<double>& az,
-                     TimerRegistry* timers = nullptr,
-                     TreeStats* stats = nullptr);
-
-  double rs() const { return rs_; }
-  double rcut() const { return rcut_; }
-  double eps() const { return eps_; }
-  PmSolver& pm() { return *pm_; }
-  const TreePmOptions& options() const { return options_; }
-
- private:
-  double box_;
-  TreePmOptions options_;
-  double rs_, rcut_, eps_;
-  std::unique_ptr<PmSolver> pm_;
-  CutoffPoly poly_;
 };
 
 }  // namespace v6d::gravity

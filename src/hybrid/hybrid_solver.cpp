@@ -19,7 +19,8 @@ TreePmDerived TreePmDerived::from(const HybridOptions& options, double box) {
   return d;
 }
 
-void add_tree_accelerations(const nbody::Particles& cdm, double box,
+void add_tree_accelerations(const nbody::Particles& cdm,
+                            const nbody::Particles& at, double box,
                             const HybridOptions& options,
                             const TreePmDerived& derived, double prefactor,
                             std::span<const std::size_t> targets,
@@ -35,9 +36,9 @@ void add_tree_accelerations(const nbody::Particles& cdm, double box,
   const std::size_t n = targets.size();
   std::vector<double> px(n), py(n), pz(n);
   for (std::size_t k = 0; k < n; ++k) {
-    px[k] = cdm.x[targets[k]];
-    py[k] = cdm.y[targets[k]];
-    pz[k] = cdm.z[targets[k]];
+    px[k] = at.x[targets[k]];
+    py[k] = at.y[targets[k]];
+    pz[k] = at.z[targets[k]];
   }
   std::vector<double> tx(n, 0.0), ty(n, 0.0), tz(n, 0.0);
   tree.accumulate(px.data(), py.data(), pz.data(), n, params, derived.poly,
@@ -48,6 +49,55 @@ void add_tree_accelerations(const nbody::Particles& cdm, double box,
     ay[targets[k]] += g_pair * ty[k];
     az[targets[k]] += g_pair * tz[k];
   }
+}
+
+std::vector<std::size_t> all_indices(std::size_t n) {
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+void inject_nu_density(const vlasov::PhaseSpace& f,
+                       const mesh::Grid3D<double>& rho_v,
+                       const mesh::MeshPatch& patch,
+                       mesh::Grid3D<double>& rho) {
+  const auto& d = f.dims();
+  const auto& g = f.geom();
+  rho.fill(0.0);
+  const double cell_mass_factor = g.dvol();
+  std::vector<double> px(1), py(1), pz(1);
+  for (int ix = 0; ix < d.nx; ++ix)
+    for (int iy = 0; iy < d.ny; ++iy)
+      for (int iz = 0; iz < d.nz; ++iz) {
+        px[0] = g.x(ix);
+        py[0] = g.y(iy);
+        pz[0] = g.z(iz);
+        const double mass = rho_v.at(ix, iy, iz) * cell_mass_factor;
+        mesh::deposit(rho, patch, px, py, pz, mass, mesh::Assignment::kCic);
+      }
+}
+
+void sample_nu_accelerations(const vlasov::PhaseSpace& f,
+                             const mesh::Grid3D<double>& gx,
+                             const mesh::Grid3D<double>& gy,
+                             const mesh::Grid3D<double>& gz,
+                             const mesh::MeshPatch& patch,
+                             mesh::Grid3D<double>& ax,
+                             mesh::Grid3D<double>& ay,
+                             mesh::Grid3D<double>& az) {
+  const auto& d = f.dims();
+  const auto& g = f.geom();
+  for (int ix = 0; ix < d.nx; ++ix)
+    for (int iy = 0; iy < d.ny; ++iy)
+      for (int iz = 0; iz < d.nz; ++iz) {
+        const double x = g.x(ix), y = g.y(iy), z = g.z(iz);
+        ax.at(ix, iy, iz) =
+            mesh::interpolate(gx, patch, x, y, z, mesh::Assignment::kCic);
+        ay.at(ix, iy, iz) =
+            mesh::interpolate(gy, patch, x, y, z, mesh::Assignment::kCic);
+        az.at(ix, iy, iz) =
+            mesh::interpolate(gz, patch, x, y, z, mesh::Assignment::kCic);
+      }
 }
 
 double cfl_limited_step(double a0, double da_max, double cfl,
@@ -89,32 +139,6 @@ HybridSolver::HybridSolver(vlasov::PhaseSpace f, nbody::Particles cdm,
   has_nu_ = f_.dims().total_interior() > 0;
 }
 
-void HybridSolver::deposit_nu_density() {
-  // 0th moment on the Vlasov spatial grid, then conservative injection
-  // onto the PM mesh: every Vlasov cell deposits its mass (rho * dvol) at
-  // its center with CIC.  When the two grids coincide, CIC at cell
-  // centers reduces to the identity.
-  const auto& d = f_.dims();
-  const auto& g = f_.geom();
-  mesh::Grid3D<double> rho_v(d.nx, d.ny, d.nz);
-  vlasov::compute_density(f_, rho_v);
-
-  rho_nu_.fill(0.0);
-  const double cell_mass_factor = g.dvol();
-  std::vector<double> px(1), py(1), pz(1);
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz) {
-        px[0] = g.x(ix);
-        py[0] = g.y(iy);
-        pz[0] = g.z(iz);
-        const double mass = rho_v.at(ix, iy, iz) * cell_mass_factor;
-        mesh::deposit(rho_nu_, patch_, px, py, pz, mass,
-                      mesh::Assignment::kCic);
-      }
-  rho_nu_.fold_ghosts_periodic();
-}
-
 void HybridSolver::compute_forces(double a) {
   const double prefactor = poisson_prefactor(a);
 
@@ -128,7 +152,10 @@ void HybridSolver::compute_forces(double a) {
   }
   if (has_nu_) {
     ScopedTimer t(timers_, "vlasov-moments");
-    deposit_nu_density();
+    mesh::Grid3D<double> rho_v(f_.dims().nx, f_.dims().ny, f_.dims().nz);
+    vlasov::compute_density(f_, rho_v);
+    inject_nu_density(f_, rho_v, patch_, rho_nu_);
+    rho_nu_.fold_ghosts_periodic();
   }
 
   // --- mesh force solves ---
@@ -145,10 +172,10 @@ void HybridSolver::compute_forces(double a) {
         options_.enable_tree ? treepm_derived_.rs : 0.0;
     poisson_.solve_forces(rho_cdm_, gx_cdm_, gy_cdm_, gz_cdm_, cdm_long);
 
-    // (b) full CDM field for the Vlasov kicks.
-    poisson_.solve_forces(rho_cdm_, gx_nu_, gy_nu_, gz_nu_, cdm_opts);
-
     if (has_nu_) {
+      // (b) full CDM field for the Vlasov kicks.
+      poisson_.solve_forces(rho_cdm_, gx_nu_, gy_nu_, gz_nu_, cdm_opts);
+
       // (c) full neutrino field: add to both force sets (no deconvolution
       // — the moment field was injected, not particle-deposited).
       gravity::PoissonOptions nu_opts;
@@ -173,9 +200,6 @@ void HybridSolver::compute_forces(double a) {
     gx_cdm_.fill_ghosts_periodic();
     gy_cdm_.fill_ghosts_periodic();
     gz_cdm_.fill_ghosts_periodic();
-    gx_nu_.fill_ghosts_periodic();
-    gy_nu_.fill_ghosts_periodic();
-    gz_nu_.fill_ghosts_periodic();
 
     // Particle long-range gather.
     ax_.assign(cdm_.size(), 0.0);
@@ -184,32 +208,22 @@ void HybridSolver::compute_forces(double a) {
     mesh::gather_forces(gx_cdm_, gy_cdm_, gz_cdm_, patch_, cdm_.x, cdm_.y,
                         cdm_.z, ax_, ay_, az_, mesh::Assignment::kCic);
 
-    // Vlasov-grid acceleration sampling (CIC from the PM mesh at Vlasov
-    // cell centers; identity when the grids match).
+    // Vlasov-grid acceleration sampling (identity when the grids match).
     if (has_nu_) {
-      const auto& d = f_.dims();
-      const auto& g = f_.geom();
-      for (int ix = 0; ix < d.nx; ++ix)
-        for (int iy = 0; iy < d.ny; ++iy)
-          for (int iz = 0; iz < d.nz; ++iz) {
-            const double x = g.x(ix), y = g.y(iy), z = g.z(iz);
-            nu_ax_.at(ix, iy, iz) = mesh::interpolate(
-                gx_nu_, patch_, x, y, z, mesh::Assignment::kCic);
-            nu_ay_.at(ix, iy, iz) = mesh::interpolate(
-                gy_nu_, patch_, x, y, z, mesh::Assignment::kCic);
-            nu_az_.at(ix, iy, iz) = mesh::interpolate(
-                gz_nu_, patch_, x, y, z, mesh::Assignment::kCic);
-          }
+      gx_nu_.fill_ghosts_periodic();
+      gy_nu_.fill_ghosts_periodic();
+      gz_nu_.fill_ghosts_periodic();
+      sample_nu_accelerations(f_, gx_nu_, gy_nu_, gz_nu_, patch_, nu_ax_,
+                              nu_ay_, nu_az_);
     }
   }
 
   // --- tree short-range (CDM only), at every particle ---
   if (options_.enable_tree && cdm_.size() > 0) {
     ScopedTimer t(timers_, "tree");
-    std::vector<std::size_t> all(cdm_.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    add_tree_accelerations(cdm_, box_, options_, treepm_derived_, prefactor,
-                           all, ax_, ay_, az_);
+    add_tree_accelerations(cdm_, cdm_, box_, options_, treepm_derived_,
+                           prefactor, all_indices(cdm_.size()), ax_, ay_,
+                           az_);
   }
   forces_fresh_ = true;
 }

@@ -36,7 +36,7 @@ namespace v6d::hybrid {
 
 struct HybridOptions {
   int pm_grid = 16;                       // PM mesh per axis
-  gravity::TreePmOptions treepm;          // tree parameters (grid ignored)
+  gravity::TreePmParams treepm;           // tree parameters
   vlasov::SweepKernel kernel = vlasov::SweepKernel::kAuto;
   double cfl = 0.9;                       // position-sweep |xi| bound
   bool enable_tree = true;                // PM-only when false
@@ -55,19 +55,47 @@ struct TreePmDerived {
 };
 
 /// Accumulate (+=) the Barnes-Hut short-range accelerations at the
-/// particles `targets` names (indices into `cdm`), scaled by the Poisson
-/// prefactor.  The tree is built over the whole of `cdm`; a target's
-/// force depends only on that tree and the target's position, so any
-/// partition of the indices reproduces one full pass target by target.
+/// particles of `at` that `targets` names (indices into `at`), scaled by
+/// the Poisson prefactor.  The tree is built over the whole of `cdm`; a
+/// target's force depends only on that tree and the target's position, so
+/// any partition of the indices reproduces one full pass target by target.
 /// No-op when the tree is disabled or `targets` is empty.  The serial
-/// solver passes every index, the distributed one the particles its rank
-/// owns: both call this same block.
-void add_tree_accelerations(const nbody::Particles& cdm, double box,
+/// solver walks every CDM particle, the distributed one the CDM particles
+/// its rank owns, and NBodySolver also its hot species: all call this
+/// same block.
+void add_tree_accelerations(const nbody::Particles& cdm,
+                            const nbody::Particles& at, double box,
                             const HybridOptions& options,
                             const TreePmDerived& derived, double prefactor,
                             std::span<const std::size_t> targets,
                             std::vector<double>& ax, std::vector<double>& ay,
                             std::vector<double>& az);
+
+/// Every index of a set of `n` particles (the full target list).
+std::vector<std::size_t> all_indices(std::size_t n);
+
+/// Inject the 0th velocity moment `rho_v` of `f` (on its spatial grid)
+/// into the PM mesh `rho` through `patch`: every Vlasov cell deposits its
+/// mass (rho * dvol) at its center with CIC, which reduces to the identity
+/// when the two grids coincide.  `rho` is zeroed first; the spill into its
+/// ghosts is left for the caller's fold.  Cell centers are global
+/// coordinates, so a brick of a distributed phase space injects into its
+/// PM brick the same way.
+void inject_nu_density(const vlasov::PhaseSpace& f,
+                       const mesh::Grid3D<double>& rho_v,
+                       const mesh::MeshPatch& patch,
+                       mesh::Grid3D<double>& rho);
+
+/// Sample the mesh accelerations (gx, gy, gz; ghosts filled) at the
+/// Vlasov cell centers of `f` with CIC: the neutrino kick fields.
+void sample_nu_accelerations(const vlasov::PhaseSpace& f,
+                             const mesh::Grid3D<double>& gx,
+                             const mesh::Grid3D<double>& gy,
+                             const mesh::Grid3D<double>& gz,
+                             const mesh::MeshPatch& patch,
+                             mesh::Grid3D<double>& ax,
+                             mesh::Grid3D<double>& ay,
+                             mesh::Grid3D<double>& az);
 
 /// CFL-limited step search: the largest a1 <= a0 + da_max with
 /// max_shift(a1) <= cfl, via the shared backoff iteration.  `max_shift`
@@ -133,7 +161,6 @@ class HybridSolver {
 
  private:
   void compute_forces(double a);
-  void deposit_nu_density();
 
   vlasov::PhaseSpace f_;
   nbody::Particles cdm_;

@@ -145,21 +145,4 @@ double interpolate(const Grid3D<double>& field, const MeshPatch& patch,
   return acc;
 }
 
-void gradient_fd4(const Grid3D<double>& field, double h, Grid3D<double>& gx,
-                  Grid3D<double>& gy, Grid3D<double>& gz) {
-  assert(field.ghost() >= 2);
-  const double c1 = 8.0 / (12.0 * h);
-  const double c2 = 1.0 / (12.0 * h);
-  for (int i = 0; i < field.nx(); ++i)
-    for (int j = 0; j < field.ny(); ++j)
-      for (int k = 0; k < field.nz(); ++k) {
-        gx.at(i, j, k) = c1 * (field.at(i + 1, j, k) - field.at(i - 1, j, k)) -
-                         c2 * (field.at(i + 2, j, k) - field.at(i - 2, j, k));
-        gy.at(i, j, k) = c1 * (field.at(i, j + 1, k) - field.at(i, j - 1, k)) -
-                         c2 * (field.at(i, j + 2, k) - field.at(i, j - 2, k));
-        gz.at(i, j, k) = c1 * (field.at(i, j, k + 1) - field.at(i, j, k - 1)) -
-                         c2 * (field.at(i, j, k + 2) - field.at(i, j, k - 2));
-      }
-}
-
 }  // namespace v6d::mesh

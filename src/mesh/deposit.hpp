@@ -40,9 +40,4 @@ void deposit(Grid3D<double>& rho, const MeshPatch& patch,
 double interpolate(const Grid3D<double>& field, const MeshPatch& patch,
                    double x, double y, double z, Assignment assignment);
 
-/// 4th-order centered finite-difference gradient of a scalar field
-/// (requires ghost >= 2, filled): out_d = d(field)/d(axis d).
-void gradient_fd4(const Grid3D<double>& field, double h, Grid3D<double>& gx,
-                  Grid3D<double>& gy, Grid3D<double>& gz);
-
 }  // namespace v6d::mesh

@@ -178,28 +178,6 @@ void DistributedHybridSolver::compute_nu_moment() {
   vlasov::compute_density(f_, rho_v_);
 }
 
-void DistributedHybridSolver::inject_nu_density() {
-  trace::Span span("deposit");
-  // Inject the moment onto the local PM brick cell by cell (mirrors
-  // HybridSolver::deposit_nu_density; cell centers are global coordinates
-  // because the brick geometry origin is shifted).
-  const auto& d = f_.dims();
-  const auto& g = f_.geom();
-  rho_nu_.fill(0.0);
-  const double cell_mass_factor = g.dvol();
-  std::vector<double> px(1), py(1), pz(1);
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz) {
-        px[0] = g.x(ix);
-        py[0] = g.y(iy);
-        pz[0] = g.z(iz);
-        const double mass = rho_v_.at(ix, iy, iz) * cell_mass_factor;
-        mesh::deposit(rho_nu_, patch_, px, py, pz, mass,
-                      mesh::Assignment::kCic);
-      }
-}
-
 void DistributedHybridSolver::prepare_green_tables(
     const gravity::PoissonOptions& cdm_long,
     const gravity::PoissonOptions& cdm_short,
@@ -214,8 +192,10 @@ void DistributedHybridSolver::prepare_green_tables(
   const int lny = pfft_.local_ny();
   const std::size_t modes = static_cast<std::size_t>(lny) * n * n;
   green_long_.resize(modes);
-  green_short_.resize(modes);
-  if (has_nu_) green_nu_.resize(modes);
+  if (has_nu_) {
+    green_short_.resize(modes);
+    green_nu_.resize(modes);
+  }
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static)
 #endif
@@ -226,12 +206,12 @@ void DistributedHybridSolver::prepare_green_tables(
       for (int z = 0; z < n; ++z, ++m) {
         green_long_[m] = gravity::green_times_window(x, by, z, n, n, n, box_,
                                                      box_, box_, cdm_long);
+        if (!has_nu_) continue;
         green_short_[m] = gravity::green_times_window(x, by, z, n, n, n,
                                                       box_, box_, box_,
                                                       cdm_short);
-        if (has_nu_)
-          green_nu_[m] = gravity::green_times_window(x, by, z, n, n, n, box_,
-                                                     box_, box_, nu_opts);
+        green_nu_[m] = gravity::green_times_window(x, by, z, n, n, n, box_,
+                                                   box_, box_, nu_opts);
       }
     }
 }
@@ -280,7 +260,8 @@ void DistributedHybridSolver::compute_forces(double a) {
       });
   if (has_nu_) {
     ScopedTimer t(timers_, "vlasov-moments");
-    inject_nu_density();
+    trace::Span span("deposit");
+    hybrid::inject_nu_density(f_, rho_v_, patch_, rho_nu_);
   }
 
   {
@@ -364,7 +345,8 @@ void DistributedHybridSolver::compute_forces(double a) {
       }
     };
     solve_set(green_long_, gx_cdm_, gy_cdm_, gz_cdm_);
-    solve_set(green_short_, gx_nu_, gy_nu_, gz_nu_);
+    // The full field feeds only the Vlasov kicks.
+    if (has_nu_) solve_set(green_short_, gx_nu_, gy_nu_, gz_nu_);
 
     // Particle long-range gather: each rank interpolates at the particles
     // its brick owns (the same split as the deposit); every other entry
@@ -382,21 +364,9 @@ void DistributedHybridSolver::compute_forces(double a) {
     }
 
     // Vlasov-grid acceleration sampling on the local brick.
-    if (has_nu_) {
-      const auto& d = f_.dims();
-      const auto& g = f_.geom();
-      for (int ix = 0; ix < d.nx; ++ix)
-        for (int iy = 0; iy < d.ny; ++iy)
-          for (int iz = 0; iz < d.nz; ++iz) {
-            const double x = g.x(ix), y = g.y(iy), z = g.z(iz);
-            nu_ax_.at(ix, iy, iz) = mesh::interpolate(
-                gx_nu_, patch_, x, y, z, mesh::Assignment::kCic);
-            nu_ay_.at(ix, iy, iz) = mesh::interpolate(
-                gy_nu_, patch_, x, y, z, mesh::Assignment::kCic);
-            nu_az_.at(ix, iy, iz) = mesh::interpolate(
-                gz_nu_, patch_, x, y, z, mesh::Assignment::kCic);
-          }
-    }
+    if (has_nu_)
+      hybrid::sample_nu_accelerations(f_, gx_nu_, gy_nu_, gz_nu_, patch_,
+                                      nu_ax_, nu_ay_, nu_az_);
   }
   timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
   timers_.add("slab-wait", slab_cdm_x_.take_wait() + slab_nu_x_.take_wait() +
@@ -408,8 +378,9 @@ void DistributedHybridSolver::compute_forces(double a) {
   //     depend on which rank walks it ---
   if (options_.enable_tree && cdm_.size() > 0) {
     ScopedTimer t(timers_, "tree");
-    hybrid::add_tree_accelerations(cdm_, box_, options_, treepm_derived_,
-                                   prefactor, owned_, ax_, ay_, az_);
+    hybrid::add_tree_accelerations(cdm_, cdm_, box_, options_,
+                                   treepm_derived_, prefactor, owned_, ax_,
+                                   ay_, az_);
   }
   // Each particle's owner holds PM + tree, every other rank 0; the ordered
   // sum from 0 yields exactly allreduce(PM) + tree on every rank.

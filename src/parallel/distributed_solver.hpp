@@ -122,7 +122,6 @@ class DistributedHybridSolver {
   bool owns_particle(std::size_t i) const;
   void deposit_cdm_local();
   void compute_nu_moment();
-  void inject_nu_density();
   void prepare_green_tables(const gravity::PoissonOptions& cdm_long,
                             const gravity::PoissonOptions& cdm_short,
                             const gravity::PoissonOptions& nu_opts);

@@ -182,12 +182,12 @@ TEST(TreeAccelerations, DisjointTargetListsSumToOneFullPass) {
     SCOPED_TRACE(use_simd ? "simd" : "scalar");
     opt.treepm.use_simd = use_simd;
     std::vector<double> fx(n, 0.0), fy(n, 0.0), fz(n, 0.0);
-    hybrid::add_tree_accelerations(p, box, opt, derived, prefactor, all, fx,
+    hybrid::add_tree_accelerations(p, p, box, opt, derived, prefactor, all, fx,
                                    fy, fz);
     std::vector<double> sx(n, 0.0), sy(n, 0.0), sz(n, 0.0);
     for (const auto& part : parts) {
       std::vector<double> ax(n, 0.0), ay(n, 0.0), az(n, 0.0);
-      hybrid::add_tree_accelerations(p, box, opt, derived, prefactor, part,
+      hybrid::add_tree_accelerations(p, p, box, opt, derived, prefactor, part,
                                      ax, ay, az);
       for (std::size_t i = 0; i < n; ++i) {
         sx[i] += ax[i];

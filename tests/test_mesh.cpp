@@ -204,26 +204,4 @@ TEST(Deposit, GatherMatchesDepositAdjoint) {
     }
 }
 
-TEST(GradientFd4, ExactForCubicPolynomials) {
-  // 4th-order differences are exact on cubics.
-  const int n = 12;
-  Grid3D<double> f(n, n, n, 2), gx(n, n, n), gy(n, n, n), gz(n, n, n);
-  const double h = 0.5;
-  for (int i = -2; i < n + 2; ++i)
-    for (int j = -2; j < n + 2; ++j)
-      for (int k = -2; k < n + 2; ++k) {
-        const double x = i * h, y = j * h, z = k * h;
-        f.at(i, j, k) = x * x * x - 2.0 * y * y + 3.0 * z + x * y;
-      }
-  gradient_fd4(f, h, gx, gy, gz);
-  for (int i = 2; i < n - 2; ++i)
-    for (int j = 2; j < n - 2; ++j)
-      for (int k = 2; k < n - 2; ++k) {
-        const double x = i * h, y = j * h;
-        EXPECT_NEAR(gx.at(i, j, k), 3.0 * x * x + y, 1e-9);
-        EXPECT_NEAR(gy.at(i, j, k), -4.0 * y + x, 1e-9);
-        EXPECT_NEAR(gz.at(i, j, k), 3.0, 1e-9);
-      }
-}
-
 }  // namespace

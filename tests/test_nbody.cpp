@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "cosmology/neutrino_ic.hpp"
 #include "cosmology/zeldovich.hpp"
-#include "nbody/nbody_solver.hpp"
+#include "hybrid/nbody_solver.hpp"
 
 namespace {
 
 using namespace v6d;
 using namespace v6d::nbody;
+using hybrid::NBodySolver;
 
 TEST(Particles, WrapPositionsIntoBox) {
   Particles p(3);
@@ -69,8 +71,8 @@ TEST(NBodySolver, LinearGrowthMatchesTheory) {
   zopt.seed = 4;
   auto ics = cosmo::zeldovich_ics(ps, box, zopt);
 
-  NBodySolverOptions opt;
-  opt.treepm.pm_grid = 16;
+  hybrid::HybridOptions opt;
+  opt.pm_grid = 16;
   opt.treepm.theta = 0.6;
   opt.treepm.eps_cells = 0.2;
   NBodySolver solver(box, bg, opt);
@@ -119,8 +121,8 @@ TEST(NBodySolver, MomentumStaysNearZero) {
   zopt.a_init = 0.2;
   auto ics = cosmo::zeldovich_ics(ps, box, zopt);
 
-  NBodySolverOptions opt;
-  opt.treepm.pm_grid = 8;
+  hybrid::HybridOptions opt;
+  opt.pm_grid = 8;
   NBodySolver solver(box, bg, opt);
   solver.set_cdm(std::move(ics.particles));
   solver.step(0.2, 0.25);
@@ -151,8 +153,8 @@ TEST(NBodySolver, HotSpeciesFeelsGravityAndKeepsThermalSpread) {
   nopt.a_init = 0.2;
   auto nu = cosmo::sample_neutrino_particles(ps, box, 8, u_th, nopt);
 
-  NBodySolverOptions opt;
-  opt.treepm.pm_grid = 8;
+  hybrid::HybridOptions opt;
+  opt.pm_grid = 8;
   NBodySolver solver(box, bg, opt);
   solver.set_cdm(std::move(ics.particles));
   solver.set_hot(std::move(nu));
@@ -167,6 +169,48 @@ TEST(NBodySolver, HotSpeciesFeelsGravityAndKeepsThermalSpread) {
   // Canonical thermal velocities are frozen; gravity adds only a little.
   EXPECT_GT(rms, 2.0 * u_th);
   EXPECT_LT(rms, 6.0 * u_th);
+}
+
+TEST(NBodySolver, SharesHybridSolverForcePass) {
+  // The particle baseline runs the production solver's force pass: with
+  // no hot species it must step CDM exactly like a HybridSolver with an
+  // empty phase space, bit for bit.
+  cosmo::Params params = cosmo::Params::planck2015(0.0);
+  cosmo::PowerSpectrum ps(params);
+  cosmo::Background bg(params);
+  const double box = 100.0;
+  cosmo::ZeldovichOptions zopt;
+  zopt.particles_per_side = 10;
+  zopt.a_init = 0.2;
+  zopt.seed = 12;
+  auto ics = cosmo::zeldovich_ics(ps, box, zopt);
+
+  hybrid::HybridOptions opt;
+  opt.pm_grid = 8;
+  opt.treepm.eps_cells = 0.2;
+  NBodySolver nbody(box, bg, opt);
+  nbody.set_cdm(ics.particles);
+  hybrid::HybridSolver hybrid(vlasov::PhaseSpace(), ics.particles, box, bg,
+                              opt);
+  double a = 0.2;
+  for (int s = 0; s < 3; ++s) {
+    nbody.step(a, a + 0.05);
+    hybrid.step(a, a + 0.05);
+    a += 0.05;
+  }
+
+  auto same = [](const std::vector<double>& u, const std::vector<double>& v) {
+    return u.size() == v.size() &&
+           std::memcmp(u.data(), v.data(), u.size() * sizeof(double)) == 0;
+  };
+  const Particles& p = nbody.cdm();
+  const Particles& q = hybrid.cdm();
+  EXPECT_TRUE(same(p.x, q.x));
+  EXPECT_TRUE(same(p.y, q.y));
+  EXPECT_TRUE(same(p.z, q.z));
+  EXPECT_TRUE(same(p.ux, q.ux));
+  EXPECT_TRUE(same(p.uy, q.uy));
+  EXPECT_TRUE(same(p.uz, q.uz));
 }
 
 }  // namespace

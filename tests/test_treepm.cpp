@@ -4,11 +4,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "gravity/treepm.hpp"
+#include "hybrid/hybrid_solver.hpp"
 
 namespace {
 
-using namespace v6d::gravity;
+using v6d::hybrid::HybridOptions;
 using v6d::nbody::Particles;
 
 Particles random_particles(std::size_t n, double box, std::uint64_t seed) {
@@ -24,19 +24,36 @@ Particles random_particles(std::size_t n, double box, std::uint64_t seed) {
   return p;
 }
 
+struct Accelerations {
+  std::vector<double> ax, ay, az;
+};
+
+/// Total TreePM accelerations with G = 1 from HybridSolver's force pass:
+/// an empty phase space, a zero-length step(a, a) (zero kick, zero drift)
+/// and the exported force cache.  At a = 1.5 / (4 pi) the Poisson
+/// prefactor 1.5 / a multiplying (rho - mean) is 4 pi G with G = 1.
+Accelerations treepm_accelerations(const Particles& p, double box,
+                                   const HybridOptions& options) {
+  const v6d::cosmo::Background background{v6d::cosmo::Params{}};
+  v6d::hybrid::HybridSolver solver(v6d::vlasov::PhaseSpace(), p, box,
+                                   background, options);
+  const double a = 1.5 / (4.0 * M_PI);
+  solver.step(a, a);
+  auto forces = solver.export_step_forces();
+  return {std::move(forces.ax), std::move(forces.ay), std::move(forces.az)};
+}
+
 TEST(TreePm, MomentumConservation) {
   // Total momentum change (sum m a) must vanish: PM forces on a periodic
   // mesh have no net force, tree forces are pairwise antisymmetric up to
   // the multipole acceptance tolerance.
   const double box = 1.0;
   auto p = random_particles(400, box, 31);
-  TreePmOptions opt;
+  HybridOptions opt;
   opt.pm_grid = 16;
-  opt.theta = 0.4;
-  opt.use_simd = false;
-  TreePmSolver solver(box, opt);
-  std::vector<double> ax, ay, az;
-  solver.accelerations(p, 4.0 * M_PI, ax, ay, az);
+  opt.treepm.theta = 0.4;
+  opt.treepm.use_simd = false;
+  const auto [ax, ay, az] = treepm_accelerations(p, box, opt);
   double px = 0.0, py = 0.0, pz = 0.0, scale = 0.0;
   for (std::size_t i = 0; i < p.size(); ++i) {
     px += ax[i];
@@ -59,15 +76,12 @@ TEST(TreePm, MatchesDirectEwaldLikeSumOnPair) {
   p.y = {5.0, 5.0};
   p.z = {5.0, 5.0};
   p.mass = 1.0;
-  TreePmOptions opt;
+  HybridOptions opt;
   opt.pm_grid = 32;
-  opt.theta = 0.2;
-  opt.use_simd = false;
-  opt.eps_cells = 0.0;
-  TreePmSolver solver(box, opt);
-  std::vector<double> ax, ay, az;
-  // prefactor 4 pi G with G = 1.
-  solver.accelerations(p, 4.0 * M_PI, ax, ay, az);
+  opt.treepm.theta = 0.2;
+  opt.treepm.use_simd = false;
+  opt.treepm.eps_cells = 0.0;
+  const auto [ax, ay, az] = treepm_accelerations(p, box, opt);
   const double r = 2.0;
   const double expected = 1.0 / (r * r);  // G m / r^2
   // Periodic images contribute at the ~ (r/box)^3 level; allow a few %.
@@ -84,16 +98,14 @@ TEST(TreePm, SplitIsInsensitiveToRs) {
   auto p = random_particles(300, box, 77);
   std::vector<std::vector<double>> results;
   for (double rs_cells : {1.0, 1.5, 2.0}) {
-    TreePmOptions opt;
+    HybridOptions opt;
     opt.pm_grid = 32;
-    opt.theta = 0.25;
-    opt.rs_cells = rs_cells;
-    opt.rcut_over_rs = 5.0;
-    opt.use_simd = false;
-    opt.eps_cells = 0.2;
-    TreePmSolver solver(box, opt);
-    std::vector<double> ax, ay, az;
-    solver.accelerations(p, 4.0 * M_PI, ax, ay, az);
+    opt.treepm.theta = 0.25;
+    opt.treepm.rs_cells = rs_cells;
+    opt.treepm.rcut_over_rs = 5.0;
+    opt.treepm.use_simd = false;
+    opt.treepm.eps_cells = 0.2;
+    const auto [ax, ay, az] = treepm_accelerations(p, box, opt);
     std::vector<double> flat;
     flat.insert(flat.end(), ax.begin(), ax.end());
     flat.insert(flat.end(), ay.begin(), ay.end());
@@ -107,19 +119,6 @@ TEST(TreePm, SplitIsInsensitiveToRs) {
     diff += d * d;
   }
   EXPECT_LT(std::sqrt(diff / rms), 0.05);
-}
-
-TEST(TreePm, TimersPopulateBuckets) {
-  const double box = 1.0;
-  auto p = random_particles(100, box, 5);
-  TreePmOptions opt;
-  opt.pm_grid = 8;
-  TreePmSolver solver(box, opt);
-  std::vector<double> ax, ay, az;
-  v6d::TimerRegistry timers;
-  solver.accelerations(p, 1.0, ax, ay, az, &timers);
-  EXPECT_GT(timers.total("pm"), 0.0);
-  EXPECT_GT(timers.total("tree"), 0.0);
 }
 
 TEST(TreePm, UniformLatticeFeelsNoForce) {
@@ -136,14 +135,12 @@ TEST(TreePm, UniformLatticeFeelsNoForce) {
         p.z[idx] = (k + 0.5) / n;
       }
   p.mass = 1.0 / p.size();
-  TreePmOptions opt;
+  HybridOptions opt;
   opt.pm_grid = 12;
-  opt.theta = 0.3;
-  opt.use_simd = false;
-  opt.eps_cells = 0.1;
-  TreePmSolver solver(box, opt);
-  std::vector<double> ax, ay, az;
-  solver.accelerations(p, 4.0 * M_PI, ax, ay, az);
+  opt.treepm.theta = 0.3;
+  opt.treepm.use_simd = false;
+  opt.treepm.eps_cells = 0.1;
+  const auto [ax, ay, az] = treepm_accelerations(p, box, opt);
   // Compare to the force between two adjacent particles as the scale.
   const double pair_scale = p.mass / std::pow(1.0 / n, 2);
   for (std::size_t i = 0; i < p.size(); ++i) {

@@ -1,12 +1,16 @@
+// Vlasov-Poisson physics on the production solver: HybridSolver with no
+// particles, each static problem mapped onto comoving units as
+// tests/static_vlasov.hpp describes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "vlasov/solver.hpp"
+#include "static_vlasov.hpp"
 
 namespace {
 
 using namespace v6d::vlasov;
+using namespace v6d::static_vlasov;
 
 PhaseSpace make_ps(int nx, int nu, double box, double umax) {
   PhaseSpaceDims d;
@@ -45,56 +49,46 @@ void fill_jeans_perturbation(PhaseSpace& f, double box, double sigma,
       }
 }
 
-TEST(VlasovSolver, MassConservedOverManySteps) {
-  auto f = make_ps(8, 8, 4.0, 1.0);
-  fill_jeans_perturbation(f, 4.0, 0.3, 0.05);
-  VlasovSolverOptions opt;
-  opt.four_pi_g = 1.0;
-  VlasovSolver solver(std::move(f), 4.0, opt);
-  const double mass0 = solver.phase_space().total_mass();
-  const double dt = 0.5 * solver.max_dt();
-  for (int s = 0; s < 5; ++s) solver.step(dt);
-  EXPECT_NEAR(solver.phase_space().total_mass(), mass0, 1e-4 * mass0);
-  EXPECT_GE(solver.phase_space().min_interior(), 0.0f);
+TEST(VlasovPoisson, MassConservedOverManySteps) {
+  auto f = make_ps(8, 8, 4.0, kLambda * 1.0);
+  fill_jeans_perturbation(f, 4.0, kLambda * 0.3, 0.05);
+  normalize_jeans_source(f, 1.0);
+  auto solver = vlasov_only_solver(std::move(f));
+  const double mass0 = solver.neutrinos().total_mass();
+  const auto a = time_grid(0.5 * max_dt(solver.neutrinos()), 5);
+  for (int s = 0; s < 5; ++s) solver.step(a[s], a[s + 1]);
+  EXPECT_NEAR(solver.neutrinos().total_mass(), mass0, 1e-4 * mass0);
+  EXPECT_GE(solver.neutrinos().min_interior(), 0.0f);
 }
 
-TEST(VlasovSolver, StablePlasmaOscillationConservesEnergyScale) {
+TEST(VlasovPoisson, StablePlasmaOscillationConservesEnergyScale) {
   // A warm stable configuration: density stays bounded and positive.
-  auto f = make_ps(8, 10, 4.0, 1.5);
-  fill_jeans_perturbation(f, 4.0, 0.5, 0.1);
-  VlasovSolverOptions opt;
-  opt.four_pi_g = 0.5;
-  VlasovSolver solver(std::move(f), 4.0, opt);
-  const double dt = 0.4 * solver.max_dt();
+  auto f = make_ps(8, 10, 4.0, kLambda * 1.5);
+  fill_jeans_perturbation(f, 4.0, kLambda * 0.5, 0.1);
+  const double mean = normalize_jeans_source(f, 0.5);
+  auto solver = vlasov_only_solver(std::move(f));
+  const auto a = time_grid(0.4 * max_dt(solver.neutrinos()), 8);
   double max_rho = 0.0;
   for (int s = 0; s < 8; ++s) {
-    solver.step(dt);
+    solver.step(a[s], a[s + 1]);
     for (int i = 0; i < 8; ++i)
-      max_rho = std::max(max_rho, solver.density().at(i, 0, 0));
+      max_rho = std::max(max_rho, solver.nu_density().at(i, 0, 0) / mean);
   }
   EXPECT_LT(max_rho, 3.0);  // no blow-up
 }
 
-TEST(VlasovSolver, JeansInstabilityGrowsOverdensity) {
+TEST(VlasovPoisson, JeansInstabilityGrowsOverdensity) {
   // Cold-ish distribution with strong gravity: the seeded mode must grow
   // (gravitational instability), unlike the free-streaming case.
-  auto f_grav = make_ps(8, 10, 4.0, 0.8);
-  fill_jeans_perturbation(f_grav, 4.0, 0.08, 0.05);
-  VlasovSolverOptions opt;
-  opt.four_pi_g = 8.0;  // deep in the unstable regime
-  VlasovSolver grav(std::move(f_grav), 4.0, opt);
+  auto f_grav = make_ps(8, 10, 4.0, kLambda * 0.8);
+  fill_jeans_perturbation(f_grav, 4.0, kLambda * 0.08, 0.05);
+  normalize_jeans_source(f_grav, 8.0);  // deep in the unstable regime
+  PhaseSpace free_stream_f = f_grav;
+  auto grav = vlasov_only_solver(std::move(f_grav));
 
-  auto f_free = make_ps(8, 10, 4.0, 0.8);
-  fill_jeans_perturbation(f_free, 4.0, 0.08, 0.05);
-  VlasovSolverOptions opt_free = opt;
-  opt_free.self_gravity = false;
-  v6d::mesh::Grid3D<double> zero(8, 8, 8);
-  VlasovSolver free_stream(std::move(f_free), 4.0, opt_free);
-  free_stream.set_external_accel(&zero, &zero, &zero);
-
-  auto contrast = [](VlasovSolver& s) {
+  auto contrast = [](const PhaseSpace& f) {
     v6d::mesh::Grid3D<double> rho(8, 8, 8);
-    compute_density(s.phase_space(), rho);
+    compute_density(f, rho);
     double lo = 1e30, hi = -1e30;
     for (int i = 0; i < 8; ++i)
       for (int j = 0; j < 8; ++j)
@@ -105,23 +99,21 @@ TEST(VlasovSolver, JeansInstabilityGrowsOverdensity) {
     return (hi - lo) / (hi + lo);
   };
 
-  const double c0 = contrast(grav);
-  const double dt = 0.3 * grav.max_dt();
+  const double c0 = contrast(grav.neutrinos());
+  const auto a = time_grid(0.3 * max_dt(grav.neutrinos()), 10);
   for (int s = 0; s < 10; ++s) {
-    grav.step(dt);
-    free_stream.step(dt);
+    grav.step(a[s], a[s + 1]);
+    free_stream(free_stream_f, a[s], a[s + 1]);
   }
-  EXPECT_GT(contrast(grav), 1.5 * c0);       // gravity amplifies
-  EXPECT_LT(contrast(free_stream), 1.2 * c0);  // free streaming damps/keeps
+  EXPECT_GT(contrast(grav.neutrinos()), 1.5 * c0);  // gravity amplifies
+  EXPECT_LT(contrast(free_stream_f), 1.2 * c0);  // free streaming damps/keeps
 }
 
-TEST(VlasovSolver, MaxDtScalesWithGrid) {
-  auto f1 = make_ps(8, 8, 4.0, 1.0);
-  auto f2 = make_ps(16, 8, 4.0, 1.0);
-  VlasovSolverOptions opt;
-  VlasovSolver s1(std::move(f1), 4.0, opt), s2(std::move(f2), 4.0, opt);
+TEST(VlasovPoisson, MaxDtScalesWithGrid) {
+  auto s1 = vlasov_only_solver(make_ps(8, 8, 4.0, 1.0));
+  auto s2 = vlasov_only_solver(make_ps(16, 8, 4.0, 1.0));
   // Halving dx halves the CFL-limited dt.
-  EXPECT_NEAR(s1.max_dt() / s2.max_dt(), 2.0, 1e-9);
+  EXPECT_NEAR(max_dt(s1.neutrinos()) / max_dt(s2.neutrinos()), 2.0, 1e-9);
 }
 
 }  // namespace

@@ -28,7 +28,6 @@ KNOWN_EVENTS = {
     "checkpoint-io",
     "halo",
     "pm",
-    "poisson",
     "retry-backoff",
     "step-control",
     "supervise-relaunch",
