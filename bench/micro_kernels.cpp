@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fft/fft1d.hpp"
 #include "harness.hpp"
 #include "mesh/grid.hpp"
@@ -100,6 +101,7 @@ int main(int argc, char** argv) {
   }
 
   // --- SL-MPP5 multi-lane SIMD lines ---
+  const auto shift = vlasov::LineShift::uniform(0.37, vlasov::Limiter::kMpp);
   for (const int n : {64, 256}) {
     constexpr int L = vlasov::kLanes;
     std::vector<float> f(static_cast<std::size_t>(n) * L);
@@ -110,8 +112,29 @@ int main(int argc, char** argv) {
     harness.time_phase(
         "sl_mpp5_simd_lines_" + std::to_string(n), reps,
         [&] {
-          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, 0.37,
-                                    vlasov::Limiter::kMpp,
+          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, shift,
+                                    vlasov::GhostMode::kZero, ws);
+        },
+        static_cast<double>(n) * L,
+        static_cast<double>(n) * L * 2 * sizeof(float));
+  }
+  // The smooth sine above passes the limiter's quick-accept test in every
+  // lane.  A rough positive state (0.05 plus uniform noise, like a real
+  // phase-space block) takes the full Suresh-Huynh bounds in most lanes;
+  // every rep advects the same input, so it stays rough.
+  {
+    constexpr int L = vlasov::kLanes;
+    const int n = 64;
+    std::vector<float> rough(static_cast<std::size_t>(n) * L);
+    std::vector<float> out(rough.size());
+    Xoshiro256 rng(42);
+    for (float& v : rough) v = static_cast<float>(0.05 + rng.next_double());
+    vlasov::AdvectWorkspace ws;
+    const int reps = bench::scaled(20000, 2000) * 256 / n;
+    harness.time_phase(
+        "sl_mpp5_simd_lines_rough_" + std::to_string(n), reps,
+        [&] {
+          vlasov::advect_lines_simd(rough.data(), L, out.data(), L, n, shift,
                                     vlasov::GhostMode::kZero, ws);
         },
         static_cast<double>(n) * L,

@@ -11,9 +11,11 @@
 // through the static factories broadcast()/load() instead of constructors.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 namespace v6d::simd {
@@ -140,6 +142,20 @@ inline typename Pack<T, N>::Mask operator>=(Pack<T, N> a, Pack<T, N> b) {
   return a.v >= b.v;
 }
 
+/// True when every lane of a comparison mask is set.  Comparison lanes are
+/// all ones or all zeros, so the test runs on whole 64-bit words: two
+/// scalar moves for a 4-lane SSE mask instead of one extract per lane.
+template <class T, int N>
+inline bool all(typename Pack<T, N>::Mask m) {
+  static_assert(sizeof(m) % sizeof(std::uint64_t) == 0,
+                "mask must span whole 64-bit words");
+  std::uint64_t words[sizeof(m) / sizeof(std::uint64_t)];
+  std::memcpy(words, &m, sizeof(m));
+  std::uint64_t set = ~std::uint64_t{0};
+  for (const std::uint64_t w : words) set &= w;
+  return set == ~std::uint64_t{0};
+}
+
 /// Lane-wise blend: mask lane non-zero selects a, else b.
 template <class T, int N>
 inline Pack<T, N> select(typename Pack<T, N>::Mask m, Pack<T, N> a,
@@ -155,9 +171,15 @@ template <class T, int N>
 inline Pack<T, N> max(Pack<T, N> a, Pack<T, N> b) {
   return select<T, N>(a > b, a, b);
 }
+/// |a| by clearing the sign bit: one AND, bit-identical to std::fabs in
+/// every lane (abs(+0) and abs(-0) are both +0).
 template <class T, int N>
 inline Pack<T, N> abs(Pack<T, N> a) {
-  return max<T, N>(a, -a);
+  using P = Pack<T, N>;
+  const typename P::Mask magnitude =
+      std::bit_cast<typename P::Mask>(a.v) &
+      std::numeric_limits<typename P::MaskInt>::max();
+  return make_pack<T, N>(std::bit_cast<typename P::Native>(magnitude));
 }
 /// Fused multiply-add a*b + c (the compiler emits FMA with -mfma).
 template <class T, int N>

@@ -13,14 +13,20 @@
 //              in-register transpose ("load and transpose", Fig. 3) so the
 //              inner loop still performs contiguous vector loads.
 //
-// All three materialize the line batch into a ghost-padded workspace, run
-// the shared SL-MPP5 flux kernel, and write back — ghost values come either
-// from the source array (position sweeps, where halo exchange has filled
-// spatial ghosts) or are zero (velocity sweeps, where f has compact support
-// inside the velocity cube).
+// All three run the SL-MPP5 flux kernel on a ghost-padded line batch and
+// write the result back.  Ghost values come either from the source array
+// (position sweeps, where halo exchange has filled spatial ghosts) or are
+// zero (velocity sweeps, where f has compact support inside the velocity
+// cube).  The scalar and LAT kernels always stage the batch into a
+// workspace; the SIMD kernel stages only zero-ghost batches and reads
+// source-ghost lines in place.
+//
+// The vector kernels take a LineShift, built once per shift and reused by
+// every lane group a sweep advects by it.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "common/aligned.hpp"
 #include "simd/pack.hpp"
@@ -29,15 +35,46 @@
 namespace v6d::vlasov {
 
 /// Lanes processed per SIMD/LAT call.  Capped at 8 so that production
-/// velocity grids (>= 8 cells per axis) always form full lane groups; the
-/// paper's SVE kernels use 16 lanes against 64-cell velocity grids, the
-/// same groups-per-line ratio.
+/// velocity grids (8-16 cells per axis) form at least one full lane group;
+/// the rest of a line runs scalar (nu = 12 at 8 lanes: one group plus a
+/// 4-line tail).  The paper's SVE kernels use 16 lanes against 64-cell
+/// velocity grids.
 inline constexpr int kLanes =
     simd::kNativeFloatWidth < 8 ? simd::kNativeFloatWidth : 8;
 
 enum class GhostMode {
   kFromSource,  // ghost cells exist in the source array at the same stride
   kZero,        // out-of-range cells are zero (velocity-space boundary)
+};
+
+/// The flux setup of one kLanes-wide line batch: xi = s + theta per lane,
+/// theta in [0, 1), with the weights, limiter parameters and ghost width
+/// that follow from it.  Lanes may differ in xi, and in floor(xi) by one:
+/// `upper` marks the lanes whose floor is s + 1 (a z-sweep lane group that
+/// straddles u = 0 holds floors -1 and 0).
+struct LineShift {
+  using P = simd::Pack<float, kLanes>;
+  P w0, w1, w2, w3, w4;  // fractional flux weights per lane
+  P theta, inv_theta;    // fractional shift per lane (inv 0 when theta ~ 0)
+  P alpha;               // per-lane adaptive Suresh-Huynh alpha
+  P alpha_third;         // alpha / 3.0f (pre-rounded, matches scalar)
+  P::Mask upper{};       // lanes whose floor(xi) is s + 1
+  int s = 0;             // floor(xi) of the lanes outside `upper`
+  bool mixed = false;    // some lane is in `upper`
+  Limiter limiter = Limiter::kNone;
+  bool limit = false;       // apply the MP limiter (any lane has theta > 0)
+  bool pure_shift = false;  // every lane is an exact whole-cell translation
+  int max_ghost = 0;        // ghost cells this shift requires
+
+  /// The same xi in every lane.
+  static LineShift uniform(double xi, Limiter limiter);
+
+  /// xi[l] for lane l (kLanes values).  Returns no shift when the lanes'
+  /// floors differ by more than one, or when the blended stencil of mixed
+  /// floors would read further than the widest lane's own stencil.  Both
+  /// need a lane at |xi| >= 1; under the drift's |xi| <= 1 that is a lane
+  /// at xi = +1 exactly.  Such groups take the scalar kernel lane by lane.
+  static std::optional<LineShift> per_lane(const double* xi, Limiter limiter);
 };
 
 /// Reusable scratch for the sweep kernels; ensure() grows buffers as needed.
@@ -56,29 +93,21 @@ void advect_line_strided_scalar(const float* src, std::ptrdiff_t stride,
                                 double xi, Limiter limiter, GhostMode ghosts,
                                 AdvectWorkspace& ws);
 
-/// SIMD: kLanes lines whose lane index is memory-contiguous. src addresses
-/// (cell 0, lane 0); cells are `cell_stride` floats apart; lane l of cell i
-/// lives at src + i*cell_stride + l. src and dst may alias.
+/// SIMD: kLanes lines whose lane index is memory-contiguous, lane l
+/// advected by lane l of `shift`. src addresses (cell 0, lane 0); cells are
+/// `cell_stride` floats apart; lane l of cell i lives at
+/// src + i*cell_stride + l. src and dst may alias.
 void advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
                        float* dst, std::ptrdiff_t dst_cell_stride, int n,
-                       double xi, Limiter limiter, GhostMode ghosts,
+                       const LineShift& shift, GhostMode ghosts,
                        AdvectWorkspace& ws);
-
-/// Like advect_lines_simd but with a distinct shift per lane (the spatial z
-/// sweep: lanes run over uz whose velocity varies).  Vectorizes when all
-/// lanes share floor(xi); otherwise falls back to per-lane scalar sweeps.
-void advect_lines_simd_multi(const float* src, std::ptrdiff_t cell_stride,
-                             float* dst, std::ptrdiff_t dst_cell_stride,
-                             int n, const double* xi_per_lane,
-                             Limiter limiter, GhostMode ghosts,
-                             AdvectWorkspace& ws);
 
 /// LAT: kLanes lines along the contiguous axis. Line l starts at
 /// src + l*line_stride; cells within a line are adjacent floats.
 /// src and dst may alias.
 void advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
                       float* dst, std::ptrdiff_t dst_line_stride, int n,
-                      double xi, Limiter limiter, GhostMode ghosts,
+                      const LineShift& shift, GhostMode ghosts,
                       AdvectWorkspace& ws);
 
 /// "Naive SIMD" variant of the LAT case used by the Table-1 bench: lanes are
@@ -86,7 +115,7 @@ void advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
 /// the paper's Fig. 2) instead of transposed in registers.
 void advect_lines_lat_gather(const float* src, std::ptrdiff_t line_stride,
                              float* dst, std::ptrdiff_t dst_line_stride,
-                             int n, double xi, Limiter limiter,
-                             GhostMode ghosts, AdvectWorkspace& ws);
+                             int n, const LineShift& shift, GhostMode ghosts,
+                             AdvectWorkspace& ws);
 
 }  // namespace v6d::vlasov

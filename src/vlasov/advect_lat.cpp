@@ -51,25 +51,22 @@ void write_back_transposed(const float* out, float* dst,
 
 void advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
                       float* dst, std::ptrdiff_t dst_line_stride, int n,
-                      double xi, Limiter limiter, GhostMode ghosts,
+                      const LineShift& shift, GhostMode ghosts,
                       AdvectWorkspace& ws) {
-  const auto vs = detail::VecShift<kLanes>::uniform(xi, limiter);
-  const int ghost = vs.max_ghost;
+  const int ghost = shift.max_ghost;
   ws.ensure(n, ghost, kLanes);
   fill_transposed(src, line_stride, ws.in.data(), n, ghost, ghosts);
-  detail::sl_mpp5_kernel_vec<kLanes>(ws.in.data(), kLanes, ws.out.data(),
-                                     kLanes, n, ghost, vs, limiter,
-                                     ws.flux.data());
+  detail::sl_mpp5_kernel_vec(ws.in.data(), kLanes, ws.out.data(), kLanes, n,
+                             ghost, shift, ws.flux.data());
   write_back_transposed(ws.out.data(), dst, dst_line_stride, n);
 }
 
 void advect_lines_lat_gather(const float* src, std::ptrdiff_t line_stride,
                              float* dst, std::ptrdiff_t dst_line_stride,
-                             int n, double xi, Limiter limiter,
-                             GhostMode ghosts, AdvectWorkspace& ws) {
+                             int n, const LineShift& shift, GhostMode ghosts,
+                             AdvectWorkspace& ws) {
   constexpr int L = kLanes;
-  const auto vs = detail::VecShift<L>::uniform(xi, limiter);
-  const int ghost = vs.max_ghost;
+  const int ghost = shift.max_ghost;
   ws.ensure(n, ghost, L);
   // The paper's Fig.-2 data layout: pack lanes one element at a time from
   // strided lines.  Same arithmetic as advect_lines_lat, inefficient loads.
@@ -82,8 +79,8 @@ void advect_lines_lat_gather(const float* src, std::ptrdiff_t line_stride,
               ? src[static_cast<std::ptrdiff_t>(l) * line_stride + k]
               : 0.0f;
   }
-  detail::sl_mpp5_kernel_vec<L>(in, L, ws.out.data(), L, n, ghost, vs,
-                                limiter, ws.flux.data());
+  detail::sl_mpp5_kernel_vec(in, L, ws.out.data(), L, n, ghost, shift,
+                             ws.flux.data());
   for (int t = 0; t < n; ++t)
     for (int l = 0; l < L; ++l)
       dst[static_cast<std::ptrdiff_t>(l) * dst_line_stride + t] =

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 
 #include "vlasov/advect_kernels.hpp"
@@ -5,23 +6,70 @@
 
 namespace v6d::vlasov {
 
-namespace {
+LineShift LineShift::uniform(double xi, Limiter limiter) {
+  double lanes[kLanes];
+  std::fill(lanes, lanes + kLanes, xi);
+  // Equal lanes share one floor, so per_lane always returns a shift.
+  return *per_lane(lanes, limiter);
+}
 
-using VS = detail::VecShift<kLanes>;
+std::optional<LineShift> LineShift::per_lane(const double* xi,
+                                             Limiter limiter) {
+  int floors[kLanes];
+  for (int l = 0; l < kLanes; ++l)
+    floors[l] = static_cast<int>(std::floor(xi[l]));
+  const auto [lo, hi] = std::minmax_element(floors, floors + kLanes);
+  if (*hi - *lo > 1) return std::nullopt;
 
-void run_vec(const float* src, std::ptrdiff_t cell_stride, float* dst,
-             std::ptrdiff_t dst_cell_stride, int n, const VS& vs,
-             Limiter limiter, GhostMode ghosts, AdvectWorkspace& ws) {
-  using P = simd::Pack<float, kLanes>;
-  const int ghost = vs.max_ghost;
+  LineShift sh;
+  sh.s = *lo;
+  sh.limiter = limiter;
+  sh.pure_shift = true;
+  for (int l = 0; l < kLanes; ++l) {
+    if (floors[l] != sh.s) {
+      sh.upper[l] = -1;
+      sh.mixed = true;
+    }
+    const double theta = xi[l] - floors[l];
+    if (theta != 0.0) sh.pure_shift = false;
+    const FluxWeights fw = FluxWeights::compute(theta);
+    sh.w0.set(l, static_cast<float>(fw.w[0]));
+    sh.w1.set(l, static_cast<float>(fw.w[1]));
+    sh.w2.set(l, static_cast<float>(fw.w[2]));
+    sh.w3.set(l, static_cast<float>(fw.w[3]));
+    sh.w4.set(l, static_cast<float>(fw.w[4]));
+    sh.theta.set(l, static_cast<float>(theta));
+    sh.inv_theta.set(
+        l, theta > 1e-12 ? static_cast<float>(1.0 / theta) : 0.0f);
+    const float alpha = mp_alpha_for(theta);
+    sh.alpha.set(l, alpha);
+    sh.alpha_third.set(l, alpha / 3.0f);
+    if (limiter != Limiter::kNone && theta > 1e-12) sh.limit = true;
+    sh.max_ghost = std::max(sh.max_ghost, required_ghost(xi[l]));
+  }
+  // The blended stencil reads cells j-3 .. j+2 of j = i - s in every lane.
+  // Keep within the ghosts the lanes themselves need: a position sweep
+  // has no more than that in its halo.
+  if (sh.mixed && !sh.pure_shift &&
+      std::max(sh.s + kStencilGhost + 1, 2 - sh.s) > sh.max_ghost)
+    return std::nullopt;
+  return sh;
+}
+
+void advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
+                       float* dst, std::ptrdiff_t dst_cell_stride, int n,
+                       const LineShift& shift, GhostMode ghosts,
+                       AdvectWorkspace& ws) {
+  using P = LineShift::P;
+  const int ghost = shift.max_ghost;
   ws.ensure(n, ghost, kLanes);
 
   if (ghosts == GhostMode::kFromSource) {
     // Ghost cells are materialized in the source at the same stride
     // (position sweeps after halo exchange): feed the kernel in place.
-    detail::sl_mpp5_kernel_vec<kLanes>(
+    detail::sl_mpp5_kernel_vec(
         src - static_cast<std::ptrdiff_t>(ghost) * cell_stride, cell_stride,
-        ws.out.data(), kLanes, n, ghost, vs, limiter, ws.flux.data());
+        ws.out.data(), kLanes, n, ghost, shift, ws.flux.data());
   } else {
     // Velocity-space boundary: stage through a zero-padded scratch block.
     float* in = ws.in.data();
@@ -32,49 +80,13 @@ void run_vec(const float* src, std::ptrdiff_t cell_stride, float* dst,
           .store(in + (k + ghost) * kLanes);
     for (int k = n; k < n + ghost; ++k)
       zero.store(in + (k + ghost) * kLanes);
-    detail::sl_mpp5_kernel_vec<kLanes>(in, kLanes, ws.out.data(), kLanes, n,
-                                       ghost, vs, limiter, ws.flux.data());
+    detail::sl_mpp5_kernel_vec(in, kLanes, ws.out.data(), kLanes, n, ghost,
+                               shift, ws.flux.data());
   }
 
   for (int i = 0; i < n; ++i)
     P::load(ws.out.data() + static_cast<std::ptrdiff_t>(i) * kLanes)
         .store(dst + static_cast<std::ptrdiff_t>(i) * dst_cell_stride);
-}
-
-}  // namespace
-
-void advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
-                       float* dst, std::ptrdiff_t dst_cell_stride, int n,
-                       double xi, Limiter limiter, GhostMode ghosts,
-                       AdvectWorkspace& ws) {
-  const VS vs = VS::uniform(xi, limiter);
-  run_vec(src, cell_stride, dst, dst_cell_stride, n, vs, limiter, ghosts, ws);
-}
-
-void advect_lines_simd_multi(const float* src, std::ptrdiff_t cell_stride,
-                             float* dst, std::ptrdiff_t dst_cell_stride,
-                             int n, const double* xi_per_lane,
-                             Limiter limiter, GhostMode ghosts,
-                             AdvectWorkspace& ws) {
-  bool uniform_floor = true;
-  const int s0 = static_cast<int>(std::floor(xi_per_lane[0]));
-  for (int l = 1; l < kLanes; ++l)
-    if (static_cast<int>(std::floor(xi_per_lane[l])) != s0) {
-      uniform_floor = false;
-      break;
-    }
-  if (uniform_floor) {
-    const VS vs = VS::per_lane(xi_per_lane, limiter);
-    run_vec(src, cell_stride, dst, dst_cell_stride, n, vs, limiter, ghosts,
-            ws);
-    return;
-  }
-  // Mixed integer shifts across lanes (the group straddles u = 0 with
-  // |xi| near 1): per-lane scalar fallback.
-  for (int l = 0; l < kLanes; ++l)
-    advect_line_strided_scalar(src + l, cell_stride, dst + l,
-                               dst_cell_stride, n, xi_per_lane[l], limiter,
-                               ghosts, ws);
 }
 
 }  // namespace v6d::vlasov

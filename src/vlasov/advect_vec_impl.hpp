@@ -1,21 +1,22 @@
-// Shared width-templated SL-MPP5 flux kernel (included by the advect_*.cpp
-// translation units only).  Mirrors advect_line_scalar in sl_mpp5.cpp; any
-// change here must be reflected there — the test suite pins scalar/SIMD/LAT
-// equivalence to catch divergence.
+// Shared SL-MPP5 flux kernel of the vector line sweeps (included by the
+// advect_*.cpp translation units and the limiter test).  Mirrors
+// advect_line_scalar in sl_mpp5.cpp; any change here must be reflected
+// there — the test suite pins scalar/SIMD/LAT equivalence to catch
+// divergence.
 //
-// The kernel is parameterized by per-lane weights: most sweeps broadcast a
-// single shift xi to all lanes, but the spatial z sweep vectorizes across
-// the contiguous uz index whose velocity (hence xi) differs per lane.  The
-// integer part of the shift must be lane-uniform (callers split lane groups
-// at the velocity sign boundary); the fractional weights may vary freely.
+// The kernel takes its per-lane weights from a LineShift: most sweeps
+// broadcast a single shift xi to all lanes, but the spatial z sweep
+// vectorizes across the contiguous uz index whose velocity (hence xi)
+// differs per lane.  A lane's floor(xi) may be the shift's s or s + 1; when
+// any lane is at s + 1 a separate loop loads the six cells that cover both
+// stencils and blends them per lane.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 
 #include "simd/pack.hpp"
+#include "vlasov/advect_kernels.hpp"
 #include "vlasov/sl_mpp5.hpp"
 
 namespace v6d::vlasov::detail {
@@ -36,6 +37,8 @@ inline simd::Pack<float, L> mp_limit_vec(simd::Pack<float, L> g,
 
   const P f_mp = f0 + simd::minmod(fp1 - f0, alpha * (f0 - fm1));
   const auto accept = ((g - f0) * (g - f_mp)) <= eps;
+  // mp_limit returns here; when every lane would, skip the bounds too.
+  if (simd::all<float, L>(accept)) return g;
 
   const P two = P::broadcast(2.0f);
   const P dm1 = fm2 - two * fm1 + f0;
@@ -64,107 +67,90 @@ inline simd::Pack<float, L> mp_limit_vec(simd::Pack<float, L> g,
   return simd::select<float, L>(accept, g, limited);
 }
 
-/// Per-lane flux configuration for the vector kernel.
-template <int L>
-struct VecShift {
-  using P = simd::Pack<float, L>;
-  P w0, w1, w2, w3, w4;  // fractional flux weights per lane
-  P theta, inv_theta;    // fractional shift per lane (inv 0 when theta ~ 0)
-  P alpha;               // per-lane adaptive Suresh-Huynh alpha
-  P alpha_third;         // alpha / 3.0f (pre-rounded, matches scalar)
-  int s = 0;             // lane-uniform integer shift
-  bool limit = false;    // apply the MP limiter (any lane has theta > 0)
-  bool pure_shift = false;  // every lane is an exact whole-cell translation
-  int max_ghost = 0;     // ghost cells this configuration requires
-
-  /// Uniform xi across lanes.
-  static VecShift uniform(double xi, Limiter limiter) {
-    double lanes[L];
-    for (int l = 0; l < L; ++l) lanes[l] = xi;
-    return per_lane(lanes, limiter);
-  }
-
-  /// Per-lane xi; all floor(xi) must agree (callers guarantee).
-  static VecShift per_lane(const double* xi, Limiter limiter) {
-    VecShift vs;
-    vs.s = static_cast<int>(std::floor(xi[0]));
-    vs.limit = false;
-    vs.pure_shift = true;
-    for (int l = 0; l < L; ++l)
-      if (xi[l] - std::floor(xi[l]) != 0.0) vs.pure_shift = false;
-    for (int l = 0; l < L; ++l) {
-      assert(static_cast<int>(std::floor(xi[l])) == vs.s);
-      const double theta = xi[l] - vs.s;
-      const FluxWeights fw = FluxWeights::compute(theta);
-      vs.w0.set(l, static_cast<float>(fw.w[0]));
-      vs.w1.set(l, static_cast<float>(fw.w[1]));
-      vs.w2.set(l, static_cast<float>(fw.w[2]));
-      vs.w3.set(l, static_cast<float>(fw.w[3]));
-      vs.w4.set(l, static_cast<float>(fw.w[4]));
-      vs.theta.set(l, static_cast<float>(theta));
-      vs.inv_theta.set(
-          l, theta > 1e-12 ? static_cast<float>(1.0 / theta) : 0.0f);
-      const float alpha = mp_alpha_for(theta);
-      vs.alpha.set(l, alpha);
-      vs.alpha_third.set(l, alpha / 3.0f);
-      if (limiter != Limiter::kNone && theta > 1e-12) vs.limit = true;
-      vs.max_ghost = std::max(vs.max_ghost, required_ghost(xi[l]));
-    }
-    if (limiter == Limiter::kNone) vs.limit = false;
-    return vs;
-  }
-};
-
 // in: (cell -ghost, lane 0); cells are `cs` floats apart, lanes contiguous.
-// out: (cell 0, lane 0); cells `os` floats apart.  flux: (n+1)*L scratch.
-// in and out must not alias (callers stage through workspace buffers).
-template <int L>
-void sl_mpp5_kernel_vec(const float* in, std::ptrdiff_t cs, float* out,
-                        std::ptrdiff_t os, int n, int ghost,
-                        const VecShift<L>& vs, Limiter limiter, float* flux) {
-  using P = simd::Pack<float, L>;
-  assert(ghost >= vs.max_ghost);
-  const P zero = P::zero();
-  const int s = vs.s;
+// out: (cell 0, lane 0); cells `os` floats apart.  flux: (n+1)*kLanes
+// scratch.  in and out must not alias (callers stage through workspace
+// buffers).
+inline void sl_mpp5_kernel_vec(const float* in, std::ptrdiff_t cs, float* out,
+                               std::ptrdiff_t os, int n, int ghost,
+                               const LineShift& sh, float* flux) {
+  constexpr int L = kLanes;
+  using P = LineShift::P;
+  assert(ghost >= sh.max_ghost);
+  const int s = sh.s;
+  const auto upper = sh.upper;
 
   const float* c0 = in + static_cast<std::ptrdiff_t>(ghost) * cs;
-  if (vs.pure_shift) {
+  const auto cell = [c0, cs](int k) {
+    return P::load(c0 + static_cast<std::ptrdiff_t>(k) * cs);
+  };
+  // Lanes in `upper` read cell k - 1 where the others read cell k.
+  const auto blend = [upper](P at_k_minus_1, P at_k) {
+    return simd::select<float, L>(upper, at_k_minus_1, at_k);
+  };
+
+  if (sh.pure_shift && !sh.mixed) {
     for (int i = 0; i < n; ++i)
-      P::load(c0 + static_cast<std::ptrdiff_t>(i - s) * cs)
+      cell(i - s).store(out + static_cast<std::ptrdiff_t>(i) * os);
+    return;
+  }
+  if (sh.pure_shift) {
+    for (int i = 0; i < n; ++i)
+      blend(cell(i - s - 1), cell(i - s))
           .store(out + static_cast<std::ptrdiff_t>(i) * os);
     return;
   }
+
+  const P w0 = sh.w0, w1 = sh.w1, w2 = sh.w2, w3 = sh.w3, w4 = sh.w4;
+  const P theta = sh.theta, inv_theta = sh.inv_theta;
+  const P alpha = sh.alpha, alpha_third = sh.alpha_third;
+  const bool limit = sh.limit;
+  const bool clamp = sh.limiter == Limiter::kMpp;
+  const P zero = P::zero();
+  // Fractional flux through the right interface of donor cell f0.
+  const auto flux_of = [&](P fm2, P fm1, P f0, P fp1, P fp2) {
+    P F = simd::fma(
+        w4, fp2,
+        simd::fma(w3, fp1, simd::fma(w2, f0, simd::fma(w1, fm1, w0 * fm2))));
+    if (limit) {
+      const P g = F * inv_theta;
+      const P g_lim =
+          mp_limit_vec<L>(g, fm2, fm1, f0, fp1, fp2, alpha, alpha_third);
+      // Lanes with theta ~ 0 keep their (zero) raw flux.
+      const auto active = theta > P::broadcast(1e-12f);
+      F = simd::select<float, L>(active, theta * g_lim, F);
+    }
+    if (clamp) F = simd::max(zero, simd::min(F, f0));
+    return F;
+  };
+  const auto flux_at = [flux](int k) {
+    return P::load(flux + static_cast<std::ptrdiff_t>(k) * L);
+  };
+
+  if (!sh.mixed) {
+    for (int i = -1; i < n; ++i) {
+      const int j = i - s;
+      flux_of(cell(j - 2), cell(j - 1), cell(j), cell(j + 1), cell(j + 2))
+          .store(flux + static_cast<std::ptrdiff_t>(i + 1) * L);
+    }
+    for (int i = 0; i < n; ++i)
+      (cell(i - s) - flux_at(i + 1) + flux_at(i))
+          .store(out + static_cast<std::ptrdiff_t>(i) * os);
+    return;
+  }
+
+  // Mixed floors: cells j-3 .. j+2 cover the stencil of both floors.
   for (int i = -1; i < n; ++i) {
     const int j = i - s;
-    const P fm2 = P::load(c0 + static_cast<std::ptrdiff_t>(j - 2) * cs);
-    const P fm1 = P::load(c0 + static_cast<std::ptrdiff_t>(j - 1) * cs);
-    const P f0 = P::load(c0 + static_cast<std::ptrdiff_t>(j) * cs);
-    const P fp1 = P::load(c0 + static_cast<std::ptrdiff_t>(j + 1) * cs);
-    const P fp2 = P::load(c0 + static_cast<std::ptrdiff_t>(j + 2) * cs);
-    P F = simd::fma(vs.w4, fp2,
-                    simd::fma(vs.w3, fp1,
-                              simd::fma(vs.w2, f0,
-                                        simd::fma(vs.w1, fm1, vs.w0 * fm2))));
-    if (vs.limit) {
-      const P g = F * vs.inv_theta;
-      const P g_lim =
-          mp_limit_vec<L>(g, fm2, fm1, f0, fp1, fp2, vs.alpha,
-                          vs.alpha_third);
-      // Lanes with theta ~ 0 keep their (zero) raw flux.
-      const auto active = vs.theta > P::broadcast(1e-12f);
-      F = simd::select<float, L>(active, vs.theta * g_lim, F);
-    }
-    if (limiter == Limiter::kMpp) {
-      F = simd::max(zero, simd::min(F, f0));
-    }
-    F.store(flux + static_cast<std::ptrdiff_t>(i + 1) * L);
+    const P q0 = cell(j - 3), q1 = cell(j - 2), q2 = cell(j - 1),
+            q3 = cell(j), q4 = cell(j + 1), q5 = cell(j + 2);
+    flux_of(blend(q0, q1), blend(q1, q2), blend(q2, q3), blend(q3, q4),
+            blend(q4, q5))
+        .store(flux + static_cast<std::ptrdiff_t>(i + 1) * L);
   }
-  for (int i = 0; i < n; ++i) {
-    const P v = P::load(c0 + static_cast<std::ptrdiff_t>(i - s) * cs) -
-                P::load(flux + static_cast<std::ptrdiff_t>(i + 1) * L) +
-                P::load(flux + static_cast<std::ptrdiff_t>(i) * L);
-    v.store(out + static_cast<std::ptrdiff_t>(i) * os);
-  }
+  for (int i = 0; i < n; ++i)
+    (blend(cell(i - s - 1), cell(i - s)) - flux_at(i + 1) + flux_at(i))
+        .store(out + static_cast<std::ptrdiff_t>(i) * os);
 }
 
 }  // namespace v6d::vlasov::detail

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "vlasov/sweeps.hpp"
@@ -10,17 +11,17 @@ namespace v6d::vlasov {
 // u_i / a^2; drift_factor carries the time integral of dt/a^2.  For the x
 // and y sweeps the speed is constant across the contiguous uz lanes (it
 // depends on the iux / iuy index), so lane groups share one xi.  For the z
-// sweep the speed varies per lane (it *is* u_z), so the per-lane-shift
-// kernel is used.
+// sweep the speed varies per lane (it *is* u_z), so each lane group gets a
+// per-lane shift.
 //
 // The per-line shift depends only on the velocity index, never on the
-// spatial line, so the whole shift table is computed once per sweep and
-// shared by every thread — the hot loop reduces to table lookups plus the
-// line kernels.  Threading is over spatial lines (collapse(2)); each
-// thread keeps one reusable AdvectWorkspace so the kernels never allocate
-// in steady state.  Every interior line is advected in place over its
-// full extent, reading the axis ghosts (filled beforehand) as stencil
-// margins.
+// spatial line, so the shift tables (xi for the scalar lines, LineShift for
+// the lane groups) are built once per sweep and shared by every thread —
+// the hot loop reduces to table lookups plus the line kernels.  Threading
+// is over spatial lines (collapse(2)); each thread keeps one reusable
+// AdvectWorkspace so the kernels never allocate in steady state.  Every
+// interior line is advected in place over its full extent, reading the
+// axis ghosts (filled beforehand) as stencil margins.
 
 namespace {
 
@@ -67,19 +68,24 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
   const bool scalar = resolved == SweepKernel::kScalar;
   const double inv_dx_drift = drift_factor / dx;
 
-  // Shift tables, hoisted out of the spatial loops: for the x/y sweeps xi
-  // is indexed by iux (resp. iuy); for the z sweep it is indexed by iuz
-  // (one entry per lane of a group).
-  std::vector<double> xi_table;
-  if (axis == 0) {
-    xi_table.resize(static_cast<std::size_t>(d.nux));
-    for (int a = 0; a < d.nux; ++a) xi_table[a] = g.ux(a) * inv_dx_drift;
-  } else if (axis == 1) {
-    xi_table.resize(static_cast<std::size_t>(d.nuy));
-    for (int b = 0; b < d.nuy; ++b) xi_table[b] = g.uy(b) * inv_dx_drift;
+  // Shift tables, hoisted out of the spatial loops: xi depends on iux for
+  // the x sweep, iuy for y and iuz for z.  The lane-group shifts follow:
+  // one per iux (x) or iuy (y), one per uz lane group (z), where a group
+  // per_lane cannot vectorize holds none and runs lane by lane.
+  const int n_xi = axis == 0 ? d.nux : axis == 1 ? d.nuy : d.nuz;
+  std::vector<double> xi_table(static_cast<std::size_t>(n_xi));
+  for (int k = 0; k < n_xi; ++k)
+    xi_table[k] = (axis == 0   ? g.ux(k)
+                   : axis == 1 ? g.uy(k)
+                               : g.uz(k)) *
+                  inv_dx_drift;
+  std::vector<std::optional<LineShift>> shift_table;
+  if (axis == 2) {
+    for (int c = 0; c + kLanes <= d.nuz; c += kLanes)
+      shift_table.push_back(LineShift::per_lane(&xi_table[c], Limiter::kMpp));
   } else {
-    xi_table.resize(static_cast<std::size_t>(d.nuz));
-    for (int c = 0; c < d.nuz; ++c) xi_table[c] = g.uz(c) * inv_dx_drift;
+    for (const double xi : xi_table)
+      shift_table.emplace_back(LineShift::uniform(xi, Limiter::kMpp));
   }
 
 #ifdef _OPENMP
@@ -95,39 +101,27 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
         float* line = line_start(f, axis, t1, t2);
         for (int a = 0; a < d.nux; ++a) {
           for (int b = 0; b < d.nuy; ++b) {
-            if (axis == 0 || axis == 1) {
-              const double xi = xi_table[axis == 0 ? a : b];
-              int c = 0;
-              for (; !scalar && c + kLanes <= d.nuz; c += kLanes) {
-                const std::size_t vi = f.velocity_index(a, b, c);
-                advect_lines_simd(line + vi, stride, line + vi, stride,
-                                  n_cells, xi, Limiter::kMpp,
-                                  GhostMode::kFromSource, ws);
+            const auto scalar_line = [&](int c) {
+              float* lc = line + f.velocity_index(a, b, c);
+              advect_line_strided_scalar(
+                  lc, stride, lc, stride, n_cells,
+                  xi_table[axis == 0 ? a : axis == 1 ? b : c], Limiter::kMpp,
+                  GhostMode::kFromSource, ws);
+            };
+            int c = 0;
+            for (; !scalar && c + kLanes <= d.nuz; c += kLanes) {
+              const auto& shift = shift_table[axis == 0   ? a
+                                              : axis == 1 ? b
+                                                          : c / kLanes];
+              if (!shift) {
+                for (int l = 0; l < kLanes; ++l) scalar_line(c + l);
+                continue;
               }
-              for (; c < d.nuz; ++c) {
-                const std::size_t vi = f.velocity_index(a, b, c);
-                advect_line_strided_scalar(line + vi, stride, line + vi,
-                                           stride, n_cells, xi,
-                                           Limiter::kMpp,
-                                           GhostMode::kFromSource, ws);
-              }
-            } else {
-              // z sweep: xi varies across the uz lanes.
-              int c = 0;
-              for (; !scalar && c + kLanes <= d.nuz; c += kLanes) {
-                const std::size_t vi = f.velocity_index(a, b, c);
-                advect_lines_simd_multi(line + vi, stride, line + vi, stride,
-                                        n_cells, &xi_table[c], Limiter::kMpp,
-                                        GhostMode::kFromSource, ws);
-              }
-              for (; c < d.nuz; ++c) {
-                const std::size_t vi = f.velocity_index(a, b, c);
-                advect_line_strided_scalar(line + vi, stride, line + vi,
-                                           stride, n_cells, xi_table[c],
-                                           Limiter::kMpp,
-                                           GhostMode::kFromSource, ws);
-              }
+              float* lc = line + f.velocity_index(a, b, c);
+              advect_lines_simd(lc, stride, lc, stride, n_cells, *shift,
+                                GhostMode::kFromSource, ws);
             }
+            for (; c < d.nuz; ++c) scalar_line(c);
           }
         }
       }

@@ -32,6 +32,8 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
   const auto& d = f.dims();
   const int n = axis == 0 ? d.nux : axis == 1 ? d.nuy : d.nuz;
   const bool vector = kernel != SweepKernel::kScalar;
+  // Every lane group of the block shares xi: one flux setup serves them all.
+  const LineShift shift = LineShift::uniform(xi, Limiter::kMpp);
 
   if (axis == 0) {
     // Lines along iux, stride nuy*nuz; lanes over contiguous iuz.
@@ -40,8 +42,8 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
       int c = 0;
       for (; vector && c + kLanes <= d.nuz; c += kLanes)
         advect_lines_simd(block + f.velocity_index(0, b, c), stride,
-                          block + f.velocity_index(0, b, c), stride, n, xi,
-                          Limiter::kMpp, GhostMode::kZero, ws);
+                          block + f.velocity_index(0, b, c), stride, n, shift,
+                          GhostMode::kZero, ws);
       for (; c < d.nuz; ++c)
         advect_line_strided_scalar(block + f.velocity_index(0, b, c), stride,
                                    block + f.velocity_index(0, b, c), stride,
@@ -55,8 +57,8 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
       int c = 0;
       for (; vector && c + kLanes <= d.nuz; c += kLanes)
         advect_lines_simd(block + f.velocity_index(a, 0, c), stride,
-                          block + f.velocity_index(a, 0, c), stride, n, xi,
-                          Limiter::kMpp, GhostMode::kZero, ws);
+                          block + f.velocity_index(a, 0, c), stride, n, shift,
+                          GhostMode::kZero, ws);
       for (; c < d.nuz; ++c)
         advect_line_strided_scalar(block + f.velocity_index(a, 0, c), stride,
                                    block + f.velocity_index(a, 0, c), stride,
@@ -73,10 +75,10 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
         float* lines0 = block + f.velocity_index(a, b, 0);
         if (kernel == SweepKernel::kSimd)
           advect_lines_lat_gather(lines0, line_stride, lines0, line_stride,
-                                  n, xi, Limiter::kMpp, GhostMode::kZero, ws);
+                                  n, shift, GhostMode::kZero, ws);
         else
-          advect_lines_lat(lines0, line_stride, lines0, line_stride, n, xi,
-                           Limiter::kMpp, GhostMode::kZero, ws);
+          advect_lines_lat(lines0, line_stride, lines0, line_stride, n, shift,
+                           GhostMode::kZero, ws);
       }
       for (; b < d.nuy; ++b)
         advect_line_strided_scalar(block + f.velocity_index(a, b, 0), 1,

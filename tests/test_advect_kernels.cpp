@@ -1,13 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "simd/dispatch.hpp"
 #include "vlasov/advect_kernels.hpp"
 
 namespace {
 
 using namespace v6d::vlasov;
+
+// The vector kernels mirror the scalar reference operation for operation,
+// so without FMA they must agree bit for bit.  An FMA build may contract
+// the flux polynomial differently on the two sides; there 2e-6 holds.
+::testing::AssertionResult same_result(float ref, float got) {
+  if (v6d::simd::isa_info().has_fma) {
+    if (std::fabs(ref - got) <= 2e-6f) return ::testing::AssertionSuccess();
+  } else if (std::memcmp(&ref, &got, sizeof(float)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "scalar " << ref << " vs " << got;
+}
 
 // Build L lines of length n (line-major storage: line l at l*n).
 std::vector<float> make_lines(int n, int lanes) {
@@ -36,19 +50,21 @@ TEST_P(KernelEquivalence, ScalarSimdLatGatherAgree) {
                                1, ref.data() + static_cast<std::size_t>(l) * n,
                                1, n, xi, Limiter::kMpp, GhostMode::kZero, ws);
 
+  const LineShift shift = LineShift::uniform(xi, Limiter::kMpp);
+
   // LAT over the same contiguous lines.
   std::vector<float> lat(static_cast<std::size_t>(L) * n);
-  advect_lines_lat(src.data(), n, lat.data(), n, n, xi, Limiter::kMpp,
-                   GhostMode::kZero, ws);
+  advect_lines_lat(src.data(), n, lat.data(), n, n, shift, GhostMode::kZero,
+                   ws);
   for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_NEAR(ref[i], lat[i], 2e-6f) << "lat idx " << i;
+    ASSERT_TRUE(same_result(ref[i], lat[i])) << "lat idx " << i;
 
   // Gather-style SIMD.
   std::vector<float> gat(static_cast<std::size_t>(L) * n);
-  advect_lines_lat_gather(src.data(), n, gat.data(), n, n, xi, Limiter::kMpp,
+  advect_lines_lat_gather(src.data(), n, gat.data(), n, n, shift,
                           GhostMode::kZero, ws);
   for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_NEAR(ref[i], gat[i], 2e-6f) << "gather idx " << i;
+    ASSERT_TRUE(same_result(ref[i], gat[i])) << "gather idx " << i;
 
   // Lane-interleaved SIMD: transpose the storage so lanes are contiguous.
   std::vector<float> interleaved(static_cast<std::size_t>(n) * L);
@@ -57,12 +73,12 @@ TEST_P(KernelEquivalence, ScalarSimdLatGatherAgree) {
       interleaved[static_cast<std::size_t>(i) * L + l] =
           src[static_cast<std::size_t>(l) * n + i];
   std::vector<float> simd_out(static_cast<std::size_t>(n) * L);
-  advect_lines_simd(interleaved.data(), L, simd_out.data(), L, n, xi,
-                    Limiter::kMpp, GhostMode::kZero, ws);
+  advect_lines_simd(interleaved.data(), L, simd_out.data(), L, n, shift,
+                    GhostMode::kZero, ws);
   for (int i = 0; i < n; ++i)
     for (int l = 0; l < L; ++l)
-      ASSERT_NEAR(ref[static_cast<std::size_t>(l) * n + i],
-                  simd_out[static_cast<std::size_t>(i) * L + l], 2e-6f)
+      ASSERT_TRUE(same_result(ref[static_cast<std::size_t>(l) * n + i],
+                              simd_out[static_cast<std::size_t>(i) * L + l]))
           << "simd i=" << i << " l=" << l;
 }
 
@@ -70,62 +86,77 @@ INSTANTIATE_TEST_SUITE_P(ShiftSweep, KernelEquivalence,
                          ::testing::Values(0.0, 0.2, 0.5, 0.8, 1.0, 1.3, 2.2,
                                            -0.4, -1.1));
 
-TEST(KernelEquivalence, PerLaneShiftsMatchScalar) {
-  const int n = 36;
+// Advect one lane-interleaved group with per-lane shifts xi[0..L) the way
+// the z position sweep does — one vector call when per_lane returns a
+// shift, the scalar kernel lane by lane when it does not — and require
+// every lane to match its own scalar line.
+void expect_group_matches_scalar(const double* xi, int n,
+                                 bool expect_vector) {
   const int L = kLanes;
   AdvectWorkspace ws;
   const auto lines = make_lines(n, L);
-  // Lane-interleaved layout.
   std::vector<float> src(static_cast<std::size_t>(n) * L);
   for (int i = 0; i < n; ++i)
     for (int l = 0; l < L; ++l)
       src[static_cast<std::size_t>(i) * L + l] =
           lines[static_cast<std::size_t>(l) * n + i];
 
-  double xi[16];
-  for (int l = 0; l < L; ++l) xi[l] = 0.1 + 0.07 * l;  // same floor (0)
-
   std::vector<float> out(static_cast<std::size_t>(n) * L);
-  advect_lines_simd_multi(src.data(), L, out.data(), L, n, xi, Limiter::kMpp,
-                          GhostMode::kZero, ws);
+  const auto shift = LineShift::per_lane(xi, Limiter::kMpp);
+  ASSERT_EQ(shift.has_value(), expect_vector);
+  if (shift) {
+    advect_lines_simd(src.data(), L, out.data(), L, n, *shift,
+                      GhostMode::kZero, ws);
+  } else {
+    for (int l = 0; l < L; ++l)
+      advect_line_strided_scalar(src.data() + l, L, out.data() + l, L, n,
+                                 xi[l], Limiter::kMpp, GhostMode::kZero, ws);
+  }
 
   for (int l = 0; l < L; ++l) {
     std::vector<float> ref(static_cast<std::size_t>(n));
     advect_line_strided_scalar(src.data() + l, L, ref.data(), 1, n, xi[l],
                                Limiter::kMpp, GhostMode::kZero, ws);
     for (int i = 0; i < n; ++i)
-      ASSERT_NEAR(ref[static_cast<std::size_t>(i)],
-                  out[static_cast<std::size_t>(i) * L + l], 2e-6f)
+      ASSERT_TRUE(same_result(ref[static_cast<std::size_t>(i)],
+                              out[static_cast<std::size_t>(i) * L + l]))
           << "l=" << l << " i=" << i;
   }
 }
 
-TEST(KernelEquivalence, PerLaneMixedFloorFallsBackCorrectly) {
-  // Lanes straddling u = 0 (floors -1 and 0) must still match scalar.
-  const int n = 30;
-  const int L = kLanes;
-  AdvectWorkspace ws;
-  const auto lines = make_lines(n, L);
-  std::vector<float> src(static_cast<std::size_t>(n) * L);
-  for (int i = 0; i < n; ++i)
-    for (int l = 0; l < L; ++l)
-      src[static_cast<std::size_t>(i) * L + l] =
-          lines[static_cast<std::size_t>(l) * n + i];
+TEST(KernelEquivalence, PerLaneShiftsMatchScalar) {
+  double xi[kLanes];
+  for (int l = 0; l < kLanes; ++l) xi[l] = 0.1 + 0.07 * l;  // same floor (0)
+  expect_group_matches_scalar(xi, 36, /*expect_vector=*/true);
+}
 
-  double xi[16];
-  for (int l = 0; l < L; ++l) xi[l] = -0.3 + 0.15 * l;  // spans negative..positive
+TEST(KernelEquivalence, PerLaneFloorsMinusOneAndZeroBlendInVector) {
+  // A group straddling u = 0: floors -1 and 0 run as one vector call.
+  double xi[kLanes];
+  for (int l = 0; l < kLanes; ++l) xi[l] = -0.3 + 0.15 * l;
+  const auto blended = LineShift::per_lane(xi, Limiter::kMpp);
+  ASSERT_TRUE(blended && blended->mixed && !blended->pure_shift);
+  expect_group_matches_scalar(xi, 30, /*expect_vector=*/true);
 
-  std::vector<float> out(static_cast<std::size_t>(n) * L);
-  advect_lines_simd_multi(src.data(), L, out.data(), L, n, xi, Limiter::kMpp,
-                          GhostMode::kZero, ws);
-  for (int l = 0; l < L; ++l) {
-    std::vector<float> ref(static_cast<std::size_t>(n));
-    advect_line_strided_scalar(src.data() + l, L, ref.data(), 1, n, xi[l],
-                               Limiter::kMpp, GhostMode::kZero, ws);
-    for (int i = 0; i < n; ++i)
-      ASSERT_NEAR(ref[static_cast<std::size_t>(i)],
-                  out[static_cast<std::size_t>(i) * L + l], 2e-6f);
-  }
+  // Whole-cell lanes on both floors take the blended pure-shift copy.
+  for (int l = 0; l < kLanes; ++l) xi[l] = l % 2 ? 0.0 : -1.0;
+  const auto copied = LineShift::per_lane(xi, Limiter::kMpp);
+  ASSERT_TRUE(copied && copied->mixed && copied->pure_shift);
+  expect_group_matches_scalar(xi, 30, /*expect_vector=*/true);
+}
+
+TEST(KernelEquivalence, PerLaneFloorsSpanningTwoIntegersRunScalar) {
+  // xi from -0.5 to exactly 1.0 holds floors -1, 0 and 1: per_lane
+  // refuses the group and every lane runs the scalar kernel.
+  double xi[kLanes];
+  for (int l = 0; l < kLanes; ++l) xi[l] = -0.5 + 1.5 * l / (kLanes - 1);
+  ASSERT_EQ(xi[kLanes - 1], 1.0);
+  expect_group_matches_scalar(xi, 30, /*expect_vector=*/false);
+
+  // Floors 0 and 1 differ by one, but the blended stencil of the lanes at
+  // floor 0 would need a fourth ghost cell that no lane needs on its own.
+  for (int l = 0; l < kLanes; ++l) xi[l] = l + 1 < kLanes ? 0.4 : 1.0;
+  expect_group_matches_scalar(xi, 30, /*expect_vector=*/false);
 }
 
 TEST(GhostModes, ZeroGhostsDrainMassThroughBoundary) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -78,6 +80,57 @@ TEST(SimdPack, MinMaxAbsSelect) {
     EXPECT_FLOAT_EQ(hi[i], std::max(a_raw[i], b_raw[i]));
     EXPECT_FLOAT_EQ(ab[i], std::fabs(a_raw[i]));
   }
+}
+
+template <int N>
+void expect_abs_matches_fabs_bitwise() {
+  using P = Pack<float, N>;
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {0.0f,    -0.0f,   denorm,   -denorm,
+                          3e-39f,  -3e-39f, inf,      -inf,
+                          1.0f,    -1.0f,   2.5f,     -7.25f,
+                          1e-30f,  -1e30f,  0.1f,     -3.0e38f};
+  constexpr int kValues = sizeof(values) / sizeof(values[0]);
+  for (int base = 0; base < kValues; base += N) {
+    float raw[N];
+    for (int l = 0; l < N; ++l) raw[l] = values[(base + l) % kValues];
+    const P a = v6d::simd::abs(P::load(raw));
+    for (int l = 0; l < N; ++l) {
+      const float want = std::fabs(raw[l]);
+      const float got = a[l];
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+          << "N=" << N << " abs(" << raw[l] << ") = " << got;
+    }
+  }
+}
+
+TEST(SimdPack, AbsMatchesFabsBitwise) {
+  expect_abs_matches_fabs_bitwise<4>();
+  expect_abs_matches_fabs_bitwise<8>();
+  expect_abs_matches_fabs_bitwise<16>();
+}
+
+template <int N>
+void expect_all_mask() {
+  using P = Pack<float, N>;
+  float raw[N];
+  for (int l = 0; l < N; ++l) raw[l] = 1.0f + static_cast<float>(l);
+  const P a = P::load(raw);
+  EXPECT_TRUE((v6d::simd::all<float, N>(a > P::zero()))) << "N=" << N;
+  for (int l = 0; l < N; ++l) {
+    P cleared = a;
+    cleared.set(l, -1.0f);
+    EXPECT_FALSE((v6d::simd::all<float, N>(cleared > P::zero())))
+        << "N=" << N << " lane " << l << " cleared";
+  }
+  EXPECT_FALSE((v6d::simd::all<float, N>(a < P::zero()))) << "N=" << N;
+}
+
+TEST(SimdPack, AllMask) {
+  expect_all_mask<4>();
+  expect_all_mask<8>();
+  expect_all_mask<16>();
 }
 
 float scalar_minmod(float a, float b) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "vlasov/advect_vec_impl.hpp"
 #include "vlasov/sl_mpp5.hpp"
 
 namespace {
@@ -187,6 +190,98 @@ TEST(Mp5Limiter, ClipsOvershootCandidates) {
   // Candidate inside a monotone profile is accepted untouched.
   const float g2 = mp_limit(1.5f, 1.0f, 1.2f, 1.4f, 1.6f, 1.8f);
   EXPECT_FLOAT_EQ(g2, 1.5f);
+}
+
+// Batches of lanes for the vector limiter: every lane passes the
+// quick-accept test on which mp_limit returns early, no lane does, both
+// kinds are present, or candidates are drawn without regard to it.
+enum class AcceptMix { kAll, kNone, kMixed, kRandom };
+
+float minmod_ref(float a, float b) {
+  if (a * b <= 0.0f) return 0.0f;
+  return std::fabs(a) < std::fabs(b) ? a : b;
+}
+
+// One batch of L seeded random five-cell stencils and candidates; lane l
+// uses alpha[l].  mp_limit_vec<L> must return mp_limit's bits in every
+// lane.
+template <int L>
+void expect_limiter_matches_scalar(const float* alpha, AcceptMix mix,
+                                   v6d::Xoshiro256& rng) {
+  using P = v6d::simd::Pack<float, L>;
+  float cells[5][L], g[L], alpha_third[L];
+  for (int l = 0; l < L; ++l) {
+    for (auto& cell : cells)
+      cell[l] = static_cast<float>(0.05 + rng.next_double());
+    const float fm1 = cells[1][l], f0 = cells[2][l], fp1 = cells[3][l];
+    const float f_mp = f0 + minmod_ref(fp1 - f0, alpha[l] * (f0 - fm1));
+    const auto accepts = [&](float x) {
+      return (x - f0) * (x - f_mp) <= 1e-20f;
+    };
+    const float u = static_cast<float>(rng.next_double());
+    bool want = false;
+    switch (mix) {
+      case AcceptMix::kAll: want = true; break;
+      case AcceptMix::kNone: want = false; break;
+      case AcceptMix::kMixed: want = l == 0 || (l > 1 && u < 0.5f); break;
+      case AcceptMix::kRandom: break;
+    }
+    if (mix == AcceptMix::kRandom) {
+      g[l] = -1.0f + 4.0f * u;
+    } else if (want) {
+      // Between f0 and f_mp; f0 itself when rounding lands outside.
+      g[l] = f0 + (0.05f + 0.9f * u) * (f_mp - f0);
+      if (!accepts(g[l])) g[l] = f0;
+    } else {
+      // Far outside every bound, so the limiter must move it.
+      g[l] = rng.next_double() < 0.5 ? std::max(f0, f_mp) + 10.0f + 10.0f * u
+                                     : std::min(f0, f_mp) - 10.0f - 10.0f * u;
+    }
+    if (mix != AcceptMix::kRandom) {
+      ASSERT_EQ(accepts(g[l]), want);
+    }
+    alpha_third[l] = alpha[l] / 3.0f;
+  }
+
+  const P got = v6d::vlasov::detail::mp_limit_vec<L>(
+      P::load(g), P::load(cells[0]), P::load(cells[1]), P::load(cells[2]),
+      P::load(cells[3]), P::load(cells[4]), P::load(alpha),
+      P::load(alpha_third));
+  for (int l = 0; l < L; ++l) {
+    const float want = mp_limit(g[l], cells[0][l], cells[1][l], cells[2][l],
+                                cells[3][l], cells[4][l], alpha[l]);
+    const float lane = got[l];
+    ASSERT_EQ(std::memcmp(&want, &lane, sizeof(float)), 0)
+        << "L=" << L << " lane " << l << ": scalar " << want << " vector "
+        << lane << " (g " << g[l] << ", alpha " << alpha[l] << ")";
+  }
+}
+
+template <int L>
+void expect_limiter_lanes_match(std::uint64_t seed) {
+  v6d::Xoshiro256 rng(seed);
+  // Uniform alphas as the x, y and velocity sweeps use them (mp_alpha_for
+  // of shifts 0.1, 0.37, 0.8 and 0.95), then per lane as in the z sweep.
+  const float uniform[] = {mp_alpha_for(0.1), mp_alpha_for(0.37),
+                           mp_alpha_for(0.8), mp_alpha_for(0.95)};
+  std::vector<std::vector<float>> alphas;
+  for (const float a : uniform) alphas.emplace_back(L, a);
+  alphas.emplace_back(L);
+  for (int l = 0; l < L; ++l) alphas.back()[l] = uniform[l % 4];
+
+  for (const auto& alpha : alphas)
+    for (const AcceptMix mix : {AcceptMix::kAll, AcceptMix::kNone,
+                                AcceptMix::kMixed, AcceptMix::kRandom})
+      for (int batch = 0; batch < 64; ++batch) {
+        expect_limiter_matches_scalar<L>(alpha.data(), mix, rng);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+}
+
+TEST(Mp5LimiterVec, MatchesScalarLaneByLane) {
+  expect_limiter_lanes_match<4>(11);
+  expect_limiter_lanes_match<8>(12);
+  expect_limiter_lanes_match<16>(13);
 }
 
 TEST(Rk3Mp5Baseline, AdvectsAndConserves) {
