@@ -35,7 +35,6 @@
 #include "mesh/halo_plan.hpp"
 #include "nbody/particles.hpp"
 #include "common/rng.hpp"
-#include "parallel/distributed_solver.hpp"
 #include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
 
@@ -326,7 +325,7 @@ struct DistributedStepResult {
   std::array<int, 3> global{};            // global Vlasov grid used
 };
 
-/// Run `steps` full KDK steps of parallel::DistributedHybridSolver — halo
+/// Run `steps` full KDK steps of a sliced hybrid::HybridSolver — halo
 /// exchange, ghost fold, distributed-FFT Poisson, allreduced CFL — on
 /// `ranks` simulated ranks with a fixed local_n^3 brick per rank (weak
 /// scaling).  This is the same code path `v6d run ranks=N` executes;
@@ -384,7 +383,7 @@ inline DistributedStepResult measure_distributed_step(int ranks, int local_n,
   std::vector<double> recv_wait(static_cast<std::size_t>(ranks), 0.0);
 
   comm::run(ranks, [&](comm::Communicator& comm) {
-    parallel::DistributedHybridSolver ds(solver, comm, dims, overlap);
+    hybrid::HybridSolver ds(solver, comm, dims, overlap);
     comm.reset_traffic_counters();
     // Mailbox stats are monotonic for the context lifetime; the measured
     // section is the delta from this snapshot (solver construction already

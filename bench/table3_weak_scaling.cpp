@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   // ---------------- (a) real runs: fixed per-rank brick ----------------
   {
     std::printf("  (a) measured distributed KDK steps on this host\n");
-    std::printf("      (parallel::DistributedHybridSolver — halo exchange,\n");
+    std::printf("      (sliced hybrid::HybridSolver — halo exchange,\n");
     std::printf("      ghost fold, distributed-FFT Poisson, allreduced CFL;\n");
     std::printf("      the same path `v6d run ranks=N` executes.  Ranks are\n");
     std::printf("      threads, so wall time oversubscribes beyond the core\n");

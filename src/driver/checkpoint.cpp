@@ -421,7 +421,8 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
   meta.phase_space_file = fields["phase_space_file"];
   meta.particles_file = fields["particles_file"];
   meta.forces_file = fields["forces_file"];
-  // Per-rank shard list (distributed checkpoints; absent in serial ones).
+  // Per-rank shard list (absent in checkpoints that hold one global
+  // phase-space payload).
   meta.shard_files.clear();
   if (fields.count("phase_space_shards")) {
     const std::string& count_str = fields["phase_space_shards"];

@@ -4,8 +4,11 @@
 //   meta           text header: format version, scale factor, step count,
 //                  RNG state, payload flags, and the full config echo
 //                  (doubles as %.17g, so the round-trip is exact)
-//   phase_space.<step>.bin / particles.<step>.bin
-//                  io::snapshot payloads (file names recorded in the meta)
+//   phase_space.<step>.r<k>.bin / particles.<step>.bin
+//                  io::snapshot payloads (file names recorded in the meta):
+//                  one phase-space shard per rank; checkpoints written
+//                  before serial runs sharded hold one global
+//                  phase_space.<step>.bin instead, which is still read
 //   forces.<step>.bin
 //                  the solver's step-boundary force cache — accelerations
 //                  evaluated from the post-drift state, which the next
@@ -49,11 +52,13 @@ struct Checkpoint {
   /// Payload file names inside the checkpoint directory; filled in by
   /// write_checkpoint and read back from the meta.
   std::string phase_space_file, particles_file, forces_file;
-  /// Distributed runs shard the phase space: one io::snapshot payload per
-  /// rank (rank r's brick in shard_files[r]), written concurrently by the
-  /// rank threads *before* the meta commits.  Mutually exclusive with
-  /// has_phase_space; the meta lists the shards so garbage collection
-  /// keeps them and resume knows the rank count they were written with.
+  /// Runs shard the phase space: one io::snapshot payload per rank (rank
+  /// r's brick in shard_files[r]; one shard at ranks = 1), written
+  /// concurrently by the rank threads *before* the meta commits.  Mutually
+  /// exclusive with has_phase_space, the single global payload that
+  /// checkpoints written before serial runs sharded still carry; the meta
+  /// lists the shards so garbage collection keeps them and resume knows
+  /// the rank count they were written with.
   std::vector<std::string> shard_files;
   /// Byte size of every payload the meta references, recorded at commit
   /// time (`bytes.<name>=` meta lines).  Readers use it to reject torn

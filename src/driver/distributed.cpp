@@ -1,5 +1,5 @@
-// Distributed run loop and sharded checkpointing (see distributed.hpp and
-// the Driver class comment).
+// The rank loop and sharded checkpointing (see distributed.hpp and the
+// Driver class comment).
 #include "driver/distributed.hpp"
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "driver/telemetry.hpp"
 #include "io/snapshot.hpp"
 #include "parallel/decomp_plan.hpp"
-#include "parallel/distributed_solver.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::driver {
@@ -30,17 +29,17 @@ std::string shard_name(std::int64_t step, int rank) {
          std::to_string(rank) + ".bin";
 }
 
-/// Collective checkpoint write: every rank writes its own phase-space
-/// shard (concurrent I/O), a barrier orders them before rank 0 commits the
-/// meta referencing all of them.  Any rank's failure aborts all ranks with
-/// the same error (the allreduce makes the decision uniform, so no rank
-/// proceeds to a half-written commit).
-void write_distributed_checkpoint(const SimulationConfig& cfg,
-                                  const Xoshiro256::State& rng,
-                                  parallel::DistributedHybridSolver& ds,
-                                  comm::Communicator& comm,
-                                  const std::string& dir, double a,
-                                  std::int64_t step) {
+/// Collective checkpoint write, the one writer of every run: each rank
+/// writes its own phase-space shard (concurrent I/O; a serial run writes
+/// the single shard `.r0`), a barrier orders them before rank 0 commits
+/// the meta referencing all of them.  Any rank's failure aborts all ranks
+/// with the same error (the allreduce makes the decision uniform, so no
+/// rank proceeds to a half-written commit).
+void write_rank_checkpoint(const SimulationConfig& cfg,
+                           const Xoshiro256::State& rng,
+                           const hybrid::HybridSolver& ds,
+                           comm::Communicator& comm, const std::string& dir,
+                           double a, std::int64_t step) {
   std::error_code ec;
   if (comm.rank() == 0) fs::create_directories(dir, ec);
   comm.barrier();
@@ -50,7 +49,7 @@ void write_distributed_checkpoint(const SimulationConfig& cfg,
     const std::string name = shard_name(step, comm.rank());
     const std::string path = (fs::path(dir) / name).string();
     const std::string tmp = path + ".tmp";
-    auto status = io::write_phase_space(tmp, ds.local_f());
+    auto status = io::write_phase_space(tmp, ds.neutrinos());
     if (status == io::SnapshotStatus::kOk && !fsync_file(tmp))
       status = io::SnapshotStatus::kWriteFailed;
     if (status == io::SnapshotStatus::kOk) {
@@ -66,7 +65,7 @@ void write_distributed_checkpoint(const SimulationConfig& cfg,
                              " rank(s) failed to write phase-space shards");
 
   // Gather the step-boundary force cache (collective) before the commit.
-  auto forces = ds.export_step_forces_global();
+  const auto forces = ds.export_step_forces();
   comm.barrier();
 
   if (comm.rank() == 0) {
@@ -163,9 +162,8 @@ io::SnapshotStatus assemble_phase_space_shards(const std::string& dir,
   return io::SnapshotStatus::kOk;
 }
 
-RunResult Driver::run_distributed() {
+RunResult Driver::run() {
   RunResult result;
-  const auto dims = resolve_run_decomp(cfg_, *solver_);
   Stopwatch wall;
 
   // transport=tcp means this process IS one rank of a multi-process world:
@@ -173,6 +171,12 @@ RunResult Driver::run_distributed() {
   // shared file (telemetry, traces, reports) belongs to the rank-0 process.
   const bool multiproc = cfg_.transport == "tcp";
   const bool lead_process = !multiproc || cfg_.rank == 0;
+  // One in-process rank: the loop steps the world-1 solver itself, over
+  // the communicator it owns — no slicing, no gather.
+  const bool world_one = !multiproc && cfg_.ranks <= 1;
+  const std::array<int, 3> dims =
+      world_one ? std::array<int, 3>{1, 1, 1}
+                : resolve_run_decomp(cfg_, *solver_);
 
   // Tracing is armed before the rank threads exist and flushed after they
   // join — the control-plane quiescence the trace buffers require.
@@ -193,13 +197,16 @@ RunResult Driver::run_distributed() {
       throw std::runtime_error(error);
   }
 
-  const auto rank_body = [&](comm::Communicator& comm) {
-    trace::set_rank(comm.rank());
-    parallel::DistributedHybridSolver ds(*solver_, comm, dims, cfg_.overlap);
+  // The one stepping loop, run by every rank on its solver.
+  const auto step_loop = [&](comm::Communicator& comm,
+                             hybrid::HybridSolver& ds) {
     const bool lead = comm.rank() == 0;
     // Thread ranks share one Driver, so only the lead writes its fields;
     // process ranks each own their Driver and keep it coherent locally.
     const bool own_driver = lead || multiproc;
+    // This rank's driver buckets (step / step-control / checkpoint-io),
+    // folded into the Driver's registry by its owner after the loop.
+    TimerRegistry driver_timers;
     double a = a_;
     std::int64_t steps = steps_;
     int steps_here = 0;
@@ -207,10 +214,19 @@ RunResult Driver::run_distributed() {
     bool early = false;
     std::string checkpoint_written;
     const double mass0 = heartbeat ? ds.total_mass() : 0.0;
+    // Per-step phase increments for the heartbeat = deltas of the merged
+    // (driver + solver) bucket totals around the step.
+    const auto phase_snapshot = [&] {
+      TimerRegistry merged;
+      merged.merge(driver_timers);
+      merged.merge(ds.timers(), "solver:");
+      return timer_totals(merged);
+    };
 
     auto checkpoint_all = [&] {
-      write_distributed_checkpoint(cfg_, rng_.state(), ds, comm,
-                                   cfg_.checkpoint_dir, a, steps);
+      ScopedTimer t(driver_timers, "checkpoint-io");
+      write_rank_checkpoint(cfg_, rng_.state(), ds, comm, cfg_.checkpoint_dir,
+                            a, steps);
       checkpoint_written = cfg_.checkpoint_dir;
     };
 
@@ -234,19 +250,20 @@ RunResult Driver::run_distributed() {
 
       double a1;
       {
-        Stopwatch control;
+        ScopedTimer t(driver_timers, "step-control");
         a1 = std::min(ds.suggest_next_a(a, cfg_.da_max), cfg_.a_final);
-        if (own_driver) timers_.add("step-control", control.seconds());
       }
       std::map<std::string, double> phases_before;
-      if (heartbeat && lead) phases_before = timer_totals(ds.timers());
+      if (heartbeat && lead) phases_before = phase_snapshot();
       double step_seconds;
       {
+        // Per-step samples feed the paper's median-of-steps metric in the
+        // perf report alongside the accumulated total.
         trace::Span step_span("step");
         Stopwatch step_watch;
         ds.step(a, a1);
         step_seconds = step_watch.seconds();
-        if (own_driver) timers_.add_sample("step", step_seconds);
+        driver_timers.add_sample("step", step_seconds);
       }
       trace::counter("comm-bytes-sent",
                      static_cast<double>(comm.bytes_sent()));
@@ -263,12 +280,11 @@ RunResult Driver::run_distributed() {
           if (ds.has_neutrinos())
             // Geometry-only bound, identical on every rank — no collective.
             hb.cfl_shift = vlasov::max_position_shift(
-                ds.local_f(), ds.background().drift_factor(a, a1));
+                ds.neutrinos(), ds.background().drift_factor(a, a1));
           hb.mass = mass;
           hb.mass_drift = mass0 != 0.0 ? (mass - mass0) / mass0 : 0.0;
           hb.step_seconds = step_seconds;
-          hb.phase_seconds =
-              timer_delta(phases_before, timer_totals(ds.timers()));
+          hb.phase_seconds = timer_delta(phases_before, phase_snapshot());
           hb.comm_bytes = comm_bytes;
           hb.rss_mb = current_rss_mb();
           telemetry.write(hb);
@@ -282,35 +298,35 @@ RunResult Driver::run_distributed() {
       if (lead && cfg_.progress_every > 0 && steps % cfg_.progress_every == 0)
         std::printf("  [%s] step %lld  a = %.4f  (%d ranks)\n",
                     cfg_.scenario.c_str(), static_cast<long long>(steps), a,
-                    cfg_.ranks);
+                    comm.size());
 
       if (cfg_.checkpoint_every > 0 && !cfg_.checkpoint_dir.empty() &&
-          steps % cfg_.checkpoint_every == 0) {
-        Stopwatch ckpt;
+          steps % cfg_.checkpoint_every == 0)
         checkpoint_all();
-        if (own_driver) timers_.add("checkpoint-io", ckpt.seconds());
-      }
     }
 
-    if (early && !cfg_.checkpoint_dir.empty()) {
-      Stopwatch ckpt;
-      checkpoint_all();
-      if (own_driver) timers_.add("checkpoint-io", ckpt.seconds());
-    }
+    if (early && !cfg_.checkpoint_dir.empty()) checkpoint_all();
 
-    // Fold the evolved state back into the global solver so accessors,
-    // serial checkpoints, and perf reports see the distributed result.
-    // Across processes the bricks travel as messages and only the rank-0
-    // process assembles a global view.
-    ds.gather_into(*solver_, multiproc);
     if (own_driver) {
       a_ = a;
       steps_ = steps;
       result.reason = reason;
       result.steps = steps_here;
       result.checkpoint = checkpoint_written;
-      solver_->timers().merge(ds.timers());
+      timers_.merge(driver_timers);
     }
+  };
+
+  // A rank of a larger world steps its slice of the global solver, then
+  // folds the evolved state back so accessors, checkpoints and perf
+  // reports see it.  Across processes the bricks travel as messages and
+  // only the rank-0 process assembles a global view.
+  const auto sliced_rank = [&](comm::Communicator& comm) {
+    trace::set_rank(comm.rank());
+    hybrid::HybridSolver ds(*solver_, comm, dims, cfg_.overlap);
+    step_loop(comm, ds);
+    ds.gather_into(*solver_, multiproc);
+    if (comm.rank() == 0 || multiproc) solver_->timers().merge(ds.timers());
 
     if (multiproc && !cfg_.trace.empty()) {
       // One merged Chrome trace, exactly like the thread-rank path: every
@@ -320,7 +336,7 @@ RunResult Driver::run_distributed() {
       constexpr int kTraceTag = 0x7ace;
       trace::disable();
       auto events = trace::collect();
-      if (lead) {
+      if (comm.rank() == 0) {
         for (int r = 1; r < comm.size(); ++r) {
           const auto blob = comm.recv_bytes(r, kTraceTag);
           const std::size_t n = blob.size() / sizeof(trace::Event);
@@ -341,7 +357,10 @@ RunResult Driver::run_distributed() {
     }
   };
 
-  if (multiproc) {
+  if (world_one) {
+    trace::set_rank(0);
+    step_loop(solver_->communicator(), *solver_);
+  } else if (multiproc) {
     comm::TcpOptions tcp_options;
     tcp_options.rank = cfg_.rank;
     tcp_options.world = cfg_.world;
@@ -350,7 +369,7 @@ RunResult Driver::run_distributed() {
     comm::TcpTransport transport(tcp_options);
     comm::Communicator comm(transport);
     try {
-      rank_body(comm);
+      sliced_rank(comm);
     } catch (const comm::AbortedError&) {
       transport.abort();
       // A secondary wakeup, but this endpoint may know the primary cause
@@ -365,15 +384,15 @@ RunResult Driver::run_distributed() {
     }
     transport.shutdown();
   } else {
-    comm::run(cfg_.ranks, rank_body);
+    comm::run(cfg_.ranks, sliced_rank);
   }
 
   result.a = a_;
   result.total_steps = steps_;
   if (lead_process && !cfg_.perf_report.empty())
     write_perf_report(cfg_.perf_report);
-  // The multi-process trace was merged and written inside rank_body (it
-  // needs the transport); the thread-rank path flushes here, after join.
+  // The multi-process trace was merged and written inside sliced_rank (it
+  // needs the transport); every other run flushes here, after the join.
   if (!cfg_.trace.empty()) {
     if (multiproc) {
       trace::disable();

@@ -1,11 +1,12 @@
-// Distributed pieces of the driver: rank-topology resolution for a
-// configured run and checkpoint-shard assembly for resume.
+// Rank pieces of the driver: rank-topology resolution for a configured
+// run and checkpoint-shard assembly for resume.
 //
-// The run loop itself is Driver::run_distributed() (defined in
-// distributed.cpp); it shards the scenario-built global solver across
-// comm::run thread ranks (parallel::DistributedHybridSolver), takes
-// allreduce-agreed CFL steps, and writes per-rank phase-space shards on
-// checkpoint so the big payload is written concurrently — the reason the
+// The run loop itself is Driver::run() (defined in distributed.cpp), one
+// loop for every rank count.  At ranks = 1 it steps the scenario-built
+// world-1 solver directly; otherwise it slices that solver across comm::run
+// thread ranks (hybrid::HybridSolver's slicing constructor).  Every rank
+// takes allreduce-agreed CFL steps and writes its own phase-space shard on
+// checkpoint, so the big payload is written concurrently — the reason the
 // paper times snapshot I/O as a first-class phase (§7.2).
 #pragma once
 

@@ -1,18 +1,12 @@
 #include "driver/driver.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
 #include <stdexcept>
 #include <string>
 
-#include "common/trace.hpp"
 #include "driver/checkpoint.hpp"
 #include "driver/distributed.hpp"
 #include "driver/scenario.hpp"
-#include "driver/telemetry.hpp"
 #include "io/perf_report.hpp"
-#include "vlasov/sweeps.hpp"
 
 namespace v6d::driver {
 
@@ -83,8 +77,9 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   Driver driver(meta.config, /*with_ics=*/false);
 
   // The scenario was rebuilt with an empty phase space; a neutrino run
-  // whose meta carries neither a global payload nor shards would silently
-  // continue from all-zero f, so refuse it here.
+  // whose meta carries neither a global payload (the layout serial runs
+  // wrote before they became world-1 runs of the rank loop) nor shards
+  // would silently continue from all-zero f, so refuse it here.
   if (driver.solver_->neutrinos().dims().total_interior() > 0 &&
       !meta.has_phase_space && meta.shard_files.empty())
     throw std::runtime_error(
@@ -102,9 +97,9 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
                              std::string(io::to_string(status)) +
                              "): " + detail);
   if (!meta.shard_files.empty()) {
-    // Distributed checkpoint: assemble the global phase space from the
-    // per-rank shards; the next run() re-shards it (bit-identically when
-    // ranks/decomp are unchanged).
+    // Assemble the global phase space from the per-rank shards; the next
+    // run() re-shards it (bit-identically when ranks/decomp are
+    // unchanged).
     status = assemble_phase_space_shards(dir, meta,
                                          driver.solver_->neutrinos(), &detail);
     if (status != io::SnapshotStatus::kOk)
@@ -112,10 +107,7 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
                                std::string(io::to_string(status)) +
                                "): " + detail);
   }
-  if (meta.has_forces && !driver.solver_->import_step_forces(forces))
-    throw std::runtime_error(
-        "checkpoint force cache does not match the configured scenario "
-        "shape (physics keys must not change across a resume)");
+  if (meta.has_forces) driver.solver_->import_step_forces(forces);
   const auto& dims = driver.solver_->neutrinos().dims();
   if (dims.nx != expected_dims.nx || dims.ny != expected_dims.ny ||
       dims.nz != expected_dims.nz || dims.nux != expected_dims.nux ||
@@ -129,129 +121,6 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   driver.steps_ = meta.step;
   driver.rng_.set_state(meta.rng);
   return driver;
-}
-
-void Driver::write_checkpoint(const std::string& dir) const {
-  Checkpoint meta;
-  meta.config = cfg_;
-  meta.a = a_;
-  meta.step = steps_;
-  meta.rng = rng_.state();
-  meta.has_phase_space = solver_->neutrinos().dims().total_interior() > 0;
-  meta.has_particles = solver_->cdm().size() > 0;
-  const auto forces = solver_->export_step_forces();
-  meta.has_forces = forces.fresh;
-  std::string detail;
-  const auto status = driver::write_checkpoint(
-      dir, meta, meta.has_phase_space ? &solver_->neutrinos() : nullptr,
-      meta.has_particles ? &solver_->cdm() : nullptr,
-      meta.has_forces ? &forces : nullptr, &detail);
-  if (status != io::SnapshotStatus::kOk)
-    throw std::runtime_error("cannot write checkpoint (" +
-                             std::string(io::to_string(status)) +
-                             "): " + detail);
-}
-
-RunResult Driver::run() {
-  if (cfg_.ranks > 1 || cfg_.transport == "tcp") return run_distributed();
-  if (!cfg_.trace.empty()) {
-    trace::reset();
-    trace::enable();
-    trace::set_rank(0);
-  }
-  Stopwatch wall;
-  RunResult result;
-  const auto stop_with_checkpoint = [&](StopReason reason) {
-    result.reason = reason;
-    if (!cfg_.checkpoint_dir.empty()) {
-      ScopedTimer t(timers_, "checkpoint-io");
-      write_checkpoint(cfg_.checkpoint_dir);
-      result.checkpoint = cfg_.checkpoint_dir;
-    }
-  };
-
-  TelemetryStream telemetry;
-  double mass0 = 0.0;
-  if (!cfg_.telemetry.empty()) {
-    std::string error;
-    if (!telemetry.open(cfg_.telemetry, &error))
-      throw std::runtime_error(error);
-    mass0 = solver_->total_mass();
-  }
-  // Per-step phase increments for the heartbeat = deltas of the merged
-  // (driver + solver) bucket totals around the step.
-  const auto phase_snapshot = [&] {
-    TimerRegistry merged;
-    merged.merge(timers_);
-    merged.merge(solver_->timers(), "solver:");
-    return timer_totals(merged);
-  };
-
-  while (a_ < cfg_.a_final - 1e-12) {
-    if (cfg_.max_steps > 0 && steps_ >= cfg_.max_steps) {
-      stop_with_checkpoint(StopReason::kMaxSteps);
-      break;
-    }
-    if (cfg_.wall_budget_s > 0.0 && wall.seconds() >= cfg_.wall_budget_s) {
-      stop_with_checkpoint(StopReason::kWallBudget);
-      break;
-    }
-
-    double a1;
-    {
-      ScopedTimer t(timers_, "step-control");
-      a1 = std::min(solver_->suggest_next_a(a_, cfg_.da_max), cfg_.a_final);
-    }
-    std::map<std::string, double> phases_before;
-    if (telemetry.is_open()) phases_before = phase_snapshot();
-    double step_seconds;
-    {
-      // Per-step samples feed the paper's median-of-steps metric in the
-      // perf report alongside the accumulated total.
-      trace::Span step_span("step");
-      Stopwatch step_watch;
-      solver_->step(a_, a1);
-      step_seconds = step_watch.seconds();
-      timers_.add_sample("step", step_seconds);
-    }
-    if (telemetry.is_open()) {
-      Heartbeat hb;
-      hb.step = steps_ + 1;
-      hb.a = a1;
-      hb.da = a1 - a_;
-      if (solver_->neutrinos().dims().total_interior() > 0)
-        hb.cfl_shift = vlasov::max_position_shift(
-            solver_->neutrinos(), solver_->background().drift_factor(a_, a1));
-      hb.mass = solver_->total_mass();
-      hb.mass_drift = mass0 != 0.0 ? (hb.mass - mass0) / mass0 : 0.0;
-      hb.step_seconds = step_seconds;
-      hb.phase_seconds = timer_delta(phases_before, phase_snapshot());
-      hb.comm_bytes = 0;  // serial: no p2p traffic
-      hb.rss_mb = current_rss_mb();
-      telemetry.write(hb);
-      trace::counter("mass-drift", hb.mass_drift);
-    }
-    a_ = a1;
-    ++steps_;
-    ++result.steps;
-
-    if (cfg_.progress_every > 0 && steps_ % cfg_.progress_every == 0)
-      std::printf("  [%s] step %lld  a = %.4f\n", cfg_.scenario.c_str(),
-                  static_cast<long long>(steps_), a_);
-
-    if (cfg_.checkpoint_every > 0 && !cfg_.checkpoint_dir.empty() &&
-        steps_ % cfg_.checkpoint_every == 0) {
-      ScopedTimer t(timers_, "checkpoint-io");
-      write_checkpoint(cfg_.checkpoint_dir);
-      result.checkpoint = cfg_.checkpoint_dir;
-    }
-  }
-
-  result.a = a_;
-  result.total_steps = steps_;
-  if (!cfg_.perf_report.empty()) write_perf_report(cfg_.perf_report);
-  if (!cfg_.trace.empty()) write_trace_file(cfg_.trace);
-  return result;
 }
 
 void Driver::write_perf_report(const std::string& path) const {

@@ -95,8 +95,7 @@ std::map<std::string, double> timer_delta(
   std::map<std::string, double> delta;
   for (const auto& [bucket, total] : after) {
     auto it = before.find(bucket);
-    const double d = total - (it == before.end() ? 0.0 : it->second);
-    if (d != 0.0) delta[bucket] = d;
+    delta[bucket] = total - (it == before.end() ? 0.0 : it->second);
   }
   return delta;
 }

@@ -57,8 +57,9 @@ double current_rss_mb();
 /// Snapshot every bucket total of `timers` (helper for per-step deltas).
 std::map<std::string, double> timer_totals(const TimerRegistry& timers);
 
-/// after[bucket] - before[bucket] for every bucket in `after`, dropping
-/// zero increments — the per-step phase cost.
+/// after[bucket] - before[bucket] for every bucket in `after`, zero
+/// increments included (so every row of a run carries the same keys) —
+/// the per-step phase cost.
 std::map<std::string, double> timer_delta(
     const std::map<std::string, double>& before,
     const std::map<std::string, double>& after);

@@ -36,8 +36,8 @@ double fft_wavenumber(int i, int n, double l);
 
 /// Green function x assignment-window multiplier for spectrum bin
 /// (ix, iy, iz) of an (nx, ny, nz) mesh over box lengths (lx, ly, lz):
-/// phi_k = green_times_window(...) * rho_k.  Shared verbatim by the serial
-/// PoissonSolver and the distributed PM path (src/parallel/), so both
+/// phi_k = green_times_window(...) * rho_k.  Shared verbatim by
+/// PoissonSolver and hybrid::HybridSolver's rank-parallel PM path, so both
 /// solve the identical spectral problem.
 double green_times_window(int ix, int iy, int iz, int nx, int ny, int nz,
                           double lx, double ly, double lz,

@@ -86,8 +86,8 @@ GridGhostChain::GridGhostChain(comm::CartTopology& cart,
 void GridGhostChain::begin_chain(Grid3D<double>& grid) {
   pending_axis_ = -1;
   if (op_ == GhostOp::kFold && cart_->comm().size() == 1) {
-    // The single-rank fold is the direct periodic scan (the serial
-    // solver's summation order), not the axis-by-axis chain.
+    // The single-rank fold is the direct periodic scan (Grid3D's own
+    // summation order), not the axis-by-axis chain.
     grid.fold_ghosts_periodic();
     return;
   }

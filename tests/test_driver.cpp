@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "driver/checkpoint.hpp"
 #include "driver/config.hpp"
@@ -150,6 +155,12 @@ TEST(Driver, CheckpointResumeIsBitIdentical) {
   const auto head = interrupted.run();
   ASSERT_EQ(head.reason, driver::StopReason::kMaxSteps);
   ASSERT_EQ(head.checkpoint, dir);
+  // One checkpoint writer at every rank count: a serial run commits the
+  // single shard of its world-1 solver, not a global payload.
+  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) /
+                                      "phase_space.2.r0.bin"));
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir) /
+                                       "phase_space.2.bin"));
 
   Options overrides;
   overrides.set("max_steps", "0");
@@ -162,6 +173,104 @@ TEST(Driver, CheckpointResumeIsBitIdentical) {
   EXPECT_EQ(resumed.scale_factor(), continuous.scale_factor());
   expect_bit_identical(continuous.solver(), resumed.solver());
   std::filesystem::remove_all(dir);
+}
+
+// Serial runs wrote a global phase_space.<step>.bin payload and no shards
+// before they became world-1 runs of the rank loop.  Such a checkpoint,
+// written here through the free driver::write_checkpoint from a ranks = 1
+// run's state, must still resume bit-identically.
+TEST(Driver, GlobalPayloadCheckpointStillResumes) {
+  const std::string sharded = temp_dir("v6d_ckpt_sharded");
+  const std::string global = temp_dir("v6d_ckpt_global_payload");
+
+  auto cfg = tiny_config();
+  driver::Driver continuous(cfg);
+  continuous.run();
+
+  auto cfg2 = tiny_config();
+  cfg2.max_steps = 2;
+  cfg2.checkpoint_dir = sharded;
+  driver::Driver interrupted(cfg2);
+  ASSERT_EQ(interrupted.run().reason, driver::StopReason::kMaxSteps);
+
+  // The run's own meta, with the global payload in place of its shard.
+  driver::Checkpoint meta;
+  ASSERT_EQ(driver::read_checkpoint_meta(sharded, meta),
+            io::SnapshotStatus::kOk);
+  meta.shard_files.clear();
+  meta.payload_bytes.clear();
+  meta.has_phase_space = true;
+  const auto& solver = interrupted.solver();
+  const auto forces = solver.export_step_forces();
+  ASSERT_TRUE(meta.has_forces && forces.fresh);
+  ASSERT_EQ(driver::write_checkpoint(global, meta, &solver.neutrinos(),
+                                     &solver.cdm(), &forces),
+            io::SnapshotStatus::kOk);
+  ASSERT_TRUE(std::filesystem::exists(std::filesystem::path(global) /
+                                      "phase_space.2.bin"));
+  ASSERT_FALSE(std::filesystem::exists(std::filesystem::path(global) /
+                                       "phase_space.2.r0.bin"));
+
+  Options overrides;
+  overrides.set("max_steps", "0");
+  overrides.set("checkpoint_dir", "");
+  driver::Driver resumed = driver::Driver::resume(global, overrides);
+  EXPECT_EQ(resumed.step_count(), 2);
+  ASSERT_EQ(resumed.run().reason, driver::StopReason::kFinished);
+
+  EXPECT_EQ(resumed.step_count(), continuous.step_count());
+  EXPECT_EQ(resumed.scale_factor(), continuous.scale_factor());
+  expect_bit_identical(continuous.solver(), resumed.solver());
+  std::filesystem::remove_all(sharded);
+  std::filesystem::remove_all(global);
+}
+
+/// The phase_seconds keys of every row of a telemetry stream.
+std::vector<std::set<std::string>> telemetry_phase_keys(
+    const std::string& path) {
+  constexpr const char* kField = "\"phase_seconds\":{";
+  std::vector<std::set<std::string>> rows;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    const auto open = line.find(kField);
+    if (open == std::string::npos) {
+      ADD_FAILURE() << "row without phase_seconds: " << line;
+      continue;
+    }
+    const auto begin = open + std::strlen(kField);
+    // Entries are "bucket":seconds; bucket names hold no ',' or '"'.
+    std::istringstream entries(
+        line.substr(begin, line.find('}', begin) - begin));
+    std::set<std::string> keys;
+    for (std::string entry; std::getline(entries, entry, ',');)
+      keys.insert(entry.substr(1, entry.find('"', 1) - 1));
+    rows.push_back(keys);
+  }
+  return rows;
+}
+
+// One loop writes every heartbeat, so a serial and a 2-rank run report the
+// same phase buckets, in the documented form: driver buckets bare, solver
+// buckets under "solver:".
+TEST(Driver, TelemetryRowsHaveOneFormAtEveryRankCount) {
+  std::vector<std::set<std::string>> rows;
+  for (const int ranks : {1, 2}) {
+    auto cfg = tiny_config();
+    cfg.nx = 8;  // two bricks of 4 >= the ghost width
+    cfg.max_steps = 2;
+    cfg.ranks = ranks;
+    cfg.telemetry = temp_dir("v6d_telemetry_ranks" + std::to_string(ranks));
+    driver::Driver d(cfg);
+    d.run();
+    const auto got = telemetry_phase_keys(cfg.telemetry);
+    EXPECT_EQ(got.size(), 2u) << ranks << " ranks";
+    rows.insert(rows.end(), got.begin(), got.end());
+    std::filesystem::remove(cfg.telemetry);
+  }
+  ASSERT_FALSE(rows.empty());
+  EXPECT_TRUE(rows[0].count("step"));
+  EXPECT_TRUE(rows[0].count("solver:vlasov"));
+  for (const auto& keys : rows) EXPECT_EQ(keys, rows[0]);
 }
 
 // Writing a periodic checkpoint must not perturb the run itself.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,42 +24,49 @@ struct HybridSetup {
   double a0 = 1.0 / 11.0;
   cosmo::Params params = cosmo::Params::planck2015(0.4);
 
-  hybrid::HybridSolver make(bool with_nu = true) {
+  nbody::Particles particles() const {
     cosmo::PowerSpectrum ps(params);
-    cosmo::Background bg(params);
-
     cosmo::ZeldovichOptions zopt;
     zopt.particles_per_side = 12;
     zopt.a_init = a0;
     zopt.seed = 9;
-    auto ics = cosmo::zeldovich_ics(ps, box, zopt);
+    return cosmo::zeldovich_ics(ps, box, zopt).particles;
+  }
 
-    vlasov::PhaseSpace f;
-    if (with_nu) {
-      const double u_th =
-          cosmo::neutrino_thermal_velocity(params.m_nu_total_ev / 3.0);
-      cosmo::NeutrinoIcOptions nopt;
-      nopt.a_init = a0;
-      nopt.seed = 9;
-      auto fields = cosmo::neutrino_linear_fields(ps, box, nx, nopt);
-      vlasov::PhaseSpaceDims dims;
-      dims.nx = dims.ny = dims.nz = nx;
-      dims.nux = dims.nuy = dims.nuz = nu;
-      vlasov::PhaseSpaceGeometry geom;
-      geom.dx = geom.dy = geom.dz = box / nx;
-      geom.umax = nopt.umax_over_uth * u_th;
-      geom.dux = geom.duy = geom.duz = 2.0 * geom.umax / nu;
-      f = vlasov::PhaseSpace(dims, geom);
-      cosmo::initialize_neutrino_phase_space(f, params, u_th, fields.delta,
-                                             &fields.bulk_x, &fields.bulk_y,
-                                             &fields.bulk_z);
-    }
+  /// Linear-theory neutrino phase space of realization `seed`.
+  vlasov::PhaseSpace neutrinos(std::uint64_t seed = 9) const {
+    cosmo::PowerSpectrum ps(params);
+    const double u_th =
+        cosmo::neutrino_thermal_velocity(params.m_nu_total_ev / 3.0);
+    cosmo::NeutrinoIcOptions nopt;
+    nopt.a_init = a0;
+    nopt.seed = seed;
+    auto fields = cosmo::neutrino_linear_fields(ps, box, nx, nopt);
+    vlasov::PhaseSpaceDims dims;
+    dims.nx = dims.ny = dims.nz = nx;
+    dims.nux = dims.nuy = dims.nuz = nu;
+    vlasov::PhaseSpaceGeometry geom;
+    geom.dx = geom.dy = geom.dz = box / nx;
+    geom.umax = nopt.umax_over_uth * u_th;
+    geom.dux = geom.duy = geom.duz = 2.0 * geom.umax / nu;
+    vlasov::PhaseSpace f(dims, geom);
+    cosmo::initialize_neutrino_phase_space(f, params, u_th, fields.delta,
+                                           &fields.bulk_x, &fields.bulk_y,
+                                           &fields.bulk_z);
+    return f;
+  }
+
+  hybrid::HybridSolver make(vlasov::PhaseSpace f) const {
     hybrid::HybridOptions opt;
     opt.pm_grid = nx;
     opt.treepm.theta = 0.6;
     opt.treepm.eps_cells = 0.2;
-    return hybrid::HybridSolver(std::move(f), std::move(ics.particles), box,
-                                bg, opt);
+    return hybrid::HybridSolver(std::move(f), particles(), box,
+                                cosmo::Background(params), opt);
+  }
+
+  hybrid::HybridSolver make(bool with_nu = true) const {
+    return make(with_nu ? neutrinos() : vlasov::PhaseSpace());
   }
 };
 
@@ -143,10 +152,45 @@ TEST(HybridSolver, TimersAccumulatePerPart) {
   EXPECT_GT(solver.timers().total("tree"), 0.0);
 }
 
-// The distributed solver walks the tree only at the particles its rank
-// owns.  Any disjoint split of the target indices that covers every
-// particle must reproduce one full pass bit for bit, and walk each target
-// exactly once.
+// The world-1 solver owns its phase space: the scenario constructor moves
+// f in (a copy would hold a second phase space), and nothing it builds
+// points into f, so the phase space may be replaced after construction —
+// as perfbench's translate() does — and the run is the one a solver built
+// from the replacement would make.
+TEST(HybridSolver, WorldOneTakesItsPhaseSpace) {
+  HybridSetup setup;
+  auto f = setup.neutrinos();
+  const float* buffer = f.raw();
+  auto solver = setup.make(std::move(f));
+  EXPECT_EQ(solver.neutrinos().raw(), buffer);
+
+  solver.neutrinos() = setup.neutrinos(/*seed=*/23);
+  auto reference = setup.make(setup.neutrinos(/*seed=*/23));
+  double a = setup.a0;
+  for (int s = 0; s < 2; ++s) {
+    const double a1 = reference.suggest_next_a(a, 0.02);
+    EXPECT_EQ(solver.suggest_next_a(a, 0.02), a1);
+    solver.step(a, a1);
+    reference.step(a, a1);
+    a = a1;
+  }
+  const auto& got = solver.neutrinos();
+  const auto& want = reference.neutrinos();
+  ASSERT_EQ(got.raw_size(), want.raw_size());
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), got.raw_size() * sizeof(float)),
+            0);
+  const auto& p = solver.cdm();
+  const auto& q = reference.cdm();
+  const std::size_t bytes = p.size() * sizeof(double);
+  for (const auto& [u, v] : {std::pair{&p.x, &q.x}, std::pair{&p.y, &q.y},
+                             std::pair{&p.z, &q.z}, std::pair{&p.ux, &q.ux},
+                             std::pair{&p.uy, &q.uy}, std::pair{&p.uz, &q.uz}})
+    EXPECT_EQ(std::memcmp(u->data(), v->data(), bytes), 0);
+}
+
+// HybridSolver walks the tree only at the particles its rank owns.  Any
+// disjoint split of the target indices that covers every particle must
+// reproduce one full pass bit for bit, and walk each target exactly once.
 TEST(TreeAccelerations, DisjointTargetListsSumToOneFullPass) {
   const double box = 100.0;
   const std::size_t n = 600;
