@@ -15,7 +15,6 @@
 #include "mesh/grid.hpp"
 #include "simd/transpose.hpp"
 #include "vlasov/advect_kernels.hpp"
-#include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace {
@@ -44,10 +43,9 @@ vlasov::PhaseSpace make_box(int nx, int nu) {
 }
 
 /// One set of six directional sweeps: velocity kick (3 axes) + position
-/// drift (3 axes with periodic halo refills), mirroring kick_half +
-/// drift_full's structure.  `fused` selects the production path
-/// (advect_velocity_all + requested kernel); otherwise the seed's
-/// per-axis passes run.
+/// drift (3 periodic axes), mirroring kick_half + drift_full's structure.
+/// `fused` selects the production path (advect_velocity_all + requested
+/// kernel); otherwise the seed's per-axis passes run.
 void six_sweeps(vlasov::PhaseSpace& f, const mesh::Grid3D<double>& accel,
                 SweepKernel kernel, bool fused) {
   const double dt = 0.5;
@@ -58,10 +56,8 @@ void six_sweeps(vlasov::PhaseSpace& f, const mesh::Grid3D<double>& accel,
     for (int axis = 0; axis < 3; ++axis)
       vlasov::advect_velocity_axis(f, axis, accel, dt, kernel);
   }
-  for (int axis : {2, 1, 0}) {
-    vlasov::periodic_halo_filler()(f, axis);
-    vlasov::advect_position_axis(f, axis, drift, kernel);
-  }
+  for (int axis : {2, 1, 0})
+    vlasov::advect_position_axis(f, axis, drift, kernel, vlasov::AxisFaces{});
 }
 
 }  // namespace
@@ -112,8 +108,7 @@ int main(int argc, char** argv) {
     harness.time_phase(
         "sl_mpp5_simd_lines_" + std::to_string(n), reps,
         [&] {
-          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, shift,
-                                    vlasov::GhostMode::kZero, ws);
+          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, shift, ws);
         },
         static_cast<double>(n) * L,
         static_cast<double>(n) * L * 2 * sizeof(float));
@@ -135,7 +130,7 @@ int main(int argc, char** argv) {
         "sl_mpp5_simd_lines_rough_" + std::to_string(n), reps,
         [&] {
           vlasov::advect_lines_simd(rough.data(), L, out.data(), L, n, shift,
-                                    vlasov::GhostMode::kZero, ws);
+                                    ws);
         },
         static_cast<double>(n) * L,
         static_cast<double>(n) * L * 2 * sizeof(float));

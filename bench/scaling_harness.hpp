@@ -35,7 +35,6 @@
 #include "mesh/halo_plan.hpp"
 #include "nbody/particles.hpp"
 #include "common/rng.hpp"
-#include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::bench {
@@ -107,10 +106,9 @@ inline HostRates measure_host_rates(int nx = 6, int nu = 10) {
     for (int r = 0; r < reps; ++r) {
       for (int axis = 0; axis < 3; ++axis)
         advect_velocity_axis(f, axis, accel, 0.5, vlasov::SweepKernel::kAuto);
-      for (int axis = 0; axis < 3; ++axis) {
-        vlasov::periodic_halo_filler()(f, axis);
-        advect_position_axis(f, axis, 0.4, vlasov::SweepKernel::kAuto);
-      }
+      for (int axis = 0; axis < 3; ++axis)
+        advect_position_axis(f, axis, 0.4, vlasov::SweepKernel::kAuto,
+                             vlasov::AxisFaces{});
       for (int axis = 0; axis < 3; ++axis)
         advect_velocity_axis(f, axis, accel, 0.5, vlasov::SweepKernel::kAuto);
     }
@@ -279,9 +277,10 @@ inline RealVlasovResult measure_real_vlasov(int ranks,
       for (int axis = 0; axis < 3; ++axis) {
         Stopwatch cw;
         plan.begin_axis(f, axis);
-        plan.finish_axis(f, axis);
+        const vlasov::AxisFaces faces = plan.finish_axis(axis);
         comm_acc += cw.seconds();
-        advect_position_axis(f, axis, 0.35, vlasov::SweepKernel::kAuto);
+        advect_position_axis(f, axis, 0.35, vlasov::SweepKernel::kAuto,
+                             faces);
       }
       for (int axis = 0; axis < 3; ++axis)
         advect_velocity_axis(f, axis, accel, 0.25,

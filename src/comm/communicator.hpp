@@ -1,9 +1,10 @@
 // Simulated MPI: a message-passing runtime over pluggable transports.
 //
-// Substitutes for MPI on Fugaku (see DESIGN.md §2).  The API deliberately
-// mirrors the MPI subset the paper's code needs (blocking tagged p2p,
-// barrier, allreduce, bcast, gather, alltoall, Cartesian topology), so
-// porting to real MPI is mechanical.  What a "rank" physically is belongs
+// Substitutes for MPI on Fugaku (see "Deviations from the paper" in
+// docs/ARCHITECTURE.md).  The API deliberately mirrors the MPI subset the
+// paper's code needs (blocking tagged p2p, barrier, allreduce, bcast,
+// gather, alltoall, Cartesian topology), so porting to real MPI is
+// mechanical.  What a "rank" physically is belongs
 // to the Transport underneath (transport.hpp): threads of one process
 // (InProcTransport, the default under comm::run) or one OS process per
 // rank over TCP sockets (TcpTransport, the `transport=tcp` driver path).

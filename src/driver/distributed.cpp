@@ -15,6 +15,7 @@
 #include "driver/driver.hpp"
 #include "driver/telemetry.hpp"
 #include "io/snapshot.hpp"
+#include "mesh/decomposition.hpp"
 #include "parallel/decomp_plan.hpp"
 #include "vlasov/sweeps.hpp"
 
@@ -100,7 +101,7 @@ std::array<int, 3> resolve_run_decomp(const SimulationConfig& cfg,
   const auto& d = solver.neutrinos().dims();
   if (d.total_interior() > 0) {
     constraints.vlasov = {d.nx, d.ny, d.nz};
-    constraints.vlasov_ghost = d.ghost;
+    constraints.vlasov_ghost = vlasov::kStencilGhost;
   }
   constraints.pm_grid = solver.options().pm_grid;
   return parallel::resolve_decomp(cfg.decomp, cfg.ranks, constraints);
@@ -135,8 +136,8 @@ io::SnapshotStatus assemble_phase_space_shards(const std::string& dir,
     const int oj = static_cast<int>(std::lround((sg.y0 - gg.y0) / gg.dy));
     const int ok = static_cast<int>(std::lround((sg.z0 - gg.z0) / gg.dz));
     if (sd.nux != gd.nux || sd.nuy != gd.nuy || sd.nuz != gd.nuz ||
-        oi < 0 || oj < 0 || ok < 0 || oi + sd.nx > gd.nx ||
-        oj + sd.ny > gd.ny || ok + sd.nz > gd.nz) {
+        !mesh::BrickDecomposition::fits({oi, oj, ok}, {sd.nx, sd.ny, sd.nz},
+                                        {gd.nx, gd.ny, gd.nz})) {
       if (error) *error = path + ": shard does not fit the configured grid";
       return io::SnapshotStatus::kBadHeader;
     }

@@ -111,8 +111,7 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   const auto& dims = driver.solver_->neutrinos().dims();
   if (dims.nx != expected_dims.nx || dims.ny != expected_dims.ny ||
       dims.nz != expected_dims.nz || dims.nux != expected_dims.nux ||
-      dims.nuy != expected_dims.nuy || dims.nuz != expected_dims.nuz ||
-      dims.ghost != expected_dims.ghost)
+      dims.nuy != expected_dims.nuy || dims.nuz != expected_dims.nuz)
     throw std::runtime_error(
         "checkpoint phase space does not match the configured scenario "
         "shape (physics keys must not change across a resume)");

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "comm/context.hpp"
 #include "comm/inproc_transport.hpp"
@@ -234,7 +235,7 @@ HybridSolver::HybridSolver(std::unique_ptr<World> world,
   parallel::DecompConstraints constraints;
   if (has_nu_) constraints.vlasov = {gd.nx, gd.ny, gd.nz};
   constraints.pm_grid = options_.pm_grid;
-  constraints.vlasov_ghost = gd.ghost;
+  constraints.vlasov_ghost = vlasov::kStencilGhost;
   parallel::validate_decomp(decomp, comm_.size(), constraints);
 
   dec_ = mesh::BrickDecomposition({gd.nx, gd.ny, gd.nz}, decomp,
@@ -553,7 +554,7 @@ void HybridSolver::drift(double drift_factor) {
                      [this](vlasov::PhaseSpace& f, int axis) {
                        ScopedTimer t(timers_, "halo");
                        ps_plan_.begin_axis(f, axis);
-                       ps_plan_.finish_axis(f, axis);
+                       return ps_plan_.finish_axis(axis);
                      });
   timers_.add("halo-wait", ps_plan_.take_wait());
 }
@@ -667,9 +668,8 @@ void HybridSolver::gather_into(HybridSolver& global, bool via_messages) {
   } else if (has_nu_) {
     // Process ranks do not: ship each brick to rank 0 as one message —
     // [6 x int32 placement header][blocks in i,j,k order] — and let rank 0
-    // place them by the sender's own offsets (mirrors the shard-resume
-    // placement logic, so the two paths agree on layout).
-    constexpr int kGatherTag = 0x6a7;
+    // place them by the sender's own offsets, checked like a checkpoint
+    // shard's, so the two paths agree on layout.
     const std::size_t block_floats = f_.block_size();
     const auto pack = [&](std::vector<std::uint8_t>& buf) {
       const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
@@ -704,6 +704,12 @@ void HybridSolver::gather_into(HybridSolver& global, bool via_messages) {
           throw std::runtime_error("gather_into: truncated brick message");
         std::memcpy(header, buf.data(), sizeof(header));
         std::size_t at = sizeof(header);
+        if (!mesh::BrickDecomposition::fits({header[0], header[1], header[2]},
+                                            {header[3], header[4], header[5]},
+                                            dec_.global()))
+          throw std::runtime_error("gather_into: rank " + std::to_string(r) +
+                                   "'s brick header places it outside the "
+                                   "grid");
         if (buf.size() != sizeof(header) +
                               static_cast<std::size_t>(header[3]) *
                                   header[4] * header[5] * bytes)

@@ -32,16 +32,16 @@
 //     allreduce-d so every rank takes identical steps.
 //
 // A scenario-built solver is the world-1 case: it runs over a single-rank
-// in-process communicator it owns, where every halo, fold and fill plan
-// reduces to the local periodic wrap or fold (the brick -> slab plan and
-// the FFT transposes still send their blocks to the rank itself).  The
-// slicing constructor builds one rank's share of such a solver for a
-// comm::run (or TCP) world; gather_into() writes the evolved state back.
+// in-process communicator it owns, where no halo, fold or fill plan sends
+// a message (the brick -> slab plan and the FFT transposes still send
+// their blocks to the rank itself).  The slicing constructor builds one
+// rank's share of such a solver for a comm::run (or TCP) world;
+// gather_into() writes the evolved state back.
 //
 // Every exchange goes through a plan object (mesh::HaloPlan,
 // mesh::GridFillPlan, mesh::GridFoldPlan, parallel::SlabExchange) with
 // begin/finish halves.  Position sweeps take a single-axis face exchange
-// before each sweep (HaloPlan, filled through vlasov::drift_full's
+// before each sweep (HaloPlan, handed to vlasov::drift_full as its
 // axis-aware HaloFiller); the CDM ghost fold can fly during the Vlasov
 // moment accumulation, the brick -> x-slab FFT redistribution during
 // Green-function table prep, and each force component's slab -> brick
@@ -225,9 +225,11 @@ class HybridSolver {
   /// rank copies its f brick (disjoint), rank 0 restores particles and the
   /// force cache (collective).  With `via_messages` the ranks do not share
   /// the global solver's address space (multi-process transports): bricks
-  /// travel to rank 0 as point-to-point messages and only rank 0's
-  /// `global` is assembled — the other ranks' globals are left untouched.
+  /// travel to rank 0 as kGatherTag messages, whose placement headers it
+  /// checks (std::runtime_error), and only rank 0's `global` is assembled
+  /// — the other ranks' globals are left untouched.
   void gather_into(HybridSolver& global, bool via_messages = false);
+  static constexpr int kGatherTag = 0x6a7;
 
  private:
   struct World;
@@ -253,7 +255,7 @@ class HybridSolver {
   mesh::BrickDecomposition pm_dec_;  // PM mesh bricks
   fft::ParallelFft3D pfft_;
 
-  vlasov::PhaseSpace f_;   // local brick (+ ghosts)
+  vlasov::PhaseSpace f_;   // local brick (interior blocks only)
   nbody::Particles cdm_;   // replicated; work split by owned_
   double box_;
   cosmo::Background background_;

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <memory>
 
+#include "vlasov/sl_mpp5.hpp"
+
 namespace v6d::io {
 
 namespace {
@@ -139,20 +141,17 @@ SnapshotStatus write_phase_space(const std::string& path,
   if (!fp) return SnapshotStatus::kOpenFailed;
   const std::uint32_t magic = kPhaseSpaceMagic, version = kVersion;
   const auto& d = f.dims();
+  // Slot 7 records the stencil's ghost width; the payload has no ghosts.
   const std::int32_t dims[7] = {d.nx, d.ny, d.nz, d.nux, d.nuy, d.nuz,
-                                d.ghost};
+                                vlasov::kStencilGhost};
   const auto& g = f.geom();
   const double geom[10] = {g.x0, g.y0, g.z0,  g.dx,  g.dy,
                            g.dz, g.umax, g.dux, g.duy, g.duz};
   if (!write_raw(fp.get(), &magic, 1) || !write_raw(fp.get(), &version, 1) ||
       !write_raw(fp.get(), dims, 7) || !write_raw(fp.get(), geom, 10))
     return SnapshotStatus::kWriteFailed;
-  // Interior blocks only (ghosts are reconstructed).
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz)
-        if (!write_raw(fp.get(), f.block(ix, iy, iz), f.block_size()))
-          return SnapshotStatus::kWriteFailed;
+  if (!write_raw(fp.get(), f.raw(), f.raw_size()))
+    return SnapshotStatus::kWriteFailed;
   return SnapshotStatus::kOk;
 }
 
@@ -168,21 +167,13 @@ SnapshotStatus read_phase_space(const std::string& path,
     return SnapshotStatus::kShortRead;
   for (int i = 0; i < 6; ++i)
     if (dims[i] <= 0) return SnapshotStatus::kBadHeader;
-  // Ghost layers are a property of the stencil, not the problem size; a
-  // large value is corruption and would blow up the (n + 2g)^3 allocation.
+  // The ghost width is a property of the stencil, not the problem size,
+  // and allocates nothing; a large value is corruption.
   if (dims[6] < 0 || dims[6] > 16) return SnapshotStatus::kBadHeader;
-  // Bound what PhaseSpace will allocate (interior + ghost blocks), with
-  // overflow-safe products.
-  std::uint64_t interior = sizeof(float), alloc = sizeof(float);
+  // Bound what PhaseSpace will allocate, with overflow-safe products.
+  std::uint64_t interior = sizeof(float);
   for (int i = 0; i < 6; ++i)
     if (!mul_within_cap(interior, static_cast<std::uint64_t>(dims[i])))
-      return SnapshotStatus::kBadHeader;
-  for (int i = 0; i < 3; ++i)
-    if (!mul_within_cap(alloc,
-                        static_cast<std::uint64_t>(dims[i]) + 2 * dims[6]))
-      return SnapshotStatus::kBadHeader;
-  for (int i = 3; i < 6; ++i)
-    if (!mul_within_cap(alloc, static_cast<std::uint64_t>(dims[i])))
       return SnapshotStatus::kBadHeader;
   const std::uint64_t header_bytes = 2 * sizeof(std::uint32_t) +
                                      7 * sizeof(std::int32_t) +
@@ -197,7 +188,6 @@ SnapshotStatus read_phase_space(const std::string& path,
   d.nux = dims[3];
   d.nuy = dims[4];
   d.nuz = dims[5];
-  d.ghost = dims[6];
   vlasov::PhaseSpaceGeometry g;
   g.x0 = geom[0];
   g.y0 = geom[1];
@@ -210,11 +200,8 @@ SnapshotStatus read_phase_space(const std::string& path,
   g.duy = geom[8];
   g.duz = geom[9];
   f = vlasov::PhaseSpace(d, g);
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz)
-        if (!read_raw(fp.get(), f.block(ix, iy, iz), f.block_size()))
-          return SnapshotStatus::kShortRead;
+  if (!read_raw(fp.get(), f.raw(), f.raw_size()))
+    return SnapshotStatus::kShortRead;
   return SnapshotStatus::kOk;
 }
 

@@ -31,6 +31,16 @@ class BrickDecomposition {
   /// Which rank coordinate owns global cell index g along an axis.
   static int owner_coord(int global, int parts, int g);
 
+  /// Whether a nonempty brick of `extent` cells at `offset` lies inside a
+  /// grid of `global` cells: checks placements read from a message or file.
+  static bool fits(std::array<int, 3> offset, std::array<int, 3> extent,
+                   std::array<int, 3> global) {
+    for (std::size_t a = 0; a < 3; ++a)
+      if (offset[a] < 0 || extent[a] < 1 || extent[a] > global[a] - offset[a])
+        return false;
+    return true;
+  }
+
  private:
   std::array<int, 3> global_{};
   std::array<int, 3> dims_{};

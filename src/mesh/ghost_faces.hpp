@@ -2,12 +2,13 @@
 //
 // A face is the ghost-width slab of cells next to a brick boundary along
 // one axis.  A *fill* copies interior cells into the ghosts across a face
-// (phase-space faces before each position sweep, force-grid ghosts before
-// CIC sampling); a *fold* adds ghost cells onto the interior across it
-// and zeroes them (CIC deposits spilled over a brick boundary).
-// GhostFaces describes each axis' face box and owns the one loop that
-// packs, unpacks and periodically wraps faces.  It does no communication:
-// the plans of mesh/halo_plan.hpp post the messages.
+// (force-grid ghosts before CIC sampling; phase-space faces are only
+// packed, and the position sweep reads them in pack order); a *fold* adds
+// ghost cells onto the interior across it and zeroes them (CIC deposits
+// spilled over a brick boundary).  GhostFaces describes each axis' face
+// box and owns the one loop that packs, unpacks and periodically wraps
+// faces.  It does no communication: the plans of mesh/halo_plan.hpp post
+// the messages.
 #pragma once
 
 #include <algorithm>

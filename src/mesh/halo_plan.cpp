@@ -4,6 +4,7 @@
 
 #include "common/timer.hpp"
 #include "common/trace.hpp"
+#include "vlasov/sl_mpp5.hpp"
 
 namespace v6d::mesh {
 
@@ -29,7 +30,8 @@ void FaceMessages<T>::post(comm::CartTopology& cart, int tag_base,
 HaloPlan::HaloPlan(comm::CartTopology& cart,
                    const vlasov::PhaseSpaceDims& dims, int tag_base)
     : cart_(&cart), tag_base_(tag_base),
-      faces_({dims.nx, dims.ny, dims.nz}, dims.ghost, FaceSpan::kInterior) {
+      faces_({dims.nx, dims.ny, dims.nz}, vlasov::kStencilGhost,
+             FaceSpan::kInterior) {
   faces_.require_fits(cart.dims());
   std::size_t max_face = 0;
   for (int axis = 0; axis < 3; ++axis) {
@@ -45,33 +47,28 @@ HaloPlan::HaloPlan(comm::CartTopology& cart,
     for (auto& buf : messages_[static_cast<std::size_t>(axis)].send)
       buf.resize(ap.face_floats);
   }
-  recv_buf_.resize(max_face);
+  for (auto& buf : received_) buf.resize(max_face);
 }
 
 void HaloPlan::begin_axis(vlasov::PhaseSpace& f, int axis) {
   trace::Span span("halo-begin");
-  if (!axes_[static_cast<std::size_t>(axis)].decomposed)
-    faces_.wrap(GhostOp::kFill, cell_view(f), axis);
-  else
+  if (axes_[static_cast<std::size_t>(axis)].decomposed)
     messages_[static_cast<std::size_t>(axis)].post(
         *cart_, tag_base_, faces_, GhostOp::kFill, cell_view(f), axis);
 }
 
-void HaloPlan::finish_axis(vlasov::PhaseSpace& f, int axis) {
+vlasov::AxisFaces HaloPlan::finish_axis(int axis) {
   trace::Span span("halo-finish");
   const auto ax = static_cast<std::size_t>(axis);
-  if (!axes_[ax].decomposed) return;
-  for (int side : {0, 1}) {
-    {
-      trace::Span wait_span("halo-wait");
-      Stopwatch w;
-      messages_[ax].from[static_cast<std::size_t>(side)].wait_into(
-          recv_buf_.data(), axes_[ax].face_floats);
-      wait_s_ += w.seconds();
-    }
-    faces_.unpack(GhostOp::kFill, cell_view(f), axis, side,
-                  recv_buf_.data());
+  if (!axes_[ax].decomposed) return {};
+  for (std::size_t side : {0u, 1u}) {
+    trace::Span wait_span("halo-wait");
+    Stopwatch w;
+    messages_[ax].from[side].wait_into(received_[side].data(),
+                                       axes_[ax].face_floats);
+    wait_s_ += w.seconds();
   }
+  return {received_[0].data(), received_[1].data()};
 }
 
 GridGhostChain::GridGhostChain(comm::CartTopology& cart,

@@ -14,7 +14,8 @@
 //
 //  * HaloPlan — the phase-space face pair a position sweep along one axis
 //    reads (that axis' ghosts at interior transverse positions).
-//    Undecomposed axes wrap locally in begin_axis().
+//    finish_axis() returns the received faces from the plan's buffers;
+//    nothing is unpacked.  Undecomposed axes exchange nothing.
 //  * GridFillPlan / GridFoldPlan — the force-grid ghost fill before CIC
 //    sampling and the deposit fold after CIC deposits.  The fold is the
 //    fill's axis chain run backwards: interior faces are copied into the
@@ -55,9 +56,10 @@ class HaloPlan {
 
   HaloPlan() = default;
   /// Plan the single-axis face exchanges for bricks of shape `dims` on
-  /// `cart`.  `tag_base` must be distinct from every other exchange kind
-  /// live on the same communicator.  Throws std::invalid_argument if a
-  /// decomposed axis is thinner than the ghost width.
+  /// `cart`, kStencilGhost layers deep.  `tag_base` must be distinct from
+  /// every other exchange kind live on the same communicator.  Throws
+  /// std::invalid_argument if a decomposed axis is thinner than the ghost
+  /// width.
   HaloPlan(comm::CartTopology& cart, const vlasov::PhaseSpaceDims& dims,
            int tag_base);
 
@@ -65,14 +67,14 @@ class HaloPlan {
     return axes_[static_cast<std::size_t>(a)];
   }
 
-  /// Pack + send both faces of `axis` and post the ghost receives
-  /// (undecomposed axes locally wrap instead).  The caller may mutate any
-  /// interior cell except the two ghost-width face shells until
-  /// finish_axis() returns.
+  /// Pack + send both faces of `axis` and post their receives; nothing on
+  /// an undecomposed axis.  Packing copies the faces, so the caller may
+  /// mutate f as soon as begin_axis() returns.
   void begin_axis(vlasov::PhaseSpace& f, int axis);
-  /// Complete both receives and unpack them into the axis ghosts at
-  /// interior transverse positions.  No-op for undecomposed axes.
-  void finish_axis(vlasov::PhaseSpace& f, int axis);
+  /// Wait for both faces of `axis` and return them: `lo` from the low
+  /// neighbor, `hi` from the high one, valid until the next finish_axis().
+  /// Null faces on an undecomposed axis.
+  vlasov::AxisFaces finish_axis(int axis);
 
   double take_wait() { return std::exchange(wait_s_, 0.0); }
 
@@ -82,7 +84,7 @@ class HaloPlan {
   GhostFaces faces_;
   std::array<AxisPlan, 3> axes_{};
   std::array<FaceMessages<float>, 3> messages_;
-  AlignedVector<float> recv_buf_;
+  std::array<AlignedVector<float>, 2> received_;  // by side
   double wait_s_ = 0.0;
 };
 

@@ -1,7 +1,5 @@
 #include "simd/dispatch.hpp"
 
-#include <cstdlib>
-
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -46,28 +44,8 @@ const char* to_string(SweepKernel kernel) {
   return "unknown";
 }
 
-SweepKernel parse_sweep_kernel(const std::string& text, SweepKernel fallback) {
-  if (text == "scalar") return SweepKernel::kScalar;
-  if (text == "simd") return SweepKernel::kSimd;
-  if (text == "lat") return SweepKernel::kLat;
-  if (text == "auto") return SweepKernel::kAuto;
-  return fallback;
-}
-
-SweepKernel sweep_kernel_from_env(SweepKernel fallback) {
-  // Read once: the override is a process-wide run configuration, and the
-  // resolver sits on the hot path of every sweep.
-  static const SweepKernel cached = [] {
-    const char* value = std::getenv("V6D_KERNEL");
-    return parse_sweep_kernel(value ? value : "", SweepKernel::kAuto);
-  }();
-  return cached == SweepKernel::kAuto ? fallback : cached;
-}
-
 SweepKernel resolve_sweep_kernel(SweepKernel requested, bool contiguous_axis) {
   if (requested != SweepKernel::kAuto) return requested;
-  const SweepKernel kernel = sweep_kernel_from_env(SweepKernel::kAuto);
-  if (kernel != SweepKernel::kAuto) return kernel;
   // Paper Table 1: the contiguous axis only vectorizes well through the
   // in-register transpose; everything else uses the multi-lane SIMD path.
   return contiguous_axis ? SweepKernel::kLat : SweepKernel::kSimd;

@@ -3,8 +3,7 @@
 //
 // Every sweep over the 6-D phase space can run with one of three line
 // kernels (scalar reference, multi-lane SIMD, LAT in-register transpose).
-// The hot path asks for kAuto and this layer resolves it — per axis, against
-// the compiled ISA and an optional V6D_KERNEL environment override — so the
+// The hot path asks for kAuto and this layer resolves it per axis, so the
 // production binary always reaches the vectorized advect_simd/advect_lat
 // path while tests and the Table-1 bench can still pin a concrete kernel.
 #pragma once
@@ -28,21 +27,13 @@ enum class SweepKernel { kScalar, kSimd, kLat, kAuto };
 
 const char* to_string(SweepKernel kernel);
 
-/// Parse "scalar" / "simd" / "lat" / "auto"; returns `fallback` on anything
-/// else (including the empty string).
-SweepKernel parse_sweep_kernel(const std::string& text, SweepKernel fallback);
-
-/// The V6D_KERNEL environment override, read once per process; returns
-/// `fallback` when the variable is unset or unparsable.
-SweepKernel sweep_kernel_from_env(SweepKernel fallback);
-
 /// Resolve a requested kernel to the one a sweep should actually run.
 ///
 /// Explicit requests (kScalar/kSimd/kLat) pass through untouched so bench
-/// comparisons and the scalar test reference stay pinned.  kAuto first
-/// honours V6D_KERNEL, then picks the paper's Table-1 winner for the axis:
-/// LAT when the sweep runs along the memory-contiguous axis (uz), multi-lane
-/// SIMD for the five strided axes.  Never returns kAuto.
+/// comparisons and the scalar test reference stay pinned.  kAuto picks the
+/// paper's Table-1 winner for the axis: LAT when the sweep runs along the
+/// memory-contiguous axis (uz), multi-lane SIMD for the five strided axes.
+/// Never returns kAuto.
 SweepKernel resolve_sweep_kernel(SweepKernel requested, bool contiguous_axis);
 
 /// OpenMP thread count the parallel sweeps will use (1 in serial builds).

@@ -13,13 +13,12 @@
 //              in-register transpose ("load and transpose", Fig. 3) so the
 //              inner loop still performs contiguous vector loads.
 //
-// All three run the SL-MPP5 flux kernel on a ghost-padded line batch and
-// write the result back.  Ghost values come either from the source array
-// (position sweeps, where halo exchange has filled spatial ghosts) or are
-// zero (velocity sweeps, where f has compact support inside the velocity
-// cube).  The scalar and LAT kernels always stage the batch into a
-// workspace; the SIMD kernel stages only zero-ghost batches and reads
-// source-ghost lines in place.
+// All three stage the batch into a zero-padded workspace, run the SL-MPP5
+// flux kernel on it and write the result back.  Zero ghosts are what the
+// velocity sweeps need: f has compact support inside the velocity cube.
+// Position sweeps have nonzero ghosts (a neighbor's faces or the line's
+// periodic image); vlasov::advect_position_axis stages those itself and
+// runs the same flux cores (advect_line_scalar, detail::sl_mpp5_kernel_vec).
 //
 // The vector kernels take a LineShift, built once per shift and reused by
 // every lane group a sweep advects by it.
@@ -41,11 +40,6 @@ namespace v6d::vlasov {
 /// velocity grids.
 inline constexpr int kLanes =
     simd::kNativeFloatWidth < 8 ? simd::kNativeFloatWidth : 8;
-
-enum class GhostMode {
-  kFromSource,  // ghost cells exist in the source array at the same stride
-  kZero,        // out-of-range cells are zero (velocity-space boundary)
-};
 
 /// The flux setup of one kLanes-wide line batch: xi = s + theta per lane,
 /// theta in [0, 1), with the weights, limiter parameters and ghost width
@@ -90,7 +84,7 @@ struct AdvectWorkspace {
 /// `stride` floats apart. src and dst may alias.
 void advect_line_strided_scalar(const float* src, std::ptrdiff_t stride,
                                 float* dst, std::ptrdiff_t dst_stride, int n,
-                                double xi, Limiter limiter, GhostMode ghosts,
+                                double xi, Limiter limiter,
                                 AdvectWorkspace& ws);
 
 /// SIMD: kLanes lines whose lane index is memory-contiguous, lane l
@@ -99,23 +93,21 @@ void advect_line_strided_scalar(const float* src, std::ptrdiff_t stride,
 /// src + i*cell_stride + l. src and dst may alias.
 void advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
                        float* dst, std::ptrdiff_t dst_cell_stride, int n,
-                       const LineShift& shift, GhostMode ghosts,
-                       AdvectWorkspace& ws);
+                       const LineShift& shift, AdvectWorkspace& ws);
 
 /// LAT: kLanes lines along the contiguous axis. Line l starts at
 /// src + l*line_stride; cells within a line are adjacent floats.
 /// src and dst may alias.
 void advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
                       float* dst, std::ptrdiff_t dst_line_stride, int n,
-                      const LineShift& shift, GhostMode ghosts,
-                      AdvectWorkspace& ws);
+                      const LineShift& shift, AdvectWorkspace& ws);
 
 /// "Naive SIMD" variant of the LAT case used by the Table-1 bench: lanes are
 /// gathered element-by-element from strided lines (the slow data layout of
 /// the paper's Fig. 2) instead of transposed in registers.
 void advect_lines_lat_gather(const float* src, std::ptrdiff_t line_stride,
                              float* dst, std::ptrdiff_t dst_line_stride,
-                             int n, const LineShift& shift, GhostMode ghosts,
+                             int n, const LineShift& shift,
                              AdvectWorkspace& ws);
 
 }  // namespace v6d::vlasov

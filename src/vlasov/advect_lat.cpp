@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "simd/transpose.hpp"
 #include "vlasov/advect_kernels.hpp"
 #include "vlasov/advect_vec_impl.hpp"
@@ -8,9 +10,9 @@ namespace {
 
 // Stage kLanes contiguous lines into a cell-major [n + 2g][kLanes] block.
 // Interior cells move through in-register LxL transposes (the LAT step);
-// the <= 2*ghost boundary cells per line are filled scalar.
+// the 2*ghost boundary cells are zero.
 void fill_transposed(const float* src, std::ptrdiff_t line_stride, float* in,
-                     int n, int ghost, GhostMode ghosts) {
+                     int n, int ghost) {
   constexpr int L = kLanes;
   int t = 0;
   for (; t + L <= n; t += L)
@@ -20,18 +22,9 @@ void fill_transposed(const float* src, std::ptrdiff_t line_stride, float* in,
     for (int l = 0; l < L; ++l)
       in[static_cast<std::ptrdiff_t>(ghost + t) * L + l] =
           src[static_cast<std::ptrdiff_t>(l) * line_stride + t];
-  for (int k = 1; k <= ghost; ++k) {
-    for (int l = 0; l < L; ++l) {
-      in[static_cast<std::ptrdiff_t>(ghost - k) * L + l] =
-          ghosts == GhostMode::kFromSource
-              ? src[static_cast<std::ptrdiff_t>(l) * line_stride - k]
-              : 0.0f;
-      in[static_cast<std::ptrdiff_t>(ghost + n - 1 + k) * L + l] =
-          ghosts == GhostMode::kFromSource
-              ? src[static_cast<std::ptrdiff_t>(l) * line_stride + n - 1 + k]
-              : 0.0f;
-    }
-  }
+  std::fill_n(in, static_cast<std::ptrdiff_t>(ghost) * L, 0.0f);
+  std::fill_n(in + static_cast<std::ptrdiff_t>(ghost + n) * L,
+              static_cast<std::ptrdiff_t>(ghost) * L, 0.0f);
 }
 
 void write_back_transposed(const float* out, float* dst,
@@ -51,11 +44,10 @@ void write_back_transposed(const float* out, float* dst,
 
 void advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
                       float* dst, std::ptrdiff_t dst_line_stride, int n,
-                      const LineShift& shift, GhostMode ghosts,
-                      AdvectWorkspace& ws) {
+                      const LineShift& shift, AdvectWorkspace& ws) {
   const int ghost = shift.max_ghost;
   ws.ensure(n, ghost, kLanes);
-  fill_transposed(src, line_stride, ws.in.data(), n, ghost, ghosts);
+  fill_transposed(src, line_stride, ws.in.data(), n, ghost);
   detail::sl_mpp5_kernel_vec(ws.in.data(), kLanes, ws.out.data(), kLanes, n,
                              ghost, shift, ws.flux.data());
   write_back_transposed(ws.out.data(), dst, dst_line_stride, n);
@@ -63,7 +55,7 @@ void advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
 
 void advect_lines_lat_gather(const float* src, std::ptrdiff_t line_stride,
                              float* dst, std::ptrdiff_t dst_line_stride,
-                             int n, const LineShift& shift, GhostMode ghosts,
+                             int n, const LineShift& shift,
                              AdvectWorkspace& ws) {
   constexpr int L = kLanes;
   const int ghost = shift.max_ghost;
@@ -75,9 +67,8 @@ void advect_lines_lat_gather(const float* src, std::ptrdiff_t line_stride,
     const bool interior = k >= 0 && k < n;
     for (int l = 0; l < L; ++l)
       in[static_cast<std::ptrdiff_t>(k + ghost) * L + l] =
-          (interior || ghosts == GhostMode::kFromSource)
-              ? src[static_cast<std::ptrdiff_t>(l) * line_stride + k]
-              : 0.0f;
+          interior ? src[static_cast<std::ptrdiff_t>(l) * line_stride + k]
+                   : 0.0f;
   }
   detail::sl_mpp5_kernel_vec(in, L, ws.out.data(), L, n, ghost, shift,
                              ws.flux.data());

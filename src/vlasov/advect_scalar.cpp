@@ -14,17 +14,13 @@ void AdvectWorkspace::ensure(int n, int ghost, int lanes) {
 
 void advect_line_strided_scalar(const float* src, std::ptrdiff_t stride,
                                 float* dst, std::ptrdiff_t dst_stride, int n,
-                                double xi, Limiter limiter, GhostMode ghosts,
+                                double xi, Limiter limiter,
                                 AdvectWorkspace& ws) {
   const int ghost = required_ghost(xi);
   ws.ensure(n, ghost, 1);
   float* in = ws.in.data();
-  for (int k = -ghost; k < n + ghost; ++k) {
-    const bool interior = k >= 0 && k < n;
-    in[k + ghost] = (interior || ghosts == GhostMode::kFromSource)
-                        ? src[k * stride]
-                        : 0.0f;
-  }
+  for (int k = -ghost; k < n + ghost; ++k)
+    in[k + ghost] = k >= 0 && k < n ? src[k * stride] : 0.0f;
   advect_line_scalar(in, ws.out.data(), n, ghost, xi, limiter);
   for (int i = 0; i < n; ++i) dst[i * dst_stride] = ws.out[i];
 }

@@ -58,31 +58,20 @@ std::optional<LineShift> LineShift::per_lane(const double* xi,
 
 void advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
                        float* dst, std::ptrdiff_t dst_cell_stride, int n,
-                       const LineShift& shift, GhostMode ghosts,
-                       AdvectWorkspace& ws) {
+                       const LineShift& shift, AdvectWorkspace& ws) {
   using P = LineShift::P;
   const int ghost = shift.max_ghost;
   ws.ensure(n, ghost, kLanes);
 
-  if (ghosts == GhostMode::kFromSource) {
-    // Ghost cells are materialized in the source at the same stride
-    // (position sweeps after halo exchange): feed the kernel in place.
-    detail::sl_mpp5_kernel_vec(
-        src - static_cast<std::ptrdiff_t>(ghost) * cell_stride, cell_stride,
-        ws.out.data(), kLanes, n, ghost, shift, ws.flux.data());
-  } else {
-    // Velocity-space boundary: stage through a zero-padded scratch block.
-    float* in = ws.in.data();
-    const P zero = P::zero();
-    for (int k = -ghost; k < 0; ++k) zero.store(in + (k + ghost) * kLanes);
-    for (int k = 0; k < n; ++k)
-      P::load(src + static_cast<std::ptrdiff_t>(k) * cell_stride)
-          .store(in + (k + ghost) * kLanes);
-    for (int k = n; k < n + ghost; ++k)
-      zero.store(in + (k + ghost) * kLanes);
-    detail::sl_mpp5_kernel_vec(in, kLanes, ws.out.data(), kLanes, n, ghost,
-                               shift, ws.flux.data());
-  }
+  float* in = ws.in.data();
+  const P zero = P::zero();
+  for (int k = -ghost; k < 0; ++k) zero.store(in + (k + ghost) * kLanes);
+  for (int k = 0; k < n; ++k)
+    P::load(src + static_cast<std::ptrdiff_t>(k) * cell_stride)
+        .store(in + (k + ghost) * kLanes);
+  for (int k = n; k < n + ghost; ++k) zero.store(in + (k + ghost) * kLanes);
+  detail::sl_mpp5_kernel_vec(in, kLanes, ws.out.data(), kLanes, n, ghost,
+                             shift, ws.flux.data());
 
   for (int i = 0; i < n; ++i)
     P::load(ws.out.data() + static_cast<std::ptrdiff_t>(i) * kLanes)

@@ -7,40 +7,24 @@ namespace v6d::vlasov {
 PhaseSpace::PhaseSpace(const PhaseSpaceDims& dims,
                        const PhaseSpaceGeometry& geom)
     : dims_(dims), geom_(geom) {
-  const int g = dims.ghost;
-  const std::size_t blocks = std::size_t(dims.nx + 2 * g) *
-                             (dims.ny + 2 * g) * (dims.nz + 2 * g);
-  data_.assign(blocks * dims.velocity_cells(), 0.0f);
+  data_.assign(dims.total_interior(), 0.0f);
 }
 
 double PhaseSpace::total_mass() const {
   double sum = 0.0;
-  for (int ix = 0; ix < dims_.nx; ++ix)
-    for (int iy = 0; iy < dims_.ny; ++iy)
-      for (int iz = 0; iz < dims_.nz; ++iz) {
-        const float* b = block(ix, iy, iz);
-        double cell = 0.0;
-        for (std::size_t v = 0; v < block_size(); ++v) cell += b[v];
-        sum += cell;
-      }
+  const float* b = data_.data();
+  for (std::size_t cell = 0; cell < dims_.spatial_cells(); ++cell) {
+    double block_sum = 0.0;
+    for (std::size_t v = 0; v < block_size(); ++v) block_sum += b[v];
+    sum += block_sum;
+    b += block_size();
+  }
   return sum * geom_.du3() * geom_.dvol();
 }
 
 float PhaseSpace::min_interior() const {
-  float m = 0.0f;
-  bool first = true;
-  for (int ix = 0; ix < dims_.nx; ++ix)
-    for (int iy = 0; iy < dims_.ny; ++iy)
-      for (int iz = 0; iz < dims_.nz; ++iz) {
-        const float* b = block(ix, iy, iz);
-        for (std::size_t v = 0; v < block_size(); ++v) {
-          if (first || b[v] < m) {
-            m = b[v];
-            first = false;
-          }
-        }
-      }
-  return m;
+  if (data_.empty()) return 0.0f;
+  return *std::min_element(data_.begin(), data_.end());
 }
 
 void PhaseSpace::fill(float value) {

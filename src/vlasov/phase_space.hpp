@@ -5,18 +5,17 @@
 // outermost, uz the memory-contiguous axis.  (The paper stores the cached
 // density / mean-velocity scalars inline in the per-cell struct; we keep
 // them in separate arrays so velocity blocks stay 64-byte aligned for the
-// SIMD kernels — noted as a deliberate deviation in DESIGN.md.)
+// SIMD kernels — see "Deviations from the paper" in docs/ARCHITECTURE.md.)
 //
-// Spatial cells carry `ghost` layers of ghost blocks on every side; the
-// position sweep along an axis reads that axis' ghosts, which the drift's
-// HaloFiller refills first.  Velocity space carries no ghosts — f has
+// Only interior blocks are stored: a position sweep reads its ghosts from
+// the faces the drift's HaloFiller returns or from the line's periodic
+// image (AxisFaces below).  Velocity space has no ghosts either — f has
 // compact support inside the velocity cube and the sweep kernels zero-pad.
 #pragma once
 
 #include <cstddef>
 
 #include "common/aligned.hpp"
-#include "vlasov/sl_mpp5.hpp"
 
 namespace v6d::vlasov {
 
@@ -43,7 +42,6 @@ struct PhaseSpaceGeometry {
 struct PhaseSpaceDims {
   int nx = 0, ny = 0, nz = 0;     // local interior spatial cells
   int nux = 0, nuy = 0, nuz = 0;  // velocity cells (never decomposed)
-  int ghost = kStencilGhost;      // spatial ghost layers
 
   std::size_t spatial_cells() const {
     return std::size_t(nx) * ny * nz;
@@ -56,6 +54,15 @@ struct PhaseSpaceDims {
   }
 };
 
+/// The ghosts of a position sweep along one axis: `lo` holds cells -3..-1
+/// and `hi` cells n..n+2 of every line, in mesh::GhostFaces pack order
+/// (layer, lower transverse axis, upper transverse axis, velocity block).
+/// Null faces: ghost cell k is line cell ((k % n) + n) % n.
+struct AxisFaces {
+  const float* lo = nullptr;
+  const float* hi = nullptr;
+};
+
 class PhaseSpace {
  public:
   PhaseSpace() = default;
@@ -65,8 +72,7 @@ class PhaseSpace {
   const PhaseSpaceGeometry& geom() const { return geom_; }
   PhaseSpaceGeometry& geom() { return geom_; }
 
-  /// Velocity block of spatial cell (ix, iy, iz); interior indices are
-  /// 0..n-1, ghosts extend to -ghost..n+ghost-1.
+  /// Velocity block of spatial cell (ix, iy, iz), 0 <= ix < nx etc.
   float* block(int ix, int iy, int iz) {
     return data_.data() + block_index(ix, iy, iz) * block_size();
   }
@@ -74,7 +80,7 @@ class PhaseSpace {
     return data_.data() + block_index(ix, iy, iz) * block_size();
   }
 
-  /// f at a full 6-D index (interior or ghost spatial cell).
+  /// f at a full 6-D index.
   float& at(int ix, int iy, int iz, int a, int b, int c) {
     return block(ix, iy, iz)[velocity_index(a, b, c)];
   }
@@ -88,31 +94,26 @@ class PhaseSpace {
   std::size_t block_size() const { return dims_.velocity_cells(); }
   /// Stride (in blocks) between spatial cells along each axis.
   std::size_t block_stride_x() const {
-    return std::size_t(dims_.ny + 2 * dims_.ghost) *
-           (dims_.nz + 2 * dims_.ghost);
+    return std::size_t(dims_.ny) * dims_.nz;
   }
-  std::size_t block_stride_y() const {
-    return std::size_t(dims_.nz + 2 * dims_.ghost);
-  }
+  std::size_t block_stride_y() const { return std::size_t(dims_.nz); }
   std::size_t block_stride_z() const { return 1; }
 
+  /// Every block in (ix, iy, iz) order: total_interior() floats.
   float* raw() { return data_.data(); }
   const float* raw() const { return data_.data(); }
   std::size_t raw_size() const { return data_.size(); }
 
-  /// Total mass sum over interior cells: sum f * du^3 * dx^3 (double acc).
+  /// Total mass: sum f * du^3 * dx^3 (double accumulation, per block).
   double total_mass() const;
-  /// Minimum of f over the interior (positivity checks).
+  /// Minimum of f (positivity checks).
   float min_interior() const;
 
   void fill(float value);
 
  private:
   std::size_t block_index(int ix, int iy, int iz) const {
-    const int g = dims_.ghost;
-    return (std::size_t(ix + g) * (dims_.ny + 2 * g) + (iy + g)) *
-               (dims_.nz + 2 * g) +
-           (iz + g);
+    return (std::size_t(ix) * dims_.ny + iy) * dims_.nz + iz;
   }
 
   PhaseSpaceDims dims_;

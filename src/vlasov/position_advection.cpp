@@ -1,8 +1,10 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
+#include "vlasov/advect_vec_impl.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::vlasov {
@@ -17,11 +19,13 @@ namespace v6d::vlasov {
 // The per-line shift depends only on the velocity index, never on the
 // spatial line, so the shift tables (xi for the scalar lines, LineShift for
 // the lane groups) are built once per sweep and shared by every thread —
-// the hot loop reduces to table lookups plus the line kernels.  Threading
+// the hot loop reduces to table lookups plus the flux cores.  Threading
 // is over spatial lines (collapse(2)); each thread keeps one reusable
-// AdvectWorkspace so the kernels never allocate in steady state.  Every
-// interior line is advected in place over its full extent, reading the
-// axis ghosts (filled beforehand) as stencil margins.
+// AdvectWorkspace so the sweep never allocates in steady state.  Every
+// line group is staged into the workspace — low ghosts, interior, high
+// ghosts — advected by the shared SL-MPP5 cores and written back in place.
+// The ghosts come from the two faces, or from the line's periodic image
+// when the brick spans the axis.
 
 namespace {
 
@@ -32,8 +36,8 @@ inline void transverse_extents(const PhaseSpaceDims& d, int axis, int& t1n,
   t2n = axis == 2 ? d.ny : d.nz;
 }
 
-// First interior block of the line along `axis` at transverse coordinates
-// (t1, t2) in ascending-axis order.
+// First block of the line along `axis` at transverse coordinates (t1, t2)
+// in ascending-axis order.
 inline float* line_start(PhaseSpace& f, int axis, int t1, int t2) {
   int idx[3];
   idx[axis] = 0;
@@ -49,20 +53,24 @@ inline float* line_start(PhaseSpace& f, int axis, int t1, int t2) {
 }  // namespace
 
 void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
-                          SweepKernel kernel) {
+                          SweepKernel kernel, AxisFaces faces) {
+  using P = LineShift::P;
   const auto& d = f.dims();
   const int n_cells = axis == 0 ? d.nx : axis == 1 ? d.ny : d.nz;
   if (n_cells <= 0) return;
   const auto& g = f.geom();
   const double dx = axis == 0 ? g.dx : axis == 1 ? g.dy : g.dz;
+  const auto bs = static_cast<std::ptrdiff_t>(f.block_size());
   const std::ptrdiff_t stride =
       static_cast<std::ptrdiff_t>(axis == 0   ? f.block_stride_x()
                                   : axis == 1 ? f.block_stride_y()
                                               : f.block_stride_z()) *
-      static_cast<std::ptrdiff_t>(f.block_size());
+      bs;
 
   int t1n = 0, t2n = 0;
   transverse_extents(d, axis, t1n, t2n);
+  // One face layer: every line's block, (t1, t2) in pack order.
+  const std::ptrdiff_t face_layer = static_cast<std::ptrdiff_t>(t1n) * t2n * bs;
   const SweepKernel resolved =
       simd::resolve_sweep_kernel(kernel, /*contiguous_axis=*/false);
   const bool scalar = resolved == SweepKernel::kScalar;
@@ -74,11 +82,18 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
   // per_lane cannot vectorize holds none and runs lane by lane.
   const int n_xi = axis == 0 ? d.nux : axis == 1 ? d.nuy : d.nuz;
   std::vector<double> xi_table(static_cast<std::size_t>(n_xi));
-  for (int k = 0; k < n_xi; ++k)
+  int max_ghost = 0;
+  for (int k = 0; k < n_xi; ++k) {
     xi_table[k] = (axis == 0   ? g.ux(k)
                    : axis == 1 ? g.uy(k)
                                : g.uz(k)) *
                   inv_dx_drift;
+    max_ghost = std::max(max_ghost, required_ghost(xi_table[k]));
+  }
+  if ((faces.lo || faces.hi) && max_ghost > kStencilGhost)
+    throw std::invalid_argument(
+        "advect_position_axis: the shift needs more ghost layers than a "
+        "face holds; subcycle the drift (|xi| <= 1)");
   std::vector<std::optional<LineShift>> shift_table;
   if (axis == 2) {
     for (int c = 0; c + kLanes <= d.nuz; c += kLanes)
@@ -93,20 +108,42 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
 #endif
   {
     AdvectWorkspace ws;
+    // Block address of every cell the stencils of one line read: cell[k]
+    // for k = -max_ghost .. n_cells + max_ghost - 1.
+    std::vector<const float*> cells(
+        static_cast<std::size_t>(n_cells + 2 * max_ghost));
+    const float** cell = cells.data() + max_ghost;
 #ifdef _OPENMP
 #pragma omp for collapse(2) schedule(static)
 #endif
     for (int t1 = 0; t1 < t1n; ++t1) {
       for (int t2 = 0; t2 < t2n; ++t2) {
         float* line = line_start(f, axis, t1, t2);
+        const std::ptrdiff_t face_cell =
+            (static_cast<std::ptrdiff_t>(t1) * t2n + t2) * bs;
+        for (int k = -max_ghost; k < n_cells + max_ghost; ++k) {
+          const float* face = k < 0 ? faces.lo : faces.hi;
+          const int layer = k < 0 ? k + kStencilGhost : k - n_cells;
+          cell[k] = (k >= 0 && k < n_cells) || !face
+                        ? line + static_cast<std::ptrdiff_t>(
+                                     ((k % n_cells) + n_cells) % n_cells) *
+                                     stride
+                        : face + layer * face_layer + face_cell;
+        }
         for (int a = 0; a < d.nux; ++a) {
           for (int b = 0; b < d.nuy; ++b) {
             const auto scalar_line = [&](int c) {
-              float* lc = line + f.velocity_index(a, b, c);
-              advect_line_strided_scalar(
-                  lc, stride, lc, stride, n_cells,
-                  xi_table[axis == 0 ? a : axis == 1 ? b : c], Limiter::kMpp,
-                  GhostMode::kFromSource, ws);
+              const double xi = xi_table[axis == 0 ? a : axis == 1 ? b : c];
+              const int ghost = required_ghost(xi);
+              ws.ensure(n_cells, ghost, 1);
+              const auto v =
+                  static_cast<std::ptrdiff_t>(f.velocity_index(a, b, c));
+              for (int k = -ghost; k < n_cells + ghost; ++k)
+                ws.in[k + ghost] = cell[k][v];
+              advect_line_scalar(ws.in.data(), ws.out.data(), n_cells, ghost,
+                                 xi, Limiter::kMpp);
+              for (int i = 0; i < n_cells; ++i)
+                line[i * stride + v] = ws.out[i];
             };
             int c = 0;
             for (; !scalar && c + kLanes <= d.nuz; c += kLanes) {
@@ -117,9 +154,18 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
                 for (int l = 0; l < kLanes; ++l) scalar_line(c + l);
                 continue;
               }
-              float* lc = line + f.velocity_index(a, b, c);
-              advect_lines_simd(lc, stride, lc, stride, n_cells, *shift,
-                                GhostMode::kFromSource, ws);
+              const int ghost = shift->max_ghost;
+              ws.ensure(n_cells, ghost, kLanes);
+              const auto v =
+                  static_cast<std::ptrdiff_t>(f.velocity_index(a, b, c));
+              for (int k = -ghost; k < n_cells + ghost; ++k)
+                P::load(cell[k] + v).store(ws.in.data() + (k + ghost) * kLanes);
+              detail::sl_mpp5_kernel_vec(ws.in.data(), kLanes, ws.out.data(),
+                                         kLanes, n_cells, ghost, *shift,
+                                         ws.flux.data());
+              for (int i = 0; i < n_cells; ++i)
+                P::load(ws.out.data() + i * kLanes)
+                    .store(line + i * stride + v);
             }
             for (; c < d.nuz; ++c) scalar_line(c);
           }

@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mesh/ghost_faces.hpp"
-
 namespace v6d::vlasov {
 
 HaloFiller periodic_halo_filler() {
-  return [](PhaseSpace& f, int axis) {
-    const auto& d = f.dims();
-    mesh::GhostFaces({d.nx, d.ny, d.nz}, d.ghost, mesh::FaceSpan::kInterior)
-        .wrap(mesh::GhostOp::kFill, mesh::cell_view(f), axis);
-  };
+  return [](PhaseSpace&, int) { return AxisFaces{}; };
 }
 
 void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,
@@ -30,19 +24,18 @@ void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,
 void drift_full(PhaseSpace& f, double drift_factor, SweepKernel kernel,
                 const HaloFiller& halo) {
   if (drift_factor == 0.0) return;
-  // The fixed spatial halo (3 layers) supports |xi| < 1; larger drifts are
-  // subcycled with a halo refill per pass.  Production steps are CFL-
-  // limited below 1 anyway, so this is a safety net, not a hot path.
+  // A face (3 layers) supports |xi| < 1; larger drifts are subcycled with
+  // a face exchange per pass.  Production steps are CFL-limited below 1
+  // anyway, so this is a safety net, not a hot path.
   const double max_shift = max_position_shift(f, drift_factor);
   const int cycles = std::max(1, static_cast<int>(std::ceil(max_shift / 0.999)));
   const double sub = drift_factor / cycles;
   // Eq. (5) order: Dz, then Dy, then Dx (rightmost first).  Each sweep
-  // invalidates ghosts, so the halo filler runs before every axis.
+  // changes its neighbors' faces, so the halo filler runs before every
+  // axis.
   for (int axis : {2, 1, 0}) {
-    for (int c = 0; c < cycles; ++c) {
-      halo(f, axis);
-      advect_position_axis(f, axis, sub, kernel);
-    }
+    for (int c = 0; c < cycles; ++c)
+      advect_position_axis(f, axis, sub, kernel, halo(f, axis));
   }
 }
 

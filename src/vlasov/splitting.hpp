@@ -15,15 +15,15 @@
 
 namespace v6d::vlasov {
 
-/// Fills the spatial ghosts the position sweep along `axis` reads (that
-/// axis' ghosts at interior transverse positions) before it runs.
+/// Returns the two ghost faces the position sweep along `axis` reads,
+/// before it runs (null on an axis the brick spans).
 /// hybrid::HybridSolver plugs in the single-axis face exchange
-/// (mesh::HaloPlan).
-using HaloFiller = std::function<void(PhaseSpace&, int axis)>;
+/// (mesh::HaloPlan); the faces must stay valid until the sweep returns.
+using HaloFiller = std::function<AxisFaces(PhaseSpace&, int axis)>;
 
-/// The plan-free filler of kinematic steps: the swept axis' faces from
-/// their periodic image, the wrap mesh::HaloPlan runs on undecomposed
-/// axes.
+/// The plan-free filler of kinematic steps: null faces on every axis, so
+/// each sweep takes its ghosts from the periodic image, as it does on the
+/// undecomposed axes of a mesh::HaloPlan.
 HaloFiller periodic_halo_filler();
 
 struct SplitStepConfig {
@@ -49,9 +49,8 @@ void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,
                const mesh::Grid3D<double>& gz, double dt,
                SweepKernel kernel);
 
-/// The drift sequence Dx Dy Dz; requires filled ghosts per axis — the
-/// halo filler runs before each axis sweep and subcycle (ghosts are
-/// invalidated by sweeps).
+/// The drift sequence Dx Dy Dz; the halo filler runs before each axis
+/// sweep and subcycle (each sweep changes the faces the next one reads).
 void drift_full(PhaseSpace& f, double drift_factor, SweepKernel kernel,
                 const HaloFiller& halo);
 

@@ -2,14 +2,15 @@
 //
 // Position sweeps advect along x/y/z with per-velocity-cell speed
 // u_i / a^2 (the caller folds the 1/a^2 time integral into drift_factor);
-// spatial ghost blocks must be filled (halo exchange) beforehand.
+// their ghosts come from the swept axis' two received faces (AxisFaces)
+// or, where the brick spans the axis, from each line's periodic image.
 // Velocity sweeps advect along ux/uy/uz with the spatially varying
 // acceleration -grad(phi); they are communication-free (§5.1.3).
 //
 // Every sweep can run with three interchangeable kernels (scalar reference,
 // multi-lane SIMD, LAT); kAuto resolves through simd::resolve_sweep_kernel
-// (V6D_KERNEL override, then the paper's Table-1 choice: SIMD for the five
-// non-contiguous axes, LAT for uz, the memory-contiguous axis).
+// (the paper's Table-1 choice: SIMD for the five non-contiguous axes, LAT
+// for uz, the memory-contiguous axis).
 #pragma once
 
 #include "mesh/grid.hpp"
@@ -24,10 +25,11 @@ namespace v6d::vlasov {
 using SweepKernel = simd::SweepKernel;
 
 /// Advect along spatial axis (0=x, 1=y, 2=z).  xi per line is
-/// u_axis(velocity index) * drift_factor / dx_axis; requires |xi| <= 1
-/// (enforce via timestep control) and filled spatial ghosts.
+/// u_axis(velocity index) * drift_factor / dx_axis; with faces it requires
+/// |xi| <= 1 (std::invalid_argument otherwise).  A decomposed axis must
+/// pass its neighbors' faces: null faces wrap inside the brick.
 void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
-                          SweepKernel kernel);
+                          SweepKernel kernel, AxisFaces faces);
 
 /// Advect along velocity axis (0=ux, 1=uy, 2=uz) with acceleration field
 /// `accel` (= -dphi/dx_axis on the spatial grid) over time dt.

@@ -43,12 +43,11 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
       for (; vector && c + kLanes <= d.nuz; c += kLanes)
         advect_lines_simd(block + f.velocity_index(0, b, c), stride,
                           block + f.velocity_index(0, b, c), stride, n, shift,
-                          GhostMode::kZero, ws);
+                          ws);
       for (; c < d.nuz; ++c)
         advect_line_strided_scalar(block + f.velocity_index(0, b, c), stride,
                                    block + f.velocity_index(0, b, c), stride,
-                                   n, xi, Limiter::kMpp, GhostMode::kZero,
-                                   ws);
+                                   n, xi, Limiter::kMpp, ws);
     }
   } else if (axis == 1) {
     // Lines along iuy, stride nuz; lanes over contiguous iuz.
@@ -58,12 +57,11 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
       for (; vector && c + kLanes <= d.nuz; c += kLanes)
         advect_lines_simd(block + f.velocity_index(a, 0, c), stride,
                           block + f.velocity_index(a, 0, c), stride, n, shift,
-                          GhostMode::kZero, ws);
+                          ws);
       for (; c < d.nuz; ++c)
         advect_line_strided_scalar(block + f.velocity_index(a, 0, c), stride,
                                    block + f.velocity_index(a, 0, c), stride,
-                                   n, xi, Limiter::kMpp, GhostMode::kZero,
-                                   ws);
+                                   n, xi, Limiter::kMpp, ws);
     }
   } else {
     // Lines along the contiguous iuz axis; kLanes adjacent iuy lines per
@@ -75,15 +73,15 @@ void advect_block_axis(float* block, const PhaseSpace& f, int axis,
         float* lines0 = block + f.velocity_index(a, b, 0);
         if (kernel == SweepKernel::kSimd)
           advect_lines_lat_gather(lines0, line_stride, lines0, line_stride,
-                                  n, shift, GhostMode::kZero, ws);
+                                  n, shift, ws);
         else
           advect_lines_lat(lines0, line_stride, lines0, line_stride, n, shift,
-                           GhostMode::kZero, ws);
+                           ws);
       }
       for (; b < d.nuy; ++b)
         advect_line_strided_scalar(block + f.velocity_index(a, b, 0), 1,
                                    block + f.velocity_index(a, b, 0), 1, n,
-                                   xi, Limiter::kMpp, GhostMode::kZero, ws);
+                                   xi, Limiter::kMpp, ws);
     }
   }
 }

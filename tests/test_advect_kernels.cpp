@@ -48,21 +48,19 @@ TEST_P(KernelEquivalence, ScalarSimdLatGatherAgree) {
   for (int l = 0; l < L; ++l)
     advect_line_strided_scalar(src.data() + static_cast<std::size_t>(l) * n,
                                1, ref.data() + static_cast<std::size_t>(l) * n,
-                               1, n, xi, Limiter::kMpp, GhostMode::kZero, ws);
+                               1, n, xi, Limiter::kMpp, ws);
 
   const LineShift shift = LineShift::uniform(xi, Limiter::kMpp);
 
   // LAT over the same contiguous lines.
   std::vector<float> lat(static_cast<std::size_t>(L) * n);
-  advect_lines_lat(src.data(), n, lat.data(), n, n, shift, GhostMode::kZero,
-                   ws);
+  advect_lines_lat(src.data(), n, lat.data(), n, n, shift, ws);
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_TRUE(same_result(ref[i], lat[i])) << "lat idx " << i;
 
   // Gather-style SIMD.
   std::vector<float> gat(static_cast<std::size_t>(L) * n);
-  advect_lines_lat_gather(src.data(), n, gat.data(), n, n, shift,
-                          GhostMode::kZero, ws);
+  advect_lines_lat_gather(src.data(), n, gat.data(), n, n, shift, ws);
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_TRUE(same_result(ref[i], gat[i])) << "gather idx " << i;
 
@@ -74,7 +72,7 @@ TEST_P(KernelEquivalence, ScalarSimdLatGatherAgree) {
           src[static_cast<std::size_t>(l) * n + i];
   std::vector<float> simd_out(static_cast<std::size_t>(n) * L);
   advect_lines_simd(interleaved.data(), L, simd_out.data(), L, n, shift,
-                    GhostMode::kZero, ws);
+                    ws);
   for (int i = 0; i < n; ++i)
     for (int l = 0; l < L; ++l)
       ASSERT_TRUE(same_result(ref[static_cast<std::size_t>(l) * n + i],
@@ -105,18 +103,17 @@ void expect_group_matches_scalar(const double* xi, int n,
   const auto shift = LineShift::per_lane(xi, Limiter::kMpp);
   ASSERT_EQ(shift.has_value(), expect_vector);
   if (shift) {
-    advect_lines_simd(src.data(), L, out.data(), L, n, *shift,
-                      GhostMode::kZero, ws);
+    advect_lines_simd(src.data(), L, out.data(), L, n, *shift, ws);
   } else {
     for (int l = 0; l < L; ++l)
       advect_line_strided_scalar(src.data() + l, L, out.data() + l, L, n,
-                                 xi[l], Limiter::kMpp, GhostMode::kZero, ws);
+                                 xi[l], Limiter::kMpp, ws);
   }
 
   for (int l = 0; l < L; ++l) {
     std::vector<float> ref(static_cast<std::size_t>(n));
     advect_line_strided_scalar(src.data() + l, L, ref.data(), 1, n, xi[l],
-                               Limiter::kMpp, GhostMode::kZero, ws);
+                               Limiter::kMpp, ws);
     for (int i = 0; i < n; ++i)
       ASSERT_TRUE(same_result(ref[static_cast<std::size_t>(i)],
                               out[static_cast<std::size_t>(i) * L + l]))
@@ -159,7 +156,7 @@ TEST(KernelEquivalence, PerLaneFloorsSpanningTwoIntegersRunScalar) {
   expect_group_matches_scalar(xi, 30, /*expect_vector=*/false);
 }
 
-TEST(GhostModes, ZeroGhostsDrainMassThroughBoundary) {
+TEST(KernelBoundary, ZeroGhostsDrainMassThroughBoundary) {
   // With zero (outflow) ghosts, advecting a blob off the edge removes it.
   const int n = 20;
   AdvectWorkspace ws;
@@ -168,29 +165,13 @@ TEST(GhostModes, ZeroGhostsDrainMassThroughBoundary) {
   for (int s = 0; s < 10; ++s) {
     std::vector<float> out(static_cast<std::size_t>(n));
     advect_line_strided_scalar(f.data(), 1, out.data(), 1, n, 0.7,
-                               Limiter::kMpp, GhostMode::kZero, ws);
+                               Limiter::kMpp, ws);
     f = out;
   }
   double mass = 0.0;
   for (float v : f) mass += v;
   EXPECT_LT(mass, 1e-3);  // everything left the domain
   for (float v : f) EXPECT_GE(v, 0.0f);
-}
-
-TEST(GhostModes, FromSourceReadsNeighborData) {
-  // Line embedded in a larger array with valid data on both sides.
-  const int n = 16, ghost_extra = 8;
-  AdvectWorkspace ws;
-  std::vector<float> big(static_cast<std::size_t>(n + 2 * ghost_extra));
-  for (int i = 0; i < n + 2 * ghost_extra; ++i)
-    big[static_cast<std::size_t>(i)] = static_cast<float>(i);
-  std::vector<float> out(static_cast<std::size_t>(n));
-  advect_line_strided_scalar(big.data() + ghost_extra, 1, out.data(), 1, n,
-                             1.0, Limiter::kNone, GhostMode::kFromSource, ws);
-  // Integer shift: out[i] = big[ghost_extra + i - 1].
-  for (int i = 0; i < n; ++i)
-    EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)],
-                    big[static_cast<std::size_t>(ghost_extra + i - 1)]);
 }
 
 TEST(Workspace, EnsureGrowsMonotonically) {

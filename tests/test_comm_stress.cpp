@@ -37,6 +37,7 @@
 #include "mesh/halo_plan.hpp"
 #include "parallel/field_exchange.hpp"
 #include "vlasov/phase_space.hpp"
+#include "vlasov/sl_mpp5.hpp"
 
 namespace {
 
@@ -320,14 +321,18 @@ void fill_brick(vlasov::PhaseSpace& f, const mesh::BrickDecomposition& dec,
       }
 }
 
-// Check one ghost face of `axis` (at interior transverse positions, which
-// is HaloPlan's contract) against the globally expected values.
-void expect_face(const vlasov::PhaseSpace& f,
+// Check the face of `axis` across one side (at interior transverse
+// positions, which is HaloPlan's contract) against the globally expected
+// values: the received face on a decomposed axis, the line's periodic
+// image (null face) on an undecomposed one.
+void expect_face(const vlasov::PhaseSpace& f, const float* face,
+                 const mesh::HaloPlan::AxisPlan& ap,
                  const mesh::BrickDecomposition& dec, int n_global, int axis,
                  bool low_side) {
+  ASSERT_EQ(face != nullptr, ap.decomposed) << "axis=" << axis;
   const auto& d = f.dims();
   const int n[3] = {d.nx, d.ny, d.nz};
-  const int g = d.ghost;
+  const int g = vlasov::kStencilGhost;
   // Iterate the two transverse axes explicitly (ascending order).
   int ta = -1, tb = -1;
   for (int t = 0; t < 3; ++t) {
@@ -344,7 +349,13 @@ void expect_face(const vlasov::PhaseSpace& f,
         int gidx[3] = {dec.offset(0) + idx[0], dec.offset(1) + idx[1],
                        dec.offset(2) + idx[2]};
         gidx[axis] = ((gidx[axis] % n_global) + n_global) % n_global;
-        const float* blk = f.block(idx[0], idx[1], idx[2]);
+        idx[axis] = ((idx[axis] % n[axis]) + n[axis]) % n[axis];
+        const float* blk =
+            face ? face + ((static_cast<std::size_t>(layer) * n[ta] + u) *
+                               n[tb] +
+                           v) *
+                              f.block_size()
+                 : f.block(idx[0], idx[1], idx[2]);
         for (std::size_t s = 0; s < f.block_size(); ++s)
           ASSERT_EQ(blk[s], cell_value(gidx[0], gidx[1], gidx[2], s, n_global,
                                        f.block_size()))
@@ -419,18 +430,19 @@ TEST(CommStress, ConcurrentPlanBeginFinishInterleavings) {
       std::vector<fft::cplx>* slab_data = nullptr;
       for (int what : finish_order) {
         if (what < 3) {
-          halo.finish_axis(f, what);
+          // The faces live in the plan's receive buffers until the next
+          // finish_axis, so check them now: they must equal the periodic
+          // neighbors' interior values.
+          const vlasov::AxisFaces faces = halo.finish_axis(what);
+          expect_face(f, faces.lo, halo.axis(what), setup.dec, kGlobal, what,
+                      /*low_side=*/true);
+          expect_face(f, faces.hi, halo.axis(what), setup.dec, kGlobal, what,
+                      /*low_side=*/false);
         } else if (what == 3) {
           fold.finish(fold_grid);
         } else {
           slab_data = &slab.finish_to_slab();
         }
-      }
-
-      // Halo ghosts must equal the periodic neighbors' interior values.
-      for (int axis = 0; axis < 3; ++axis) {
-        expect_face(f, setup.dec, kGlobal, axis, /*low_side=*/true);
-        expect_face(f, setup.dec, kGlobal, axis, /*low_side=*/false);
       }
 
       // Fold must match the blocking reference (bit-identical contract).
@@ -495,7 +507,7 @@ TEST(CommStress, AbortMidPlanOverlapWakesFinishers) {
         // dead rank legitimately finish (their faces all arrived) and
         // park in the barrier the thrower can never join.
         for (int axis = 0; axis < 3; ++axis) halo.begin_axis(f, axis);
-        for (int axis = 0; axis < 3; ++axis) halo.finish_axis(f, axis);
+        for (int axis = 0; axis < 3; ++axis) halo.finish_axis(axis);
         comm.barrier();
         FAIL() << "no rank may get past the dead rank's barrier";
       });

@@ -8,6 +8,7 @@
 #include "comm/runner.hpp"
 #include "mesh/decomposition.hpp"
 #include "mesh/halo_plan.hpp"
+#include "vlasov/sl_mpp5.hpp"
 
 namespace {
 
@@ -44,49 +45,59 @@ void fill_global_pattern(vlasov::PhaseSpace& f,
 }
 
 // Exchange `axis` through the plan and check exactly the blocks the
-// position sweep along it reads beyond the interior: the axis ghosts at
-// interior transverse positions must equal the global periodic field
-// (multi-wrap aware, so extents below the ghost width are covered).
+// position sweep along it reads beyond the interior, at interior
+// transverse positions: the returned faces on a decomposed axis, the
+// line's own periodic image (null faces) on an undecomposed one.  Either
+// must equal the global periodic field (multi-wrap aware, so extents
+// below the ghost width are covered).
 void exchange_and_expect_axis_ghosts(mesh::HaloPlan& plan,
                                      vlasov::PhaseSpace& f,
                                      const mesh::BrickDecomposition& dec,
                                      int axis, int rank) {
   plan.begin_axis(f, axis);
-  plan.finish_axis(f, axis);
-  const auto global = dec.global();
-  const int g = f.dims().ghost;
+  const vlasov::AxisFaces faces = plan.finish_axis(axis);
   const auto& ap = plan.axis(axis);
+  ASSERT_EQ(faces.lo != nullptr, ap.decomposed) << "axis " << axis;
+  ASSERT_EQ(faces.hi != nullptr, ap.decomposed) << "axis " << axis;
+  const auto global = dec.global();
+  const int g = vlasov::kStencilGhost;
   auto wrap = [](int i, int n) { return ((i % n) + n) % n; };
-  for (int a = -g; a < ap.n + g; ++a) {
-    if (a >= 0 && a < ap.n) continue;  // interior untouched
+  for (int layer = 0; layer < g; ++layer)
     for (int t1 = 0; t1 < ap.t1n; ++t1)
-      for (int t2 = 0; t2 < ap.t2n; ++t2) {
-        int idx[3];
-        idx[axis] = a;
-        int tpos = 0;
-        for (int t = 0; t < 3; ++t) {
-          if (t == axis) continue;
-          idx[t] = tpos == 0 ? t1 : t2;
-          ++tpos;
+      for (int t2 = 0; t2 < ap.t2n; ++t2)
+        for (const int a : {layer - g, ap.n + layer}) {
+          int idx[3];
+          idx[axis] = wrap(a, ap.n);
+          int tpos = 0;
+          for (int t = 0; t < 3; ++t) {
+            if (t == axis) continue;
+            idx[t] = tpos == 0 ? t1 : t2;
+            ++tpos;
+          }
+          const float* face = a < 0 ? faces.lo : faces.hi;
+          const float* blk =
+              face ? face + ((static_cast<std::size_t>(layer) * ap.t1n + t1) *
+                                 ap.t2n +
+                             t2) *
+                                f.block_size()
+                   : f.block(idx[0], idx[1], idx[2]);
+          int gidx[3];
+          for (int t = 0; t < 3; ++t)
+            gidx[t] = wrap(dec.offset(t) + idx[t], global[t]);
+          gidx[axis] = wrap(dec.offset(axis) + a, global[axis]);
+          for (std::size_t v = 0; v < f.block_size(); ++v)
+            ASSERT_FLOAT_EQ(blk[v], cell_value(gidx[0], gidx[1], gidx[2], v))
+                << "rank " << rank << " axis " << axis << " ghost cell " << a
+                << " transverse " << t1 << "," << t2;
         }
-        int gidx[3];
-        for (int t = 0; t < 3; ++t)
-          gidx[t] = wrap(dec.offset(t) + idx[t], global[t]);
-        const float* blk = f.block(idx[0], idx[1], idx[2]);
-        for (std::size_t v = 0; v < f.block_size(); ++v)
-          ASSERT_FLOAT_EQ(blk[v], cell_value(gidx[0], gidx[1], gidx[2], v))
-              << "rank " << rank << " axis " << axis << " cell " << idx[0]
-              << "," << idx[1] << "," << idx[2];
-      }
-  }
 }
 
 class HaloRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(HaloRanks, PhaseSpaceHaloMatchesGlobalPeriodicField) {
   // Per-axis plan exchange at every rank count: decomposed axes receive
-  // the neighbors' faces, undecomposed ones (all of them at p = 1) wrap
-  // locally.
+  // the neighbors' faces, undecomposed ones (all of them at p = 1) return
+  // null faces and the sweep wraps inside the brick.
   const int p = GetParam();
   const int n_global = 8;
   comm::run(p, [&](comm::Communicator& comm) {
@@ -244,9 +255,10 @@ TEST(HaloValidation, ThinAxisRejectedBeforeAnyMessage) {
 }
 
 TEST(HaloPlan, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
-  // ny = nz = 2 with ghost 3 (the quasi-1D two_stream shape): the axis
-  // ghosts of the undecomposed axes must be the periodic wrap — a
-  // self-send of "interior slabs" would read out-of-range cells.
+  // ny = nz = 2 with ghost 3 (the quasi-1D two_stream shape): the ghosts
+  // the sweep reads on the undecomposed axes must be the periodic wrap
+  // (null faces, the modulo in the sweep) — a self-send of "interior
+  // slabs" would read out-of-range cells.
   const int n_global = 8, thin = 2;
   comm::run(2, [&](comm::Communicator& comm) {
     comm::CartTopology cart(comm, {2, 1, 1});

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "comm/runner.hpp"
 #include "common/rng.hpp"
 #include "cosmology/neutrino_ic.hpp"
 #include "cosmology/zeldovich.hpp"
@@ -186,6 +187,47 @@ TEST(HybridSolver, WorldOneTakesItsPhaseSpace) {
                              std::pair{&p.z, &q.z}, std::pair{&p.ux, &q.ux},
                              std::pair{&p.uy, &q.uy}, std::pair{&p.uz, &q.uz}})
     EXPECT_EQ(std::memcmp(u->data(), v->data(), bytes), 0);
+}
+
+// On the message path (TCP worlds) rank 0 places each peer's blocks by the
+// placement header in its message.  A header that puts the brick outside
+// the grid — past its end, at a negative offset, or with an empty extent —
+// must be rejected before any block is copied.
+TEST(HybridSolver, GatherRejectsBrickHeadersOutsideTheGrid) {
+  constexpr int kGatherTag = hybrid::HybridSolver::kGatherTag;
+  HybridSetup setup;
+  auto global = setup.make();
+  const auto& gd = global.neutrinos().dims();
+  const std::size_t block_bytes =
+      global.neutrinos().block_size() * sizeof(float);
+  const std::int32_t headers[][6] = {
+      {gd.nx, 0, 0, 1, gd.ny, gd.nz},      // one layer at x = nx
+      {gd.nx - 1, 0, 0, 4, gd.ny, gd.nz},  // four layers from the last one
+      {0, -1, 0, gd.nx / 2, gd.ny, gd.nz},
+      {0, 0, 0, gd.nx / 2, gd.ny, 0},
+  };
+  for (const auto& header : headers) {
+    const std::size_t blocks = static_cast<std::size_t>(
+        std::max(header[3], 0) * std::max(header[4], 0) *
+        std::max(header[5], 0));
+    std::vector<std::uint8_t> message(sizeof(header) + blocks * block_bytes);
+    std::memcpy(message.data(), header, sizeof(header));
+    EXPECT_THROW(
+        comm::run(2,
+                  [&](comm::Communicator& comm) {
+                    hybrid::HybridSolver local(global, comm, {2, 1, 1},
+                                               /*overlap=*/false);
+                    if (comm.rank() == 1) {
+                      comm.send_bytes(0, kGatherTag, message.data(),
+                                      message.size());
+                      return;
+                    }
+                    local.gather_into(global, /*via_messages=*/true);
+                  }),
+        std::runtime_error)
+        << "header " << header[0] << "," << header[1] << "," << header[2]
+        << " extent " << header[3] << "," << header[4] << "," << header[5];
+  }
 }
 
 // HybridSolver walks the tree only at the particles its rank owns.  Any

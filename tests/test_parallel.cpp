@@ -276,8 +276,8 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedRanks,
                          ::testing::Values(2, 4, 8));
 
 TEST(DistributedTwoStream, MatchesSerialAcrossThinAxes) {
-  // ny = nz = 2 < ghost 3: exercises the local periodic wrap path of the
-  // halo exchange on the undecomposed axes.
+  // ny = nz = 2 < ghost 3: exercises the sweep's in-brick periodic wrap
+  // (null faces) on the undecomposed axes.
   const std::vector<std::pair<std::string, std::string>> base = {
       {"nx", "16"}, {"nu", "8"}, {"max_steps", "3"}, {"checkpoint_dir", ""}};
   auto serial_cfg = make_cfg("two_stream", base);
@@ -331,8 +331,9 @@ TEST(DistributedConservation, PositionSweepsConserveMassAcrossRanks) {
       for (int s = 0; s < 3; ++s)
         for (int axis : {2, 1, 0}) {
           plan.begin_axis(f, axis);
-          plan.finish_axis(f, axis);
-          vlasov::advect_position_axis(f, axis, 0.37, vlasov::SweepKernel::kAuto);
+          vlasov::advect_position_axis(f, axis, 0.37,
+                                       vlasov::SweepKernel::kAuto,
+                                       plan.finish_axis(axis));
         }
       const double m1 = comm.allreduce_sum(f.total_mass());
       // Bound: random-walk of per-cell float rounding over ~10^5 cells,
@@ -401,9 +402,9 @@ TEST_P(DistributedRanks, OverlapBitIdenticalNeutrinoBox) {
 }
 
 TEST(DistributedOverlap, BitIdenticalAcrossThinTwoStreamAxes) {
-  // ny = nz = 2 < ghost: the thin (undecomposed) axes fill their ghosts
-  // by local periodic wrap while x exchanges faces — and both modes stay
-  // bit-identical.
+  // ny = nz = 2 < ghost: the thin (undecomposed) axes read their ghosts
+  // from the periodic image in the brick while x exchanges faces — and
+  // both modes stay bit-identical.
   auto sync_cfg = make_cfg("two_stream", {{"nx", "16"},
                                           {"nu", "8"},
                                           {"max_steps", "3"},
@@ -502,9 +503,9 @@ TEST(DistributedOverlap, AbortMidOverlapWakesPeers) {
       // second round blocks on faces rank 0 never posts.
       // v6d-analyze: allow(overlap-window): rank 0's begin above is that rank's own instance (it threw mid-overlap on purpose); this is rank 1's first begin
       plan.begin_axis(f, 0);
-      plan.finish_axis(f, 0);
+      plan.finish_axis(0);
       plan.begin_axis(f, 0);
-      plan.finish_axis(f, 0);
+      plan.finish_axis(0);
       FAIL() << "finish_axis against a dead rank must not return";
     });
     FAIL() << "run() must rethrow the rank error";

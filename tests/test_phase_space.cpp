@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "vlasov/phase_space.hpp"
-#include "vlasov/splitting.hpp"
 
 namespace {
 
@@ -61,51 +60,22 @@ TEST(PhaseSpace, TotalMassIntegratesPhaseSpaceVolume) {
   EXPECT_NEAR(f.total_mass(), expected, 1e-12);
 }
 
-TEST(PhaseSpace, PeriodicFillerWrapsSweptAxis) {
-  // The serial drift filler sets the swept axis' ghosts at interior
-  // transverse positions to their periodic image; the modulo covers
-  // extents below the ghost width (3 here: ny = 2, nz = 1).
+TEST(PhaseSpace, StoresInteriorOnly) {
+  // No ghost shell: the storage is the interior blocks, the last cell's
+  // block ends it, and min_interior() scans all of it.
   PhaseSpaceDims d;
   d.nx = 4;
   d.ny = 2;
   d.nz = 1;
-  d.nux = d.nuy = d.nuz = 2;
+  d.nux = d.nuy = d.nuz = 3;
   PhaseSpace f(d, PhaseSpaceGeometry{});
-  for (int i = 0; i < d.nx; ++i)
-    for (int j = 0; j < d.ny; ++j)
-      for (int k = 0; k < d.nz; ++k)
-        for (std::size_t v = 0; v < f.block_size(); ++v)
-          f.block(i, j, k)[v] = static_cast<float>(100 * i + 10 * j + k) +
-                                0.125f * static_cast<float>(v);
-  const int n[3] = {d.nx, d.ny, d.nz};
-  const auto wrap = [](int i, int len) { return ((i % len) + len) % len; };
-  for (int axis = 0; axis < 3; ++axis) {
-    PhaseSpace g = f;
-    periodic_halo_filler()(g, axis);
-    for (int a = -d.ghost; a < n[axis] + d.ghost; ++a) {
-      if (a >= 0 && a < n[axis]) continue;
-      for (int i = 0; i < (axis == 0 ? 1 : d.nx); ++i)
-        for (int j = 0; j < (axis == 1 ? 1 : d.ny); ++j)
-          for (int k = 0; k < (axis == 2 ? 1 : d.nz); ++k) {
-            int ghost[3] = {i, j, k};
-            ghost[axis] = a;
-            int image[3] = {i, j, k};
-            image[axis] = wrap(a, n[axis]);
-            for (std::size_t v = 0; v < f.block_size(); ++v)
-              ASSERT_EQ(g.block(ghost[0], ghost[1], ghost[2])[v],
-                        f.block(image[0], image[1], image[2])[v])
-                  << "axis " << axis << " layer " << a;
-          }
-    }
-  }
-}
-
-TEST(PhaseSpace, MinInteriorIgnoresGhosts) {
-  auto f = make_ps(3, 2);
+  EXPECT_EQ(f.raw_size(), f.dims().total_interior());
+  EXPECT_EQ(f.block(0, 0, 0), f.raw());
+  EXPECT_EQ(f.block(d.nx - 1, d.ny - 1, d.nz - 1) + f.block_size(),
+            f.raw() + f.raw_size());
   f.fill(1.0f);
-  f.at(-1, 0, 0, 0, 0, 0) = -5.0f;  // ghost: must not count
   EXPECT_FLOAT_EQ(f.min_interior(), 1.0f);
-  f.at(2, 2, 2, 1, 1, 1) = -0.5f;
+  f.at(d.nx - 1, d.ny - 1, d.nz - 1, 2, 2, 2) = -0.5f;
   EXPECT_FLOAT_EQ(f.min_interior(), -0.5f);
 }
 

@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "vlasov/moments.hpp"
 #include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
-#include "whole_shell_fill.hpp"
 
 namespace {
 
@@ -53,11 +54,9 @@ TEST_P(SweepKernels, PositionSweepsConserveMass) {
   auto f = make_ps(8, 8);
   fill_blob(f);
   const double mass0 = f.total_mass();
-  for (int axis = 0; axis < 3; ++axis) {
-    periodic_halo_filler()(f, axis);
+  for (int axis = 0; axis < 3; ++axis)
     advect_position_axis(f, axis, 0.9 * f.geom().dx / f.geom().umax,
-                         GetParam());
-  }
+                         GetParam(), AxisFaces{});
   EXPECT_NEAR(f.total_mass(), mass0, 2e-5 * mass0);
   EXPECT_GE(f.min_interior(), 0.0f);
 }
@@ -89,10 +88,10 @@ TEST_P(SweepKernels, MatchesScalarReference) {
         accel.at(i, j, k) = 0.02 * (i - j + 2 * k);
 
   for (int axis = 0; axis < 3; ++axis) {
-    periodic_halo_filler()(fa, axis);
-    periodic_halo_filler()(fb, axis);
-    advect_position_axis(fa, axis, 0.5 * fa.geom().dx, SweepKernel::kScalar);
-    advect_position_axis(fb, axis, 0.5 * fb.geom().dx, GetParam());
+    advect_position_axis(fa, axis, 0.5 * fa.geom().dx, SweepKernel::kScalar,
+                         AxisFaces{});
+    advect_position_axis(fb, axis, 0.5 * fb.geom().dx, GetParam(),
+                         AxisFaces{});
     advect_velocity_axis(fa, axis, accel, 0.7, SweepKernel::kScalar);
     advect_velocity_axis(fb, axis, accel, 0.7, GetParam());
   }
@@ -125,8 +124,7 @@ TEST(Sweeps, FreeStreamingTranslatesBlob) {
   // along x with dx = 1.
   fill_blob(f);
   auto ref = f;
-  periodic_halo_filler()(f, 0);
-  advect_position_axis(f, 0, 2.0, SweepKernel::kAuto);
+  advect_position_axis(f, 0, 2.0, SweepKernel::kAuto, AxisFaces{});
   const auto& d = f.dims();
   const auto& g = f.geom();
   for (int a = 0; a < nu; ++a) {
@@ -212,11 +210,39 @@ TEST(Splitting, FixedAccelStepRoundTripsWithReversedKicks) {
   EXPECT_LT(std::sqrt(err / norm), 0.05);
 }
 
-TEST(Splitting, PeriodicFillerDriftMatchesWholeShellFill) {
-  // The serial filler copies only the swept axis' faces.  A position sweep
-  // reads nothing else, so drift_full must leave exactly the interior it
-  // leaves with every ghost filled (edges and corners too), for every
-  // kernel, extents below the ghost width, and a subcycled drift.
+// Test oracle: the faces a decomposed axis would receive if its neighbors
+// were the brick's own periodic image, built cell by cell in the
+// documented pack order (layer, lower transverse axis, upper transverse
+// axis, velocity block): `lo` holds cells -3..-1, `hi` cells n..n+2.
+AxisFaces periodic_image_faces(const PhaseSpace& f, int axis,
+                               std::vector<float>& lo,
+                               std::vector<float>& hi) {
+  const auto& d = f.dims();
+  const int n[3] = {d.nx, d.ny, d.nz};
+  const int t1 = axis == 0 ? 1 : 0, t2 = axis == 2 ? 1 : 2;
+  const auto wrap = [](int i, int len) { return ((i % len) + len) % len; };
+  lo.clear();
+  hi.clear();
+  for (int layer = 0; layer < kStencilGhost; ++layer)
+    for (int a = 0; a < n[t1]; ++a)
+      for (int b = 0; b < n[t2]; ++b)
+        for (const int cell : {layer - kStencilGhost, n[axis] + layer}) {
+          int idx[3];
+          idx[axis] = wrap(cell, n[axis]);
+          idx[t1] = a;
+          idx[t2] = b;
+          const float* block = f.block(idx[0], idx[1], idx[2]);
+          auto& face = cell < 0 ? lo : hi;
+          face.insert(face.end(), block, block + f.block_size());
+        }
+  return {lo.data(), hi.data()};
+}
+
+TEST(Splitting, PeriodicImageFacesMatchNullFaces) {
+  // Null faces make each sweep read its lines' periodic image in place;
+  // faces carrying the same image must leave the same interior, bit for
+  // bit, for every kernel, extents below the ghost width, and a subcycled
+  // drift.  This pins the order the sweep reads received faces in.
   const int shapes[][3] = {{8, 8, 8}, {16, 2, 2}, {5, 3, 7}, {1, 4, 2}};
   const int nu = 6;
   for (const auto& s : shapes) {
@@ -238,22 +264,30 @@ TEST(Splitting, PeriodicFillerDriftMatchesWholeShellFill) {
     for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kSimd,
                                SweepKernel::kLat, SweepKernel::kAuto})
       for (double factor : {0.6, 2.7}) {  // 2.7: three subcycles
-        PhaseSpace faces = f0, shell = f0;
-        drift_full(faces, factor, kernel, periodic_halo_filler());
-        drift_full(shell, factor, kernel, [](PhaseSpace& f, int) {
-          v6d::test::fill_ghosts_whole_shell(f);
+        PhaseSpace wrapped = f0, received = f0;
+        std::vector<float> lo, hi;
+        drift_full(wrapped, factor, kernel, periodic_halo_filler());
+        drift_full(received, factor, kernel, [&](PhaseSpace& f, int axis) {
+          return periodic_image_faces(f, axis, lo, hi);
         });
-        for (int ix = 0; ix < d.nx; ++ix)
-          for (int iy = 0; iy < d.ny; ++iy)
-            for (int iz = 0; iz < d.nz; ++iz)
-              ASSERT_EQ(std::memcmp(faces.block(ix, iy, iz),
-                                    shell.block(ix, iy, iz),
-                                    f0.block_size() * sizeof(float)),
-                        0)
-                  << d.nx << "x" << d.ny << "x" << d.nz << " kernel "
-                  << static_cast<int>(kernel) << " factor " << factor;
+        ASSERT_EQ(std::memcmp(wrapped.raw(), received.raw(),
+                              f0.raw_size() * sizeof(float)),
+                  0)
+            << d.nx << "x" << d.ny << "x" << d.nz << " kernel "
+            << static_cast<int>(kernel) << " factor " << factor;
       }
   }
+}
+
+TEST(Sweeps, FacesRejectShiftsBeyondTheirDepth) {
+  // A face holds kStencilGhost layers: a shift that needs more must be
+  // subcycled, not read past the received buffer.
+  auto f = make_ps(6, 4);
+  std::vector<float> lo, hi;
+  const AxisFaces faces = periodic_image_faces(f, 0, lo, hi);
+  EXPECT_THROW(advect_position_axis(f, 0, 2.0 * f.geom().dx, SweepKernel::kAuto,
+                                    faces),
+               std::invalid_argument);
 }
 
 }  // namespace
