@@ -12,13 +12,20 @@ Communicator::Communicator(Transport& transport)
       bytes_to_(static_cast<std::size_t>(transport.world()), 0),
       msgs_to_(static_cast<std::size_t>(transport.world()), 0) {}
 
-void Communicator::send_bytes(int dest, int tag, const void* data,
-                              std::size_t bytes) {
-  transport_->send(dest, tag, data, bytes);
+void Communicator::send(int dest, int tag,
+                        std::vector<std::uint8_t> payload) {
+  const std::size_t bytes = payload.size();
+  transport_->send(dest, tag, std::move(payload));
   bytes_sent_ += bytes;
   ++messages_sent_;
   bytes_to_[static_cast<std::size_t>(dest)] += bytes;
   msgs_to_[static_cast<std::size_t>(dest)] += 1;
+}
+
+void Communicator::send_bytes(int dest, int tag, const void* data,
+                              std::size_t bytes) {
+  const auto* first = static_cast<const std::uint8_t*>(data);
+  send(dest, tag, std::vector<std::uint8_t>(first, first + bytes));
 }
 
 std::uint64_t Communicator::bytes_sent_to(int dest) const {
@@ -61,12 +68,15 @@ std::vector<std::uint8_t> Communicator::RecvHandle::wait() {
   return std::move(payload_);
 }
 
-void Communicator::barrier() { transport_->barrier(); }
-
-void Communicator::throw_size_mismatch(std::size_t got, std::size_t want) {
-  throw std::runtime_error("comm: recv size mismatch: got " +
-                           std::to_string(got) + " bytes, expected " +
-                           std::to_string(want));
+std::vector<std::uint8_t> Communicator::RecvHandle::wait(std::size_t bytes) {
+  auto payload = wait();
+  if (payload.size() != bytes)
+    throw std::runtime_error("comm: recv size mismatch: got " +
+                             std::to_string(payload.size()) +
+                             " bytes, expected " + std::to_string(bytes));
+  return payload;
 }
+
+void Communicator::barrier() { transport_->barrier(); }
 
 }  // namespace v6d::comm

@@ -35,6 +35,13 @@ class Communicator {
   int size() const { return transport_->world(); }
 
   // ---- point-to-point (blocking, buffered sends) ----
+  // A message is its own buffer: send() takes the payload over and the
+  // transport delivers it without a copy, so an exchange packs straight
+  // into the payload it sends, and a receiver reads the payload it pops
+  // in place.  Payloads come from operator new, whose alignment (16
+  // bytes) covers any scalar element type.
+  void send(int dest, int tag, std::vector<std::uint8_t> payload);
+  /// Copy-in send of borrowed bytes: the one place a payload is copied.
   void send_bytes(int dest, int tag, const void* data, std::size_t bytes);
   std::vector<std::uint8_t> recv_bytes(int source, int tag);
 
@@ -54,12 +61,14 @@ class Communicator {
     /// Blocks until the message arrives and returns its payload; the
     /// handle is spent afterwards.
     std::vector<std::uint8_t> wait();
-    /// wait() + typed size-checked copy-out (mirrors recv<T>).
+    /// wait() for a payload of exactly `bytes` bytes: the one length check
+    /// of every sized receive.  Throws std::runtime_error on a mismatch,
+    /// before the caller reads any of it.
+    std::vector<std::uint8_t> wait(std::size_t bytes);
+    /// Sized wait() + typed copy-out.
     template <class T>
     void wait_into(T* data, std::size_t count) {
-      auto payload = wait();
-      if (payload.size() != count * sizeof(T))
-        throw_size_mismatch(payload.size(), count * sizeof(T));
+      const auto payload = wait(count * sizeof(T));
       std::memcpy(data, payload.data(), payload.size());
     }
 
@@ -84,10 +93,7 @@ class Communicator {
   }
   template <class T>
   void recv(int source, int tag, T* data, std::size_t count) {
-    auto payload = recv_bytes(source, tag);
-    if (payload.size() != count * sizeof(T))
-      throw_size_mismatch(payload.size(), count * sizeof(T));
-    std::memcpy(data, payload.data(), payload.size());
+    irecv(source, tag).wait_into(data, count);
   }
   /// Paired exchange (send to `dest`, receive from `source`); the buffered
   /// send makes this deadlock-free around periodic rings.
@@ -166,8 +172,6 @@ class Communicator {
  private:
   void allgather_bytes(const void* data, std::size_t bytes, void* out);
   void alltoall_bytes(const void* send, void* recv, std::size_t bytes_each);
-  [[noreturn]] static void throw_size_mismatch(std::size_t got,
-                                               std::size_t want);
 
   Transport* transport_;
   int rank_;

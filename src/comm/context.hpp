@@ -74,9 +74,6 @@ class Context {
 
   int size() const { return nranks_; }
   Mailbox& mailbox(int rank) { return mailboxes_[rank]; }
-  /// Receive-side traffic counters of `rank`'s mailbox (monotonic for the
-  /// context lifetime; see MailboxStats).
-  MailboxStats mailbox_stats(int rank) const { return mailboxes_[rank].stats(); }
   Barrier& barrier() { return barrier_; }
 
   /// Mark the context dead and wake every rank blocked in Mailbox::pop or

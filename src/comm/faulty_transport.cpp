@@ -12,8 +12,8 @@ FaultyTransport::FaultyTransport(std::unique_ptr<Transport> inner,
 
 FaultyTransport::~FaultyTransport() = default;
 
-void FaultyTransport::send(int dest, int tag, const void* data,
-                           std::size_t bytes) {
+void FaultyTransport::send(int dest, int tag,
+                           std::vector<std::uint8_t> payload) {
   const long n = sends_++;
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
 
@@ -78,7 +78,7 @@ void FaultyTransport::send(int dest, int tag, const void* data,
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(plan_.delay_ms));
   }
-  inner_->send(dest, tag, data, bytes);
+  inner_->send(dest, tag, std::move(payload));
 }
 
 void FaultyTransport::shutdown() {

@@ -76,7 +76,7 @@ class FaultyTransport final : public Transport {
   /// Applies the fault plan, then forwards.  Injected drops/short-writes
   /// abort the world and throw TransportError; an injected disconnect
   /// calls inner->fail_hard() and throws TransportError.
-  void send(int dest, int tag, const void* data, std::size_t bytes) override;
+  void send(int dest, int tag, std::vector<std::uint8_t> payload) override;
   Mailbox& inbox() override { return inner_->inbox(); }
 
   // Collectives and control flow pass through untouched: the plan targets
@@ -104,8 +104,6 @@ class FaultyTransport final : public Transport {
   void depart_abruptly() override { inner_->depart_abruptly(); }
   void rethrow_diagnosis() override { inner_->rethrow_diagnosis(); }
 
-  /// Number of send() calls observed so far (fired or not).
-  long sends_seen() const { return sends_; }
   /// Retry attempts burned by scripted transient outages so far.
   int transient_retries() const { return transient_retries_; }
 

@@ -34,13 +34,6 @@ class ContextStageView final : public StageView {
 
 }  // namespace
 
-void InProcTransport::send(int dest, int tag, const void* data,
-                           std::size_t bytes) {
-  std::vector<std::uint8_t> payload(bytes);
-  if (bytes > 0) std::memcpy(payload.data(), data, bytes);
-  ctx_->mailbox(dest).push(rank_, tag, std::move(payload));
-}
-
 void InProcTransport::gather_all(
     const void* local, std::size_t bytes,
     const std::function<void(const StageView&)>& consume) {

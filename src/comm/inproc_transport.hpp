@@ -1,8 +1,8 @@
 // In-process transport backend: thread ranks sharing one Context.
 //
 // This is the pre-seam runtime verbatim, just spoken through the
-// Transport interface: point-to-point bytes land in the destination's
-// Mailbox directly, and the collectives use the Context's zero-copy
+// Transport interface: point-to-point payloads move into the destination's
+// Mailbox, and the collectives use the Context's zero-copy
 // pointer staging area (publish local pointer, barrier, read peers,
 // barrier) — the consume callback reads each rank's bytes in place, so
 // extracting the seam costs the hot reductions nothing.
@@ -23,7 +23,11 @@ class InProcTransport final : public Transport {
   int rank() const override { return rank_; }
   int world() const override { return ctx_->size(); }
 
-  void send(int dest, int tag, const void* data, std::size_t bytes) override;
+  /// Moves the payload into the destination mailbox: the receiver pops
+  /// the sender's buffer.
+  void send(int dest, int tag, std::vector<std::uint8_t> payload) override {
+    ctx_->mailbox(dest).push(rank_, tag, std::move(payload));
+  }
   Mailbox& inbox() override { return ctx_->mailbox(rank_); }
 
   void barrier() override { ctx_->barrier().arrive_and_wait(); }

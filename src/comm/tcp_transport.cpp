@@ -598,26 +598,20 @@ bool TcpTransport::write_frame(int dest, std::uint8_t kind, int tag,
   return !aborted() || kind == kAbort;
 }
 
-void TcpTransport::send(int dest, int tag, const void* data,
-                        std::size_t bytes) {
+void TcpTransport::send(int dest, int tag, std::vector<std::uint8_t> payload) {
   if (aborted()) throw AbortedError();
   if (dest == rank_) {
-    std::vector<std::uint8_t> payload(bytes);
-    if (bytes > 0) std::memcpy(payload.data(), data, bytes);
     inbox_.push(rank_, tag, std::move(payload));
     return;
   }
-  if (!write_frame(dest, kData, tag, data, bytes)) throw AbortedError();
+  if (!write_frame(dest, kData, tag, payload.data(), payload.size()))
+    throw AbortedError();
 }
 
+// The collectives never address the local rank: its own contribution
+// stays in place.
 void TcpTransport::internal_send(int dest, int tag, const void* data,
                                  std::size_t bytes) {
-  if (dest == rank_) {
-    std::vector<std::uint8_t> payload(bytes);
-    if (bytes > 0) std::memcpy(payload.data(), data, bytes);
-    internal_.push(rank_, tag, std::move(payload));
-    return;
-  }
   if (!write_frame(dest, kInternal, tag, data, bytes)) throw AbortedError();
 }
 

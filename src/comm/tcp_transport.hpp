@@ -81,7 +81,7 @@ class TcpTransport final : public Transport {
   int rank() const override { return rank_; }
   int world() const override { return world_; }
 
-  void send(int dest, int tag, const void* data, std::size_t bytes) override;
+  void send(int dest, int tag, std::vector<std::uint8_t> payload) override;
   Mailbox& inbox() override { return inbox_; }
 
   void barrier() override;

@@ -22,7 +22,10 @@
 //   * send() is buffered and non-blocking with respect to the receiver: a
 //     rank may send arbitrarily many messages before the peer receives any
 //     (framing/queueing must absorb them), so periodic exchange rings
-//     cannot deadlock.
+//     cannot deadlock.  It takes its payload by value: a message is its
+//     own buffer, and no backend copies it on the way to the inbox
+//     (Communicator::send_bytes is the one copy-in path for borrowed
+//     bytes).
 //   * Messages between a fixed (source, dest) pair arrive in send order
 //     for a given tag (MPI's non-overtaking rule); delivery lands in the
 //     destination's inbox() Mailbox, which owns tag matching and the
@@ -127,13 +130,14 @@ class Transport {
   virtual int world() const = 0;
 
   // ---- rank-addressed point-to-point bytes ----
-  /// Buffered send of `bytes` to `dest`'s inbox under `tag`.  Never blocks
-  /// on the receiver; throws AbortedError after an abort, TransportError
-  /// when the underlying channel fails (and aborts the world first, so
-  /// peers cannot hang on the missing message).  dest == rank() loops back
-  /// through the local inbox.
-  virtual void send(int dest, int tag, const void* data,
-                    std::size_t bytes) = 0;
+  /// Buffered send of `payload` to `dest`'s inbox under `tag`.  The
+  /// transport takes the payload over and copies none of it: in-process
+  /// it is the buffer the receiver pops; TCP writes the frame from it, or
+  /// moves it into its own inbox when dest == rank().  Never blocks on the
+  /// receiver; throws AbortedError after an abort, TransportError when the
+  /// underlying channel fails (and aborts the world first, so peers cannot
+  /// hang on the missing message).
+  virtual void send(int dest, int tag, std::vector<std::uint8_t> payload) = 0;
   /// The local rank's tag-matched receive side.  All blocking/abort
   /// semantics live in Mailbox (see mailbox.hpp).
   virtual Mailbox& inbox() = 0;

@@ -43,7 +43,6 @@ class TelemetryStream {
   TelemetryStream& operator=(const TelemetryStream&) = delete;
 
   bool open(const std::string& path, std::string* error = nullptr);
-  bool is_open() const { return out_ != nullptr; }
   void write(const Heartbeat& hb);
   void close();
 

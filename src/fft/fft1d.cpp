@@ -177,16 +177,6 @@ void FftPlan::inverse_normalized(cplx* x) const {
   for (int i = 0; i < n_; ++i) x[i] *= scale;
 }
 
-void dft_forward(std::vector<cplx>& x) {
-  FftPlan plan(static_cast<int>(x.size()));
-  plan.forward(x.data());
-}
-
-void dft_inverse_normalized(std::vector<cplx>& x) {
-  FftPlan plan(static_cast<int>(x.size()));
-  plan.inverse_normalized(x.data());
-}
-
 std::vector<cplx> dft_reference(const std::vector<cplx>& x, bool inverse) {
   const int n = static_cast<int>(x.size());
   std::vector<cplx> out(n);

@@ -37,10 +37,6 @@ class FftPlan {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One-shot convenience transforms.
-void dft_forward(std::vector<cplx>& x);
-void dft_inverse_normalized(std::vector<cplx>& x);
-
 /// Reference O(n^2) DFT used by tests.
 std::vector<cplx> dft_reference(const std::vector<cplx>& x, bool inverse);
 

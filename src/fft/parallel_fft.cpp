@@ -2,32 +2,21 @@
 
 #include <cstring>
 
+#include "mesh/decomposition.hpp"
+
 namespace v6d::fft {
-
-namespace {
-
-int share(int total, int parts, int coord) {
-  const int base = total / parts;
-  const int extra = total % parts;
-  return base + (coord < extra ? 1 : 0);
-}
-
-int share_offset(int total, int parts, int coord) {
-  const int base = total / parts;
-  const int extra = total % parts;
-  return coord * base + (coord < extra ? coord : extra);
-}
-
-}  // namespace
 
 ParallelFft3D::ParallelFft3D(comm::Communicator& comm, int n)
     : comm_(comm), n_(n), plan_(n) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  local_nx_ = share(n, p, r);
-  x_offset_ = share_offset(n, p, r);
-  local_ny_ = share(n, p, r);
-  y_offset_ = share_offset(n, p, r);
+  const Planes mine = planes_of(comm.rank());
+  local_nx_ = local_ny_ = mine.count;
+  x_offset_ = y_offset_ = mine.offset;
+}
+
+ParallelFft3D::Planes ParallelFft3D::planes_of(int rank) const {
+  const int p = comm_.size();
+  return {mesh::BrickDecomposition::share_offset(n_, p, rank),
+          mesh::BrickDecomposition::share(n_, p, rank)};
 }
 
 void ParallelFft3D::transpose_x_to_y(std::vector<cplx>& local) {
@@ -36,8 +25,7 @@ void ParallelFft3D::transpose_x_to_y(std::vector<cplx>& local) {
   const int p = comm_.size();
   std::vector<std::vector<std::uint8_t>> send(static_cast<std::size_t>(p));
   for (int d = 0; d < p; ++d) {
-    const int ny_d = share(n_, p, d);
-    const int oy_d = share_offset(n_, p, d);
+    const auto [oy_d, ny_d] = planes_of(d);
     auto& buf = send[static_cast<std::size_t>(d)];
     buf.resize(static_cast<std::size_t>(local_nx_) * ny_d * n_ *
                sizeof(cplx));
@@ -54,8 +42,7 @@ void ParallelFft3D::transpose_x_to_y(std::vector<cplx>& local) {
   auto recv = comm_.alltoallv(send);
   std::vector<cplx> out(static_cast<std::size_t>(local_ny_) * n_ * n_);
   for (int r = 0; r < p; ++r) {
-    const int nx_r = share(n_, p, r);
-    const int ox_r = share_offset(n_, p, r);
+    const auto [ox_r, nx_r] = planes_of(r);
     const auto& buf = recv[static_cast<std::size_t>(r)];
     std::size_t o = 0;
     for (int x = 0; x < nx_r; ++x)
@@ -74,8 +61,7 @@ void ParallelFft3D::transpose_y_to_x(std::vector<cplx>& local) {
   const int p = comm_.size();
   std::vector<std::vector<std::uint8_t>> send(static_cast<std::size_t>(p));
   for (int d = 0; d < p; ++d) {
-    const int nx_d = share(n_, p, d);
-    const int ox_d = share_offset(n_, p, d);
+    const auto [ox_d, nx_d] = planes_of(d);
     auto& buf = send[static_cast<std::size_t>(d)];
     buf.resize(static_cast<std::size_t>(nx_d) * local_ny_ * n_ *
                sizeof(cplx));
@@ -92,8 +78,7 @@ void ParallelFft3D::transpose_y_to_x(std::vector<cplx>& local) {
   auto recv = comm_.alltoallv(send);
   std::vector<cplx> out(static_cast<std::size_t>(local_nx_) * n_ * n_);
   for (int r = 0; r < p; ++r) {
-    const int ny_r = share(n_, p, r);
-    const int oy_r = share_offset(n_, p, r);
+    const auto [oy_r, ny_r] = planes_of(r);
     const auto& buf = recv[static_cast<std::size_t>(r)];
     std::size_t o = 0;
     for (int x = 0; x < local_nx_; ++x)

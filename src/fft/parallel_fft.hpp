@@ -30,6 +30,14 @@ class ParallelFft3D {
   int local_ny() const { return local_ny_; }     // y-planes owned (spectrum)
   int y_offset() const { return y_offset_; }
 
+  /// The planes [offset, offset + count) that `rank` owns: x-planes in
+  /// real layout, y-planes in the spectrum (one split serves both; it is
+  /// mesh::BrickDecomposition's).
+  struct Planes {
+    int offset = 0, count = 0;
+  };
+  Planes planes_of(int rank) const;
+
   /// In-place forward transform of the local x-slab
   /// (local_nx * n * n, z contiguous).  On return `local` holds the
   /// transposed spectrum (local_ny * n * n: index [y_local][x][z]).

@@ -670,24 +670,6 @@ void HybridSolver::gather_into(HybridSolver& global, bool via_messages) {
     // [6 x int32 placement header][blocks in i,j,k order] — and let rank 0
     // place them by the sender's own offsets, checked like a checkpoint
     // shard's, so the two paths agree on layout.
-    const std::size_t block_floats = f_.block_size();
-    const auto pack = [&](std::vector<std::uint8_t>& buf) {
-      const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
-                                      dec_.offset(2), dec_.local_n(0),
-                                      dec_.local_n(1), dec_.local_n(2)};
-      const std::size_t bytes = block_floats * sizeof(float);
-      buf.resize(sizeof(header) + static_cast<std::size_t>(dec_.local_n(0)) *
-                                      dec_.local_n(1) * dec_.local_n(2) *
-                                      bytes);
-      std::memcpy(buf.data(), header, sizeof(header));
-      std::size_t at = sizeof(header);
-      for (int i = 0; i < dec_.local_n(0); ++i)
-        for (int j = 0; j < dec_.local_n(1); ++j)
-          for (int k = 0; k < dec_.local_n(2); ++k) {
-            std::memcpy(buf.data() + at, f_.block(i, j, k), bytes);
-            at += bytes;
-          }
-    };
     if (comm_.rank() == 0) {
       vlasov::PhaseSpace& gf = global.neutrinos();
       const std::size_t bytes = gf.block_size() * sizeof(float);
@@ -725,9 +707,22 @@ void HybridSolver::gather_into(HybridSolver& global, bool via_messages) {
             }
       }
     } else {
-      std::vector<std::uint8_t> buf;
-      pack(buf);
-      comm_.send_bytes(0, kGatherTag, buf.data(), buf.size());
+      const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
+                                      dec_.offset(2), dec_.local_n(0),
+                                      dec_.local_n(1), dec_.local_n(2)};
+      const std::size_t bytes = f_.block_size() * sizeof(float);
+      std::vector<std::uint8_t> buf(
+          sizeof(header) + static_cast<std::size_t>(dec_.local_n(0)) *
+                               dec_.local_n(1) * dec_.local_n(2) * bytes);
+      std::memcpy(buf.data(), header, sizeof(header));
+      std::size_t at = sizeof(header);
+      for (int i = 0; i < dec_.local_n(0); ++i)
+        for (int j = 0; j < dec_.local_n(1); ++j)
+          for (int k = 0; k < dec_.local_n(2); ++k) {
+            std::memcpy(buf.data() + at, f_.block(i, j, k), bytes);
+            at += bytes;
+          }
+      comm_.send(0, kGatherTag, std::move(buf));
     }
   }
   const auto forces = export_step_forces();  // collective

@@ -275,8 +275,8 @@ class HybridSolver {
                                     // deposit, gather and tree-walk split,
                                     // refreshed once per force assembly
 
-  // Exchange plans: precomputed ranges + persistent buffers (no
-  // steady-state allocation on the stepping path).
+  // Exchange plans: precomputed ranges and receive handles; every message
+  // is packed into, and read from, its own payload.
   mesh::HaloPlan ps_plan_;                       // phase-space axis faces
   mesh::GridFillPlan fill_;                      // force-grid ghost fill
   mesh::GridFoldPlan fold_cdm_, fold_nu_;        // deposit ghost folds

@@ -1,7 +1,5 @@
 #include "mesh/halo_plan.hpp"
 
-#include <algorithm>
-
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "vlasov/sl_mpp5.hpp"
@@ -20,9 +18,9 @@ void FaceMessages<T>::post(comm::CartTopology& cart, int tag_base,
   // so posting both before any receive cannot deadlock.
   for (int dir : {0, 1}) {
     const auto out = static_cast<std::size_t>(1 - dir), in = 1 - out;
-    send[out].resize(count);
-    faces.pack(op, f, axis, 1 - dir, send[out].data());
-    comm.send(nbr[out], tag_base + axis * 4 + dir, send[out].data(), count);
+    std::vector<std::uint8_t> payload(count * sizeof(T));
+    faces.pack(op, f, axis, 1 - dir, reinterpret_cast<T*>(payload.data()));
+    comm.send(nbr[out], tag_base + axis * 4 + dir, std::move(payload));
     from[in] = comm.irecv(nbr[in], tag_base + axis * 4 + dir);
   }
 }
@@ -33,7 +31,6 @@ HaloPlan::HaloPlan(comm::CartTopology& cart,
       faces_({dims.nx, dims.ny, dims.nz}, vlasov::kStencilGhost,
              FaceSpan::kInterior) {
   faces_.require_fits(cart.dims());
-  std::size_t max_face = 0;
   for (int axis = 0; axis < 3; ++axis) {
     auto& ap = axes_[static_cast<std::size_t>(axis)];
     const auto box = faces_.box(axis);
@@ -42,12 +39,7 @@ HaloPlan::HaloPlan(comm::CartTopology& cart,
     ap.t1n = box.n[0];
     ap.t2n = box.n[1];
     ap.face_floats = faces_.face_cells(axis) * dims.velocity_cells();
-    if (!ap.decomposed) continue;
-    max_face = std::max(max_face, ap.face_floats);
-    for (auto& buf : messages_[static_cast<std::size_t>(axis)].send)
-      buf.resize(ap.face_floats);
   }
-  for (auto& buf : received_) buf.resize(max_face);
 }
 
 void HaloPlan::begin_axis(vlasov::PhaseSpace& f, int axis) {
@@ -64,11 +56,12 @@ vlasov::AxisFaces HaloPlan::finish_axis(int axis) {
   for (std::size_t side : {0u, 1u}) {
     trace::Span wait_span("halo-wait");
     Stopwatch w;
-    messages_[ax].from[side].wait_into(received_[side].data(),
-                                       axes_[ax].face_floats);
+    received_[side] =
+        messages_[ax].from[side].wait(axes_[ax].face_floats * sizeof(float));
     wait_s_ += w.seconds();
   }
-  return {received_[0].data(), received_[1].data()};
+  return {reinterpret_cast<const float*>(received_[0].data()),
+          reinterpret_cast<const float*>(received_[1].data())};
 }
 
 GridGhostChain::GridGhostChain(comm::CartTopology& cart,
@@ -108,19 +101,20 @@ void GridGhostChain::run_from(Grid3D<double>& grid, int axis) {
 void GridGhostChain::finish_chain(Grid3D<double>& grid) {
   while (pending_axis_ >= 0) {
     const int axis = std::exchange(pending_axis_, -1);
-    const std::size_t count = faces_.face_cells(axis);
-    recv_buf_.resize(count);
+    const std::size_t bytes = faces_.face_cells(axis) * sizeof(double);
     for (int side : {0, 1}) {
       auto& from = messages_.from[static_cast<std::size_t>(side)];
       Stopwatch w;
+      std::vector<std::uint8_t> payload;
       if (op_ == GhostOp::kFold) {
         trace::Span wait_span("fold-wait");
-        from.wait_into(recv_buf_.data(), count);
+        payload = from.wait(bytes);
       } else {  // the force-grid fill stays unspanned inside `pm`
-        from.wait_into(recv_buf_.data(), count);
+        payload = from.wait(bytes);
       }
       wait_s_ += w.seconds();
-      faces_.unpack(op_, cell_view(grid), axis, side, recv_buf_.data());
+      faces_.unpack(op_, cell_view(grid), axis, side,
+                    reinterpret_cast<const double*>(payload.data()));
     }
     run_from(grid, axis + step());
   }

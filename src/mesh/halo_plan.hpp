@@ -1,10 +1,12 @@
-// Precomputed plans + persistent buffers for the ghost exchanges of the
-// distributed stepping path (paper §5.1.3: halo exchange is the dominant
-// non-compute cost; hiding it behind interior updates is what makes the
-// Fugaku runs scale).  mesh::GhostFaces packs, unpacks and wraps the
-// faces; the plans send them, each under the tag `tag_base + axis * 4 +
-// dir` (dir 0: travelling +axis, 1: -axis), and reject a decomposed axis
-// thinner than the ghost width at construction, before any message.
+// Precomputed plans for the ghost exchanges of the distributed stepping
+// path (paper §5.1.3: halo exchange is the dominant non-compute cost;
+// hiding it behind interior updates is what makes the Fugaku runs scale).
+// mesh::GhostFaces packs, unpacks and wraps the faces; the plans send
+// them, each under the tag `tag_base + axis * 4 + dir` (dir 0: travelling
+// +axis, 1: -axis), and reject a decomposed axis thinner than the ghost
+// width at construction, before any message.  A plan keeps geometry and
+// receive handles, no message buffers: each face is packed straight into
+// the payload it sends, and read in place from the payload it arrives in.
 //
 // Each plan splits its data movement into begin/finish halves, so the
 // distributed solver can let independent compute run while messages fly;
@@ -14,8 +16,8 @@
 //
 //  * HaloPlan — the phase-space face pair a position sweep along one axis
 //    reads (that axis' ghosts at interior transverse positions).
-//    finish_axis() returns the received faces from the plan's buffers;
-//    nothing is unpacked.  Undecomposed axes exchange nothing.
+//    finish_axis() returns faces that point into the two received
+//    payloads; nothing is unpacked.  Undecomposed axes exchange nothing.
 //  * GridFillPlan / GridFoldPlan — the force-grid ghost fill before CIC
 //    sampling and the deposit fold after CIC deposits.  The fold is the
 //    fill's axis chain run backwards: interior faces are copied into the
@@ -25,20 +27,21 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "comm/cart.hpp"
-#include "common/aligned.hpp"
 #include "mesh/ghost_faces.hpp"
 #include "vlasov/phase_space.hpp"
 
 namespace v6d::mesh {
 
 /// The two face messages of one axis, indexed by side (0: low, 1: high):
-/// post() packs and sends both faces and posts both receives.
+/// post() packs both faces into the payloads it sends and posts both
+/// receives.
 template <class T>
 struct FaceMessages {
-  std::array<AlignedVector<T>, 2> send;
   std::array<comm::Communicator::RecvHandle, 2> from;
 
   void post(comm::CartTopology& cart, int tag_base, const GhostFaces& faces,
@@ -72,8 +75,10 @@ class HaloPlan {
   /// mutate f as soon as begin_axis() returns.
   void begin_axis(vlasov::PhaseSpace& f, int axis);
   /// Wait for both faces of `axis` and return them: `lo` from the low
-  /// neighbor, `hi` from the high one, valid until the next finish_axis().
-  /// Null faces on an undecomposed axis.
+  /// neighbor, `hi` from the high one, each pointing into its received
+  /// payload, valid until the next finish_axis().  Throws
+  /// std::runtime_error if a payload is not one face long.  Null faces on
+  /// an undecomposed axis.
   vlasov::AxisFaces finish_axis(int axis);
 
   double take_wait() { return std::exchange(wait_s_, 0.0); }
@@ -84,7 +89,8 @@ class HaloPlan {
   GhostFaces faces_;
   std::array<AxisPlan, 3> axes_{};
   std::array<FaceMessages<float>, 3> messages_;
-  std::array<AlignedVector<float>, 2> received_;  // by side
+  // The payloads of the last finished axis, by side: the returned faces.
+  std::array<std::vector<std::uint8_t>, 2> received_;
   double wait_s_ = 0.0;
 };
 
@@ -113,7 +119,6 @@ class GridGhostChain {
   GhostFaces faces_;
   int pending_axis_ = -1;
   FaceMessages<double> messages_;
-  AlignedVector<double> recv_buf_;
   double wait_s_ = 0.0;
 };
 

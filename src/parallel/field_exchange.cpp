@@ -31,13 +31,6 @@ BrickOf brick_of(int rank, const mesh::BrickDecomposition& dec,
   return b;
 }
 
-/// Slab rows of the parallel FFT owned by `rank` (same splitting rule as
-/// ParallelFft3D).
-void slab_of(int rank, int n, int nranks, int& offset, int& count) {
-  count = mesh::BrickDecomposition::share(n, nranks, rank);
-  offset = mesh::BrickDecomposition::share_offset(n, nranks, rank);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -53,15 +46,13 @@ SlabExchange::SlabExchange(const mesh::BrickDecomposition& dec,
   const int n = pfft.n();
   const BrickOf mine = brick_of(comm.rank(), dec, cart);
   for (int a = 0; a < 3; ++a) my_lo_[a] = mine.lo[a];
-  slab_of(comm.rank(), n, p, my_so_, my_sn_);
+  my_so_ = pfft.x_offset();
 
-  std::size_t max_msg = 0;
   for (int r = 0; r < p; ++r) {
     // My brick rows landing in rank r's slab ...
-    int so = 0, sn = 0;
-    slab_of(r, n, p, so, sn);
-    int x0 = std::max(mine.lo[0], so);
-    int x1 = std::min(mine.lo[0] + mine.n[0], so + sn);
+    const auto slab = pfft.planes_of(r);
+    int x0 = std::max(mine.lo[0], slab.offset);
+    int x1 = std::min(mine.lo[0] + mine.n[0], slab.offset + slab.count);
     if (x0 < x1)
       brick_rows_.push_back({r, x0, x1, mine.n[1], mine.n[2], 0, 0});
     // ... and rank r's brick rows landing in my slab.  The slab -> brick
@@ -69,37 +60,37 @@ SlabExchange::SlabExchange(const mesh::BrickDecomposition& dec,
     // two lists serve both directions.
     const BrickOf src = brick_of(r, dec, cart);
     x0 = std::max(src.lo[0], my_so_);
-    x1 = std::min(src.lo[0] + src.n[0], my_so_ + my_sn_);
+    x1 = std::min(src.lo[0] + src.n[0], my_so_ + pfft.local_nx());
     if (x0 < x1)
       slab_rows_.push_back({r, x0, x1, src.n[1], src.n[2], src.lo[1],
                             src.lo[2]});
   }
-  for (const auto& f : brick_rows_)
-    max_msg = std::max(
-        max_msg, static_cast<std::size_t>(f.x1 - f.x0) * f.ny * f.nz);
-  for (const auto& f : slab_rows_)
-    max_msg = std::max(
-        max_msg, static_cast<std::size_t>(f.x1 - f.x0) * f.ny * f.nz);
-  send_buf_.resize(std::max(brick_rows_.size(), slab_rows_.size()));
-  recv_buf_.reserve(max_msg);
-  slab_.resize(static_cast<std::size_t>(my_sn_) * n * n, fft::cplx(0.0, 0.0));
+  slab_.resize(static_cast<std::size_t>(pfft.local_nx()) * n * n,
+               fft::cplx(0.0, 0.0));
+}
+
+std::vector<std::uint8_t> SlabExchange::wait_pending(std::size_t s,
+                                                     const Footprint& fp) {
+  trace::Span wait_span("slab-wait");
+  Stopwatch w;
+  auto payload = pending_[s].wait(fp.bytes());
+  wait_s_ += w.seconds();
+  return payload;
 }
 
 void SlabExchange::begin_to_slab(const mesh::Grid3D<double>& brick) {
   trace::Span span("slab-begin");
   auto& comm = cart_->comm();
-  for (std::size_t s = 0; s < brick_rows_.size(); ++s) {
-    const auto& fp = brick_rows_[s];
-    auto& buf = send_buf_[s];
-    buf.resize(static_cast<std::size_t>(fp.x1 - fp.x0) * fp.ny * fp.nz);
+  for (const auto& fp : brick_rows_) {
+    std::vector<std::uint8_t> payload(fp.bytes());
+    auto* out = reinterpret_cast<double*>(payload.data());
     const std::size_t row = sizeof(double) * static_cast<std::size_t>(fp.nz);
-    std::size_t o = 0;
-    // Brick z-rows are contiguous and the buffer is [x][y][z]: one memcpy
+    // Brick z-rows are contiguous and the payload is [x][y][z]: one memcpy
     // per (x, y) row instead of per-cell index churn.
     for (int gx = fp.x0; gx < fp.x1; ++gx)
-      for (int ly = 0; ly < fp.ny; ++ly, o += fp.nz)
-        std::memcpy(buf.data() + o, &brick.at(gx - my_lo_[0], ly, 0), row);
-    comm.send(fp.rank, tag_base_, buf.data(), buf.size());
+      for (int ly = 0; ly < fp.ny; ++ly, out += fp.nz)
+        std::memcpy(out, &brick.at(gx - my_lo_[0], ly, 0), row);
+    comm.send(fp.rank, tag_base_, std::move(payload));
   }
   pending_.clear();
   for (const auto& fp : slab_rows_)
@@ -111,22 +102,14 @@ std::vector<fft::cplx>& SlabExchange::finish_to_slab() {
   const int n = pfft_->n();
   for (std::size_t s = 0; s < slab_rows_.size(); ++s) {
     const auto& fp = slab_rows_[s];
-    const std::size_t count =
-        static_cast<std::size_t>(fp.x1 - fp.x0) * fp.ny * fp.nz;
-    recv_buf_.resize(count);
-    {
-      trace::Span wait_span("slab-wait");
-      Stopwatch w;
-      pending_[s].wait_into(recv_buf_.data(), count);
-      wait_s_ += w.seconds();
-    }
-    std::size_t o = 0;
+    const auto payload = wait_pending(s, fp);
+    const auto* in = reinterpret_cast<const double*>(payload.data());
     for (int gx = fp.x0; gx < fp.x1; ++gx)
       for (int ly = 0; ly < fp.ny; ++ly)
         for (int lz = 0; lz < fp.nz; ++lz)
           slab_[(static_cast<std::size_t>(gx - my_so_) * n + (fp.lo1 + ly)) *
                     n +
-                (fp.lo2 + lz)] = fft::cplx(recv_buf_[o++], 0.0);
+                (fp.lo2 + lz)] = fft::cplx(*in++, 0.0);
   }
   return slab_;
 }
@@ -135,20 +118,18 @@ void SlabExchange::begin_to_brick(const std::vector<fft::cplx>& slab) {
   trace::Span span("slab-begin");
   auto& comm = cart_->comm();
   const int n = pfft_->n();
-  for (std::size_t s = 0; s < slab_rows_.size(); ++s) {
-    const auto& fp = slab_rows_[s];
-    auto& buf = send_buf_[s];
-    buf.resize(static_cast<std::size_t>(fp.x1 - fp.x0) * fp.ny * fp.nz);
-    std::size_t o = 0;
+  for (const auto& fp : slab_rows_) {
+    std::vector<std::uint8_t> payload(fp.bytes());
+    auto* out = reinterpret_cast<double*>(payload.data());
     for (int gx = fp.x0; gx < fp.x1; ++gx)
       for (int ly = 0; ly < fp.ny; ++ly)
         for (int lz = 0; lz < fp.nz; ++lz)
-          buf[o++] = slab[(static_cast<std::size_t>(gx - my_so_) * n +
-                           (fp.lo1 + ly)) *
-                              n +
-                          (fp.lo2 + lz)]
-                         .real();
-    comm.send(fp.rank, tag_base_ + 1, buf.data(), buf.size());
+          *out++ = slab[(static_cast<std::size_t>(gx - my_so_) * n +
+                         (fp.lo1 + ly)) *
+                            n +
+                        (fp.lo2 + lz)]
+                       .real();
+    comm.send(fp.rank, tag_base_ + 1, std::move(payload));
   }
   pending_.clear();
   for (const auto& fp : brick_rows_)
@@ -159,21 +140,12 @@ void SlabExchange::finish_to_brick(mesh::Grid3D<double>& brick) {
   trace::Span span("slab-finish");
   for (std::size_t s = 0; s < brick_rows_.size(); ++s) {
     const auto& fp = brick_rows_[s];
-    const std::size_t count =
-        static_cast<std::size_t>(fp.x1 - fp.x0) * fp.ny * fp.nz;
-    recv_buf_.resize(count);
-    {
-      trace::Span wait_span("slab-wait");
-      Stopwatch w;
-      pending_[s].wait_into(recv_buf_.data(), count);
-      wait_s_ += w.seconds();
-    }
+    const auto payload = wait_pending(s, fp);
+    const auto* in = reinterpret_cast<const double*>(payload.data());
     const std::size_t row = sizeof(double) * static_cast<std::size_t>(fp.nz);
-    std::size_t o = 0;
     for (int gx = fp.x0; gx < fp.x1; ++gx)
-      for (int ly = 0; ly < fp.ny; ++ly, o += fp.nz)
-        std::memcpy(&brick.at(gx - my_lo_[0], ly, 0), recv_buf_.data() + o,
-                    row);
+      for (int ly = 0; ly < fp.ny; ++ly, in += fp.nz)
+        std::memcpy(&brick.at(gx - my_lo_[0], ly, 0), in, row);
   }
 }
 

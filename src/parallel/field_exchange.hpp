@@ -9,6 +9,7 @@
 // SSL II FFT".
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "comm/cart.hpp"
@@ -30,11 +31,13 @@ void allgather_bricks(const mesh::Grid3D<double>& brick,
 ///
 /// Buffered point-to-point sends let the caller compute (Green-function
 /// tables, the next spectral component) while messages are in flight.
-/// Footprint intersections are precomputed at construction and pack
-/// buffers persist, so steady-state begin/finish pairs allocate nothing.
-/// Slabs are complex [x_local][y][z] (z contiguous) with zero imaginary
-/// parts; the return direction scatters the real parts back into the brick
-/// interiors (ghosts untouched).
+/// Footprint intersections are precomputed at construction; each block is
+/// packed straight into the payload it is sent in, and each received
+/// payload is length-checked and read in place (std::runtime_error on a
+/// mismatch), so the plan keeps no message buffers.  Slabs are complex
+/// [x_local][y][z] (z contiguous) with zero imaginary parts; the return
+/// direction scatters the real parts back into the brick interiors
+/// (ghosts untouched).
 ///
 /// Only one exchange (either direction) may be in flight per instance;
 /// distinct instances on the same communicator need distinct `tag_base`s.
@@ -70,21 +73,24 @@ class SlabExchange {
     int x0 = 0, x1 = 0;       // global x-row intersection
     int ny = 0, nz = 0;       // transverse extents of the brick side
     int lo1 = 0, lo2 = 0;     // that brick's global (y, z) offsets
+    std::size_t bytes() const {
+      return sizeof(double) * static_cast<std::size_t>(x1 - x0) * ny * nz;
+    }
   };
+  // Completes pending_[s], which carries footprint `fp`, under "slab-wait".
+  std::vector<std::uint8_t> wait_pending(std::size_t s, const Footprint& fp);
 
   comm::CartTopology* cart_ = nullptr;
   const fft::ParallelFft3D* pfft_ = nullptr;
   int tag_base_ = 0;
-  int my_so_ = 0, my_sn_ = 0;         // my slab rows
+  int my_so_ = 0;                     // my first slab row
   int my_lo_[3] = {0, 0, 0};          // my brick offsets
   // The two directions move the same intersections in opposite senses, so
   // two footprint lists serve both: brick_rows_ = my brick ∩ each rank's
   // slab (sent in to-slab, received in to-brick); slab_rows_ = each
   // rank's brick ∩ my slab (received in to-slab, sent in to-brick).
   std::vector<Footprint> brick_rows_, slab_rows_;
-  std::vector<std::vector<double>> send_buf_;  // one per send footprint
   std::vector<comm::Communicator::RecvHandle> pending_;
-  std::vector<double> recv_buf_;
   std::vector<fft::cplx> slab_;
   double wait_s_ = 0.0;
 };

@@ -54,13 +54,7 @@ struct Pack {
     std::memcpy(&r.v, p, sizeof(Native));
     return r;
   }
-  static Pack load_aligned(const T* p) {
-    Pack r;
-    r.v = *reinterpret_cast<const Native*>(p);
-    return r;
-  }
   void store(T* p) const { std::memcpy(p, &v, sizeof(Native)); }
-  void store_aligned(T* p) const { *reinterpret_cast<Native*>(p) = v; }
 
   T operator[](int lane) const { return v[lane]; }
   void set(int lane, T x) { v[lane] = x; }

@@ -39,14 +39,4 @@ void drift_full(PhaseSpace& f, double drift_factor, SweepKernel kernel,
   }
 }
 
-void split_step_fixed_accel(PhaseSpace& f, const mesh::Grid3D<double>& gx,
-                            const mesh::Grid3D<double>& gy,
-                            const mesh::Grid3D<double>& gz,
-                            const SplitStepConfig& config,
-                            const HaloFiller& halo) {
-  kick_half(f, gx, gy, gz, config.kick_pre, config.kernel);
-  drift_full(f, config.drift, config.kernel, halo);
-  kick_half(f, gx, gy, gz, config.kick_post, config.kernel);
-}
-
 }  // namespace v6d::vlasov

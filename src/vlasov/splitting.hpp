@@ -7,6 +7,8 @@
 // i.e. half kick in velocity space, full drift in position space, half
 // kick again — symmetric (2nd-order in time) while each 1-D operator is
 // 5th-order in its own coordinate and integrated in a single stage.
+// hybrid::HybridSolver composes its step from these pieces, with the force
+// solves between them.
 #pragma once
 
 #include <functional>
@@ -25,23 +27,6 @@ using HaloFiller = std::function<AxisFaces(PhaseSpace&, int axis)>;
 /// each sweep takes its ghosts from the periodic image, as it does on the
 /// undecomposed axes of a mesh::HaloPlan.
 HaloFiller periodic_halo_filler();
-
-struct SplitStepConfig {
-  double drift = 0.0;      // time integral of dt/a^2 over the step
-  double kick_pre = 0.0;   // dt of the leading half kick
-  double kick_post = 0.0;  // dt of the trailing half kick
-  SweepKernel kernel = SweepKernel::kAuto;
-};
-
-/// One Eq.(5) step with *fixed* acceleration fields (gx, gy, gz =
-/// -grad(phi) on the spatial grid).  Self-consistent solvers interleave
-/// Poisson solves between the kick halves themselves; this helper serves
-/// kinematic tests, examples, and the ablation benches.
-void split_step_fixed_accel(PhaseSpace& f, const mesh::Grid3D<double>& gx,
-                            const mesh::Grid3D<double>& gy,
-                            const mesh::Grid3D<double>& gz,
-                            const SplitStepConfig& config,
-                            const HaloFiller& halo);
 
 /// The kick half-sequence Dux Duy Duz (order per Eq. 5).
 void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -319,6 +320,19 @@ TEST(Mailbox, TryPopIsNonBlockingAndFifo) {
   EXPECT_EQ(out[0], 8);
   EXPECT_FALSE(mailbox.try_pop(0, 5, out));
   EXPECT_EQ(mailbox.queue_count(), 0u);
+}
+
+TEST(Comm, SizedReceivesRejectAPayloadOfTheWrongLength) {
+  run(1, [&](Communicator& comm) {
+    const double two[2] = {1.0, 2.0};
+    comm.send(0, 5, two, 2);
+    EXPECT_THROW((void)comm.irecv(0, 5).wait(sizeof(double)),
+                 std::runtime_error);
+    comm.send(0, 5, two, 2);
+    double one = 0.0;
+    EXPECT_THROW(comm.recv(0, 5, &one, 1), std::runtime_error);
+    EXPECT_EQ(one, 0.0);  // rejected before anything was copied
+  });
 }
 
 TEST(Comm, RecvHandleCompletesAfterOverlappedWork) {

@@ -11,7 +11,6 @@
 
 #include "common/aligned.hpp"
 #include "common/log.hpp"
-#include "common/ndview.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -25,22 +24,6 @@ TEST(Aligned, VectorIsSimdAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kSimdAlign, 0u);
   AlignedVector<double> w(7);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % kSimdAlign, 0u);
-}
-
-TEST(NdView, StridedAccess) {
-  std::vector<double> data(24);
-  for (int i = 0; i < 24; ++i) data[static_cast<std::size_t>(i)] = i;
-  View3D<double> v(data.data(), 2, 3, 4);
-  EXPECT_EQ(v(0, 0, 0), 0.0);
-  EXPECT_EQ(v(1, 2, 3), 23.0);
-  EXPECT_EQ(v(1, 0, 2), 14.0);
-  EXPECT_EQ(v.stride(0), 12);
-  EXPECT_EQ(v.stride(1), 4);
-  EXPECT_EQ(v.stride(2), 1);
-
-  View2D<double> m(data.data(), 4, 6);
-  EXPECT_EQ(m.row(2)(3), 15.0);
-  EXPECT_EQ(m.col(1)(3), 19.0);
 }
 
 TEST(Rng, DeterministicAndWellDistributed) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "blocking_fold.hpp"
 #include "comm/runner.hpp"
@@ -273,6 +274,55 @@ TEST(HaloPlan, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
     for (int axis = 0; axis < 3; ++axis)
       exchange_and_expect_axis_ghosts(plan, f, dec, axis, comm.rank());
   });
+}
+
+// A received face is length-checked before it is read: rank 1 sends rank 0
+// a face one element short on the tag rank 0 finishes first (axis 0,
+// dir 0), and finish_axis() must throw.  The dir-1 face is whole, so a
+// finish without the check would return rather than wait forever.
+TEST(HaloPlan, FinishRejectsAFaceOfTheWrongLength) {
+  EXPECT_THROW(
+      comm::run(2,
+                [&](comm::Communicator& comm) {
+                  comm::CartTopology cart(comm, {2, 1, 1});
+                  mesh::BrickDecomposition dec({8, 4, 4}, cart.dims(),
+                                               cart.coords());
+                  vlasov::PhaseSpace f(local_dims(dec, 2),
+                                       vlasov::PhaseSpaceGeometry{});
+                  mesh::HaloPlan plan(cart, f.dims(), 900);
+                  if (comm.rank() == 1) {
+                    const std::vector<float> face(plan.axis(0).face_floats);
+                    comm.send(0, 900, face.data(), face.size() - 1);
+                    comm.send(0, 901, face.data(), face.size());
+                    return;
+                  }
+                  plan.begin_axis(f, 0);
+                  (void)plan.finish_axis(0);
+                }),
+      std::runtime_error);
+}
+
+// The same for the deposit fold: its x faces are 2 ghost layers of the
+// 4 x 4 interior (y and z are folded first).
+TEST(GridFoldPlan, FinishRejectsAFaceOfTheWrongLength) {
+  EXPECT_THROW(
+      comm::run(2,
+                [&](comm::Communicator& comm) {
+                  comm::CartTopology cart(comm, {2, 1, 1});
+                  mesh::BrickDecomposition dec({8, 4, 4}, cart.dims(),
+                                               cart.coords());
+                  mesh::Grid3D<double> grid(dec.local_n(0), 4, 4, 2);
+                  mesh::GridFoldPlan fold(cart, grid, 940);
+                  if (comm.rank() == 1) {
+                    const std::vector<double> face(2 * 4 * 4);
+                    comm.send(0, 940, face.data(), face.size() - 1);
+                    comm.send(0, 941, face.data(), face.size());
+                    return;
+                  }
+                  fold.begin(grid);
+                  fold.finish(grid);
+                }),
+      std::runtime_error);
 }
 
 TEST(GridFoldPlan, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {

@@ -131,6 +131,45 @@ TEST(FieldExchange, BrickSlabRoundTripPreservesValues) {
   }
 }
 
+// Each received block is length-checked before it is read.  Split along y,
+// rank 0's slab (x rows 0-3) takes a 4 x 4 x 8 block from each brick and
+// its brick takes one from each slab; rank 1 sends rank 0 that block one
+// element short on the direction's tag (980 to slab, 981 to brick), and
+// the finish must throw.
+TEST(FieldExchange, FinishRejectsABlockOfTheWrongLength) {
+  const int n = 8;
+  for (const int dir : {0, 1}) {
+    const bool to_slab = dir == 0;
+    EXPECT_THROW(
+        comm::run(2,
+                  [&](comm::Communicator& comm) {
+                    comm::CartTopology cart(comm, {1, 2, 1});
+                    mesh::BrickDecomposition dec({n, n, n}, cart.dims(),
+                                                 cart.coords());
+                    fft::ParallelFft3D pfft(comm, n);
+                    parallel::SlabExchange exchange(dec, pfft, cart, 980);
+                    if (comm.rank() == 1) {
+                      const std::vector<double> block(4 * 4 * 8 - 1);
+                      comm.send(0, 980 + dir, block.data(), block.size());
+                      return;
+                    }
+                    mesh::Grid3D<double> brick(dec.local_n(0),
+                                               dec.local_n(1),
+                                               dec.local_n(2), 2);
+                    if (to_slab) {
+                      exchange.begin_to_slab(brick);
+                      (void)exchange.finish_to_slab();
+                    } else {
+                      exchange.begin_to_brick(std::vector<fft::cplx>(
+                          static_cast<std::size_t>(pfft.local_nx()) * n * n));
+                      exchange.finish_to_brick(brick);
+                    }
+                  }),
+        std::runtime_error)
+        << (to_slab ? "finish_to_slab" : "finish_to_brick");
+  }
+}
+
 TEST(FieldExchange, AllgatherBricksAssemblesGlobalField) {
   const int n = 6;
   comm::run(4, [&](comm::Communicator& comm) {

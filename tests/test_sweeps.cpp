@@ -184,16 +184,12 @@ TEST(Splitting, FixedAccelStepRoundTripsWithReversedKicks) {
   gx.fill(0.05);
   gy.fill(-0.05);
   gz.fill(0.02);
-  SplitStepConfig cfg;
-  cfg.drift = 0.4;
-  cfg.kick_pre = 0.2;
-  cfg.kick_post = 0.2;
-  split_step_fixed_accel(f, gx, gy, gz, cfg, periodic_halo_filler());
-  SplitStepConfig back;
-  back.drift = -0.4;
-  back.kick_pre = -0.2;
-  back.kick_post = -0.2;
-  split_step_fixed_accel(f, gx, gy, gz, back, periodic_halo_filler());
+  const auto kernel = SweepKernel::kAuto;
+  for (const double dt : {0.4, -0.4}) {
+    kick_half(f, gx, gy, gz, dt / 2, kernel);
+    drift_full(f, dt, kernel, periodic_halo_filler());
+    kick_half(f, gx, gy, gz, dt / 2, kernel);
+  }
   EXPECT_NEAR(f.total_mass(), ref.total_mass(), 1e-5 * ref.total_mass());
   double err = 0.0, norm = 0.0;
   const auto& d = f.dims();

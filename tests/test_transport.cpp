@@ -15,6 +15,7 @@
 // production exchanges.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -190,6 +191,39 @@ TEST_P(TransportConformance, SelfSendDelivers) {
     std::int64_t got = 0;
     comm.recv(comm.rank(), 5, &got, 1);
     EXPECT_EQ(got, value);
+  });
+}
+
+TEST_P(TransportConformance, SendTakesItsPayloadOver) {
+  // A payload moved into send() arrives byte for byte, and no backend
+  // copies it: the in-process receiver, and on every backend the receiver
+  // of a self-send, pops the sender's own buffer.  Moved and copied sends
+  // count alike.
+  const bool shared_memory = std::string(GetParam()) == "inproc";
+  std::array<const std::uint8_t*, 2> sent{};
+  run_transport(2, backend_options(GetParam()), [&](Communicator& comm) {
+    const int me = comm.rank(), peer = 1 - me;
+    auto moved = pattern_payload(me, 4099);
+    auto to_self = pattern_payload(me + 2, 513);
+    const std::uint8_t* self_buffer = to_self.data();
+    sent[static_cast<std::size_t>(me)] = moved.data();
+    comm.send(peer, 1, std::move(moved));
+    comm.send_bytes(peer, 2, self_buffer, to_self.size());
+    comm.send(me, 3, std::move(to_self));
+    EXPECT_EQ(comm.bytes_sent(), 4099u + 2 * 513u);
+    EXPECT_EQ(comm.messages_sent(), 3u);
+    EXPECT_EQ(comm.bytes_sent_to(peer), 4099u + 513u);
+    EXPECT_EQ(comm.messages_sent_to(peer), 2u);
+    comm.barrier();  // both ranks have recorded their buffers
+    const auto got = comm.recv_bytes(peer, 1);
+    EXPECT_EQ(got, pattern_payload(peer, 4099));
+    if (shared_memory) {
+      EXPECT_EQ(got.data(), sent[static_cast<std::size_t>(peer)]);
+    }
+    EXPECT_EQ(comm.recv_bytes(peer, 2), pattern_payload(peer + 2, 513));
+    const auto mine = comm.recv_bytes(me, 3);
+    EXPECT_EQ(mine, pattern_payload(me + 2, 513));
+    EXPECT_EQ(mine.data(), self_buffer);
   });
 }
 

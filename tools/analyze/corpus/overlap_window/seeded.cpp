@@ -13,6 +13,10 @@ struct HaloPlan {
   void finish_axis(double* f, int axis);
 };
 
+struct RecvHandle {
+  void wait(int bytes);  // sized wait: checks the payload length
+};
+
 // A barrier between begin and finish serializes the overlap.
 void blocked_window(Comm& comm, HaloPlan& halo, double* f) {
   halo.begin_axis(f, 0);
@@ -33,4 +37,11 @@ void recv_inside(Comm& comm, HaloPlan& halo, double* f, double* in) {
   halo.begin_axis(f, 1);
   comm.recv(0, 0x80, in, 4);  // SEED(overlap-window)
   halo.finish_axis(f, 1);
+}
+
+// A sized wait on a handle that is not the window's plan blocks as hard.
+void foreign_sized_wait(RecvHandle& stray, HaloPlan& halo, double* f) {
+  halo.begin_axis(f, 2);
+  stray.wait(8);  // SEED(overlap-window)
+  halo.finish_axis(f, 2);
 }

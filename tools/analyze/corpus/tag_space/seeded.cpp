@@ -2,8 +2,11 @@
 
 constexpr int kFirstUserTag = 64;
 
+struct Payload {};
+
 struct Comm {
   void send(int peer, int tag, const double* p, int n);
+  void send(int peer, int tag, Payload payload);  // takes the payload over
   void recv(int peer, int tag, double* p, int n);
 };
 
@@ -38,4 +41,10 @@ void inside_range(Comm& comm, double* p) {
 // Runtime-computed tag the analysis cannot bound.
 void opaque(Comm& comm, const double* p, int step) {
   comm.send(1, step * 2, p, 8);  // SEED(tag-space)
+}
+
+// The owning send keeps its tag at argument 1: a moved payload under a
+// reserved tag collides like any other send.
+void moved_low_tag(Comm& comm, Payload payload, int dir) {
+  comm.send(1, 5 + dir, static_cast<Payload&&>(payload));  // SEED(tag-space)
 }
