@@ -12,7 +12,6 @@ namespace v6d::cosmo {
 
 namespace {
 
-inline int signed_mode(int i, int n) { return i <= n / 2 ? i : i - n; }
 inline int wrap_mode(int m, int n) { return ((m % n) + n) % n; }
 
 /// True if FFT bin triple is its own complex conjugate (all components are
@@ -44,16 +43,16 @@ void GaussianField::fill_modes(const std::function<double(double)>& pk,
       for (int k = 0; k < n; ++k) {
         // Canonical representative of the conjugate pair: the
         // lexicographically smaller of (i,j,k) and its conjugate.
-        const int ci = wrap_mode(-signed_mode(i, n), n);
-        const int cj = wrap_mode(-signed_mode(j, n), n);
-        const int ck = wrap_mode(-signed_mode(k, n), n);
+        const int ci = wrap_mode(-fft::signed_mode(i, n), n);
+        const int cj = wrap_mode(-fft::signed_mode(j, n), n);
+        const int ck = wrap_mode(-fft::signed_mode(k, n), n);
         const bool canonical =
             std::tie(i, j, k) <= std::tie(ci, cj, ck);
         if (!canonical) continue;
 
-        const double kx = two_pi_over_l * signed_mode(i, n);
-        const double ky = two_pi_over_l * signed_mode(j, n);
-        const double kz = two_pi_over_l * signed_mode(k, n);
+        const double kx = two_pi_over_l * fft::signed_mode(i, n);
+        const double ky = two_pi_over_l * fft::signed_mode(j, n);
+        const double kz = two_pi_over_l * fft::signed_mode(k, n);
         const double kk = std::sqrt(kx * kx + ky * ky + kz * kz);
         if (kk == 0.0) continue;  // mean mode zero
 
@@ -104,9 +103,9 @@ void GaussianField::realize_with_displacement(
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
       for (int k = 0; k < n; ++k, ++o) {
-        const double kx = two_pi_over_l * signed_mode(i, n);
-        const double ky = two_pi_over_l * signed_mode(j, n);
-        const double kz = two_pi_over_l * signed_mode(k, n);
+        const double kx = two_pi_over_l * fft::signed_mode(i, n);
+        const double ky = two_pi_over_l * fft::signed_mode(j, n);
+        const double kz = two_pi_over_l * fft::signed_mode(k, n);
         const double k2 = kx * kx + ky * ky + kz * kz;
         if (k2 == 0.0) continue;
         const std::complex<double> ik_over_k2(0.0, 1.0 / k2);

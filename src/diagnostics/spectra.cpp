@@ -9,8 +9,6 @@ namespace v6d::diag {
 
 namespace {
 
-inline int signed_mode(int i, int n) { return i <= n / 2 ? i : i - n; }
-
 std::vector<fft::cplx> delta_spectrum(const mesh::Grid3D<double>& rho) {
   const int n = rho.nx();
   const double mean = rho.sum_interior() / rho.interior_size();
@@ -46,8 +44,8 @@ std::vector<SpectrumBin> measure_power(const mesh::Grid3D<double>& rho,
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
       for (int k = 0; k < n; ++k, ++o) {
-        const int mi = signed_mode(i, n), mj = signed_mode(j, n),
-                  mk = signed_mode(k, n);
+        const int mi = fft::signed_mode(i, n), mj = fft::signed_mode(j, n),
+                  mk = fft::signed_mode(k, n);
         const double km = kf * std::sqrt(static_cast<double>(mi) * mi +
                                          static_cast<double>(mj) * mj +
                                          static_cast<double>(mk) * mk);
@@ -89,8 +87,8 @@ std::vector<double> cross_correlation(const mesh::Grid3D<double>& a,
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
       for (int k = 0; k < n; ++k, ++o) {
-        const int mi = signed_mode(i, n), mj = signed_mode(j, n),
-                  mk = signed_mode(k, n);
+        const int mi = fft::signed_mode(i, n), mj = fft::signed_mode(j, n),
+                  mk = fft::signed_mode(k, n);
         const double km = kf * std::sqrt(static_cast<double>(mi) * mi +
                                          static_cast<double>(mj) * mj +
                                          static_cast<double>(mk) * mk);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace v6d::fft {
 
@@ -136,7 +137,8 @@ void FftPlan::Impl::run_bluestein(cplx* x, int n, bool inverse) const {
   conv_plan->forward(a.data());
   if (inverse) {
     // Convolution kernel for the inverse transform is conj(chirp): its FFT
-    // equals conj(FFT(chirp)) reversed; easier to just recompute once.
+    // equals conj(FFT(chirp)) reversed.  It is rebuilt and transformed on
+    // every inverse call (one length-m allocation and forward FFT each).
     std::vector<cplx> b(m, cplx(0.0, 0.0));
     b[0] = std::conj(chirp[0]);
     for (int j = 1; j < n; ++j) b[j] = b[m - j] = std::conj(chirp[j]);
@@ -175,21 +177,6 @@ void FftPlan::inverse_normalized(cplx* x) const {
   impl_->run(x, n_, true);
   const double scale = 1.0 / n_;
   for (int i = 0; i < n_; ++i) x[i] *= scale;
-}
-
-std::vector<cplx> dft_reference(const std::vector<cplx>& x, bool inverse) {
-  const int n = static_cast<int>(x.size());
-  std::vector<cplx> out(n);
-  const double sign = inverse ? 1.0 : -1.0;
-  for (int k = 0; k < n; ++k) {
-    cplx acc(0.0, 0.0);
-    for (int j = 0; j < n; ++j) {
-      const double ang = sign * 2.0 * M_PI * j * k / n;
-      acc += x[j] * cplx(std::cos(ang), std::sin(ang));
-    }
-    out[k] = acc;
-  }
-  return out;
 }
 
 }  // namespace v6d::fft

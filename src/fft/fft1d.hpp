@@ -1,20 +1,23 @@
-// 1-D complex FFT: iterative mixed-radix Cooley-Tukey for lengths whose
-// factors are {2, 3, 5, 7}, with a Bluestein (chirp-z) fallback for any
-// other length.  Substrate for the PM Poisson solver; plays the role the
-// Fujitsu SSL II library plays in the paper.
+// 1-D complex FFT: recursive mixed-radix Cooley-Tukey (decimation in
+// time) for lengths whose factors are {2, 3, 5, 7}, with a Bluestein
+// (chirp-z) fallback for any other length.  Substrate for the PM Poisson
+// solver; plays the role the Fujitsu SSL II library plays in the paper.
 //
 // Conventions: forward uses exp(-2*pi*i*jk/n), inverse uses exp(+2*pi*i*jk/n)
 // and is unnormalized; inverse_normalized() divides by n so that
-// inverse_normalized(forward(x)) == x.
+// inverse_normalized(forward(x)) == x.  Bin i holds mode signed_mode(i, n).
 #pragma once
 
 #include <complex>
 #include <memory>
-#include <vector>
 
 namespace v6d::fft {
 
 using cplx = std::complex<double>;
+
+/// Signed mode number of bin i of an n-point transform: i up to the
+/// Nyquist bin n / 2, i - n above it.
+inline int signed_mode(int i, int n) { return i <= n / 2 ? i : i - n; }
 
 class FftPlan {
  public:
@@ -36,8 +39,5 @@ class FftPlan {
   int n_;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Reference O(n^2) DFT used by tests.
-std::vector<cplx> dft_reference(const std::vector<cplx>& x, bool inverse);
 
 }  // namespace v6d::fft

@@ -1,11 +1,14 @@
 // Distributed 3-D complex FFT over the simulated MPI runtime.
 //
 // Slab decomposition: rank r owns x-planes [offset, offset + local_n).
-// forward(): (1) 2-D FFT over each local (y, z) plane, (2) global
-// transpose (alltoallv) to y-slabs, (3) 1-D FFT along x.  The spectrum is
-// left in transposed (y-slab) layout; inverse_normalized() reverses the
-// pipeline.  This is the communication pattern whose alltoall volume makes
-// the paper's PM part the worst-scaling one (Tables 3-4); the fft_scaling
+// forward(): (1) z then y lines of the local x-slab, (2) global
+// transpose (alltoallv) to y-slabs, (3) x lines.  Every line pass is an
+// fft::transform_axis() call over the whole slab, the same routine
+// fft::Fft3D runs, so a world-1 transform is bit-identical to the serial
+// one.  The spectrum is left in transposed (y-slab) layout;
+// inverse_normalized() is the mirror image, through the same transpose.
+// This is the communication pattern whose alltoall volume makes the
+// paper's PM part the worst-scaling one (Tables 3-4); the fft_scaling
 // bench measures it directly.  (The paper's SSL II library uses a 2-D
 // pencil decomposition; a slab is the P-ranks special case of that layout
 // and exhibits the same volume-per-rank scaling law.)
@@ -14,7 +17,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "fft/fft1d.hpp"
+#include "fft/fft3d.hpp"
 
 namespace v6d::fft {
 
@@ -58,8 +61,11 @@ class ParallelFft3D {
   }
 
  private:
-  void transpose_x_to_y(std::vector<cplx>& local);
-  void transpose_y_to_x(std::vector<cplx>& local);
+  /// [a_local][b][z] -> [b_local][a][z] across the world: x-slabs to
+  /// y-slabs and back, since x and y planes share one split.  Throws
+  /// std::runtime_error, before reading it, on a received block of the
+  /// wrong length.
+  void transpose(std::vector<cplx>& local);
 
   comm::Communicator& comm_;
   int n_;

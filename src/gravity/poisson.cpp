@@ -2,8 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <vector>
 
 namespace v6d::gravity {
 
@@ -13,17 +11,15 @@ inline double sinc(double x) { return x == 0.0 ? 1.0 : std::sin(x) / x; }
 
 }  // namespace
 
-int fft_signed_mode(int i, int n) { return i <= n / 2 ? i : i - n; }
-
 double fft_wavenumber(int i, int n, double l) {
-  return 2.0 * M_PI / l * fft_signed_mode(i, n);
+  return 2.0 * M_PI / l * fft::signed_mode(i, n);
 }
 
 double green_times_window(int ix, int iy, int iz, int nx, int ny, int nz,
                           double lx, double ly, double lz,
                           const PoissonOptions& options) {
-  if (fft_signed_mode(ix, nx) == 0 && fft_signed_mode(iy, ny) == 0 &&
-      fft_signed_mode(iz, nz) == 0)
+  if (fft::signed_mode(ix, nx) == 0 && fft::signed_mode(iy, ny) == 0 &&
+      fft::signed_mode(iz, nz) == 0)
     return 0.0;
 
   const double kx = fft_wavenumber(ix, nx, lx);
@@ -67,20 +63,27 @@ PoissonSolver::PoissonSolver(int nx, int ny, int nz, double lx, double ly,
     : nx_(nx), ny_(ny), nz_(nz), lx_(lx), ly_(ly), lz_(lz),
       fft_(nx, ny, nz) {}
 
-void PoissonSolver::spectrum_of(const mesh::Grid3D<double>& rho,
-                                std::vector<fft::cplx>& spec) const {
+void PoissonSolver::spectrum_of(const mesh::Grid3D<double>& rho) const {
   assert(rho.nx() == nx_ && rho.ny() == ny_ && rho.nz() == nz_);
-  // Interior copy (Grid3D may carry ghosts; FFT wants the packed interior):
-  // one contiguous-row gather per (i, j) into reusable member scratch —
-  // no per-solve allocation, no per-cell index arithmetic.
-  packed_.resize(static_cast<std::size_t>(nx_) * ny_ * nz_);
-  const std::size_t row = sizeof(double) * static_cast<std::size_t>(nz_);
+  spec_.resize(fft_.size());
   std::size_t o = 0;
   for (int i = 0; i < nx_; ++i)
-    for (int j = 0; j < ny_; ++j, o += nz_)
-      std::memcpy(packed_.data() + o, &rho.at(i, j, 0), row);
-  spec.resize(packed_.size());
-  fft_.forward(packed_.data(), spec.data());
+    for (int j = 0; j < ny_; ++j) {
+      const double* row = &rho.at(i, j, 0);
+      for (int k = 0; k < nz_; ++k) spec_[o++] = fft::cplx(row[k], 0.0);
+    }
+  fft_.forward(spec_.data());
+}
+
+void PoissonSolver::real_part_into(std::vector<fft::cplx>& spec,
+                                   mesh::Grid3D<double>& out) const {
+  fft_.inverse_normalized(spec.data());
+  std::size_t o = 0;
+  for (int i = 0; i < nx_; ++i)
+    for (int j = 0; j < ny_; ++j) {
+      double* row = &out.at(i, j, 0);
+      for (int k = 0; k < nz_; ++k) row[k] = spec[o++].real();
+    }
 }
 
 void PoissonSolver::wavevector(int ix, int iy, int iz, double& kx,
@@ -99,19 +102,13 @@ double PoissonSolver::green_times_window(
 void PoissonSolver::solve(const mesh::Grid3D<double>& rho,
                           mesh::Grid3D<double>& phi,
                           const PoissonOptions& options) const {
-  spectrum_of(rho, spec_);
+  spectrum_of(rho);
   std::size_t o = 0;
   for (int i = 0; i < nx_; ++i)
     for (int j = 0; j < ny_; ++j)
       for (int k = 0; k < nz_; ++k)
         spec_[o++] *= green_times_window(i, j, k, options);
-  real_out_.resize(spec_.size());
-  fft_.inverse(spec_.data(), real_out_.data());
-  const std::size_t row = sizeof(double) * static_cast<std::size_t>(nz_);
-  o = 0;
-  for (int i = 0; i < nx_; ++i)
-    for (int j = 0; j < ny_; ++j, o += nz_)
-      std::memcpy(&phi.at(i, j, 0), real_out_.data() + o, row);
+  real_part_into(spec_, phi);
 }
 
 void PoissonSolver::solve_forces(const mesh::Grid3D<double>& rho,
@@ -119,7 +116,7 @@ void PoissonSolver::solve_forces(const mesh::Grid3D<double>& rho,
                                  mesh::Grid3D<double>& gy,
                                  mesh::Grid3D<double>& gz,
                                  const PoissonOptions& options) const {
-  spectrum_of(rho, spec_);
+  spectrum_of(rho);
   cx_.resize(spec_.size());
   cy_.resize(spec_.size());
   cz_.resize(spec_.size());
@@ -137,18 +134,9 @@ void PoissonSolver::solve_forces(const mesh::Grid3D<double>& rho,
         cy_[o] = mi * ky * phi_k;
         cz_[o] = mi * kz * phi_k;
       }
-  real_out_.resize(spec_.size());
-  const std::size_t row = sizeof(double) * static_cast<std::size_t>(nz_);
-  auto unpack = [&](const std::vector<fft::cplx>& c, mesh::Grid3D<double>& g) {
-    fft_.inverse(c.data(), real_out_.data());
-    std::size_t q = 0;
-    for (int i = 0; i < nx_; ++i)
-      for (int j = 0; j < ny_; ++j, q += nz_)
-        std::memcpy(&g.at(i, j, 0), real_out_.data() + q, row);
-  };
-  unpack(cx_, gx);
-  unpack(cy_, gy);
-  unpack(cz_, gz);
+  real_part_into(cx_, gx);
+  real_part_into(cy_, gy);
+  real_part_into(cz_, gz);
 }
 
 }  // namespace v6d::gravity

@@ -2,8 +2,10 @@
 //
 // Solves  laplacian(phi) = prefactor * (rho - <rho>)  on a periodic mesh
 // by the Hockney-Eastwood convolution method: forward FFT of rho,
-// multiply by a Green function, inverse FFT.  Options mirror the standard
-// PM toolbox:
+// multiply by a Green function, inverse FFT.  The real mesh rides as a
+// complex array with zero imaginary parts through one fft::Fft3D, in
+// place on the solver's own spectrum scratch (full spectrum, no Hermitian
+// packing).  Options mirror the standard PM toolbox:
 //  * Green function: exact continuum -1/k^2 or the discrete
 //    -1/k_eff^2 (k_eff = (2/h) sin(k h / 2)) matching the second-order
 //    finite-difference Laplacian;
@@ -15,7 +17,9 @@
 // the solvers in src/hybrid/ use the cubic one.
 #pragma once
 
-#include "fft/rfft.hpp"
+#include <vector>
+
+#include "fft/fft3d.hpp"
 #include "mesh/grid.hpp"
 
 namespace v6d::gravity {
@@ -29,9 +33,8 @@ struct PoissonOptions {
   double prefactor = 1.0;           // e.g. 4 pi G a^2 in code units
 };
 
-/// Signed FFT mode number for bin i of n (negative above Nyquist) and the
-/// corresponding wavevector component for box length l.
-int fft_signed_mode(int i, int n);
+/// Wavevector component of FFT bin i of n (mode fft::signed_mode(i, n))
+/// for box length l.
 double fft_wavenumber(int i, int n, double l);
 
 /// Green function x assignment-window multiplier for spectrum bin
@@ -67,8 +70,13 @@ class PoissonSolver {
   double box() const { return lx_; }
 
  private:
-  void spectrum_of(const mesh::Grid3D<double>& rho,
-                   std::vector<fft::cplx>& spec) const;
+  /// rho's interior, as complex values, forward-transformed into spec_.
+  void spectrum_of(const mesh::Grid3D<double>& rho) const;
+  /// Inverse-transforms `spec` in place and writes its real part (the
+  /// imaginary residue of a Hermitian spectrum is FP noise) to `out`'s
+  /// interior.
+  void real_part_into(std::vector<fft::cplx>& spec,
+                      mesh::Grid3D<double>& out) const;
   double green_times_window(int ix, int iy, int iz,
                             const PoissonOptions& options) const;
   void wavevector(int ix, int iy, int iz, double& kx, double& ky,
@@ -76,7 +84,7 @@ class PoissonSolver {
 
   int nx_, ny_, nz_;
   double lx_, ly_, lz_;
-  fft::RealFft3D fft_;
+  fft::Fft3D fft_;
   // Reusable scratch (sized nx*ny*nz on first use): one solve per step on
   // the serial hot path used to reallocate all of these every call.
   // NOTE: the scratch makes solve()/solve_forces() non-reentrant despite
@@ -84,7 +92,6 @@ class PoissonSolver {
   // on these buffers.  Use one PoissonSolver per thread/rank (the
   // distributed path already does: its spectral solve goes through
   // fft::ParallelFft3D, not this class).
-  mutable std::vector<double> packed_, real_out_;
   mutable std::vector<fft::cplx> spec_, cx_, cy_, cz_;
 };
 
