@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/cart.hpp"
@@ -277,10 +278,10 @@ inline RealVlasovResult measure_real_vlasov(int ranks,
       for (int axis = 0; axis < 3; ++axis) {
         Stopwatch cw;
         plan.begin_axis(f, axis);
-        const vlasov::AxisFaces faces = plan.finish_axis(axis);
+        vlasov::AxisFaces faces = plan.finish_axis(axis);
         comm_acc += cw.seconds();
         advect_position_axis(f, axis, 0.35, vlasov::SweepKernel::kAuto,
-                             faces);
+                             std::move(faces));
       }
       for (int axis = 0; axis < 3; ++axis)
         advect_velocity_axis(f, axis, accel, 0.25,

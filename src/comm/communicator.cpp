@@ -77,6 +77,4 @@ std::vector<std::uint8_t> Communicator::RecvHandle::wait(std::size_t bytes) {
   return payload;
 }
 
-void Communicator::barrier() { transport_->barrier(); }
-
 }  // namespace v6d::comm

@@ -3,14 +3,16 @@
 // Substitutes for MPI on Fugaku (see "Deviations from the paper" in
 // docs/ARCHITECTURE.md).  The API deliberately mirrors the MPI subset the
 // paper's code needs (blocking tagged p2p, barrier, allreduce, bcast,
-// gather, alltoall, Cartesian topology), so porting to real MPI is
+// allgather, alltoallv, Cartesian topology), so porting to real MPI is
 // mechanical.  What a "rank" physically is belongs
 // to the Transport underneath (transport.hpp): threads of one process
 // (InProcTransport, the default under comm::run) or one OS process per
 // rank over TCP sockets (TcpTransport, the `transport=tcp` driver path).
-// All traffic is counted per rank, and the scaling benches feed those
-// measured volumes into the alpha-beta network model (perfmodel.hpp) to
-// extrapolate to the paper's node counts.
+// The collectives are written once, here (collectives.cpp), as messages
+// on the transport's internal channel, so every backend runs the same
+// collective code.  All traffic is counted per rank, and the scaling
+// benches feed those measured volumes into the alpha-beta network model
+// (perfmodel.hpp) to extrapolate to the paper's node counts.
 #pragma once
 
 #include <cstddef>
@@ -95,22 +97,17 @@ class Communicator {
   void recv(int source, int tag, T* data, std::size_t count) {
     irecv(source, tag).wait_into(data, count);
   }
-  /// Paired exchange (send to `dest`, receive from `source`); the buffered
-  /// send makes this deadlock-free around periodic rings.
-  template <class T>
-  void sendrecv(int dest, int send_tag, const T* send_data,
-                std::size_t send_count, int source, int recv_tag,
-                T* recv_data, std::size_t recv_count) {
-    send(dest, send_tag, send_data, send_count);
-    recv(source, recv_tag, recv_data, recv_count);
-  }
 
   // ---- collectives (all ranks must call in matching order) ----
+  // Each call is a set of messages on the transport's internal channel
+  // under the next collective sequence tag: none addressed to this rank,
+  // every received length checked (TransportError on a mismatch, before
+  // anything is read), contributions read in rank order.
   void barrier();
 
   /// Element-wise sum-reduction of `n` values in place across all ranks.
-  /// Summation reads contributions in rank order on every backend, so the
-  /// floating-point result is bit-identical across transports.
+  /// Summation reads contributions in rank order, so the floating-point
+  /// result is bit-identical across transports.
   void allreduce_sum(double* data, std::size_t n);
   void allreduce_sum(float* data, std::size_t n);
   double allreduce_sum(double x) {
@@ -136,22 +133,21 @@ class Communicator {
     return out;
   }
 
-  /// Personalized all-to-all: block i of `send` (count elements) goes to
-  /// rank i; block j of `recv` arrives from rank j.
-  template <class T>
-  void alltoall(const T* send, T* recv, std::size_t count) {
-    alltoall_bytes(send, recv, count * sizeof(T));
-  }
-
-  /// Variable all-to-all over byte buffers.
+  /// Variable all-to-all over byte buffers: block i of `send` goes to
+  /// rank i, block j of the result arrived from rank j (this rank's own
+  /// block is moved across).  Block lengths are the caller's to check.
   std::vector<std::vector<std::uint8_t>> alltoallv(
-      const std::vector<std::vector<std::uint8_t>>& send);
+      std::vector<std::vector<std::uint8_t>> send);
 
   // ---- traffic accounting ----
-  // Counts point-to-point traffic only: collectives move data through the
-  // transport's internal collective channel (the staging area in-process,
-  // internal frames over TCP), not the inbox mailbox, so they appear in
-  // neither the send counters nor the mailbox stats.
+  // The send counters count every point-to-point send, and each
+  // collective adds what this rank contributes to it: allreduce_* adds
+  // its n * sizeof(T) bytes, bcast its bytes at the root only, allgather
+  // its bytes, and alltoallv every block's bytes (the self block
+  // included) and one message per non-empty block.  None of that is
+  // per-peer traffic: bytes_sent_to/messages_sent_to count p2p sends
+  // only.  Collectives travel on the internal channel, so they never
+  // appear in the mailbox stats (recv_stats, received_from).
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
   /// (bytes, messages) this rank sent to `dest`.
@@ -171,10 +167,23 @@ class Communicator {
 
  private:
   void allgather_bytes(const void* data, std::size_t bytes, void* out);
-  void alltoall_bytes(const void* send, void* recv, std::size_t bytes_each);
+  /// Sends `bytes` at `local` to every peer and returns every rank's
+  /// contribution, indexed by rank (this rank's own a copy of `local`).
+  std::vector<std::vector<std::uint8_t>> contributions(const void* local,
+                                                       std::size_t bytes);
+  /// The next collective's sequence tag: collectives run in matching
+  /// order on every rank, so the tags agree.
+  int next_collective_tag() { return static_cast<int>(collective_seq_++); }
+  /// Internal-channel receive; a pop woken by an abort surfaces this
+  /// endpoint's diagnosis (a lost peer, a framing violation) first.
+  std::vector<std::uint8_t> pop_internal(int source, int tag);
+  /// pop_internal() of a payload that must be exactly `bytes` long.
+  std::vector<std::uint8_t> pop_internal(int source, int tag,
+                                         std::size_t bytes);
 
   Transport* transport_;
   int rank_;
+  std::uint32_t collective_seq_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::vector<std::uint64_t> bytes_to_;  // per-peer send counters

@@ -79,21 +79,14 @@ class FaultyTransport final : public Transport {
   void send(int dest, int tag, std::vector<std::uint8_t> payload) override;
   Mailbox& inbox() override { return inner_->inbox(); }
 
-  // Collectives and control flow pass through untouched: the plan targets
-  // the p2p data path, where loss is observable per message.
-  void barrier() override { inner_->barrier(); }
-  void gather_all(
-      const void* local, std::size_t bytes,
-      const std::function<void(const StageView&)>& consume) override {
-    inner_->gather_all(local, bytes, consume);
+  // The internal channel (Communicator's collectives) and control flow
+  // pass through untouched: the plan targets the p2p data path, where
+  // loss is observable per message.
+  void send_internal(int dest, int tag,
+                     std::vector<std::uint8_t> payload) override {
+    inner_->send_internal(dest, tag, std::move(payload));
   }
-  void bcast(void* data, std::size_t bytes, int root) override {
-    inner_->bcast(data, bytes, root);
-  }
-  std::vector<std::vector<std::uint8_t>> alltoallv(
-      const std::vector<std::vector<std::uint8_t>>& send) override {
-    return inner_->alltoallv(send);
-  }
+  Mailbox& internal() override { return inner_->internal(); }
 
   void abort() noexcept override { inner_->abort(); }
   bool aborted() const override { return inner_->aborted(); }

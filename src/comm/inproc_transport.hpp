@@ -1,11 +1,10 @@
 // In-process transport backend: thread ranks sharing one Context.
 //
-// This is the pre-seam runtime verbatim, just spoken through the
-// Transport interface: point-to-point payloads move into the destination's
-// Mailbox, and the collectives use the Context's zero-copy
-// pointer staging area (publish local pointer, barrier, read peers,
-// barrier) — the consume callback reads each rank's bytes in place, so
-// extracting the seam costs the hot reductions nothing.
+// Both channels move the payload into the destination's mailbox — the
+// user channel into Context::mailbox, the internal one into
+// Context::internal — so the receiver pops the sender's buffer.  The
+// collectives are Communicator's, the same code every backend runs: each
+// contribution is copied into the payloads it sends, once per peer.
 #pragma once
 
 #include "comm/context.hpp"
@@ -23,25 +22,19 @@ class InProcTransport final : public Transport {
   int rank() const override { return rank_; }
   int world() const override { return ctx_->size(); }
 
-  /// Moves the payload into the destination mailbox: the receiver pops
-  /// the sender's buffer.
   void send(int dest, int tag, std::vector<std::uint8_t> payload) override {
     ctx_->mailbox(dest).push(rank_, tag, std::move(payload));
   }
   Mailbox& inbox() override { return ctx_->mailbox(rank_); }
 
-  void barrier() override { ctx_->barrier().arrive_and_wait(); }
-  void gather_all(
-      const void* local, std::size_t bytes,
-      const std::function<void(const StageView&)>& consume) override;
-  void bcast(void* data, std::size_t bytes, int root) override;
-  std::vector<std::vector<std::uint8_t>> alltoallv(
-      const std::vector<std::vector<std::uint8_t>>& send) override;
+  void send_internal(int dest, int tag,
+                     std::vector<std::uint8_t> payload) override {
+    ctx_->internal(dest).push(rank_, tag, std::move(payload));
+  }
+  Mailbox& internal() override { return ctx_->internal(rank_); }
 
   void abort() noexcept override { ctx_->abort(); }
   bool aborted() const override { return ctx_->aborted(); }
-
-  Context* context() { return ctx_; }
 
  private:
   Context* ctx_;

@@ -94,8 +94,8 @@ void run_transport(int nranks, const LaunchOptions& options,
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        // Wake peers blocked in Mailbox::pop / barriers on this rank's
-        // never-coming messages so join() below returns.  Transport
+        // Wake peers blocked in Mailbox::pop (a collective's included) on
+        // this rank's never-coming messages so join() below returns.  Transport
         // construction itself may have failed; peers then time out of
         // their own rendezvous.
         if (transport) transport->abort();
@@ -113,15 +113,6 @@ void run_transport(int nranks, const LaunchOptions& options,
 
 void run(int nranks, const std::function<void(Communicator&)>& fn) {
   run_transport(nranks, LaunchOptions{}, fn);
-}
-
-std::vector<double> run_collect(
-    int nranks, const std::function<double(Communicator&)>& fn) {
-  std::vector<double> results(static_cast<std::size_t>(nranks), 0.0);
-  run(nranks, [&](Communicator& comm) {
-    results[static_cast<std::size_t>(comm.rank())] = fn(comm);
-  });
-  return results;
 }
 
 }  // namespace v6d::comm

@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/transport.hpp"
@@ -48,10 +47,5 @@ struct LaunchOptions {
 /// the caller.
 void run_transport(int nranks, const LaunchOptions& options,
                    const std::function<void(Communicator&)>& fn);
-
-/// Run fn on every rank and gather each rank's double result into a vector
-/// indexed by rank (valid on the caller).  Convenience for the benches.
-std::vector<double> run_collect(int nranks,
-                                const std::function<double(Communicator&)>& fn);
 
 }  // namespace v6d::comm

@@ -35,7 +35,7 @@ constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 34;  // 16 GiB
 enum FrameKind : std::uint8_t {
   kHello = 1,      // connection handshake; tag = dialing rank
   kData = 2,       // user p2p message (Communicator::send)
-  kInternal = 3,   // collective/control channel (barrier, gathers)
+  kInternal = 3,   // internal channel: Communicator's collectives
   kBye = 4,        // graceful close follows; EOF after this is clean
   kAbort = 5,      // sender aborted the world
   kHeartbeat = 6,  // liveness beacon (tag = kHeartbeatTag, no payload)
@@ -151,30 +151,6 @@ bool read_fully_blocking(int fd, void* data, std::size_t bytes,
   }
   return true;
 }
-
-/// StageView over per-rank byte blobs received on the internal channel
-/// (the local rank's contribution aliases the caller's buffer).
-class BlobStageView final : public StageView {
- public:
-  BlobStageView(const std::vector<std::vector<std::uint8_t>>* blobs,
-                const void* local, std::size_t local_bytes, int rank)
-      : blobs_(blobs), local_(local), local_bytes_(local_bytes),
-        rank_(rank) {}
-  const void* data(int rank) const override {
-    if (rank == rank_) return local_;
-    return (*blobs_)[static_cast<std::size_t>(rank)].data();
-  }
-  std::size_t size(int rank) const override {
-    if (rank == rank_) return local_bytes_;
-    return (*blobs_)[static_cast<std::size_t>(rank)].size();
-  }
-
- private:
-  const std::vector<std::vector<std::uint8_t>>* blobs_;
-  const void* local_;
-  std::size_t local_bytes_;
-  int rank_;
-};
 
 }  // namespace
 
@@ -608,86 +584,10 @@ void TcpTransport::send(int dest, int tag, std::vector<std::uint8_t> payload) {
     throw AbortedError();
 }
 
-// The collectives never address the local rank: its own contribution
-// stays in place.
-void TcpTransport::internal_send(int dest, int tag, const void* data,
-                                 std::size_t bytes) {
-  if (!write_frame(dest, kInternal, tag, data, bytes)) throw AbortedError();
-}
-
-std::vector<std::uint8_t> TcpTransport::internal_pop(int source, int tag) {
-  try {
-    return internal_.pop(source, tag);
-  } catch (const AbortedError&) {
-    // Surface the receiver thread's diagnosis when it was a transport
-    // failure (peer died, framing violation) rather than a peer abort.
-    rethrow_diagnosis();
-    throw;
-  }
-}
-
-void TcpTransport::barrier() {
-  if (world_ == 1) return;
-  const int seq = static_cast<int>(op_seq_.fetch_add(1));
-  if (rank_ == 0) {
-    for (int r = 1; r < world_; ++r) internal_pop(r, seq);
-    for (int r = 1; r < world_; ++r) internal_send(r, seq, nullptr, 0);
-  } else {
-    internal_send(0, seq, nullptr, 0);
-    internal_pop(0, seq);
-  }
-}
-
-void TcpTransport::gather_all(
-    const void* local, std::size_t bytes,
-    const std::function<void(const StageView&)>& consume) {
-  const int seq = static_cast<int>(op_seq_.fetch_add(1));
-  std::vector<std::vector<std::uint8_t>> blobs(
-      static_cast<std::size_t>(world_));
-  for (int r = 0; r < world_; ++r)
-    if (r != rank_) internal_send(r, seq, local, bytes);
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    auto blob = internal_pop(r, seq);
-    if (blob.size() != bytes)
-      throw TransportError("collective size mismatch from rank " +
-                           std::to_string(r) + ": got " +
-                           std::to_string(blob.size()) + ", expected " +
-                           std::to_string(bytes));
-    blobs[static_cast<std::size_t>(r)] = std::move(blob);
-  }
-  consume(BlobStageView(&blobs, local, bytes, rank_));
-}
-
-void TcpTransport::bcast(void* data, std::size_t bytes, int root) {
-  if (world_ == 1) return;
-  const int seq = static_cast<int>(op_seq_.fetch_add(1));
-  if (rank_ == root) {
-    for (int r = 0; r < world_; ++r)
-      if (r != rank_) internal_send(r, seq, data, bytes);
-  } else {
-    auto blob = internal_pop(root, seq);
-    if (blob.size() != bytes)
-      throw TransportError("bcast size mismatch from rank " +
-                           std::to_string(root));
-    if (bytes > 0) std::memcpy(data, blob.data(), bytes);
-  }
-}
-
-std::vector<std::vector<std::uint8_t>> TcpTransport::alltoallv(
-    const std::vector<std::vector<std::uint8_t>>& send) {
-  const int seq = static_cast<int>(op_seq_.fetch_add(1));
-  std::vector<std::vector<std::uint8_t>> recv(
-      static_cast<std::size_t>(world_));
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    const auto& blob = send[static_cast<std::size_t>(r)];
-    internal_send(r, seq, blob.data(), blob.size());
-  }
-  recv[static_cast<std::size_t>(rank_)] = send[static_cast<std::size_t>(rank_)];
-  for (int r = 0; r < world_; ++r)
-    if (r != rank_) recv[static_cast<std::size_t>(r)] = internal_pop(r, seq);
-  return recv;
+void TcpTransport::send_internal(int dest, int tag,
+                                 std::vector<std::uint8_t> payload) {
+  if (!write_frame(dest, kInternal, tag, payload.data(), payload.size()))
+    throw AbortedError();
 }
 
 void TcpTransport::receiver_loop() {

@@ -6,9 +6,11 @@
 // fixed header (magic, kind, tag, payload length) followed by the payload
 // — over a persistent full-mesh of connections, and a per-rank receiver
 // thread reassembles frames and delivers them into the same tag-matched
-// Mailbox the in-process backend uses.  That keeps the entire blocking /
-// abort / FIFO-per-peer contract in one place (mailbox.hpp) and makes the
-// wire path byte-for-byte interchangeable with thread ranks.
+// Mailbox the in-process backend uses: kData frames into inbox(), kInternal
+// frames (Communicator's collectives) into internal().  That keeps the
+// entire blocking / abort / FIFO-per-peer contract in one place
+// (mailbox.hpp) and makes the wire path byte-for-byte interchangeable with
+// thread ranks.
 //
 // Rendezvous: `hosts` is either an explicit "host:port,host:port,..."
 // listen list (entry r = rank r's address — multi-host capable, e.g. via
@@ -83,14 +85,10 @@ class TcpTransport final : public Transport {
 
   void send(int dest, int tag, std::vector<std::uint8_t> payload) override;
   Mailbox& inbox() override { return inbox_; }
-
-  void barrier() override;
-  void gather_all(
-      const void* local, std::size_t bytes,
-      const std::function<void(const StageView&)>& consume) override;
-  void bcast(void* data, std::size_t bytes, int root) override;
-  std::vector<std::vector<std::uint8_t>> alltoallv(
-      const std::vector<std::vector<std::uint8_t>>& send) override;
+  /// Writes a kInternal frame from the payload.
+  void send_internal(int dest, int tag,
+                     std::vector<std::uint8_t> payload) override;
+  Mailbox& internal() override { return internal_; }
 
   void abort() noexcept override;
   bool aborted() const override {
@@ -121,8 +119,6 @@ class TcpTransport final : public Transport {
   /// (after aborting the world).
   bool write_frame(int dest, std::uint8_t kind, int tag, const void* data,
                    std::size_t bytes);
-  void internal_send(int dest, int tag, const void* data, std::size_t bytes);
-  std::vector<std::uint8_t> internal_pop(int source, int tag);
   /// Receiver-side failure: abort the world, remembering the diagnosis
   /// (fault class, peer, reason) so the next blocking caller can
   /// surface a descriptive TransportError instead of a bare abort.
@@ -148,9 +144,8 @@ class TcpTransport final : public Transport {
   std::vector<std::unique_ptr<std::mutex>> send_mutex_;  // per peer
 
   Mailbox inbox_;      // user p2p channel (Communicator traffic counters)
-  Mailbox internal_;   // collective/control channel (never in user stats)
+  Mailbox internal_;   // collective channel (never in user stats)
   std::atomic<bool> aborted_{false};
-  std::atomic<std::uint32_t> op_seq_{0};  // collective sequence tags
 
   std::mutex state_mutex_;  // guards bye_seen_ / abort_why_ & friends
   std::condition_variable state_cv_;

@@ -6,16 +6,19 @@
 // one rank's endpoint into a world of `world()` peers; backends decide what
 // a "peer" is:
 //
-//   * InProcTransport (inproc_transport.hpp) — today's thread ranks inside
-//     one process, sharing a Context of mailboxes, a generation barrier and
-//     a zero-copy pointer staging area.  Bit-identical in behaviour and
-//     performance to the pre-seam runtime.
+//   * InProcTransport (inproc_transport.hpp) — thread ranks inside one
+//     process, sharing a Context of two mailboxes per rank.
 //   * TcpTransport (tcp_transport.hpp) — one OS process per rank,
 //     length-prefixed frames over nonblocking loopback/LAN sockets, so the
 //     same solver spans address spaces.
 //   * FaultyTransport (faulty_transport.hpp) — a decorator injecting
 //     seeded faults (drops, delays, short writes, disconnects) to prove the
 //     comm layer degrades to clean errors instead of hangs or corruption.
+//
+// Every backend offers two channels of the same shape: the user channel
+// (send/inbox) and the internal channel (send_internal/internal) that
+// Communicator writes its collectives on, once for every backend.  A
+// backend implements no collective itself.
 //
 // Contract highlights (the conformance suite in tests/test_transport.cpp
 // asserts these on every backend):
@@ -25,24 +28,22 @@
 //     cannot deadlock.  It takes its payload by value: a message is its
 //     own buffer, and no backend copies it on the way to the inbox
 //     (Communicator::send_bytes is the one copy-in path for borrowed
-//     bytes).
+//     bytes).  send_internal() is the same on the internal channel.
 //   * Messages between a fixed (source, dest) pair arrive in send order
 //     for a given tag (MPI's non-overtaking rule); delivery lands in the
-//     destination's inbox() Mailbox, which owns tag matching and the
-//     blocking/abort semantics.
-//   * Collectives must be called by every rank in matching order.  They
-//     move data on an internal channel that never appears in inbox()
-//     stats (mirrors the in-process staging area's accounting).
+//     destination's inbox() Mailbox (internal() for the internal
+//     channel), which owns tag matching and the blocking/abort semantics.
+//   * The internal channel never shows up in inbox() stats: collective
+//     traffic is invisible to the receive-side counters.
 //   * abort() is noexcept, idempotent, callable from any thread, and must
-//     wake every rank parked in a blocking receive or collective — local
-//     *and* remote — with AbortedError.  A transport that detects a dead
-//     peer (disconnect without goodbye, framing violation) aborts itself;
-//     a partially transferred message is never delivered.
+//     wake every rank parked in a blocking receive on either channel —
+//     local *and* remote — with AbortedError.  A transport that detects a
+//     dead peer (disconnect without goodbye, framing violation) aborts
+//     itself; a partially transferred message is never delivered.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,12 +54,11 @@ namespace v6d::comm {
 
 /// First tag available to user point-to-point traffic.  Tags in
 /// [0, kFirstUserTag) are reserved for the transport's internal
-/// collective/control channel: today both backends move collective
-/// payloads out-of-band (the in-process staging area, TCP's separate
-/// internal mailbox keyed by an op-sequence counter), but a
-/// single-tag-space backend — real MPI — must map those op-sequence
-/// tags somewhere, and this reserves the range so user exchanges can
-/// never cross-match them.  tools/analyze's `tag-space` check proves
+/// collective/control channel: today every backend keeps that channel
+/// in its own mailbox, keyed by Communicator's collective sequence
+/// counter, but a single-tag-space backend — real MPI — must map those
+/// sequence tags somewhere, and this reserves the range so user
+/// exchanges can never cross-match them.  tools/analyze's `tag-space` check proves
 /// statically that every user tag in the tree resolves at or above
 /// this floor.
 inline constexpr int kFirstUserTag = 64;
@@ -110,15 +110,6 @@ class TransportError : public std::runtime_error {
   int peer_ = -1;
 };
 
-/// Read-only view of every rank's contribution to a staged collective.
-/// Pointers are valid only inside the gather_all() consume callback.
-class StageView {
- public:
-  virtual ~StageView() = default;
-  virtual const void* data(int rank) const = 0;
-  virtual std::size_t size(int rank) const = 0;
-};
-
 class Transport {
  public:
   virtual ~Transport();
@@ -142,22 +133,15 @@ class Transport {
   /// semantics live in Mailbox (see mailbox.hpp).
   virtual Mailbox& inbox() = 0;
 
-  // ---- collectives (matching call order on every rank) ----
-  virtual void barrier() = 0;
-  /// Staged collective: contribute `bytes` bytes at `local`, then run
-  /// `consume` with a view of every rank's contribution (all ranks
-  /// contribute the same byte count; rank order of reads is up to the
-  /// consumer, which is what keeps floating-point reductions bit-identical
-  /// across backends).  `local` stays valid for the whole call.
-  virtual void gather_all(
-      const void* local, std::size_t bytes,
-      const std::function<void(const StageView&)>& consume) = 0;
-  /// Broadcast root's `bytes` bytes into every rank's `data`.
-  virtual void bcast(void* data, std::size_t bytes, int root) = 0;
-  /// Personalized variable all-to-all: block i of `send` goes to rank i,
-  /// block j of the result arrived from rank j.
-  virtual std::vector<std::vector<std::uint8_t>> alltoallv(
-      const std::vector<std::vector<std::uint8_t>>& send) = 0;
+  // ---- the internal channel (Communicator's collectives) ----
+  /// send() on the internal channel: `payload` lands in `dest`'s
+  /// internal() mailbox under `tag`.  Communicator's collectives never
+  /// address the local rank.
+  virtual void send_internal(int dest, int tag,
+                             std::vector<std::uint8_t> payload) = 0;
+  /// The local rank's internal-channel receive side; its traffic never
+  /// appears in inbox() stats.
+  virtual Mailbox& internal() = 0;
 
   // ---- failure propagation / teardown ----
   /// Mark the world dead and wake every parked rank, local and remote.

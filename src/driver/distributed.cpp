@@ -320,13 +320,14 @@ RunResult Driver::run() {
 
   // A rank of a larger world steps its slice of the global solver, then
   // folds the evolved state back so accessors, checkpoints and perf
-  // reports see it.  Across processes the bricks travel as messages and
-  // only the rank-0 process assembles a global view.
+  // reports see it.  The bricks travel to rank 0 as messages on every
+  // transport; across processes only the rank-0 process holds the
+  // assembled global view.
   const auto sliced_rank = [&](comm::Communicator& comm) {
     trace::set_rank(comm.rank());
     hybrid::HybridSolver ds(*solver_, comm, dims, cfg_.overlap);
     step_loop(comm, ds);
-    ds.gather_into(*solver_, multiproc);
+    ds.gather_into(*solver_);
     if (comm.rank() == 0 || multiproc) solver_->timers().merge(ds.timers());
 
     if (multiproc && !cfg_.trace.empty()) {

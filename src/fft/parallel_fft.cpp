@@ -40,7 +40,7 @@ void ParallelFft3D::transpose(std::vector<cplx>& local) {
       for (int b = 0; b < nb_d; ++b, o += row)
         std::memcpy(o, row_at(local, a, ob_d + b), row);
   }
-  const auto recv = comm_.alltoallv(send);
+  const auto recv = comm_.alltoallv(std::move(send));
   std::vector<cplx> out(static_cast<std::size_t>(mine) * n_ * n_);
   for (int r = 0; r < p; ++r) {
     const auto [oa_r, na_r] = planes_of(r);

@@ -653,26 +653,14 @@ void HybridSolver::import_step_forces(const StepForces& sf) {
   forces_.fresh = true;
 }
 
-void HybridSolver::gather_into(HybridSolver& global, bool via_messages) {
-  if (has_nu_ && !via_messages) {
-    // Thread ranks share the global solver: each writes its own disjoint
-    // brick in place.
-    vlasov::PhaseSpace& gf = global.neutrinos();
-    const std::size_t bytes = gf.block_size() * sizeof(float);
-    for (int i = 0; i < dec_.local_n(0); ++i)
-      for (int j = 0; j < dec_.local_n(1); ++j)
-        for (int k = 0; k < dec_.local_n(2); ++k)
-          std::memcpy(gf.block(dec_.offset(0) + i, dec_.offset(1) + j,
-                               dec_.offset(2) + k),
-                      f_.block(i, j, k), bytes);
-  } else if (has_nu_) {
-    // Process ranks do not: ship each brick to rank 0 as one message —
-    // [6 x int32 placement header][blocks in i,j,k order] — and let rank 0
-    // place them by the sender's own offsets, checked like a checkpoint
-    // shard's, so the two paths agree on layout.
+void HybridSolver::gather_into(HybridSolver& global) {
+  if (has_nu_) {
+    // Every other rank ships its brick to rank 0 as one message — [6 x
+    // int32 placement header][blocks in i,j,k order] — and rank 0 places
+    // each by the sender's own offsets, checked like a checkpoint shard's.
+    const std::size_t bytes = f_.block_size() * sizeof(float);
     if (comm_.rank() == 0) {
       vlasov::PhaseSpace& gf = global.neutrinos();
-      const std::size_t bytes = gf.block_size() * sizeof(float);
       for (int i = 0; i < dec_.local_n(0); ++i)
         for (int j = 0; j < dec_.local_n(1); ++j)
           for (int k = 0; k < dec_.local_n(2); ++k)
@@ -710,7 +698,6 @@ void HybridSolver::gather_into(HybridSolver& global, bool via_messages) {
       const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
                                       dec_.offset(2), dec_.local_n(0),
                                       dec_.local_n(1), dec_.local_n(2)};
-      const std::size_t bytes = f_.block_size() * sizeof(float);
       std::vector<std::uint8_t> buf(
           sizeof(header) + static_cast<std::size_t>(dec_.local_n(0)) *
                                dec_.local_n(1) * dec_.local_n(2) * bytes);

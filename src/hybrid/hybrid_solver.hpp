@@ -221,14 +221,13 @@ class HybridSolver {
   /// std::runtime_error when its shape does not match the configured one.
   void import_step_forces(const StepForces& forces);
 
-  /// Write the evolved state back into the world-1 solver `global`: every
-  /// rank copies its f brick (disjoint), rank 0 restores particles and the
-  /// force cache (collective).  With `via_messages` the ranks do not share
-  /// the global solver's address space (multi-process transports): bricks
-  /// travel to rank 0 as kGatherTag messages, whose placement headers it
-  /// checks (std::runtime_error), and only rank 0's `global` is assembled
-  /// — the other ranks' globals are left untouched.
-  void gather_into(HybridSolver& global, bool via_messages = false);
+  /// Write the evolved state back into rank 0's world-1 solver `global`
+  /// (collective): every other rank sends its f brick to rank 0 as one
+  /// kGatherTag message, rank 0 places each by its placement header,
+  /// which it checks (std::runtime_error), and restores particles and the
+  /// force cache.  Thread ranks and process ranks run this same path;
+  /// only rank 0 touches `global`, so thread ranks may share one.
+  void gather_into(HybridSolver& global);
   static constexpr int kGatherTag = 0x6a7;
 
  private:

@@ -52,16 +52,18 @@ void HaloPlan::begin_axis(vlasov::PhaseSpace& f, int axis) {
 vlasov::AxisFaces HaloPlan::finish_axis(int axis) {
   trace::Span span("halo-finish");
   const auto ax = static_cast<std::size_t>(axis);
-  if (!axes_[ax].decomposed) return {};
+  vlasov::AxisFaces faces;
+  if (!axes_[ax].decomposed) return faces;
   for (std::size_t side : {0u, 1u}) {
     trace::Span wait_span("halo-wait");
     Stopwatch w;
-    received_[side] =
+    faces.payloads[side] =
         messages_[ax].from[side].wait(axes_[ax].face_floats * sizeof(float));
     wait_s_ += w.seconds();
   }
-  return {reinterpret_cast<const float*>(received_[0].data()),
-          reinterpret_cast<const float*>(received_[1].data())};
+  faces.lo = reinterpret_cast<const float*>(faces.payloads[0].data());
+  faces.hi = reinterpret_cast<const float*>(faces.payloads[1].data());
+  return faces;
 }
 
 GridGhostChain::GridGhostChain(comm::CartTopology& cart,

@@ -16,8 +16,9 @@
 //
 //  * HaloPlan — the phase-space face pair a position sweep along one axis
 //    reads (that axis' ghosts at interior transverse positions).
-//    finish_axis() returns faces that point into the two received
-//    payloads; nothing is unpacked.  Undecomposed axes exchange nothing.
+//    finish_axis() returns faces that own the two received payloads and
+//    point into them; nothing is unpacked, and the plan keeps nothing.
+//    Undecomposed axes exchange nothing.
 //  * GridFillPlan / GridFoldPlan — the force-grid ghost fill before CIC
 //    sampling and the deposit fold after CIC deposits.  The fold is the
 //    fill's axis chain run backwards: interior faces are copied into the
@@ -76,9 +77,9 @@ class HaloPlan {
   void begin_axis(vlasov::PhaseSpace& f, int axis);
   /// Wait for both faces of `axis` and return them: `lo` from the low
   /// neighbor, `hi` from the high one, each pointing into its received
-  /// payload, valid until the next finish_axis().  Throws
-  /// std::runtime_error if a payload is not one face long.  Null faces on
-  /// an undecomposed axis.
+  /// payload, which the returned faces own (valid as long as they live).
+  /// Throws std::runtime_error if a payload is not one face long.  Null
+  /// faces on an undecomposed axis.
   vlasov::AxisFaces finish_axis(int axis);
 
   double take_wait() { return std::exchange(wait_s_, 0.0); }
@@ -89,8 +90,6 @@ class HaloPlan {
   GhostFaces faces_;
   std::array<AxisPlan, 3> axes_{};
   std::array<FaceMessages<float>, 3> messages_;
-  // The payloads of the last finished axis, by side: the returned faces.
-  std::array<std::vector<std::uint8_t>, 2> received_;
   double wait_s_ = 0.0;
 };
 

@@ -13,7 +13,10 @@
 // compact support inside the velocity cube and the sweep kernels zero-pad.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/aligned.hpp"
 
@@ -61,6 +64,12 @@ struct PhaseSpaceDims {
 struct AxisFaces {
   const float* lo = nullptr;
   const float* hi = nullptr;
+  /// The received messages `lo` and `hi` point into, when the faces own
+  /// them (mesh::HaloPlan::finish_axis): they live as long as the faces,
+  /// so a sweep's faces are freed when the sweep returns.  Pass owning
+  /// faces on by move: a copy would duplicate the payloads and still
+  /// point into the original's.
+  std::array<std::vector<std::uint8_t>, 2> payloads;
 };
 
 class PhaseSpace {

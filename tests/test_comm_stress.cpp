@@ -430,9 +430,8 @@ TEST(CommStress, ConcurrentPlanBeginFinishInterleavings) {
       std::vector<fft::cplx>* slab_data = nullptr;
       for (int what : finish_order) {
         if (what < 3) {
-          // The faces live in the plan's receive buffers until the next
-          // finish_axis, so check them now: they must equal the periodic
-          // neighbors' interior values.
+          // The faces own their received payloads: they must equal the
+          // periodic neighbors' interior values.
           const vlasov::AxisFaces faces = halo.finish_axis(what);
           expect_face(f, faces.lo, halo.axis(what), setup.dec, kGlobal, what,
                       /*low_side=*/true);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -51,12 +52,11 @@ void fill_global_pattern(vlasov::PhaseSpace& f,
 // line's own periodic image (null faces) on an undecomposed one.  Either
 // must equal the global periodic field (multi-wrap aware, so extents
 // below the ghost width are covered).
-void exchange_and_expect_axis_ghosts(mesh::HaloPlan& plan,
-                                     vlasov::PhaseSpace& f,
-                                     const mesh::BrickDecomposition& dec,
-                                     int axis, int rank) {
-  plan.begin_axis(f, axis);
-  const vlasov::AxisFaces faces = plan.finish_axis(axis);
+void expect_axis_ghosts(const mesh::HaloPlan& plan,
+                        const vlasov::PhaseSpace& f,
+                        const vlasov::AxisFaces& faces,
+                        const mesh::BrickDecomposition& dec, int axis,
+                        int rank) {
   const auto& ap = plan.axis(axis);
   ASSERT_EQ(faces.lo != nullptr, ap.decomposed) << "axis " << axis;
   ASSERT_EQ(faces.hi != nullptr, ap.decomposed) << "axis " << axis;
@@ -91,6 +91,14 @@ void exchange_and_expect_axis_ghosts(mesh::HaloPlan& plan,
                 << "rank " << rank << " axis " << axis << " ghost cell " << a
                 << " transverse " << t1 << "," << t2;
         }
+}
+
+void exchange_and_expect_axis_ghosts(mesh::HaloPlan& plan,
+                                     vlasov::PhaseSpace& f,
+                                     const mesh::BrickDecomposition& dec,
+                                     int axis, int rank) {
+  plan.begin_axis(f, axis);
+  expect_axis_ghosts(plan, f, plan.finish_axis(axis), dec, axis, rank);
 }
 
 class HaloRanks : public ::testing::TestWithParam<int> {};
@@ -273,6 +281,30 @@ TEST(HaloPlan, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
     EXPECT_FALSE(plan.axis(2).decomposed);
     for (int axis = 0; axis < 3; ++axis)
       exchange_and_expect_axis_ghosts(plan, f, dec, axis, comm.rank());
+  });
+}
+
+// The faces own their received payloads, and the plan keeps none: the
+// faces one finish_axis returned still hold their neighbors' cells after
+// the next exchange of the same axis has come and gone.
+TEST(HaloPlan, FacesOutliveTheNextFinish) {
+  const int n_global = 8;
+  comm::run(2, [&](comm::Communicator& comm) {
+    comm::CartTopology cart(comm, {2, 1, 1});
+    mesh::BrickDecomposition dec({n_global, n_global, n_global}, cart.dims(),
+                                 cart.coords());
+    vlasov::PhaseSpace f(local_dims(dec, 2), vlasov::PhaseSpaceGeometry{});
+    fill_global_pattern(f, dec);
+    mesh::HaloPlan plan(cart, f.dims(), 900);
+    plan.begin_axis(f, 0);
+    const vlasov::AxisFaces first = plan.finish_axis(0);
+    const vlasov::PhaseSpace pattern = f;
+    std::fill(f.raw(), f.raw() + f.raw_size(), -1.0f);
+    plan.begin_axis(f, 0);
+    const vlasov::AxisFaces second = plan.finish_axis(0);
+    ASSERT_NE(second.lo, nullptr);
+    EXPECT_EQ(second.lo[0], -1.0f);
+    expect_axis_ghosts(plan, pattern, first, dec, 0, comm.rank());
   });
 }
 

@@ -189,10 +189,10 @@ TEST(HybridSolver, WorldOneTakesItsPhaseSpace) {
     EXPECT_EQ(std::memcmp(u->data(), v->data(), bytes), 0);
 }
 
-// On the message path (TCP worlds) rank 0 places each peer's blocks by the
-// placement header in its message.  A header that puts the brick outside
-// the grid — past its end, at a negative offset, or with an empty extent —
-// must be rejected before any block is copied.
+// Rank 0 places each peer's blocks by the placement header in its message.
+// A header that puts the brick outside the grid — past its end, at a
+// negative offset, or with an empty extent — must be rejected before any
+// block is copied.
 TEST(HybridSolver, GatherRejectsBrickHeadersOutsideTheGrid) {
   constexpr int kGatherTag = hybrid::HybridSolver::kGatherTag;
   HybridSetup setup;
@@ -222,12 +222,33 @@ TEST(HybridSolver, GatherRejectsBrickHeadersOutsideTheGrid) {
                                       message.size());
                       return;
                     }
-                    local.gather_into(global, /*via_messages=*/true);
+                    local.gather_into(global);
                   }),
         std::runtime_error)
         << "header " << header[0] << "," << header[1] << "," << header[2]
         << " extent " << header[3] << "," << header[4] << "," << header[5];
   }
+}
+
+// Thread ranks gather like process ranks: every brick but rank 0's reaches
+// it as a message, and slicing then gathering with no step in between
+// gives back the phase space bit for bit.
+TEST(HybridSolver, GatherPlacesEveryBrickOnRankZero) {
+  HybridSetup setup;
+  const auto global = setup.make();
+  auto gathered = setup.make();
+  vlasov::PhaseSpace& g = gathered.neutrinos();
+  std::fill(g.raw(), g.raw() + g.raw_size(), 0.0f);
+  comm::run(4, [&](comm::Communicator& comm) {
+    hybrid::HybridSolver local(global, comm, {1, 2, 2}, /*overlap=*/true);
+    const std::uint64_t to_root = comm.messages_sent_to(0);
+    local.gather_into(gathered);
+    EXPECT_EQ(comm.messages_sent_to(0) - to_root, comm.rank() == 0 ? 0u : 1u);
+  });
+  const vlasov::PhaseSpace& want = global.neutrinos();
+  ASSERT_EQ(g.raw_size(), want.raw_size());
+  EXPECT_EQ(std::memcmp(g.raw(), want.raw(), g.raw_size() * sizeof(float)),
+            0);
 }
 
 // HybridSolver walks the tree only at the particles its rank owns.  Any

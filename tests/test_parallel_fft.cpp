@@ -128,12 +128,14 @@ TEST(ParallelFft, CommVolumeGrowsWithRankCount) {
   EXPECT_GT(bytes_4, bytes_2 / 3);
 }
 
-// Passes everything through to the wrapped endpoint, except that the
-// alltoallv block from rank 0 comes back one byte short, in a fresh
+// Passes everything through to the wrapped endpoint, except that every
+// internal-channel message to rank 1 leaves one byte short, in a fresh
 // allocation of exactly that size (so an unchecked read overruns it).
-class ShortBlockFromRank0 final : public comm::Transport {
+// Wrapping rank 0 of a ParallelFft3D::forward, that message is rank 0's
+// transpose block.
+class ShortBlockToRank1 final : public comm::Transport {
  public:
-  explicit ShortBlockFromRank0(std::unique_ptr<comm::Transport> inner)
+  explicit ShortBlockToRank1(std::unique_ptr<comm::Transport> inner)
       : inner_(std::move(inner)) {}
 
   const char* name() const override { return inner_->name(); }
@@ -144,22 +146,13 @@ class ShortBlockFromRank0 final : public comm::Transport {
     inner_->send(dest, tag, std::move(payload));
   }
   comm::Mailbox& inbox() override { return inner_->inbox(); }
-  void barrier() override { inner_->barrier(); }
-  void gather_all(
-      const void* local, std::size_t bytes,
-      const std::function<void(const comm::StageView&)>& consume) override {
-    inner_->gather_all(local, bytes, consume);
+  void send_internal(int dest, int tag,
+                     std::vector<std::uint8_t> payload) override {
+    if (dest == 1)
+      payload = std::vector<std::uint8_t>(payload.begin(), payload.end() - 1);
+    inner_->send_internal(dest, tag, std::move(payload));
   }
-  void bcast(void* data, std::size_t bytes, int root) override {
-    inner_->bcast(data, bytes, root);
-  }
-  std::vector<std::vector<std::uint8_t>> alltoallv(
-      const std::vector<std::vector<std::uint8_t>>& send) override {
-    auto recv = inner_->alltoallv(send);
-    auto& block = recv[0];
-    block = std::vector<std::uint8_t>(block.begin(), block.end() - 1);
-    return recv;
-  }
+  comm::Mailbox& internal() override { return inner_->internal(); }
   void abort() noexcept override { inner_->abort(); }
   bool aborted() const override { return inner_->aborted(); }
 
@@ -173,9 +166,9 @@ TEST(ParallelFft, TransposeRejectsABlockOfTheWrongLength) {
   const int n = 8;
   comm::LaunchOptions options;
   options.wrap = [](std::unique_ptr<comm::Transport> inner, int rank) {
-    if (rank != 1) return inner;
+    if (rank != 0) return inner;
     return std::unique_ptr<comm::Transport>(
-        new ShortBlockFromRank0(std::move(inner)));
+        new ShortBlockToRank1(std::move(inner)));
   };
   EXPECT_THROW(
       comm::run_transport(2, options,

@@ -231,7 +231,10 @@ AxisFaces periodic_image_faces(const PhaseSpace& f, int axis,
           auto& face = cell < 0 ? lo : hi;
           face.insert(face.end(), block, block + f.block_size());
         }
-  return {lo.data(), hi.data()};
+  AxisFaces faces;
+  faces.lo = lo.data();
+  faces.hi = hi.data();
+  return faces;
 }
 
 TEST(Splitting, PeriodicImageFacesMatchNullFaces) {

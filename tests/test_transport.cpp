@@ -18,8 +18,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -244,8 +246,8 @@ TEST_P(TransportConformance, AbortWhileParkedWakesWaiter) {
 }
 
 TEST_P(TransportConformance, TrafficCountersIdenticalAcrossBackends) {
-  // The accounting contract: p2p traffic is counted, collectives are not.
-  // Whatever numbers a pattern produces in-process, TCP must reproduce.
+  // The accounting contract: whatever numbers a pattern of p2p sends and
+  // collectives produces in-process, TCP must reproduce.
   const int p = 2;
   auto measure = [&](const std::string& backend) {
     std::vector<std::uint64_t> sent(p), msgs(p), popped(p);
@@ -255,7 +257,7 @@ TEST_P(TransportConformance, TrafficCountersIdenticalAcrossBackends) {
       comm.send_bytes(peer, 1, payload.data(), payload.size());
       comm.send_bytes(peer, 2, payload.data(), 100);
       double x = 1.0;
-      comm.allreduce_sum(&x, 1);  // must not appear in any counter
+      comm.allreduce_sum(&x, 1);  // adds 8 to bytes_sent, nothing else
       (void)comm.recv_bytes(peer, 1);
       (void)comm.recv_bytes(peer, 2);
       comm.barrier();
@@ -267,6 +269,103 @@ TEST_P(TransportConformance, TrafficCountersIdenticalAcrossBackends) {
     return std::make_tuple(sent, msgs, popped);
   };
   EXPECT_EQ(measure("inproc"), measure(GetParam()));
+}
+
+TEST_P(TransportConformance, CollectivesAddTheirContributionToSendCounters) {
+  // What each collective adds to this rank's send counters: allreduce_*
+  // its n * sizeof(T) bytes, bcast its bytes at the root only, allgather
+  // its bytes, alltoallv every block's bytes (the self block included)
+  // and one message per non-empty block, barrier nothing.  No collective
+  // touches the per-peer counters or the mailbox stats.
+  const int p = 3;
+  run_transport(p, backend_options(GetParam()), [&](Communicator& comm) {
+    const int me = comm.rank();
+    const MailboxStats recv0 = comm.recv_stats();
+    std::uint64_t bytes = comm.bytes_sent(), messages = comm.messages_sent();
+    const auto expect_added = [&](std::uint64_t b, std::uint64_t m,
+                                  const char* op) {
+      EXPECT_EQ(comm.bytes_sent() - bytes, b) << op << " on rank " << me;
+      EXPECT_EQ(comm.messages_sent() - messages, m)
+          << op << " on rank " << me;
+      bytes = comm.bytes_sent();
+      messages = comm.messages_sent();
+    };
+
+    comm.barrier();
+    expect_added(0, 0, "barrier");
+    double d[5] = {1, 2, 3, 4, 5};
+    comm.allreduce_sum(d, 5);
+    expect_added(5 * sizeof(double), 0, "allreduce_sum(double*)");
+    float f[3] = {1, 2, 3};
+    comm.allreduce_sum(f, 3);
+    expect_added(3 * sizeof(float), 0, "allreduce_sum(float*)");
+    (void)comm.allreduce_sum(std::int64_t{me});
+    expect_added(sizeof(std::int64_t), 0, "allreduce_sum(int64)");
+    (void)comm.allreduce_max(1.0 * me);
+    expect_added(sizeof(double), 0, "allreduce_max");
+    (void)comm.allreduce_min(1.0 * me);
+    expect_added(sizeof(double), 0, "allreduce_min");
+    std::int32_t word[4] = {me, me, me, me};
+    comm.bcast(word, 4, 1);
+    expect_added(me == 1 ? sizeof(word) : 0, 0, "bcast");
+    const std::int32_t mine[3] = {me, 2 * me, 3 * me};
+    (void)comm.allgather(mine, 3);
+    expect_added(sizeof(mine), 0, "allgather");
+    // Block d holds (me + d) * 7 bytes: rank 0's self block is empty.
+    std::vector<std::vector<std::uint8_t>> blocks(p);
+    std::uint64_t block_bytes = 0, nonempty = 0;
+    for (int dest = 0; dest < p; ++dest) {
+      const auto size = static_cast<std::size_t>((me + dest) * 7);
+      blocks[static_cast<std::size_t>(dest)] = pattern_payload(dest, size);
+      block_bytes += size;
+      nonempty += size > 0 ? 1 : 0;
+    }
+    (void)comm.alltoallv(std::move(blocks));
+    expect_added(block_bytes, nonempty, "alltoallv");
+
+    for (int peer = 0; peer < p; ++peer) {
+      EXPECT_EQ(comm.bytes_sent_to(peer), 0u);
+      EXPECT_EQ(comm.messages_sent_to(peer), 0u);
+    }
+    const MailboxStats recv1 = comm.recv_stats();
+    EXPECT_EQ(recv1.messages_pushed, recv0.messages_pushed);
+    EXPECT_EQ(recv1.bytes_pushed, recv0.bytes_pushed);
+    EXPECT_EQ(recv1.messages_popped, recv0.messages_popped);
+    EXPECT_EQ(recv1.bytes_popped, recv0.bytes_popped);
+    EXPECT_EQ(recv1.peak_queue_depth, recv0.peak_queue_depth);
+    EXPECT_EQ(recv1.pop_wait_s, recv0.pop_wait_s);
+  });
+}
+
+// One rank passes a different count to a collective than its peers: the
+// world must end with a TransportError from the length check, before any
+// rank reads past a payload.
+void expect_mismatch_throws(const char* backend,
+                            const std::function<void(Communicator&)>& body) {
+  EXPECT_THROW(run_transport(3, backend_options(backend), body),
+               TransportError);
+}
+
+TEST_P(TransportConformance, MismatchedAllgatherCountThrows) {
+  expect_mismatch_throws(GetParam(), [](Communicator& comm) {
+    const std::vector<std::int32_t> mine(comm.rank() == 1 ? 5 : 2,
+                                         comm.rank());
+    (void)comm.allgather(mine.data(), mine.size());
+  });
+}
+
+TEST_P(TransportConformance, MismatchedAllreduceSumCountThrows) {
+  expect_mismatch_throws(GetParam(), [](Communicator& comm) {
+    std::vector<double> values(comm.rank() == 1 ? 6 : 3, 1.0);
+    comm.allreduce_sum(values.data(), values.size());
+  });
+}
+
+TEST_P(TransportConformance, MismatchedBcastCountThrows) {
+  expect_mismatch_throws(GetParam(), [](Communicator& comm) {
+    std::vector<std::int32_t> values(comm.rank() == 2 ? 9 : 4, comm.rank());
+    comm.bcast(values.data(), values.size(), 0);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
