@@ -5,12 +5,14 @@
 // drift) through the production dispatch path versus the seed's per-axis
 // scalar path.  The `fused_sweep_speedup` metric in BENCH_micro_kernels
 // .json is the perf-trajectory number tracked across PRs.
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "fft/fft1d.hpp"
+#include "fft/fft3d.hpp"
 #include "harness.hpp"
 #include "mesh/grid.hpp"
 #include "simd/transpose.hpp"
@@ -137,14 +139,37 @@ int main(int argc, char** argv) {
   }
 
   // --- FFT ---
-  for (const int n : {64, 128, 288, 97}) {
+  // Every rep transforms the same input: repeated unnormalized transforms
+  // would overflow to inf and time non-finite arithmetic.
+  for (const int n : {16, 64, 128, 288, 97}) {
     fft::FftPlan plan(n);
-    std::vector<fft::cplx> x(static_cast<std::size_t>(n));
+    fft::FftPlan::Scratch scratch;
+    std::vector<fft::cplx> in(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
-      x[static_cast<std::size_t>(i)] = fft::cplx(std::sin(0.3 * i), 0.0);
+      in[static_cast<std::size_t>(i)] = fft::cplx(std::sin(0.3 * i), 0.0);
+    std::vector<fft::cplx> x = in;
     const int reps = bench::scaled(20000, 2000);
-    harness.time_phase("fft1d_" + std::to_string(n), reps,
-                     [&] { plan.forward(x.data()); });
+    harness.time_phase("fft1d_" + std::to_string(n), reps, [&] {
+      std::copy(in.begin(), in.end(), x.begin());
+      plan.forward(x.data(), scratch);
+    });
+  }
+  // The PM mesh's forward 3-D transform: three batched axis passes over a
+  // 16^3 field, threaded like the force pass runs them.
+  {
+    const int n = 16;
+    const std::array<int, 3> shape{n, n, n};
+    fft::FftPlan plan(n);
+    std::vector<fft::cplx> in(static_cast<std::size_t>(n) * n * n);
+    for (std::size_t i = 0; i < in.size(); ++i)
+      in[i] = fft::cplx(std::sin(0.3 * static_cast<double>(i)), 0.0);
+    std::vector<fft::cplx> x = in;
+    const int reps = bench::scaled(2000, 200);
+    harness.time_phase("fft3d_axes_16", reps, [&] {
+      std::copy(in.begin(), in.end(), x.begin());
+      for (const int axis : {2, 1, 0})
+        fft::transform_axis(plan, x.data(), shape, axis, false);
+    });
   }
 
   // --- headline: fused+dispatched sweep pipeline vs the seed scalar path ---

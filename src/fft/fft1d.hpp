@@ -1,7 +1,21 @@
-// 1-D complex FFT: recursive mixed-radix Cooley-Tukey (decimation in
-// time) for lengths whose factors are {2, 3, 5, 7}, with a Bluestein
-// (chirp-z) fallback for any other length.  Substrate for the PM Poisson
-// solver; plays the role the Fujitsu SSL II library plays in the paper.
+// 1-D complex FFT plans.  Lengths whose factors are {2, 3, 5, 7} run an
+// iterative mixed-radix Cooley-Tukey transform (decimation in time); any
+// other length runs Bluestein's chirp-z convolution over a power-of-two
+// plan.  Substrate for the PM Poisson solver; plays the role the Fujitsu
+// SSL II library plays in the paper.
+//
+// A plan precomputes its leaf permutation and per-stage twiddle tables
+// (and, for Bluestein, both convolution kernels).  Calls work in
+// caller-owned scratch and allocate nothing once it has grown to the
+// plan's need; one plan serves any number of threads, each with its own
+// scratch.  transform_lines() runs up to kBatch lines at once: lanes
+// run across lines in split re/im scratch, so every per-lane loop
+// vectorizes.  Each stage repeats, per lane, the operations of the
+// recursive transform this plan replaced (tests/test_fft.cpp keeps it as
+// the oracle): t_q = y[q m + k] W_len^{qk}, then sum_q t_q W_r^{qp}
+// accumulated from (0, 0), with every twiddle read from the same table
+// entry.  The results are therefore bit-identical to it wherever the
+// compiler does not contract a product into an FMA.
 //
 // Conventions: forward uses exp(-2*pi*i*jk/n), inverse uses exp(+2*pi*i*jk/n)
 // and is unnormalized; inverse_normalized() divides by n so that
@@ -9,7 +23,9 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 namespace v6d::fft {
 
@@ -21,6 +37,12 @@ inline int signed_mode(int i, int n) { return i <= n / 2 ? i : i - n; }
 
 class FftPlan {
  public:
+  /// Lines one transform_lines() call carries, one per lane.
+  static constexpr int kBatch = 4;
+  /// Caller-owned working memory; a call grows it to what the plan needs.
+  using Scratch = std::vector<double>;
+
+  /// Throws std::invalid_argument for n < 1.
   explicit FftPlan(int n);
   ~FftPlan();
   FftPlan(FftPlan&&) noexcept;
@@ -28,13 +50,26 @@ class FftPlan {
 
   int size() const { return n_; }
 
-  /// In-place transforms on a contiguous array of size() elements.
-  /// Thread-safe: per-call scratch.
-  void forward(cplx* x) const;
-  void inverse(cplx* x) const;
-  void inverse_normalized(cplx* x) const;
+  /// In-place transform of `count` (1..kBatch) lines of size() elements:
+  /// element j of line l is first[l * line_stride + j * stride].  The
+  /// inverse is unnormalized.  Always runs kBatch lanes (those past
+  /// `count` carry zeros), so a line's result does not depend on how many
+  /// lines share its call.  Throws std::invalid_argument for a `count`
+  /// outside 1..kBatch.
+  void transform_lines(cplx* first, int count, std::ptrdiff_t line_stride,
+                       std::ptrdiff_t stride, bool inverse,
+                       Scratch& scratch) const;
+
+  /// In-place transforms of one contiguous line of size() elements, on
+  /// one lane.
+  void forward(cplx* x, Scratch& scratch) const;
+  void inverse(cplx* x, Scratch& scratch) const;
+  void inverse_normalized(cplx* x, Scratch& scratch) const;
 
  private:
+  /// `scratch`'s storage, grown to what any call of this plan needs.
+  double* grown(Scratch& scratch) const;
+
   struct Impl;
   int n_;
   std::unique_ptr<Impl> impl_;

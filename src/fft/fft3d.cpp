@@ -1,37 +1,54 @@
 #include "fft/fft3d.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace v6d::fft {
 
 void transform_axis(const FftPlan& plan, cplx* data, std::array<int, 3> shape,
                     int axis, bool inverse) {
   assert(plan.size() == shape[static_cast<std::size_t>(axis)]);
-  auto run = [&](cplx* line) {
-    if (inverse)
-      plan.inverse(line);
-    else
-      plan.forward(line);
-  };
+  constexpr int kBatch = FftPlan::kBatch;
   const std::ptrdiff_t nz = shape[2];
   const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(shape[1]) * nz;
-  if (axis == 2) {
-    for (std::ptrdiff_t l = 0; l < shape[0] * sx; l += nz) run(data + l);
-    return;
-  }
-  const int n = plan.size();
-  const std::ptrdiff_t stride = axis == 0 ? sx : nz;
-  const std::ptrdiff_t outer_stride = axis == 0 ? nz : sx;
-  const int n_outer = axis == 0 ? shape[1] : shape[0];
-  std::vector<cplx> line(static_cast<std::size_t>(n));
-  for (int o = 0; o < n_outer; ++o)
-    for (std::ptrdiff_t k = 0; k < nz; ++k) {
-      cplx* base = data + o * outer_stride + k;
-      for (int m = 0; m < n; ++m) line[m] = base[m * stride];
-      run(line.data());
-      for (int m = 0; m < n; ++m) base[m * stride] = line[m];
+  // The lines come in rows of `row_lines` lines `line_stride` apart: all
+  // z lines form one row, and the y (x) lines at one x (y) form a row of
+  // nz adjacent lines.  A batch is up to kBatch neighbours in one row.
+  const bool along_z = axis == 2;
+  const int rows = along_z ? 1 : axis == 1 ? shape[0] : shape[1];
+  const int row_lines = along_z ? shape[0] * shape[1] : shape[2];
+  const std::ptrdiff_t row_stride = axis == 1 ? sx : nz;
+  const std::ptrdiff_t line_stride = along_z ? nz : 1;
+  const std::ptrdiff_t stride = along_z ? 1 : axis == 1 ? nz : sx;
+  const int batches_per_row = (row_lines + kBatch - 1) / kBatch;
+  const int batches = rows * batches_per_row;
+#ifdef _OPENMP
+  // A pass forks a thread team only when every thread gets at least
+  // kMinBatchesPerThread batches.  A shorter pass is faster on one thread,
+  // and a team's spin-wait at the join is ruinous where spawned rank
+  // processes share the cores: 40 steps of `neutrino_box nx=8 nu=6 np=8
+  // spawn=4` took 44 s with a team on every pass, against 12 s.
+  constexpr int kMinBatchesPerThread = 16;
+  const bool threaded = batches >= kMinBatchesPerThread * omp_get_max_threads();
+#pragma omp parallel if (threaded)
+#endif
+  {
+    FftPlan::Scratch scratch;
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (int b = 0; b < batches; ++b) {
+      const int row = b / batches_per_row;
+      const int line = (b % batches_per_row) * kBatch;
+      plan.transform_lines(data + row * row_stride + line * line_stride,
+                           std::min(kBatch, row_lines - line), line_stride,
+                           stride, inverse, scratch);
     }
+  }
 }
 
 Fft3D::Fft3D(int nx, int ny, int nz)

@@ -308,7 +308,6 @@ bool HybridSolver::owns_particle(std::size_t i) const {
 void HybridSolver::deposit_cdm_local() {
   trace::Span span("deposit");
   rho_cdm_.fill(0.0);
-  if (cdm_.size() == 0) return;
   // Particles are replicated; each rank deposits only the ones it owns
   // (owned_ is refreshed once per force assembly), spilling CIC weight
   // into ghosts that the fold hands to the owning neighbor.
@@ -326,7 +325,7 @@ void HybridSolver::deposit_cdm_local() {
 }
 
 void HybridSolver::prepare_green_tables(
-    const gravity::PoissonOptions& cdm_long,
+    bool has_cdm, const gravity::PoissonOptions& cdm_long,
     const gravity::PoissonOptions& cdm_short,
     const gravity::PoissonOptions& nu_opts) {
   // Per-mode Green x window multipliers in for_each_mode order.  The
@@ -334,15 +333,14 @@ void HybridSolver::prepare_green_tables(
   // so using them changes nothing numerically — it only moves the
   // transcendental-heavy loop off the communication's critical path (the
   // overlapped placement computes them while the brick -> slab messages
-  // fly).
+  // fly).  Only the tables a force set reads are filled: the CDM ones
+  // need particles, the short and nu ones neutrinos.
   const int n = options_.pm_grid;
   const int lny = pfft_.local_ny();
   const std::size_t modes = static_cast<std::size_t>(lny) * n * n;
-  green_long_.resize(modes);
-  if (has_nu_) {
-    green_short_.resize(modes);
-    green_nu_.resize(modes);
-  }
+  if (has_cdm) green_long_.resize(modes);
+  if (has_cdm && has_nu_) green_short_.resize(modes);
+  if (has_nu_) green_nu_.resize(modes);
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static)
 #endif
@@ -351,14 +349,16 @@ void HybridSolver::prepare_green_tables(
       const int by = pfft_.y_offset() + y;
       std::size_t m = (static_cast<std::size_t>(y) * n + x) * n;
       for (int z = 0; z < n; ++z, ++m) {
-        green_long_[m] = gravity::green_times_window(x, by, z, n, n, n, box_,
-                                                     box_, box_, cdm_long);
-        if (!has_nu_) continue;
-        green_short_[m] = gravity::green_times_window(x, by, z, n, n, n,
-                                                      box_, box_, box_,
-                                                      cdm_short);
-        green_nu_[m] = gravity::green_times_window(x, by, z, n, n, n, box_,
-                                                   box_, box_, nu_opts);
+        if (has_cdm) {
+          green_long_[m] = gravity::green_times_window(
+              x, by, z, n, n, n, box_, box_, box_, cdm_long);
+          if (has_nu_)
+            green_short_[m] = gravity::green_times_window(
+                x, by, z, n, n, n, box_, box_, box_, cdm_short);
+        }
+        if (has_nu_)
+          green_nu_[m] = gravity::green_times_window(x, by, z, n, n, n, box_,
+                                                     box_, box_, nu_opts);
       }
     }
 }
@@ -366,6 +366,10 @@ void HybridSolver::prepare_green_tables(
 void HybridSolver::compute_forces(double a) {
   const double prefactor = poisson_prefactor(a);
   const int n = options_.pm_grid;
+  // The CDM density and force set (a) feed only the particles.  Without
+  // any (the set is replicated, so every rank agrees) their deposit, fold,
+  // redistribution, transforms and Green tables are skipped.
+  const bool has_cdm = cdm_.size() > 0;
 
   // Ownership split of the replicated particle set, computed once per
   // force assembly (positions are fixed between the deposit and the
@@ -390,7 +394,7 @@ void HybridSolver::compute_forces(double a) {
   // Every fold/slab exchange completes through finish_behind, which sets
   // its finish after the compute named as hiding it (overlap) or right
   // after its begin.
-  {
+  if (has_cdm) {
     ScopedTimer t(timers_, "pm");
     deposit_cdm_local();
     fold_cdm_.begin(rho_cdm_);
@@ -405,6 +409,7 @@ void HybridSolver::compute_forces(double a) {
         vlasov::compute_density(f_, rho_v_);
       },
       [&] {
+        if (!has_cdm) return;
         ScopedTimer t(timers_, "pm");
         fold_cdm_.finish(rho_cdm_);
       });
@@ -429,11 +434,15 @@ void HybridSolver::compute_forces(double a) {
     finish_behind(
         overlap_,
         [&] {
-          slab_cdm_x_.begin_to_slab(rho_cdm_);
+          if (has_cdm) slab_cdm_x_.begin_to_slab(rho_cdm_);
           finish_behind(
               overlap_,
-              [&] { prepare_green_tables(cdm_long, cdm_opts, nu_opts); },
-              [&] { slab_cdm = &slab_cdm_x_.finish_to_slab(); });
+              [&] {
+                prepare_green_tables(has_cdm, cdm_long, cdm_opts, nu_opts);
+              },
+              [&] {
+                if (has_cdm) slab_cdm = &slab_cdm_x_.finish_to_slab();
+              });
         },
         [&] {
           if (has_nu_) fold_nu_.finish(rho_nu_);
@@ -441,10 +450,13 @@ void HybridSolver::compute_forces(double a) {
     if (has_nu_) {
       slab_nu_x_.begin_to_slab(rho_nu_);
       finish_behind(
-          overlap_, [&] { forward(*slab_cdm); },
+          overlap_,
+          [&] {
+            if (has_cdm) forward(*slab_cdm);
+          },
           [&] { slab_nu = &slab_nu_x_.finish_to_slab(); });
       forward(*slab_nu);
-    } else {
+    } else if (has_cdm) {
       forward(*slab_cdm);
     }
 
@@ -453,21 +465,23 @@ void HybridSolver::compute_forces(double a) {
     // brought back to brick layout per component.  phi_k is evaluated once
     // per mode; only the cheap -i k_d multiply runs per direction.  Each
     // component's slab -> brick return flies during the next component's
-    // spectral multiply + inverse FFT.
+    // spectral multiply + inverse FFT.  Without particles the CDM term is
+    // (0, 0), the all-zero density's spectrum times a multiplier that is 0
+    // at k = 0.  Starting the sum from it, not from the bare neutrino
+    // term, keeps the +0 that sum gives there where the term is -0.
     auto solve_set = [&](const std::vector<double>& green,
                          mesh::Grid3D<double>& gx, mesh::Grid3D<double>& gy,
                          mesh::Grid3D<double>& gz) {
-      phi_.resize(slab_cdm->size());
-      std::size_t m = 0;
-      pfft_.for_each_mode(*slab_cdm, [&](int, int, int, fft::cplx& value) {
-        fft::cplx phi_k = value * green[m];
+      phi_.resize((has_cdm ? slab_cdm : slab_nu)->size());
+      for (std::size_t m = 0; m < phi_.size(); ++m) {
+        fft::cplx phi_k = has_cdm ? (*slab_cdm)[m] * green[m]
+                                  : fft::cplx(0.0, 0.0);
         if (has_nu_) phi_k += (*slab_nu)[m] * green_nu_[m];
         phi_[m] = phi_k;
-        ++m;
-      });
+      }
       auto component = [&](int d) {
         spec_.resize(phi_.size());
-        m = 0;
+        std::size_t m = 0;
         pfft_.for_each_mode(spec_, [&](int bx, int by, int bz, fft::cplx& s) {
           const int bin = d == 0 ? bx : d == 1 ? by : bz;
           const double k_d = gravity::fft_wavenumber(bin, n, box_);
@@ -493,9 +507,9 @@ void HybridSolver::compute_forces(double a) {
             });
       }
     };
-    // (a) the long-range-filtered field for the particles; (b) the full
-    // field, which feeds only the Vlasov kicks.
-    solve_set(green_long_, gx_cdm_, gy_cdm_, gz_cdm_);
+    // (a) the long-range-filtered field, which feeds only the particles;
+    // (b) the full field, which feeds only the Vlasov kicks.
+    if (has_cdm) solve_set(green_long_, gx_cdm_, gy_cdm_, gz_cdm_);
     if (has_nu_) solve_set(green_short_, gx_nu_, gy_nu_, gz_nu_);
 
     // Particle long-range gather: each rank interpolates at the particles

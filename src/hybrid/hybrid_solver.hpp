@@ -242,7 +242,8 @@ class HybridSolver {
   void compute_forces(double a);
   bool owns_particle(std::size_t i) const;
   void deposit_cdm_local();
-  void prepare_green_tables(const gravity::PoissonOptions& cdm_long,
+  void prepare_green_tables(bool has_cdm,
+                            const gravity::PoissonOptions& cdm_long,
                             const gravity::PoissonOptions& cdm_short,
                             const gravity::PoissonOptions& nu_opts);
   void drift(double drift_factor);
