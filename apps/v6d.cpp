@@ -114,6 +114,7 @@ int spawn_world(const std::string& command, const std::string& target,
       args.push_back("rank=" + std::to_string(r));
       args.push_back("world=" + std::to_string(world));
       args.push_back("transport_hosts=" + dir);
+      driver::share_cpus_with_ranks(world);
       std::vector<char*> argv;
       argv.reserve(args.size() + 1);
       for (auto& arg : args) argv.push_back(arg.data());

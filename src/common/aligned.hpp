@@ -10,14 +10,9 @@
 #include <new>
 #include <vector>
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 namespace v6d {
 
 inline constexpr std::size_t kSimdAlign = 64;
-inline constexpr std::size_t kTrimBytes = std::size_t{1} << 20;
 
 /// Allocator usable with std::vector that guarantees kSimdAlign alignment.
 template <class T>
@@ -34,21 +29,7 @@ struct AlignedAllocator {
     if (!p) throw std::bad_alloc();
     return static_cast<T*>(p);
   }
-  // Freeing kTrimBytes or more also hands the heap's free pages back to
-  // the OS.  glibc raises its mmap threshold to the size of each mapped
-  // block it frees, so later phase spaces come from the heap, where a
-  // freed one could stay resident beside its successor: a benchmark
-  // process running vlasov_only 16^3 x 12^3 peaked at 59 or 86 MiB from
-  // run to run.
-  void deallocate(T* p, std::size_t n) noexcept {
-    const bool trim = n * sizeof(T) >= kTrimBytes;
-    std::free(p);
-#ifdef __GLIBC__
-    if (trim) malloc_trim(0);
-#else
-    (void)trim;
-#endif
-  }
+  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
 
   template <class U>
   bool operator==(const AlignedAllocator<U>&) const noexcept {

@@ -80,6 +80,13 @@ struct SupervisedRun {
   std::int64_t last_step = -1;
 };
 
+/// In a forked rank process, before it execs: unless the environment
+/// already sets OMP_NUM_THREADS, gives each of the `world` rank processes
+/// an equal share (at least one) of the CPUs this process may run on.
+/// Without it every rank takes all of them, and each rank's OpenMP team
+/// spin-waits on cores the other ranks need.
+void share_cpus_with_ranks(int world);
+
 /// Run the supervised loop to completion.  Returns rather than throws on
 /// worker failure (exit_code carries the verdict); throws only on
 /// supervisor-level setup errors (cannot fork, bad options).

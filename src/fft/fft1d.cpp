@@ -53,11 +53,13 @@ struct Stage {
   std::vector<Table> dft;      // [q * radix + p] = W_radix^{qp}
 };
 
-/// One stage over B lanes in split layout (element j of lane l at
-/// [j * B + l]).  Per block and k: t_q = y[q m + k] W_len^{qk}, then
-/// X[p m + k] = (0, 0) + sum_q t_q W_r^{qp}, written over the r points it
-/// read.
-template <int R, int B>
+/// Lanes of the split layout: element j of lane l sits at [j * B + l].
+constexpr int B = FftPlan::kBatch;
+
+/// One stage over the B lanes.  Per block and k: t_q = y[q m + k]
+/// W_len^{qk}, then X[p m + k] = (0, 0) + sum_q t_q W_r^{qp}, written over
+/// the r points it read.
+template <int R>
 void radix_stage(const Stage& st, bool inverse, int n, double* re,
                  double* im) {
   const int m = st.m;
@@ -95,6 +97,18 @@ void radix_stage(const Stage& st, bool inverse, int n, double* re,
     }
 }
 
+/// y = x w on every lane, with std::complex's products and sums in its
+/// order; y may be x.
+void times(const double* xr, const double* xi, cplx w, double* yr,
+           double* yi) {
+  const double wr = w.real(), wi = w.imag();
+  for (int l = 0; l < B; ++l) {
+    const double r = xr[l], i = xi[l];
+    yr[l] = r * wr - i * wi;
+    yi[l] = r * wi + i * wr;
+  }
+}
+
 }  // namespace
 
 struct FftPlan::Impl {
@@ -111,24 +125,19 @@ struct FftPlan::Impl {
   void build_mixed_radix(const std::vector<int>& radices);
   void build_bluestein();
 
-  template <int B>
   void run_stages(double* re, double* im, bool inverse) const;
-  template <int B>
   void mixed_radix_lines(cplx* first, int count, std::ptrdiff_t line_stride,
                          std::ptrdiff_t stride, bool inverse,
                          double* scratch) const;
-  template <int B>
   void bluestein_lines(cplx* first, int count, std::ptrdiff_t line_stride,
                        std::ptrdiff_t stride, bool inverse,
                        double* scratch) const;
-  template <int B>
   void lines(cplx* first, int count, std::ptrdiff_t line_stride,
              std::ptrdiff_t stride, bool inverse, double* scratch) const {
     if (conv)
-      bluestein_lines<B>(first, count, line_stride, stride, inverse, scratch);
+      bluestein_lines(first, count, line_stride, stride, inverse, scratch);
     else
-      mixed_radix_lines<B>(first, count, line_stride, stride, inverse,
-                           scratch);
+      mixed_radix_lines(first, count, line_stride, stride, inverse, scratch);
   }
 };
 
@@ -203,27 +212,25 @@ void FftPlan::Impl::build_bluestein() {
   }
 }
 
-template <int B>
 void FftPlan::Impl::run_stages(double* re, double* im, bool inverse) const {
   for (const Stage& st : stages) {
     switch (st.radix) {
       case 2:
-        radix_stage<2, B>(st, inverse, n, re, im);
+        radix_stage<2>(st, inverse, n, re, im);
         break;
       case 3:
-        radix_stage<3, B>(st, inverse, n, re, im);
+        radix_stage<3>(st, inverse, n, re, im);
         break;
       case 5:
-        radix_stage<5, B>(st, inverse, n, re, im);
+        radix_stage<5>(st, inverse, n, re, im);
         break;
       default:
-        radix_stage<7, B>(st, inverse, n, re, im);
+        radix_stage<7>(st, inverse, n, re, im);
         break;
     }
   }
 }
 
-template <int B>
 void FftPlan::Impl::mixed_radix_lines(cplx* first, int count,
                                       std::ptrdiff_t line_stride,
                                       std::ptrdiff_t stride, bool inverse,
@@ -240,7 +247,7 @@ void FftPlan::Impl::mixed_radix_lines(cplx* first, int count,
     }
     for (int l = count; l < B; ++l) r[l] = i[l] = 0.0;
   }
-  run_stages<B>(re, im, inverse);
+  run_stages(re, im, inverse);
   for (int j = 0; j < n; ++j) {
     cplx* dst = first + j * stride;
     const std::ptrdiff_t x = static_cast<std::ptrdiff_t>(j) * B;
@@ -249,7 +256,6 @@ void FftPlan::Impl::mixed_radix_lines(cplx* first, int count,
   }
 }
 
-template <int B>
 void FftPlan::Impl::bluestein_lines(cplx* first, int count,
                                     std::ptrdiff_t line_stride,
                                     std::ptrdiff_t stride, bool inverse,
@@ -268,6 +274,10 @@ void FftPlan::Impl::bluestein_lines(cplx* first, int count,
     return inverse ? chirp[static_cast<std::size_t>(j)]
                    : std::conj(chirp[static_cast<std::size_t>(j)]);
   };
+  // Every product runs on all B lanes in split re/im, like the stages: a
+  // loop that stopped at `count`, or a std::complex product per lane, may
+  // be compiled (and contracted into FMAs) differently from lane to lane,
+  // and a line's bits would then depend on its place in the batch.
   // a_j = x_j c_j, zero-padded to m, in the conv plan's leaf order.
   for (int pos = 0; pos < m; ++pos) {
     const int j = cv.perm[static_cast<std::size_t>(pos)];
@@ -275,38 +285,37 @@ void FftPlan::Impl::bluestein_lines(cplx* first, int count,
     double* i = ai + static_cast<std::ptrdiff_t>(pos) * B;
     int l = 0;
     if (j < n) {
-      const cplx cj = c(j);
       const cplx* src = first + j * stride;
       for (; l < count; ++l) {
-        const cplx v = src[l * line_stride] * cj;
-        r[l] = v.real();
-        i[l] = v.imag();
+        r[l] = src[l * line_stride].real();
+        i[l] = src[l * line_stride].imag();
       }
     }
     for (; l < B; ++l) r[l] = i[l] = 0.0;
+    if (j < n) times(r, i, c(j), r, i);
   }
-  cv.run_stages<B>(ar, ai, false);
+  cv.run_stages(ar, ai, false);
   // Times the kernel's spectrum, gathered into leaf order for the inverse.
   const std::vector<cplx>& kern = kernel[inverse ? 1 : 0];
   for (int pos = 0; pos < m; ++pos) {
     const int i = cv.perm[static_cast<std::size_t>(pos)];
-    const cplx k = kern[static_cast<std::size_t>(i)];
     const std::ptrdiff_t from = static_cast<std::ptrdiff_t>(i) * B;
     const std::ptrdiff_t to = static_cast<std::ptrdiff_t>(pos) * B;
-    for (int l = 0; l < B; ++l) {
-      const cplx v = cplx(ar[from + l], ai[from + l]) * k;
-      br[to + l] = v.real();
-      bi[to + l] = v.imag();
-    }
+    times(ar + from, ai + from, kern[static_cast<std::size_t>(i)], br + to,
+          bi + to);
   }
-  cv.run_stages<B>(br, bi, true);
+  cv.run_stages(br, bi, true);
   const double scale = 1.0 / m;
   for (int k = 0; k < n; ++k) {
-    const cplx ck = c(k);
+    double* r = br + static_cast<std::ptrdiff_t>(k) * B;
+    double* i = bi + static_cast<std::ptrdiff_t>(k) * B;
+    for (int l = 0; l < B; ++l) {
+      r[l] *= scale;
+      i[l] *= scale;
+    }
+    times(r, i, c(k), r, i);
     cplx* dst = first + k * stride;
-    const std::ptrdiff_t from = static_cast<std::ptrdiff_t>(k) * B;
-    for (int l = 0; l < count; ++l)
-      dst[l * line_stride] = cplx(br[from + l], bi[from + l]) * scale * ck;
+    for (int l = 0; l < count; ++l) dst[l * line_stride] = cplx(r[l], i[l]);
   }
 }
 
@@ -342,16 +351,15 @@ void FftPlan::transform_lines(cplx* first, int count,
   if (count < 1 || count > kBatch)
     throw std::invalid_argument("FftPlan::transform_lines: " +
                                 std::to_string(count) + " lines");
-  impl_->lines<kBatch>(first, count, line_stride, stride, inverse,
-                       grown(scratch));
+  impl_->lines(first, count, line_stride, stride, inverse, grown(scratch));
 }
 
 void FftPlan::forward(cplx* x, Scratch& scratch) const {
-  impl_->lines<1>(x, 1, 0, 1, false, grown(scratch));
+  impl_->lines(x, 1, 0, 1, false, grown(scratch));
 }
 
 void FftPlan::inverse(cplx* x, Scratch& scratch) const {
-  impl_->lines<1>(x, 1, 0, 1, true, grown(scratch));
+  impl_->lines(x, 1, 0, 1, true, grown(scratch));
 }
 
 void FftPlan::inverse_normalized(cplx* x, Scratch& scratch) const {

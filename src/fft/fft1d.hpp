@@ -53,15 +53,15 @@ class FftPlan {
   /// In-place transform of `count` (1..kBatch) lines of size() elements:
   /// element j of line l is first[l * line_stride + j * stride].  The
   /// inverse is unnormalized.  Always runs kBatch lanes (those past
-  /// `count` carry zeros), so a line's result does not depend on how many
-  /// lines share its call.  Throws std::invalid_argument for a `count`
-  /// outside 1..kBatch.
+  /// `count` carry zeros) through the same operations, so a line's result
+  /// depends neither on how many lines share its call nor on its lane.
+  /// Throws std::invalid_argument for a `count` outside 1..kBatch.
   void transform_lines(cplx* first, int count, std::ptrdiff_t line_stride,
                        std::ptrdiff_t stride, bool inverse,
                        Scratch& scratch) const;
 
-  /// In-place transforms of one contiguous line of size() elements, on
-  /// one lane.
+  /// In-place transforms of one contiguous line of size() elements:
+  /// transform_lines() with a count of 1.
   void forward(cplx* x, Scratch& scratch) const;
   void inverse(cplx* x, Scratch& scratch) const;
   void inverse_normalized(cplx* x, Scratch& scratch) const;

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace v6d::fft {
 
 void transform_axis(const FftPlan& plan, cplx* data, std::array<int, 3> shape,
@@ -27,14 +23,7 @@ void transform_axis(const FftPlan& plan, cplx* data, std::array<int, 3> shape,
   const int batches_per_row = (row_lines + kBatch - 1) / kBatch;
   const int batches = rows * batches_per_row;
 #ifdef _OPENMP
-  // A pass forks a thread team only when every thread gets at least
-  // kMinBatchesPerThread batches.  A shorter pass is faster on one thread,
-  // and a team's spin-wait at the join is ruinous where spawned rank
-  // processes share the cores: 40 steps of `neutrino_box nx=8 nu=6 np=8
-  // spawn=4` took 44 s with a team on every pass, against 12 s.
-  constexpr int kMinBatchesPerThread = 16;
-  const bool threaded = batches >= kMinBatchesPerThread * omp_get_max_threads();
-#pragma omp parallel if (threaded)
+#pragma omp parallel
 #endif
   {
     FftPlan::Scratch scratch;

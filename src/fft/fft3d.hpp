@@ -7,9 +7,9 @@
 // transform is bit-identical to this serial one.  It hands the plan
 // batches of FftPlan::kBatch neighbouring lines (z lines, or y / x lines
 // at adjacent z) and runs the batches under OpenMP, each thread in its own
-// scratch, when every thread gets 16 batches or more.  Every line is
-// transformed by the same operations whichever batch, lane or thread
-// carries it, so the result does not depend on the thread count.
+// scratch.  Every line is transformed by the same operations whichever
+// batch, lane or thread carries it, so the result does not depend on the
+// thread count.
 #pragma once
 
 #include <array>

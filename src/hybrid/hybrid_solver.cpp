@@ -465,10 +465,11 @@ void HybridSolver::compute_forces(double a) {
     // brought back to brick layout per component.  phi_k is evaluated once
     // per mode; only the cheap -i k_d multiply runs per direction.  Each
     // component's slab -> brick return flies during the next component's
-    // spectral multiply + inverse FFT.  Without particles the CDM term is
-    // (0, 0), the all-zero density's spectrum times a multiplier that is 0
-    // at k = 0.  Starting the sum from it, not from the bare neutrino
-    // term, keeps the +0 that sum gives there where the term is -0.
+    // spectral multiply + inverse FFT.  Without particles the sum starts
+    // from (0, 0) in place of the CDM term.  The signs of exact zeros in
+    // phi_ may then differ from a pass that computes that term, but they
+    // never reach the forces: every stage of the inverse transform starts
+    // its sums from +0.
     auto solve_set = [&](const std::vector<double>& green,
                          mesh::Grid3D<double>& gx, mesh::Grid3D<double>& gy,
                          mesh::Grid3D<double>& gz) {

@@ -232,6 +232,33 @@ TEST_P(Fft1dSizes, MatchesRecursiveOracle) {
   }
 }
 
+// A one-line call runs the batched code with the other lanes zero, so it
+// gives a line the bits a full batch gives it, in every build: FMA
+// contraction cannot tell the two apart.
+TEST_P(Fft1dSizes, OneLineCallMatchesBatchedCall) {
+  const int n = GetParam();
+  constexpr int kBatch = FftPlan::kBatch;
+  const FftPlan plan(n);
+  FftPlan::Scratch scratch;
+  const auto lines = random_signal(static_cast<std::size_t>(n) * kBatch, 17);
+  for (const bool inverse : {false, true}) {
+    auto batched = lines;
+    plan.transform_lines(batched.data(), kBatch, n, 1, inverse, scratch);
+    auto single = lines;
+    for (int l = 0; l < kBatch; ++l) {
+      cplx* line = single.data() + static_cast<std::ptrdiff_t>(l) * n;
+      if (inverse)
+        plan.inverse(line, scratch);
+      else
+        plan.forward(line, scratch);
+    }
+    EXPECT_EQ(std::memcmp(batched.data(), single.data(),
+                          batched.size() * sizeof(cplx)),
+              0)
+        << (inverse ? "inverse" : "forward");
+  }
+}
+
 TEST_P(Fft1dSizes, RoundTripIsIdentity) {
   const int n = GetParam();
   auto x = random_signal(n, 7);

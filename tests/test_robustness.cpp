@@ -10,12 +10,15 @@
 // v6d-analyze: allow-file(tag-space): fault tests drive raw low tags on
 // isolated per-test worlds; the kFirstUserTag floor governs production.
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -381,6 +384,38 @@ TEST(Supervisor, ExitClassNamesAreStable) {
   EXPECT_STREQ(driver::to_string(ExitClass::kTransient), "transient");
   EXPECT_STREQ(driver::to_string(ExitClass::kSignal), "signal");
   EXPECT_STREQ(driver::to_string(ExitClass::kFatal), "fatal");
+}
+
+// Whether a rank process of a `world`-process run, started with
+// OMP_NUM_THREADS at `inherited` (nullptr = unset), ends up with
+// `expected` threads.  share_cpus_with_ranks edits the environment, so it
+// runs in a forked child and the test process's environment stays as it
+// was.
+bool rank_threads_are(const char* inherited, int world, int expected) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    if (inherited)
+      setenv("OMP_NUM_THREADS", inherited, 1);
+    else
+      unsetenv("OMP_NUM_THREADS");
+    driver::share_cpus_with_ranks(world);
+    const char* value = std::getenv("OMP_NUM_THREADS");
+    _exit(value && std::atoi(value) == expected ? 0 : 1);
+  }
+  int status = 0;
+  EXPECT_EQ(waitpid(pid, &status, 0), pid);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+TEST(Supervisor, RankProcessesShareTheCpus) {
+  cpu_set_t set;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const int cpus = CPU_COUNT(&set);
+  EXPECT_TRUE(rank_threads_are(nullptr, 1, cpus));
+  EXPECT_TRUE(rank_threads_are(nullptr, 2, std::max(1, cpus / 2)));
+  EXPECT_TRUE(rank_threads_are(nullptr, cpus + 1, 1));
+  // A thread count the caller chose is kept.
+  EXPECT_TRUE(rank_threads_are("3", 4, 3));
 }
 
 TEST(Supervisor, RejectsNonsenseOptions) {
