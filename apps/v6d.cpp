@@ -10,15 +10,10 @@
 // it — overrides there should stick to driver-control keys (a_final,
 // max_steps, wall_budget_s, checkpoint cadence) so the continuation stays
 // bit-identical with an uninterrupted run.
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "comm/mailbox.hpp"
 #include "comm/transport.hpp"
@@ -79,65 +74,6 @@ void print_summary(driver::Driver& d, const driver::RunResult& result) {
               d.solver().total_mass());
 }
 
-/// spawn=N: fork N copies of this binary, each re-running `command target`
-/// as one TCP rank of an N-process world, rendezvousing through a fresh
-/// temporary directory.  The parent only forks and waits — the rank-0
-/// child prints the run banner/summary.  Returns 0 iff every rank exited 0.
-int spawn_world(const std::string& command, const std::string& target,
-                const Options& options, int world) {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base && *base ? base : "/tmp") +
-                    "/v6d-spawn-XXXXXX";
-  std::vector<char> tmpl(dir.begin(), dir.end());
-  tmpl.push_back('\0');
-  if (!::mkdtemp(tmpl.data())) {
-    std::fprintf(stderr, "v6d spawn: cannot create rendezvous dir %s\n",
-                 dir.c_str());
-    return 1;
-  }
-  dir.assign(tmpl.data());
-
-  std::vector<pid_t> pids;
-  for (int r = 0; r < world; ++r) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("v6d spawn: fork");
-      break;  // wait for the ranks that did start; they will time out
-    }
-    if (pid == 0) {
-      std::vector<std::string> args = {"/proc/self/exe", command, target};
-      for (const auto& key : options.keys())
-        if (key != "spawn" && key != "transport" && key != "rank" &&
-            key != "world" && key != "transport_hosts")
-          args.push_back(key + "=" + options.get(key, ""));
-      args.push_back("transport=tcp");
-      args.push_back("rank=" + std::to_string(r));
-      args.push_back("world=" + std::to_string(world));
-      args.push_back("transport_hosts=" + dir);
-      driver::share_cpus_with_ranks(world);
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (auto& arg : args) argv.push_back(arg.data());
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      std::perror("v6d spawn: execv");
-      std::_Exit(127);
-    }
-    pids.push_back(pid);
-  }
-
-  int exit_code = static_cast<int>(pids.size()) == world ? 0 : 1;
-  for (const pid_t pid : pids) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0)
-      exit_code = 1;
-  }
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return exit_code;
-}
-
 /// Keys the supervisor itself consumes; never forwarded to workers (the
 /// transport wiring is re-derived per round, the rest would re-trigger
 /// supervision inside a worker).
@@ -148,8 +84,12 @@ bool is_supervisor_key(const std::string& key) {
          key == "world" || key == "transport_hosts";
 }
 
-/// spawn=N restart=on-failure: run the forked world under the supervised
-/// checkpoint-restart loop instead of the fire-and-forget spawn_world.
+/// spawn=N: fork N copies of this binary, each re-running `command target`
+/// as one TCP rank of an N-process world, under the supervisor.  The
+/// rank-0 child prints the run banner/summary.  restart=never (the
+/// default of run/resume) is one unsupervised round whose exit code is the
+/// supervisor's verdict; restart=on-failure relaunches failed rounds from
+/// the latest complete checkpoint.
 int run_supervised_world(const std::string& command, const std::string& target,
                          const Options& options, int world) {
   const std::string restart = options.get("restart", "never");
@@ -212,11 +152,7 @@ int cmd_run(const std::string& target, Options options) {
     }
   }
   const int spawn = options.get_int("spawn", 0);
-  if (spawn > 1) {
-    if (options.get("restart", "never") != "never")
-      return run_supervised_world("run", target, options, spawn);
-    return spawn_world("run", target, options, spawn);
-  }
+  if (spawn > 1) return run_supervised_world("run", target, options, spawn);
 
   driver::SimulationConfig cfg = driver::make_config(options);
   // In a multi-process world only the rank-0 process narrates; peers run
@@ -234,12 +170,12 @@ int cmd_run(const std::string& target, Options options) {
 int cmd_resume(const std::string& dir, const Options& options) {
   const int spawn = options.get_int("spawn", 0);
   if (spawn > 1) {
-    if (options.get("restart", "never") != "never") {
-      Options sup = options;
+    Options sup = options;
+    // A restarting supervisor probes (and checkpoints into) the directory
+    // it resumes from unless the caller redirects it explicitly.
+    if (options.get("restart", "never") != "never")
       sup.set_default("checkpoint_dir", dir);
-      return run_supervised_world("resume", dir, sup, spawn);
-    }
-    return spawn_world("resume", dir, options, spawn);
+    return run_supervised_world("resume", dir, sup, spawn);
   }
 
   const bool lead = options.get("transport", "inproc") != "tcp" ||

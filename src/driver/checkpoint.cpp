@@ -3,27 +3,30 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <type_traits>
+
+#include "mesh/decomposition.hpp"
 
 namespace v6d::driver {
 
 namespace {
 
-// Version 2 added the per-rank shard list of distributed checkpoints; a
-// version-1 reader would silently ignore the shard fields and resume a
-// neutrino run from a zeroed phase space, so the bump makes it fail with
-// kVersionMismatch instead.  Version-1 (serial) checkpoints remain
-// readable: every field this reader requires existed then.
+// Version 2 added the per-rank shard list; a version-1 reader would
+// silently ignore the shard fields and resume a neutrino run from a
+// zeroed phase space, so the bump makes it fail with kVersionMismatch
+// instead.
 constexpr unsigned kVersion = 2;
-constexpr unsigned kMinVersion = 1;
 constexpr const char* kMagicToken = "v6d-checkpoint";
 constexpr const char* kMetaName = "meta";
 constexpr std::uint32_t kForcesMagic = 0x76364643;  // "v6FC"
@@ -58,10 +61,47 @@ bool fsync_dir(const std::string& dir) {
   return fsync_fd_path(dir.c_str(), O_RDONLY | O_DIRECTORY);
 }
 
+/// Write the file `name` of `dir` durably: `writer` fills `<name>.tmp`,
+/// whose bytes reach stable storage before the rename publishes the name,
+/// so a crash can never commit a meta that references a hole, and a
+/// same-step rewrite is atomic too.  The one writer of every payload and
+/// of the meta itself.
+template <class Writer>
+io::SnapshotStatus write_durable(const std::string& dir,
+                                 const std::string& name, Writer&& writer,
+                                 std::string* error) {
+  const std::string path = join(dir, name);
+  const std::string tmp = path + ".tmp";
+  auto status = writer(tmp);
+  if (status == io::SnapshotStatus::kOk && !fsync_file(tmp))
+    status = io::SnapshotStatus::kWriteFailed;
+  if (status != io::SnapshotStatus::kOk) {
+    set_error(error, tmp);
+    return status;
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    set_error(error, path);
+    return io::SnapshotStatus::kWriteFailed;
+  }
+  return io::SnapshotStatus::kOk;
+}
+
+/// Every payload file `meta` references: its shards, then the particles
+/// and the force cache when flagged.
+std::vector<std::string> referenced_payloads(const Checkpoint& meta) {
+  std::vector<std::string> names = meta.shard_files;
+  if (meta.has_particles) names.push_back(meta.particles_file);
+  if (meta.has_forces) names.push_back(meta.forces_file);
+  return names;
+}
+
 /// Best-effort sweep of payload files the committed meta does not
 /// reference (superseded steps, ranks of an older topology).
 void sweep_unreferenced_payloads(const std::string& dir,
                                  const Checkpoint& meta) {
+  const auto live = referenced_payloads(meta);
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (ec) break;
@@ -69,17 +109,22 @@ void sweep_unreferenced_payloads(const std::string& dir,
     const bool is_payload = name.rfind("phase_space.", 0) == 0 ||
                             name.rfind("particles.", 0) == 0 ||
                             name.rfind("forces.", 0) == 0;
-    if (!is_payload || name == meta.phase_space_file ||
-        name == meta.particles_file || name == meta.forces_file)
-      continue;
-    bool is_live_shard = false;
-    for (const auto& shard : meta.shard_files)
-      if (name == shard) {
-        is_live_shard = true;
-        break;
-      }
-    if (!is_live_shard) fs::remove(entry.path(), ec);
+    if (is_payload && std::find(live.begin(), live.end(), name) == live.end())
+      fs::remove(entry.path(), ec);
   }
+}
+
+/// Parse all of `text` as a T (integers in `base`): false when it is
+/// empty, out of range, or anything follows the number.
+template <class T>
+bool parse_number(const std::string& text, T& value, int base = 10) {
+  const char* end = text.data() + text.size();
+  std::from_chars_result parsed;
+  if constexpr (std::is_floating_point_v<T>)
+    parsed = std::from_chars(text.data(), end, value);
+  else
+    parsed = std::from_chars(text.data(), end, value, base);
+  return parsed.ec == std::errc() && parsed.ptr == end;
 }
 
 // fwrite/fread declare their buffer nonnull; an empty std::vector's
@@ -94,12 +139,6 @@ template <class T>
 bool read_raw(std::FILE* fp, T* data, std::size_t count) {
   if (count == 0) return true;
   return std::fread(data, sizeof(T), count, fp) == count;
-}
-
-}  // namespace
-
-bool fsync_file(const std::string& path) {
-  return fsync_fd_path(path.c_str(), O_RDONLY);
 }
 
 io::SnapshotStatus write_step_forces(
@@ -134,8 +173,7 @@ io::SnapshotStatus read_step_forces(const std::string& path,
   if (!read_raw(fp.get(), &magic, 1)) return io::SnapshotStatus::kShortRead;
   if (magic != kForcesMagic) return io::SnapshotStatus::kBadMagic;
   if (!read_raw(fp.get(), &version, 1)) return io::SnapshotStatus::kShortRead;
-  if (version < kMinVersion || version > kVersion)
-    return io::SnapshotStatus::kVersionMismatch;
+  if (version != kVersion) return io::SnapshotStatus::kVersionMismatch;
   if (!read_raw(fp.get(), &fresh, 1) || !read_raw(fp.get(), dims, 4) ||
       !read_raw(fp.get(), &n, 1))
     return io::SnapshotStatus::kShortRead;
@@ -187,11 +225,118 @@ io::SnapshotStatus read_step_forces(const std::string& path,
   return io::SnapshotStatus::kOk;
 }
 
+/// The meta's text: the version line, then key=value lines for the run's
+/// numbers, the payload names and sizes, and the config echo.
+io::SnapshotStatus write_meta(const std::string& path,
+                              const Checkpoint& meta) {
+  std::ofstream out(path);
+  if (!out) return io::SnapshotStatus::kOpenFailed;
+  char buf[64];
+  out << kMagicToken << " " << kVersion << "\n";
+  std::snprintf(buf, sizeof(buf), "%.17g", meta.a);
+  out << "a=" << buf << "\n";
+  out << "step=" << meta.step << "\n";
+  for (int i = 0; i < 4; ++i) {
+    std::snprintf(buf, sizeof(buf), "%" PRIx64, meta.rng.s[i]);
+    out << "rng.s" << i << "=" << buf << "\n";
+  }
+  out << "rng.cached=" << (meta.rng.have_cached_normal ? 1 : 0) << "\n";
+  std::snprintf(buf, sizeof(buf), "%.17g", meta.rng.cached_normal);
+  out << "rng.normal=" << buf << "\n";
+  out << "particles_file=" << meta.particles_file << "\n";
+  out << "forces_file=" << meta.forces_file << "\n";
+  out << "phase_space_shards=" << meta.shard_files.size() << "\n";
+  for (std::size_t r = 0; r < meta.shard_files.size(); ++r)
+    out << "shard" << r << "=" << meta.shard_files[r] << "\n";
+  for (const auto& [name, bytes] : meta.payload_bytes)
+    out << "bytes." << name << "=" << bytes << "\n";
+  for (const auto& [key, value] : meta.config.to_kv())
+    out << "cfg." << key << "=" << value << "\n";
+  out.flush();
+  return out ? io::SnapshotStatus::kOk : io::SnapshotStatus::kWriteFailed;
+}
+
+/// Tile the shards `meta` lists into the global phase space `f` by each
+/// shard's geometry origin (written brick-shifted), whatever rank count
+/// wrote them.  The solver was rebuilt with an empty phase space, so a
+/// shard set that under-covers (or doubly covers) the grid would silently
+/// resume from zeroed or overwritten bricks; track per-cell coverage and
+/// reject anything but an exact tiling.
+io::SnapshotStatus read_phase_space_shards(const std::string& dir,
+                                           const Checkpoint& meta,
+                                           vlasov::PhaseSpace& f,
+                                           std::string* error) {
+  const auto& gd = f.dims();
+  const auto& gg = f.geom();
+  std::vector<std::uint8_t> covered(gd.spatial_cells(), 0);
+  auto cover = [&](int i, int j, int k) -> std::uint8_t& {
+    return covered[(static_cast<std::size_t>(i) * gd.ny + j) * gd.nz + k];
+  };
+  for (const auto& name : meta.shard_files) {
+    const std::string path = join(dir, name);
+    vlasov::PhaseSpace shard;
+    const auto status = io::read_phase_space(path, shard);
+    if (status != io::SnapshotStatus::kOk) {
+      set_error(error, path);
+      return status;
+    }
+    const auto& sd = shard.dims();
+    const auto& sg = shard.geom();
+    const int oi = static_cast<int>(std::lround((sg.x0 - gg.x0) / gg.dx));
+    const int oj = static_cast<int>(std::lround((sg.y0 - gg.y0) / gg.dy));
+    const int ok = static_cast<int>(std::lround((sg.z0 - gg.z0) / gg.dz));
+    if (sd.nux != gd.nux || sd.nuy != gd.nuy || sd.nuz != gd.nuz ||
+        !mesh::BrickDecomposition::fits({oi, oj, ok}, {sd.nx, sd.ny, sd.nz},
+                                        {gd.nx, gd.ny, gd.nz})) {
+      set_error(error, path + ": shard does not fit the configured grid");
+      return io::SnapshotStatus::kBadHeader;
+    }
+    const std::size_t bytes = f.block_size() * sizeof(float);
+    for (int i = 0; i < sd.nx; ++i)
+      for (int j = 0; j < sd.ny; ++j)
+        for (int k = 0; k < sd.nz; ++k) {
+          if (cover(oi + i, oj + j, ok + k)++) {
+            set_error(error,
+                      path + ": shard overlaps an already restored brick");
+            return io::SnapshotStatus::kBadHeader;
+          }
+          std::memcpy(f.block(oi + i, oj + j, ok + k), shard.block(i, j, k),
+                      bytes);
+        }
+  }
+  if (std::find(covered.begin(), covered.end(), 0) != covered.end()) {
+    set_error(error, "checkpoint shards do not cover the configured grid");
+    return io::SnapshotStatus::kBadHeader;
+  }
+  return io::SnapshotStatus::kOk;
+}
+
+}  // namespace
+
+bool fsync_file(const std::string& path) {
+  return fsync_fd_path(path.c_str(), O_RDONLY);
+}
+
 unsigned checkpoint_version() { return kVersion; }
+
+std::string shard_file_name(std::int64_t step, int rank) {
+  return "phase_space." + std::to_string(step) + ".r" + std::to_string(rank) +
+         ".bin";
+}
+
+io::SnapshotStatus write_phase_space_shard(const std::string& dir,
+                                           std::int64_t step, int rank,
+                                           const vlasov::PhaseSpace& brick,
+                                           std::string* error) {
+  return write_durable(
+      dir, shard_file_name(step, rank),
+      [&](const std::string& tmp) { return io::write_phase_space(tmp, brick); },
+      error);
+}
 
 io::SnapshotStatus write_checkpoint(
     const std::string& dir, const Checkpoint& meta_in,
-    const vlasov::PhaseSpace* f, const nbody::Particles* cdm,
+    const nbody::Particles* cdm,
     const hybrid::HybridSolver::StepForces* forces, std::string* error) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -202,62 +347,19 @@ io::SnapshotStatus write_checkpoint(
 
   // Step-tagged payload names: a new checkpoint never touches the files
   // the current meta references, so the old checkpoint stays valid until
-  // the meta rename below commits the new one.  Each payload itself goes
-  // through tmp + rename so a same-step rewrite is also atomic.
+  // the meta rename below commits the new one.
   Checkpoint meta = meta_in;
   const std::string tag = std::to_string(meta.step);
-  const auto write_payload = [&](const std::string& name,
-                                 auto&& writer) -> io::SnapshotStatus {
-    const std::string path = join(dir, name);
-    const std::string tmp = path + ".tmp";
-    const auto status = writer(tmp);
-    if (status != io::SnapshotStatus::kOk) {
-      set_error(error, tmp);
-      return status;
-    }
-    // Durability before visibility: the payload's bytes must be on
-    // stable storage before the rename publishes the name, or a crash
-    // could commit a meta that references a hole.
-    if (!fsync_file(tmp)) {
-      set_error(error, tmp);
-      return io::SnapshotStatus::kWriteFailed;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-      set_error(error, path);
-      return io::SnapshotStatus::kWriteFailed;
-    }
-    const auto size = fs::file_size(path, ec);
-    if (ec) {
-      set_error(error, path);
-      return io::SnapshotStatus::kWriteFailed;
-    }
-    meta.payload_bytes[name] = static_cast<std::uint64_t>(size);
-    return io::SnapshotStatus::kOk;
-  };
-
-  if (meta.has_phase_space) {
-    if (!f) {
-      set_error(error, "phase-space payload flagged but not supplied");
-      return io::SnapshotStatus::kWriteFailed;
-    }
-    meta.phase_space_file = "phase_space." + tag + ".bin";
-    const auto status =
-        write_payload(meta.phase_space_file, [&](const std::string& tmp) {
-          return io::write_phase_space(tmp, *f);
-        });
-    if (status != io::SnapshotStatus::kOk) return status;
-  }
   if (meta.has_particles) {
     if (!cdm) {
       set_error(error, "particle payload flagged but not supplied");
       return io::SnapshotStatus::kWriteFailed;
     }
     meta.particles_file = "particles." + tag + ".bin";
-    const auto status =
-        write_payload(meta.particles_file, [&](const std::string& tmp) {
-          return io::write_particles(tmp, *cdm);
-        });
+    const auto status = write_durable(
+        dir, meta.particles_file,
+        [&](const std::string& tmp) { return io::write_particles(tmp, *cdm); },
+        error);
     if (status != io::SnapshotStatus::kOk) return status;
   }
   if (meta.has_forces) {
@@ -266,23 +368,23 @@ io::SnapshotStatus write_checkpoint(
       return io::SnapshotStatus::kWriteFailed;
     }
     meta.forces_file = "forces." + tag + ".bin";
-    const auto status =
-        write_payload(meta.forces_file, [&](const std::string& tmp) {
-          return write_step_forces(tmp, *forces);
-        });
+    const auto status = write_durable(
+        dir, meta.forces_file,
+        [&](const std::string& tmp) { return write_step_forces(tmp, *forces); },
+        error);
     if (status != io::SnapshotStatus::kOk) return status;
   }
 
-  // Distributed shards were written (and fsynced) by their owning ranks
-  // before the commit barrier; record their sizes so resume can tell a
-  // complete shard set from a torn one.
-  for (const auto& shard : meta.shard_files) {
-    const auto size = fs::file_size(join(dir, shard), ec);
+  // Record every payload's size — the shards were written (and fsynced)
+  // by their owning ranks before the commit barrier — so resume can tell
+  // a complete checkpoint from a torn one.
+  for (const auto& name : referenced_payloads(meta)) {
+    const auto size = fs::file_size(join(dir, name), ec);
     if (ec) {
-      set_error(error, join(dir, shard) + ": shard flagged but unreadable");
+      set_error(error, join(dir, name) + ": payload missing at commit");
       return io::SnapshotStatus::kOpenFailed;
     }
-    meta.payload_bytes[shard] = static_cast<std::uint64_t>(size);
+    meta.payload_bytes[name] = static_cast<std::uint64_t>(size);
   }
 
   // Payload renames must be durable before the meta that references them
@@ -291,54 +393,10 @@ io::SnapshotStatus write_checkpoint(
     set_error(error, dir + ": directory fsync failed");
     return io::SnapshotStatus::kWriteFailed;
   }
-
-  const std::string meta_path = join(dir, kMetaName);
-  const std::string tmp_path = meta_path + ".tmp";
-  {
-    std::ofstream out(tmp_path);
-    if (!out) {
-      set_error(error, tmp_path);
-      return io::SnapshotStatus::kOpenFailed;
-    }
-    char buf[64];
-    out << kMagicToken << " " << kVersion << "\n";
-    std::snprintf(buf, sizeof(buf), "%.17g", meta.a);
-    out << "a=" << buf << "\n";
-    out << "step=" << meta.step << "\n";
-    for (int i = 0; i < 4; ++i) {
-      std::snprintf(buf, sizeof(buf), "%" PRIx64, meta.rng.s[i]);
-      out << "rng.s" << i << "=" << buf << "\n";
-    }
-    out << "rng.cached=" << (meta.rng.have_cached_normal ? 1 : 0) << "\n";
-    std::snprintf(buf, sizeof(buf), "%.17g", meta.rng.cached_normal);
-    out << "rng.normal=" << buf << "\n";
-    out << "phase_space_file=" << meta.phase_space_file << "\n";
-    out << "particles_file=" << meta.particles_file << "\n";
-    out << "forces_file=" << meta.forces_file << "\n";
-    out << "phase_space_shards=" << meta.shard_files.size() << "\n";
-    for (std::size_t r = 0; r < meta.shard_files.size(); ++r)
-      out << "shard" << r << "=" << meta.shard_files[r] << "\n";
-    // Commit-time payload sizes (a version-2 reader that predates them
-    // ignores unknown fields, so no version bump).
-    for (const auto& [name, bytes] : meta.payload_bytes)
-      out << "bytes." << name << "=" << bytes << "\n";
-    for (const auto& [key, value] : meta.config.to_kv())
-      out << "cfg." << key << "=" << value << "\n";
-    out.flush();
-    if (!out) {
-      set_error(error, tmp_path);
-      return io::SnapshotStatus::kWriteFailed;
-    }
-  }
-  if (!fsync_file(tmp_path)) {
-    set_error(error, tmp_path);
-    return io::SnapshotStatus::kWriteFailed;
-  }
-  fs::rename(tmp_path, meta_path, ec);
-  if (ec) {
-    set_error(error, meta_path);
-    return io::SnapshotStatus::kWriteFailed;
-  }
+  const auto status = write_durable(
+      dir, kMetaName,
+      [&](const std::string& tmp) { return write_meta(tmp, meta); }, error);
+  if (status != io::SnapshotStatus::kOk) return status;
   // And make the commit itself durable.
   if (!fsync_dir(dir)) {
     set_error(error, dir + ": directory fsync failed");
@@ -346,8 +404,7 @@ io::SnapshotStatus write_checkpoint(
   }
 
   // Garbage-collect payloads superseded by the meta that just landed
-  // (best-effort; leftovers are harmless).  Per-rank shard payloads the
-  // new meta references are live too.
+  // (best-effort; leftovers are harmless).
   sweep_unreferenced_payloads(dir, meta);
   return io::SnapshotStatus::kOk;
 }
@@ -375,11 +432,10 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
     set_error(error, meta_path + ": missing version");
     return io::SnapshotStatus::kShortRead;
   }
-  if (version < kMinVersion || version > kVersion) {
-    std::ostringstream oss;
-    oss << meta_path << ": version " << version << ", expected "
-        << kMinVersion << ".." << kVersion;
-    set_error(error, oss.str());
+  if (version != kVersion) {
+    set_error(error, meta_path + ": format version " +
+                         std::to_string(version) + ", this build reads " +
+                         std::to_string(kVersion));
     return io::SnapshotStatus::kVersionMismatch;
   }
   in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
@@ -401,9 +457,18 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
       fields[key] = value;
   }
 
+  // Serial runs once wrote the whole phase space as one global payload;
+  // this build restores per-rank shards only.
+  if (!fields["phase_space_file"].empty()) {
+    set_error(error, meta_path +
+                         ": field 'phase_space_file' names a global "
+                         "phase-space payload; only per-rank shards are read");
+    return io::SnapshotStatus::kVersionMismatch;
+  }
   for (const char* required :
        {"a", "step", "rng.s0", "rng.s1", "rng.s2", "rng.s3", "rng.cached",
-        "rng.normal", "phase_space_file", "particles_file", "forces_file"}) {
+        "rng.normal", "particles_file", "forces_file",
+        "phase_space_shards"}) {
     if (!fields.count(required)) {
       set_error(error,
                 meta_path + ": missing field '" + std::string(required) + "'");
@@ -411,63 +476,63 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
     }
   }
 
-  meta.a = std::strtod(fields["a"].c_str(), nullptr);
-  meta.step = std::strtoll(fields["step"].c_str(), nullptr, 10);
-  for (int i = 0; i < 4; ++i)
-    meta.rng.s[i] = std::strtoull(
-        fields["rng.s" + std::to_string(i)].c_str(), nullptr, 16);
-  meta.rng.have_cached_normal = fields["rng.cached"] == "1";
-  meta.rng.cached_normal = std::strtod(fields["rng.normal"].c_str(), nullptr);
-  meta.phase_space_file = fields["phase_space_file"];
+  const auto bad_value = [&](const std::string& key) {
+    set_error(error, meta_path + ": bad value '" + fields[key] +
+                         "' in field '" + key + "'");
+    return io::SnapshotStatus::kBadHeader;
+  };
+  if (!parse_number(fields["a"], meta.a) || !std::isfinite(meta.a) ||
+      meta.a <= 0.0)
+    return bad_value("a");
+  if (!parse_number(fields["step"], meta.step) || meta.step < 0)
+    return bad_value("step");
+  for (int i = 0; i < 4; ++i) {
+    const std::string key = "rng.s" + std::to_string(i);
+    if (!parse_number(fields[key], meta.rng.s[i], 16)) return bad_value(key);
+  }
+  int cached = 0;
+  if (!parse_number(fields["rng.cached"], cached) || cached < 0 || cached > 1)
+    return bad_value("rng.cached");
+  meta.rng.have_cached_normal = cached == 1;
+  if (!parse_number(fields["rng.normal"], meta.rng.cached_normal) ||
+      !std::isfinite(meta.rng.cached_normal))
+    return bad_value("rng.normal");
+  long shards = 0;
+  if (!parse_number(fields["phase_space_shards"], shards) || shards < 0 ||
+      shards > 1 << 20)
+    return bad_value("phase_space_shards");
+
   meta.particles_file = fields["particles_file"];
   meta.forces_file = fields["forces_file"];
-  // Per-rank shard list (absent in checkpoints that hold one global
-  // phase-space payload).
-  meta.shard_files.clear();
-  if (fields.count("phase_space_shards")) {
-    const std::string& count_str = fields["phase_space_shards"];
-    char* end = nullptr;
-    const long shards = std::strtol(count_str.c_str(), &end, 10);
-    if (count_str.empty() || end == nullptr || *end != '\0' || shards < 0 ||
-        shards > 1 << 20) {
-      set_error(error, meta_path + ": implausible shard count '" +
-                           count_str + "'");
-      return io::SnapshotStatus::kBadHeader;
-    }
-    for (long r = 0; r < shards; ++r) {
-      const std::string key = "shard" + std::to_string(r);
-      if (!fields.count(key)) {
-        set_error(error, meta_path + ": missing field '" + key + "'");
-        return io::SnapshotStatus::kShortRead;
-      }
-      meta.shard_files.push_back(fields[key]);
-    }
-  }
-  // Reject path traversal: payload names must be plain file names inside
-  // the checkpoint directory.
-  std::vector<const std::string*> names = {
-      &meta.phase_space_file, &meta.particles_file, &meta.forces_file};
-  for (const auto& shard : meta.shard_files) names.push_back(&shard);
-  for (const auto* name : names)
-    if (name->find('/') != std::string::npos ||
-        name->find("..") != std::string::npos) {
-      set_error(error, meta_path + ": payload name escapes the directory");
-      return io::SnapshotStatus::kBadHeader;
-    }
-  meta.has_phase_space = !meta.phase_space_file.empty();
   meta.has_particles = !meta.particles_file.empty();
   meta.has_forces = !meta.forces_file.empty();
-  // Commit-time payload sizes (absent in older metas).
+  meta.shard_files.clear();
+  for (long r = 0; r < shards; ++r) {
+    const std::string key = "shard" + std::to_string(r);
+    if (!fields.count(key)) {
+      set_error(error, meta_path + ": missing field '" + key + "'");
+      return io::SnapshotStatus::kShortRead;
+    }
+    meta.shard_files.push_back(fields[key]);
+  }
   meta.payload_bytes.clear();
-  for (const auto& [key, value] : fields) {
-    if (key.rfind("bytes.", 0) != 0) continue;
-    char* end = nullptr;
-    const std::uint64_t bytes = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == nullptr || *end != '\0') {
-      set_error(error, meta_path + ": bad payload size '" + value + "'");
+  for (const auto& [key, value] : fields)
+    if (key.rfind("bytes.", 0) == 0 &&
+        !parse_number(value, meta.payload_bytes[key.substr(6)]))
+      return bad_value(key);
+  for (const auto& name : referenced_payloads(meta)) {
+    // Payload names must be plain file names inside the checkpoint
+    // directory (no path traversal).
+    if (name.find('/') != std::string::npos ||
+        name.find("..") != std::string::npos) {
+      set_error(error, meta_path + ": payload name '" + name +
+                           "' escapes the directory");
       return io::SnapshotStatus::kBadHeader;
     }
-    meta.payload_bytes[key.substr(6)] = bytes;
+    if (!meta.payload_bytes.count(name)) {
+      set_error(error, meta_path + ": missing field 'bytes." + name + "'");
+      return io::SnapshotStatus::kShortRead;
+    }
   }
   meta.config = SimulationConfig::from_kv(cfg_kv);
   return io::SnapshotStatus::kOk;
@@ -476,12 +541,7 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
 io::SnapshotStatus validate_checkpoint_payloads(const std::string& dir,
                                                 const Checkpoint& meta,
                                                 std::string* error) {
-  std::vector<std::string> names;
-  if (meta.has_phase_space) names.push_back(meta.phase_space_file);
-  if (meta.has_particles) names.push_back(meta.particles_file);
-  if (meta.has_forces) names.push_back(meta.forces_file);
-  for (const auto& shard : meta.shard_files) names.push_back(shard);
-  for (const auto& name : names) {
+  for (const auto& name : referenced_payloads(meta)) {
     const std::string path = join(dir, name);
     std::error_code ec;
     const auto size = fs::file_size(path, ec);
@@ -490,11 +550,14 @@ io::SnapshotStatus validate_checkpoint_payloads(const std::string& dir,
       return io::SnapshotStatus::kOpenFailed;
     }
     const auto recorded = meta.payload_bytes.find(name);
-    if (recorded != meta.payload_bytes.end() &&
+    if (recorded == meta.payload_bytes.end() ||
         static_cast<std::uint64_t>(size) != recorded->second) {
-      set_error(error, "torn checkpoint: " + path + " is " +
-                           std::to_string(size) + " bytes, meta recorded " +
-                           std::to_string(recorded->second));
+      set_error(error,
+                "torn checkpoint: " + path + " is " + std::to_string(size) +
+                    " bytes, meta recorded " +
+                    (recorded == meta.payload_bytes.end()
+                         ? std::string("no size")
+                         : std::to_string(recorded->second)));
       return io::SnapshotStatus::kShortRead;
     }
   }
@@ -527,40 +590,22 @@ void gc_checkpoint_leftovers(const std::string& dir) {
 }
 
 io::SnapshotStatus read_checkpoint_payload(
-    const std::string& dir, const Checkpoint& meta, vlasov::PhaseSpace* f,
-    nbody::Particles* cdm, hybrid::HybridSolver::StepForces* forces,
+    const std::string& dir, const Checkpoint& meta, vlasov::PhaseSpace& f,
+    nbody::Particles& cdm, hybrid::HybridSolver::StepForces& forces,
     std::string* error) {
-  if (meta.has_phase_space) {
-    if (!f) {
-      set_error(error, "phase-space payload flagged but no destination");
-      return io::SnapshotStatus::kBadHeader;
-    }
-    const std::string path = join(dir, meta.phase_space_file);
-    const auto status = io::read_phase_space(path, *f);
-    if (status != io::SnapshotStatus::kOk) {
-      set_error(error, path);
-      return status;
-    }
-  }
+  auto status = read_phase_space_shards(dir, meta, f, error);
+  if (status != io::SnapshotStatus::kOk) return status;
   if (meta.has_particles) {
-    if (!cdm) {
-      set_error(error, "particle payload flagged but no destination");
-      return io::SnapshotStatus::kBadHeader;
-    }
     const std::string path = join(dir, meta.particles_file);
-    const auto status = io::read_particles(path, *cdm);
+    status = io::read_particles(path, cdm);
     if (status != io::SnapshotStatus::kOk) {
       set_error(error, path);
       return status;
     }
   }
   if (meta.has_forces) {
-    if (!forces) {
-      set_error(error, "force-cache payload flagged but no destination");
-      return io::SnapshotStatus::kBadHeader;
-    }
     const std::string path = join(dir, meta.forces_file);
-    const auto status = read_step_forces(path, *forces);
+    status = read_step_forces(path, forces);
     if (status != io::SnapshotStatus::kOk) {
       set_error(error, path);
       return status;

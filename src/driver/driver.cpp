@@ -4,7 +4,6 @@
 #include <string>
 
 #include "driver/checkpoint.hpp"
-#include "driver/distributed.hpp"
 #include "driver/scenario.hpp"
 #include "io/perf_report.hpp"
 
@@ -75,46 +74,16 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   meta.config = SimulationConfig::from_kv(kv);
 
   Driver driver(meta.config, /*with_ics=*/false);
-
-  // The scenario was rebuilt with an empty phase space; a neutrino run
-  // whose meta carries neither a global payload (the layout serial runs
-  // wrote before they became world-1 runs of the rank loop) nor shards
-  // would silently continue from all-zero f, so refuse it here.
-  if (driver.solver_->neutrinos().dims().total_interior() > 0 &&
-      !meta.has_phase_space && meta.shard_files.empty())
-    throw std::runtime_error(
-        "checkpoint has no phase-space payload (global or shards) but the "
-        "configured scenario has neutrinos — corrupt or truncated meta");
-
-  // The scenario rebuild fixes the expected shapes; the payload must
-  // agree or the config was overridden incompatibly.
-  const auto expected_dims = driver.solver_->neutrinos().dims();
+  // The scenario rebuild fixes the expected shapes: the shards must tile
+  // its phase space exactly, or the config was overridden incompatibly.
   hybrid::HybridSolver::StepForces forces;
-  status = read_checkpoint_payload(dir, meta, &driver.solver_->neutrinos(),
-                                   &driver.solver_->cdm(), &forces, &detail);
+  status = read_checkpoint_payload(dir, meta, driver.solver_->neutrinos(),
+                                   driver.solver_->cdm(), forces, &detail);
   if (status != io::SnapshotStatus::kOk)
     throw std::runtime_error("cannot read checkpoint payload (" +
                              std::string(io::to_string(status)) +
                              "): " + detail);
-  if (!meta.shard_files.empty()) {
-    // Assemble the global phase space from the per-rank shards; the next
-    // run() re-shards it (bit-identically when ranks/decomp are
-    // unchanged).
-    status = assemble_phase_space_shards(dir, meta,
-                                         driver.solver_->neutrinos(), &detail);
-    if (status != io::SnapshotStatus::kOk)
-      throw std::runtime_error("cannot read checkpoint shards (" +
-                               std::string(io::to_string(status)) +
-                               "): " + detail);
-  }
   if (meta.has_forces) driver.solver_->import_step_forces(forces);
-  const auto& dims = driver.solver_->neutrinos().dims();
-  if (dims.nx != expected_dims.nx || dims.ny != expected_dims.ny ||
-      dims.nz != expected_dims.nz || dims.nux != expected_dims.nux ||
-      dims.nuy != expected_dims.nuy || dims.nuz != expected_dims.nuz)
-    throw std::runtime_error(
-        "checkpoint phase space does not match the configured scenario "
-        "shape (physics keys must not change across a resume)");
 
   driver.a_ = meta.a;
   driver.steps_ = meta.step;

@@ -33,14 +33,16 @@ struct Worker {
   int status = 0;
 };
 
-/// Fresh rendezvous directory for one worker generation.  Never reused
-/// across rounds: a relaunched world must not trip over `rank.<r>` files
-/// a dead predecessor left behind.
+/// Fresh rendezvous directory for one worker generation, under $TMPDIR
+/// (else /tmp).  Never reused across rounds: a relaunched world must not
+/// trip over `rank.<r>` files a dead predecessor left behind.
 std::string make_rendezvous_dir() {
-  char tmpl[] = "/tmp/v6d-supervise-XXXXXX";
-  if (!mkdtemp(tmpl))
-    throw std::runtime_error("supervise: mkdtemp failed: " +
-                             std::string(std::strerror(errno)));
+  const char* env = std::getenv("TMPDIR");
+  const std::string base = env && *env ? env : "/tmp";
+  std::string tmpl = base + "/v6d-supervise-XXXXXX";
+  if (!mkdtemp(tmpl.data()))
+    throw std::runtime_error("supervise: mkdtemp under " + base +
+                             " failed: " + std::strerror(errno));
   return tmpl;
 }
 

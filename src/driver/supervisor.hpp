@@ -4,9 +4,10 @@
 // scale a dying worker must cost a resume, not the campaign.  The
 // supervisor is the recovery tier above the comm layer's detection
 // (liveness deadlines) and retry (bounded backoff) tiers: it forks the
-// worker world (`v6d supervise`, or `spawn=N restart=on-failure`),
-// monitors it with waitpid, classifies every exit, garbage-collects torn
-// checkpoint debris, and relaunches from the latest complete shard set.
+// worker world of `v6d supervise` or of any `spawn=N` run (restart=never
+// is one unsupervised round), monitors it with waitpid, classifies every
+// exit, garbage-collects torn checkpoint debris, and relaunches from the
+// latest complete shard set.
 // Graceful degradation: when rounds keep failing without checkpoint
 // progress — the signature of a permanently lost host — the world shrinks
 // by one rank (down to min_world) and the run resumes on the smaller
@@ -47,7 +48,7 @@ struct SupervisorOptions {
   std::string command = "run";
   std::string target;
   int world = 2;
-  /// false = one round only, report the failure (spawn_world semantics).
+  /// false = one round only, report the failure (a plain spawn=N run).
   bool restart_on_failure = true;
   /// Total relaunches before giving up.
   int max_restarts = 16;

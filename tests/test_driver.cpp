@@ -4,9 +4,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/checkpoint.hpp"
@@ -67,6 +69,54 @@ void expect_bit_identical(const hybrid::HybridSolver& lhs,
     ASSERT_EQ(p1.uy[i], p2.uy[i]) << "uy differs at particle " << i;
     ASSERT_EQ(p1.uz[i], p2.uz[i]) << "uz differs at particle " << i;
     ASSERT_EQ(p1.id[i], p2.id[i]) << "id differs at particle " << i;
+  }
+}
+
+/// A two-shard checkpoint: vlasov_only nx=8 nu=6 at ranks=2, stopped after
+/// one step (shards phase_space.1.r0.bin and phase_space.1.r1.bin).
+std::string two_shard_checkpoint(const std::string& name) {
+  const std::string dir = temp_dir(name);
+  Options options;
+  options.set("nx", "8");
+  options.set("nu", "6");
+  options.set("ranks", "2");
+  options.set("max_steps", "1");
+  options.set("checkpoint_dir", dir);
+  driver::Driver d(driver::make_config(options, "vlasov_only"));
+  EXPECT_EQ(d.run().reason, driver::StopReason::kMaxSteps);
+  return dir;
+}
+
+/// Set field `key` of the meta in `dir` to `value` (appending the line
+/// when the meta has none), or drop the field when `value` is nullopt.
+void set_meta_field(const std::string& dir, const std::string& key,
+                    const std::optional<std::string>& value) {
+  const auto path = std::filesystem::path(dir) / "meta";
+  std::string text;
+  bool found = false;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind(key + "=", 0) == 0) {
+        found = true;
+        if (!value) continue;
+        line = key + "=" + *value;
+      }
+      text += line + "\n";
+    }
+  }
+  if (!found && value) text += key + "=" + *value + "\n";
+  std::ofstream(path) << text;
+}
+
+/// Driver::resume of `dir` must throw with `needle` in its message.
+void expect_resume_refused(const std::string& dir, const std::string& needle) {
+  try {
+    (void)driver::Driver::resume(dir);
+    ADD_FAILURE() << "resume of " << dir << " did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
   }
 }
 
@@ -175,56 +225,6 @@ TEST(Driver, CheckpointResumeIsBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
-// Serial runs wrote a global phase_space.<step>.bin payload and no shards
-// before they became world-1 runs of the rank loop.  Such a checkpoint,
-// written here through the free driver::write_checkpoint from a ranks = 1
-// run's state, must still resume bit-identically.
-TEST(Driver, GlobalPayloadCheckpointStillResumes) {
-  const std::string sharded = temp_dir("v6d_ckpt_sharded");
-  const std::string global = temp_dir("v6d_ckpt_global_payload");
-
-  auto cfg = tiny_config();
-  driver::Driver continuous(cfg);
-  continuous.run();
-
-  auto cfg2 = tiny_config();
-  cfg2.max_steps = 2;
-  cfg2.checkpoint_dir = sharded;
-  driver::Driver interrupted(cfg2);
-  ASSERT_EQ(interrupted.run().reason, driver::StopReason::kMaxSteps);
-
-  // The run's own meta, with the global payload in place of its shard.
-  driver::Checkpoint meta;
-  ASSERT_EQ(driver::read_checkpoint_meta(sharded, meta),
-            io::SnapshotStatus::kOk);
-  meta.shard_files.clear();
-  meta.payload_bytes.clear();
-  meta.has_phase_space = true;
-  const auto& solver = interrupted.solver();
-  const auto forces = solver.export_step_forces();
-  ASSERT_TRUE(meta.has_forces && forces.fresh);
-  ASSERT_EQ(driver::write_checkpoint(global, meta, &solver.neutrinos(),
-                                     &solver.cdm(), &forces),
-            io::SnapshotStatus::kOk);
-  ASSERT_TRUE(std::filesystem::exists(std::filesystem::path(global) /
-                                      "phase_space.2.bin"));
-  ASSERT_FALSE(std::filesystem::exists(std::filesystem::path(global) /
-                                       "phase_space.2.r0.bin"));
-
-  Options overrides;
-  overrides.set("max_steps", "0");
-  overrides.set("checkpoint_dir", "");
-  driver::Driver resumed = driver::Driver::resume(global, overrides);
-  EXPECT_EQ(resumed.step_count(), 2);
-  ASSERT_EQ(resumed.run().reason, driver::StopReason::kFinished);
-
-  EXPECT_EQ(resumed.step_count(), continuous.step_count());
-  EXPECT_EQ(resumed.scale_factor(), continuous.scale_factor());
-  expect_bit_identical(continuous.solver(), resumed.solver());
-  std::filesystem::remove_all(sharded);
-  std::filesystem::remove_all(global);
-}
-
 /// The phase_seconds keys of every row of a telemetry stream.
 std::vector<std::set<std::string>> telemetry_phase_keys(
     const std::string& path) {
@@ -310,6 +310,63 @@ TEST(Driver, ResumeOfMissingCheckpointThrows) {
                std::runtime_error);
 }
 
+// Resume tiles whatever shard set the meta lists into the rebuilt phase
+// space, and must refuse any set that is not an exact tiling of it before
+// a step runs.  Each case keeps the recorded sizes consistent, so only the
+// shard placement checks can catch it.
+TEST(Driver, ResumeRefusesADuplicatedShard) {
+  const auto dir = two_shard_checkpoint("v6d_shards_duplicated");
+  set_meta_field(dir, "shard1", "phase_space.1.r0.bin");
+  expect_resume_refused(dir, "overlaps");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Driver, ResumeRefusesAMissingShard) {
+  const auto dir = two_shard_checkpoint("v6d_shards_missing");
+  set_meta_field(dir, "phase_space_shards", "1");
+  set_meta_field(dir, "shard1", std::nullopt);
+  expect_resume_refused(dir, "do not cover");
+  std::filesystem::remove_all(dir);
+}
+
+/// Overwrite shard `name` of the checkpoint in `dir` with `shard` and
+/// record its new size.
+void replace_shard(const std::string& dir, const std::string& name,
+                   const vlasov::PhaseSpace& shard) {
+  const auto path = std::filesystem::path(dir) / name;
+  ASSERT_EQ(io::write_phase_space(path.string(), shard),
+            io::SnapshotStatus::kOk);
+  set_meta_field(dir, "bytes." + name,
+                 std::to_string(std::filesystem::file_size(path)));
+}
+
+TEST(Driver, ResumeRefusesAShardOfAnotherVelocityExtent) {
+  const auto dir = two_shard_checkpoint("v6d_shards_velocity");
+  const std::string name = "phase_space.1.r1.bin";
+  vlasov::PhaseSpace shard;
+  ASSERT_EQ(io::read_phase_space(
+                (std::filesystem::path(dir) / name).string(), shard),
+            io::SnapshotStatus::kOk);
+  auto dims = shard.dims();
+  dims.nux = dims.nuy = dims.nuz = 4;
+  replace_shard(dir, name, vlasov::PhaseSpace(dims, shard.geom()));
+  expect_resume_refused(dir, "does not fit");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Driver, ResumeRefusesAShardOutsideTheGrid) {
+  const auto dir = two_shard_checkpoint("v6d_shards_outside");
+  const std::string name = "phase_space.1.r1.bin";
+  vlasov::PhaseSpace shard;
+  ASSERT_EQ(io::read_phase_space(
+                (std::filesystem::path(dir) / name).string(), shard),
+            io::SnapshotStatus::kOk);
+  shard.geom().x0 += 8 * shard.geom().dx;  // one whole grid further along x
+  replace_shard(dir, name, shard);
+  expect_resume_refused(dir, "does not fit");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Checkpoint, MetaRoundTripsRngAndScaleFactor) {
   const std::string dir = temp_dir("v6d_ckpt_meta");
   std::filesystem::create_directories(dir);
@@ -321,7 +378,7 @@ TEST(Checkpoint, MetaRoundTripsRngAndScaleFactor) {
   meta.a = 1.0 / 7.0;
   meta.step = 42;
   meta.rng = rng.state();
-  ASSERT_EQ(driver::write_checkpoint(dir, meta, nullptr, nullptr, nullptr),
+  ASSERT_EQ(driver::write_checkpoint(dir, meta, nullptr, nullptr),
             io::SnapshotStatus::kOk);
 
   driver::Checkpoint back;
@@ -368,6 +425,98 @@ TEST(Checkpoint, CorruptMetaReportsDistinctErrors) {
   EXPECT_EQ(driver::read_checkpoint_meta(dir, meta),
             io::SnapshotStatus::kShortRead);
   std::filesystem::remove_all(dir);
+}
+
+/// A copy of the checkpoint `source` in a fresh temp directory `name`.
+std::string copy_checkpoint(const std::string& source,
+                            const std::string& name) {
+  const auto dir = temp_dir(name);
+  std::filesystem::copy(source, dir,
+                        std::filesystem::copy_options::recursive);
+  return dir;
+}
+
+/// read_checkpoint_meta must refuse `dir` with `status` and an error
+/// holding `needle`, and Driver::resume must throw with it too.
+void expect_meta_refused(const std::string& dir, io::SnapshotStatus status,
+                         const std::string& needle) {
+  driver::Checkpoint meta;
+  std::string error;
+  EXPECT_EQ(driver::read_checkpoint_meta(dir, meta, &error), status)
+      << needle;
+  EXPECT_NE(error.find(needle), std::string::npos) << error;
+  expect_resume_refused(dir, needle);
+}
+
+// Layouts this build does not read are refused by the meta alone, before
+// any payload is opened: a version-1 meta, a meta naming the one global
+// phase-space payload serial runs wrote before they became world-1 runs,
+// and a meta referencing a payload whose size it did not record.
+TEST(Checkpoint, RetiredLayoutsAreRefusedByTheMeta) {
+  const auto source = two_shard_checkpoint("v6d_ckpt_retired_source");
+
+  auto dir = copy_checkpoint(source, "v6d_ckpt_retired");
+  {
+    const auto path = std::filesystem::path(dir) / "meta";
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    const std::string header = "v6d-checkpoint 2\n";
+    ASSERT_EQ(text.rfind(header, 0), 0u);
+    std::ofstream(path) << "v6d-checkpoint 1\n" << text.substr(header.size());
+  }
+  expect_meta_refused(dir, io::SnapshotStatus::kVersionMismatch,
+                      "version 1");
+
+  dir = copy_checkpoint(source, "v6d_ckpt_retired");
+  set_meta_field(dir, "phase_space_file", "phase_space.1.bin");
+  expect_meta_refused(dir, io::SnapshotStatus::kVersionMismatch,
+                      "field 'phase_space_file'");
+
+  dir = copy_checkpoint(source, "v6d_ckpt_retired");
+  set_meta_field(dir, "bytes.phase_space.1.r1.bin", std::nullopt);
+  expect_meta_refused(dir, io::SnapshotStatus::kShortRead,
+                      "field 'bytes.phase_space.1.r1.bin'");
+
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(source);
+}
+
+// Every number in the meta must parse to its end: trailing characters, an
+// empty value, or a scale factor that is not finite and > 0 is refused
+// with kBadHeader naming the field, by the meta reader and by resume.
+TEST(Checkpoint, MetaNumbersMustParseToTheirEnd) {
+  const auto source = two_shard_checkpoint("v6d_ckpt_numbers_source");
+  const std::vector<std::pair<std::string, std::string>> corruptions = {
+      {"a", "1.2.3"},
+      {"a", "0"},
+      {"a", "-0.25"},
+      {"a", "inf"},
+      {"a", ""},
+      {"step", "abc"},
+      {"step", "2x"},
+      {"step", "-1"},
+      {"rng.s0", "12g"},
+      {"rng.s1", ""},
+      {"rng.s2", "0x1f"},
+      {"rng.s3", "-1"},
+      {"rng.cached", "2"},
+      {"rng.cached", "1 "},
+      {"rng.normal", "0.5e"},
+      {"rng.normal", "nan"},
+      {"phase_space_shards", "2a"},
+      {"bytes.phase_space.1.r0.bin", "12z"},
+  };
+  for (const auto& [field, value] : corruptions) {
+    SCOPED_TRACE(field + "=" + value);
+    const auto dir = copy_checkpoint(source, "v6d_ckpt_numbers");
+    set_meta_field(dir, field, value);
+    expect_meta_refused(dir, io::SnapshotStatus::kBadHeader,
+                        "field '" + field + "'");
+    std::filesystem::remove_all(dir);
+  }
+  std::filesystem::remove_all(source);
 }
 
 }  // namespace

@@ -588,6 +588,22 @@ TEST(DistributedMoments, LocalDensityBricksAssembleToSerialDensity) {
 // Per-rank checkpoint shards
 // ---------------------------------------------------------------------------
 
+/// Each named payload exists in both checkpoint directories with the same
+/// bytes.
+void expect_same_payloads(const std::string& dir_a, const std::string& dir_b,
+                          const std::vector<std::string>& payloads) {
+  for (const auto& payload : payloads) {
+    std::ifstream a(std::filesystem::path(dir_a) / payload, std::ios::binary);
+    std::ifstream b(std::filesystem::path(dir_b) / payload, std::ios::binary);
+    ASSERT_TRUE(a.good() && b.good()) << payload;
+    const std::string bytes_a((std::istreambuf_iterator<char>(a)),
+                              std::istreambuf_iterator<char>());
+    const std::string bytes_b((std::istreambuf_iterator<char>(b)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes_a, bytes_b) << payload;
+  }
+}
+
 TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
   namespace fs = std::filesystem;
   const auto base_dir = fs::temp_directory_path() / "v6d_dist_ckpt";
@@ -622,26 +638,49 @@ TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
 
   // The checkpoints written at step 4 must agree bit for bit: shards,
   // particles, and the step-boundary force cache.
-  for (int r = 0; r < 2; ++r) {
-    const std::string shard = "phase_space.4.r" + std::to_string(r) + ".bin";
-    std::ifstream a(fs::path(dir_full) / shard, std::ios::binary);
-    std::ifstream b(fs::path(dir_resumed) / shard, std::ios::binary);
-    ASSERT_TRUE(a.good() && b.good()) << shard;
-    const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                              std::istreambuf_iterator<char>());
-    const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                              std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes_a, bytes_b) << shard;
-  }
-  for (const char* payload : {"particles.4.bin", "forces.4.bin"}) {
-    std::ifstream a(fs::path(dir_full) / payload, std::ios::binary);
-    std::ifstream b(fs::path(dir_resumed) / payload, std::ios::binary);
-    ASSERT_TRUE(a.good() && b.good()) << payload;
-    const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                              std::istreambuf_iterator<char>());
-    const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                              std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes_a, bytes_b) << payload;
+  expect_same_payloads(dir_full, dir_resumed,
+                       {"phase_space.4.r0.bin", "phase_space.4.r1.bin",
+                        "particles.4.bin", "forces.4.bin"});
+  fs::remove_all(base_dir);
+}
+
+// The supervisor's shrink path: a checkpoint written at 4 ranks resumes at
+// 1 and at 2 ranks bit-identically with an uninterrupted run at that rank
+// count, because resume tiles the shards back whatever rank count wrote
+// them.
+TEST(DistributedCheckpoint, ResumeUnderAnotherRankCountIsBitIdentical) {
+  namespace fs = std::filesystem;
+  const auto base_dir = fs::temp_directory_path() / "v6d_dist_ckpt_ranks";
+  fs::remove_all(base_dir);
+  const std::string written = (base_dir / "ranks4").string();
+  auto cfg = make_cfg("vlasov_only", {{"nx", "8"}, {"nu", "6"}});
+  cfg.ranks = 4;
+  cfg.max_steps = 2;
+  cfg.checkpoint_dir = written;
+  driver::Driver(cfg).run();
+
+  for (const int ranks : {1, 2}) {
+    const std::string tag = std::to_string(ranks);
+    auto cfg_full = cfg;
+    cfg_full.ranks = ranks;
+    cfg_full.max_steps = 4;
+    cfg_full.checkpoint_dir = (base_dir / ("full" + tag)).string();
+    driver::Driver(cfg_full).run();
+
+    Options overrides;
+    overrides.set("ranks", tag);
+    overrides.set("max_steps", "4");
+    overrides.set("checkpoint_dir", (base_dir / ("resumed" + tag)).string());
+    driver::Driver resumed = driver::Driver::resume(written, overrides);
+    EXPECT_EQ(resumed.step_count(), 2);
+    resumed.run();
+    EXPECT_EQ(resumed.step_count(), 4);
+
+    std::vector<std::string> payloads = {"forces.4.bin"};
+    for (int r = 0; r < ranks; ++r)
+      payloads.push_back("phase_space.4.r" + std::to_string(r) + ".bin");
+    expect_same_payloads(cfg_full.checkpoint_dir,
+                         (base_dir / ("resumed" + tag)).string(), payloads);
   }
   fs::remove_all(base_dir);
 }

@@ -263,12 +263,12 @@ std::string temp_dir(const std::string& name) {
   return path.string();
 }
 
-/// First payload file the committed meta references (shards preferred).
+/// First phase-space shard the committed meta references.
 std::string any_payload(const std::string& dir) {
   driver::Checkpoint meta;
   EXPECT_EQ(driver::read_checkpoint_meta(dir, meta), io::SnapshotStatus::kOk);
-  if (!meta.shard_files.empty()) return meta.shard_files.front();
-  return meta.phase_space_file;
+  EXPECT_FALSE(meta.shard_files.empty());
+  return meta.shard_files.empty() ? std::string() : meta.shard_files.front();
 }
 
 TEST(TornCheckpoint, TruncatedShardIsRejectedOnResume) {
