@@ -1,7 +1,13 @@
 #include "comm/runner.hpp"
 
+#include <sched.h>
 #include <unistd.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -33,6 +39,14 @@ std::string make_temp_rendezvous() {
 
 }  // namespace
 
+int rank_cpu_share(int ranks) {
+  if (std::getenv("OMP_NUM_THREADS")) return 0;
+  int cpus = static_cast<int>(std::thread::hardware_concurrency());
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
+  return std::max(1, cpus / std::max(1, ranks));
+}
+
 void run_transport(int nranks, const LaunchOptions& options,
                    const std::function<void(Communicator&)>& fn) {
   const bool tcp = options.backend == "tcp";
@@ -55,10 +69,14 @@ void run_transport(int nranks, const LaunchOptions& options,
   threads.reserve(static_cast<std::size_t>(nranks));
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  [[maybe_unused]] const int team = rank_cpu_share(nranks);
 
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
       log::set_rank(r);
+#ifdef _OPENMP
+      if (team > 0) omp_set_num_threads(team);
+#endif
       std::unique_ptr<Transport> transport;
       try {
         if (tcp) {

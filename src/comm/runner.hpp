@@ -41,10 +41,18 @@ struct LaunchOptions {
       wrap;
 };
 
+/// The OpenMP threads each of `ranks` ranks sharing this host takes: an
+/// equal share (at least one) of the CPUs this process may run on, or 0
+/// when OMP_NUM_THREADS is set and stands.  Without it each rank's team
+/// spin-waits on cores the other ranks need.  run_transport's rank
+/// threads apply it; the supervisor exports it to the processes it forks.
+int rank_cpu_share(int ranks);
+
 /// Run fn(comm) on `nranks` ranks over the requested backend with
 /// comm::run's error semantics: secondary AbortedError unwinds are
 /// dropped, the first real exception aborts the world and is rethrown on
-/// the caller.
+/// the caller.  Each rank thread's OpenMP teams take rank_cpu_share(nranks)
+/// threads.
 void run_transport(int nranks, const LaunchOptions& options,
                    const std::function<void(Communicator&)>& fn);
 

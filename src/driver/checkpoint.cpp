@@ -5,18 +5,19 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <system_error>
 #include <type_traits>
 
-#include "mesh/decomposition.hpp"
+#include "vlasov/brick.hpp"
 
 namespace v6d::driver {
 
@@ -65,24 +66,28 @@ bool fsync_dir(const std::string& dir) {
 /// whose bytes reach stable storage before the rename publishes the name,
 /// so a crash can never commit a meta that references a hole, and a
 /// same-step rewrite is atomic too.  The one writer of every payload and
-/// of the meta itself.
+/// of the meta itself; on failure *error names the file and the OS cause.
 template <class Writer>
 io::SnapshotStatus write_durable(const std::string& dir,
                                  const std::string& name, Writer&& writer,
                                  std::string* error) {
   const std::string path = join(dir, name);
   const std::string tmp = path + ".tmp";
+  errno = 0;
   auto status = writer(tmp);
   if (status == io::SnapshotStatus::kOk && !fsync_file(tmp))
     status = io::SnapshotStatus::kWriteFailed;
   if (status != io::SnapshotStatus::kOk) {
-    set_error(error, tmp);
+    std::string why = tmp;
+    if (errno)
+      why += ": " + std::error_code(errno, std::system_category()).message();
+    set_error(error, why);
     return status;
   }
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
-    set_error(error, path);
+    set_error(error, path + ": " + ec.message());
     return io::SnapshotStatus::kWriteFailed;
   }
   return io::SnapshotStatus::kOk;
@@ -256,56 +261,33 @@ io::SnapshotStatus write_meta(const std::string& path,
   return out ? io::SnapshotStatus::kOk : io::SnapshotStatus::kWriteFailed;
 }
 
-/// Tile the shards `meta` lists into the global phase space `f` by each
-/// shard's geometry origin (written brick-shifted), whatever rank count
-/// wrote them.  The solver was rebuilt with an empty phase space, so a
-/// shard set that under-covers (or doubly covers) the grid would silently
-/// resume from zeroed or overwritten bricks; track per-cell coverage and
-/// reject anything but an exact tiling.
+/// Place the shards `meta` lists into the global phase space `f` by each
+/// shard's geometry origin, whatever rank count wrote them.  The solver
+/// was rebuilt with an empty phase space, so the placement must tile it
+/// exactly: a misfit, an overlap or a hole would resume from zeroed or
+/// overwritten bricks.
 io::SnapshotStatus read_phase_space_shards(const std::string& dir,
                                            const Checkpoint& meta,
                                            vlasov::PhaseSpace& f,
                                            std::string* error) {
-  const auto& gd = f.dims();
-  const auto& gg = f.geom();
-  std::vector<std::uint8_t> covered(gd.spatial_cells(), 0);
-  auto cover = [&](int i, int j, int k) -> std::uint8_t& {
-    return covered[(static_cast<std::size_t>(i) * gd.ny + j) * gd.nz + k];
-  };
+  vlasov::BrickPlacement placement(f);
+  std::string why;
   for (const auto& name : meta.shard_files) {
     const std::string path = join(dir, name);
-    vlasov::PhaseSpace shard;
-    const auto status = io::read_phase_space(path, shard);
+    std::vector<std::uint8_t> bytes;
+    vlasov::BrickView shard;
+    const auto status = io::read_phase_space(path, bytes, shard);
     if (status != io::SnapshotStatus::kOk) {
       set_error(error, path);
       return status;
     }
-    const auto& sd = shard.dims();
-    const auto& sg = shard.geom();
-    const int oi = static_cast<int>(std::lround((sg.x0 - gg.x0) / gg.dx));
-    const int oj = static_cast<int>(std::lround((sg.y0 - gg.y0) / gg.dy));
-    const int ok = static_cast<int>(std::lround((sg.z0 - gg.z0) / gg.dz));
-    if (sd.nux != gd.nux || sd.nuy != gd.nuy || sd.nuz != gd.nuz ||
-        !mesh::BrickDecomposition::fits({oi, oj, ok}, {sd.nx, sd.ny, sd.nz},
-                                        {gd.nx, gd.ny, gd.nz})) {
-      set_error(error, path + ": shard does not fit the configured grid");
+    if (!placement.place(shard, &why)) {
+      set_error(error, path + ": shard " + why);
       return io::SnapshotStatus::kBadHeader;
     }
-    const std::size_t bytes = f.block_size() * sizeof(float);
-    for (int i = 0; i < sd.nx; ++i)
-      for (int j = 0; j < sd.ny; ++j)
-        for (int k = 0; k < sd.nz; ++k) {
-          if (cover(oi + i, oj + j, ok + k)++) {
-            set_error(error,
-                      path + ": shard overlaps an already restored brick");
-            return io::SnapshotStatus::kBadHeader;
-          }
-          std::memcpy(f.block(oi + i, oj + j, ok + k), shard.block(i, j, k),
-                      bytes);
-        }
   }
-  if (std::find(covered.begin(), covered.end(), 0) != covered.end()) {
-    set_error(error, "checkpoint shards do not cover the configured grid");
+  if (!placement.complete(&why)) {
+    set_error(error, "checkpoint shards " + why);
     return io::SnapshotStatus::kBadHeader;
   }
   return io::SnapshotStatus::kOk;
@@ -341,7 +323,8 @@ io::SnapshotStatus write_checkpoint(
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
-    set_error(error, "cannot create checkpoint directory " + dir);
+    set_error(error,
+              "cannot create checkpoint directory " + dir + ": " + ec.message());
     return io::SnapshotStatus::kOpenFailed;
   }
 

@@ -8,7 +8,8 @@
 //                  exact)
 //   phase_space.<step>.r<k>.bin
 //                  one io::snapshot phase-space shard per rank (rank k's
-//                  brick; a serial run writes the one shard .r0)
+//                  brick; a serial run writes the one shard .r0), the
+//                  encoding HybridSolver::gather_into sends too
 //   particles.<step>.bin
 //                  the io::snapshot particle payload
 //   forces.<step>.bin
@@ -25,9 +26,9 @@
 // point.  A run killed mid-checkpoint therefore leaves the previous
 // checkpoint fully intact — never a torn one.  Superseded payloads are
 // garbage-collected after the meta lands.  Restarting rebuilds the solver
-// from the echoed config, tiles the shards back into its global phase
-// space, and continues bit-identically with the uninterrupted run
-// (tests/test_driver.cpp, tests/test_parallel.cpp).
+// from the echoed config (its launch wiring aside), places the shards
+// back into its global phase space, and continues bit-identically with
+// the uninterrupted run (tests/test_driver.cpp, tests/test_parallel.cpp).
 #pragma once
 
 #include <cstdint>
@@ -78,7 +79,7 @@ std::string shard_file_name(std::int64_t step, int rank);
 /// Durably write `brick` as rank `rank`'s shard of the checkpoint at
 /// `step` into `dir` (which must exist).  Every rank calls this before
 /// rank 0 commits the meta that lists the shards.  On failure *error
-/// names the offending file.
+/// names the offending file and the OS cause.
 io::SnapshotStatus write_phase_space_shard(const std::string& dir,
                                            std::int64_t step, int rank,
                                            const vlasov::PhaseSpace& brick,
@@ -123,11 +124,11 @@ void gc_checkpoint_leftovers(const std::string& dir);
 bool fsync_file(const std::string& path);
 
 /// Read the payloads `meta` references into a freshly built solver's
-/// state.  The shards are tiled into the global phase space `f` by their
-/// geometry origins — whatever rank count wrote them — and must cover it
-/// exactly: a shard of another velocity extent or outside the grid, an
-/// overlap, or an uncovered cell is refused (kBadHeader).  Particles and
-/// the force cache are read when flagged.
+/// state.  The shards are placed into the global phase space `f` by their
+/// geometry origins — whatever rank count wrote them — through one
+/// vlasov::BrickPlacement and must tile it exactly: a shard that does not
+/// fit, an overlap, or an uncovered cell is refused (kBadHeader).
+/// Particles and the force cache are read when flagged.
 io::SnapshotStatus read_checkpoint_payload(
     const std::string& dir, const Checkpoint& meta, vlasov::PhaseSpace& f,
     nbody::Particles& cdm, hybrid::HybridSolver::StepForces& forces,

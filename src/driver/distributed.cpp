@@ -2,6 +2,7 @@
 // Driver class comment).
 #include "driver/distributed.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include "driver/telemetry.hpp"
 #include "io/snapshot.hpp"
 #include "parallel/decomp_plan.hpp"
+#include "simd/dispatch.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::driver {
@@ -24,31 +26,55 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// The failure of the lowest rank that has one (`mine` empty: none), the
+/// same on every rank; empty when no rank failed (collective).
+std::string first_failure(comm::Communicator& comm, const std::string& mine) {
+  const std::int64_t failed = mine.empty() ? 0 : 1;
+  const auto all = comm.allgather(&failed, 1);
+  const auto first = std::find(all.begin(), all.end(), 1);
+  if (first == all.end()) return {};
+  const int root = static_cast<int>(first - all.begin());
+  std::string text = mine;
+  auto length = static_cast<std::int64_t>(text.size());
+  comm.bcast(&length, 1, root);
+  text.resize(static_cast<std::size_t>(length));
+  comm.bcast(text.data(), text.size(), root);
+  return text;
+}
+
 /// Collective checkpoint write, the one writer of every run: each rank
 /// writes its own phase-space shard (concurrent I/O; a serial run writes
-/// the single shard `.r0`), a barrier orders them before rank 0 commits
-/// the meta referencing all of them.  Any rank's failure aborts all ranks
-/// with the same error (the allreduce makes the decision uniform, so no
-/// rank proceeds to a half-written commit).
+/// the single shard `.r0`) before rank 0 commits the meta referencing all
+/// of them.  Any rank's failure aborts all ranks with the lowest failing
+/// rank's error, which names the directory or file and the OS cause, so
+/// no rank proceeds to a half-written commit.
 void write_rank_checkpoint(const SimulationConfig& cfg,
                            const Xoshiro256::State& rng,
                            const hybrid::HybridSolver& ds,
                            comm::Communicator& comm, const std::string& dir,
                            double a, std::int64_t step) {
-  std::error_code ec;
-  if (comm.rank() == 0) fs::create_directories(dir, ec);
-  comm.barrier();
+  std::string failure;
+  if (comm.rank() == 0) {
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    if (ec)
+      failure = "cannot create checkpoint directory " + dir + ": " +
+                ec.message();
+  }
+  comm.barrier();  // the directory exists before any shard is written
 
-  std::int64_t failed = 0;
-  if (ds.has_neutrinos() &&
-      write_phase_space_shard(dir, step, comm.rank(), ds.neutrinos()) !=
-          io::SnapshotStatus::kOk)
-    failed = 1;
-  failed = comm.allreduce_sum(failed);
-  if (failed > 0)
-    throw std::runtime_error("cannot write checkpoint: " +
-                             std::to_string(failed) +
-                             " rank(s) failed to write phase-space shards");
+  std::string detail;
+  if (failure.empty() && ds.has_neutrinos()) {
+    const auto status =
+        write_phase_space_shard(dir, step, comm.rank(), ds.neutrinos(), &detail);
+    if (status != io::SnapshotStatus::kOk)
+      failure = "rank " + std::to_string(comm.rank()) +
+                " cannot write its phase-space shard (" +
+                io::to_string(status) + "): " + detail;
+  }
+  failure = first_failure(comm, failure);
+  if (!failure.empty())
+    throw std::runtime_error("cannot write checkpoint: " + failure);
 
   // Gather the step-boundary force cache (collective) before the commit.
   const auto forces = ds.export_step_forces();
@@ -239,6 +265,7 @@ RunResult Driver::run() {
     if (own_driver) {
       a_ = a;
       steps_ = steps;
+      rank_threads_ = simd::thread_count();
       result.reason = reason;
       result.steps = steps_here;
       result.checkpoint = checkpoint_written;

@@ -67,8 +67,13 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   // Apply only keys the caller set explicitly.  A plain apply() would let
   // stray V6D_* environment variables override the checkpointed config
   // for every key the caller left alone — silently breaking bit-identical
-  // continuation.  The checkpoint echo outranks the environment.
+  // continuation.  The checkpoint echo outranks the environment, except
+  // for the launch wiring: how this process joins a world is the caller's
+  // (a supervisor passes its own), never that of the run that wrote the
+  // checkpoint, so a spawned run's checkpoint resumes in process too.
   auto kv = meta.config.to_kv();
+  for (const char* launch : {"transport", "rank", "world", "transport_hosts"})
+    kv.erase(launch);
   for (const auto& key : overrides.keys())
     kv[key] = overrides.get(key, "");
   meta.config = SimulationConfig::from_kv(kv);
@@ -98,6 +103,9 @@ void Driver::write_perf_report(const std::string& path) const {
   report.context["steps"] = std::to_string(static_cast<long long>(steps_));
   report.context["ranks"] = std::to_string(cfg_.ranks);
   report.context["transport"] = cfg_.transport;
+  // What a rank ran on: thread ranks share the host's CPUs.
+  if (rank_threads_ > 0)
+    report.context["threads"] = std::to_string(rank_threads_);
 
   // Driver buckets (step / step-control / checkpoint-io) and the solver's
   // force/sweep buckets (vlasov / pm / tree / vlasov-moments) share one

@@ -84,6 +84,7 @@ class Driver {
   Xoshiro256 rng_;
   double a_ = 0.0;
   std::int64_t steps_ = 0;
+  int rank_threads_ = 0;  // OpenMP threads of the lead rank's last run()
   TimerRegistry timers_;
 };
 

@@ -1,6 +1,5 @@
 #include "driver/supervisor.hpp"
 
-#include <sched.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -17,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/runner.hpp"
 #include "common/timer.hpp"
 #include "driver/checkpoint.hpp"
 
@@ -69,7 +69,9 @@ pid_t launch_worker(const SupervisorOptions& options, const std::string& verb,
   // A shrunk world cannot keep a decomposition chosen for the original
   // rank count; let the factorizer re-split the grid.
   if (shrunk) args.emplace_back("decomp=auto");
-  share_cpus_with_ranks(world);
+  // The rank processes share this host's CPUs as thread ranks do.
+  if (const int threads = comm::rank_cpu_share(world))
+    setenv("OMP_NUM_THREADS", std::to_string(threads).c_str(), 1);
 
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -224,15 +226,6 @@ const char* to_string(ExitClass c) {
       return "fatal";
   }
   return "unknown";
-}
-
-void share_cpus_with_ranks(int world) {
-  if (std::getenv("OMP_NUM_THREADS")) return;
-  int cpus = static_cast<int>(std::thread::hardware_concurrency());
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
-  const int threads = std::max(1, cpus / std::max(1, world));
-  setenv("OMP_NUM_THREADS", std::to_string(threads).c_str(), 1);
 }
 
 SupervisedRun run_supervised(const SupervisorOptions& options) {

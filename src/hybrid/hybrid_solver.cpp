@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -11,8 +9,10 @@
 #include "comm/context.hpp"
 #include "comm/inproc_transport.hpp"
 #include "common/trace.hpp"
+#include "io/snapshot.hpp"
 #include "mesh/interp.hpp"
 #include "parallel/decomp_plan.hpp"
+#include "vlasov/brick.hpp"
 
 namespace v6d::hybrid {
 
@@ -42,30 +42,6 @@ void finish_behind(bool overlap, Hidden&& hidden, Finish&& finish) {
     finish();
     hidden();
   }
-}
-
-/// Local phase-space brick of the global f: same geometry with the origin
-/// shifted to this rank's offset, interior blocks copied.
-vlasov::PhaseSpace make_local_brick(const vlasov::PhaseSpace& global,
-                                    const mesh::BrickDecomposition& dec) {
-  vlasov::PhaseSpaceDims dims = global.dims();
-  dims.nx = dec.local_n(0);
-  dims.ny = dec.local_n(1);
-  dims.nz = dec.local_n(2);
-  vlasov::PhaseSpaceGeometry geom = global.geom();
-  geom.x0 += dec.offset(0) * geom.dx;
-  geom.y0 += dec.offset(1) * geom.dy;
-  geom.z0 += dec.offset(2) * geom.dz;
-  vlasov::PhaseSpace local(dims, geom);
-  const std::size_t bytes = global.block_size() * sizeof(float);
-  for (int i = 0; i < dims.nx; ++i)
-    for (int j = 0; j < dims.ny; ++j)
-      for (int k = 0; k < dims.nz; ++k)
-        std::memcpy(local.block(i, j, k),
-                    global.block(dec.offset(0) + i, dec.offset(1) + j,
-                                 dec.offset(2) + k),
-                    bytes);
-  return local;
 }
 
 /// Inject the 0th velocity moment `rho_v` of `f` (on its spatial grid)
@@ -208,7 +184,10 @@ HybridSolver::HybridSolver(const HybridSolver& global,
   if (global.comm_.size() != 1)
     throw std::invalid_argument(
         "HybridSolver: only a world-1 solver can be sliced into ranks");
-  if (has_nu_) f_ = make_local_brick(global.f_, dec_);
+  if (has_nu_)
+    f_ = vlasov::extract_brick(
+        global.f_, {dec_.offset(0), dec_.offset(1), dec_.offset(2)},
+        {dec_.local_n(0), dec_.local_n(1), dec_.local_n(2)});
   cdm_ = global.cdm_;
   // A world-1 cache is in global layout.  Carrying a fresh one across the
   // slicing keeps a resumed run bit-identical (recomputing it would only
@@ -669,63 +648,32 @@ void HybridSolver::import_step_forces(const StepForces& sf) {
 }
 
 void HybridSolver::gather_into(HybridSolver& global) {
-  if (has_nu_) {
-    // Every other rank ships its brick to rank 0 as one message — [6 x
-    // int32 placement header][blocks in i,j,k order] — and rank 0 places
-    // each by the sender's own offsets, checked like a checkpoint shard's.
-    const std::size_t bytes = f_.block_size() * sizeof(float);
-    if (comm_.rank() == 0) {
-      vlasov::PhaseSpace& gf = global.neutrinos();
-      for (int i = 0; i < dec_.local_n(0); ++i)
-        for (int j = 0; j < dec_.local_n(1); ++j)
-          for (int k = 0; k < dec_.local_n(2); ++k)
-            std::memcpy(gf.block(dec_.offset(0) + i, dec_.offset(1) + j,
-                                 dec_.offset(2) + k),
-                        f_.block(i, j, k), bytes);
-      for (int r = 1; r < comm_.size(); ++r) {
-        const auto buf = comm_.recv_bytes(r, kGatherTag);
-        std::int32_t header[6];
-        if (buf.size() < sizeof(header))
-          throw std::runtime_error("gather_into: truncated brick message");
-        std::memcpy(header, buf.data(), sizeof(header));
-        std::size_t at = sizeof(header);
-        if (!mesh::BrickDecomposition::fits({header[0], header[1], header[2]},
-                                            {header[3], header[4], header[5]},
-                                            dec_.global()))
-          throw std::runtime_error("gather_into: rank " + std::to_string(r) +
-                                   "'s brick header places it outside the "
-                                   "grid");
-        if (buf.size() != sizeof(header) +
-                              static_cast<std::size_t>(header[3]) *
-                                  header[4] * header[5] * bytes)
-          throw std::runtime_error("gather_into: brick message size "
-                                   "disagrees with its placement header");
-        for (int i = 0; i < header[3]; ++i)
-          for (int j = 0; j < header[4]; ++j)
-            for (int k = 0; k < header[5]; ++k) {
-              std::memcpy(gf.block(header[0] + i, header[1] + j,
-                                   header[2] + k),
-                          buf.data() + at, bytes);
-              at += bytes;
-            }
-      }
-    } else {
-      const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
-                                      dec_.offset(2), dec_.local_n(0),
-                                      dec_.local_n(1), dec_.local_n(2)};
-      std::vector<std::uint8_t> buf(
-          sizeof(header) + static_cast<std::size_t>(dec_.local_n(0)) *
-                               dec_.local_n(1) * dec_.local_n(2) * bytes);
-      std::memcpy(buf.data(), header, sizeof(header));
-      std::size_t at = sizeof(header);
-      for (int i = 0; i < dec_.local_n(0); ++i)
-        for (int j = 0; j < dec_.local_n(1); ++j)
-          for (int k = 0; k < dec_.local_n(2); ++k) {
-            std::memcpy(buf.data() + at, f_.block(i, j, k), bytes);
-            at += bytes;
-          }
-      comm_.send(0, kGatherTag, std::move(buf));
+  if (has_nu_ && comm_.rank() == 0) {
+    // Every brick, rank 0's own included, goes through one checked
+    // placement; the others arrive in the shard encoding and are placed
+    // straight from the message.
+    vlasov::BrickPlacement placement(global.neutrinos());
+    std::string why;
+    const auto place = [&](int r, const vlasov::BrickView& brick) {
+      if (!placement.place(brick, &why))
+        throw std::runtime_error("gather_into: rank " + std::to_string(r) +
+                                 "'s brick " + why);
+    };
+    place(0, vlasov::view(f_));
+    for (int r = 1; r < comm_.size(); ++r) {
+      const auto message = comm_.recv_bytes(r, kGatherTag);
+      vlasov::BrickView brick;
+      const auto status = io::decode_phase_space(message, brick);
+      if (status != io::SnapshotStatus::kOk)
+        throw std::runtime_error("gather_into: rank " + std::to_string(r) +
+                                 "'s brick message is unreadable (" +
+                                 io::to_string(status) + ")");
+      place(r, brick);
     }
+    if (!placement.complete(&why))
+      throw std::runtime_error("gather_into: the ranks' bricks " + why);
+  } else if (has_nu_) {
+    comm_.send(0, kGatherTag, io::encode_phase_space(f_));
   }
   const auto forces = export_step_forces();  // collective
   if (comm_.rank() == 0) {

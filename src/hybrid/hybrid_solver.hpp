@@ -223,8 +223,9 @@ class HybridSolver {
 
   /// Write the evolved state back into rank 0's world-1 solver `global`
   /// (collective): every other rank sends its f brick to rank 0 as one
-  /// kGatherTag message, rank 0 places each by its placement header,
-  /// which it checks (std::runtime_error), and restores particles and the
+  /// kGatherTag message in the shard encoding; rank 0 places every brick
+  /// through one vlasov::BrickPlacement, refusing (std::runtime_error) a
+  /// set that is not an exact tiling, and restores particles and the
   /// force cache.  Thread ranks and process ranks run this same path;
   /// only rank 0 touches `global`, so thread ranks may share one.
   void gather_into(HybridSolver& global);

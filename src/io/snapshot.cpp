@@ -1,8 +1,11 @@
 #include "io/snapshot.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "vlasov/sl_mpp5.hpp"
@@ -14,6 +17,8 @@ namespace {
 constexpr std::uint32_t kParticlesMagic = 0x76364e42;   // "v6NB"
 constexpr std::uint32_t kPhaseSpaceMagic = 0x76365653;  // "v6VS"
 constexpr std::uint32_t kVersion = 1;
+// A phase-space header: magic, version, 7 int32 dims, 10 double geometry.
+constexpr std::size_t kPhaseSpaceHeaderBytes = 116;
 
 // Upper bound on any single payload we will allocate for (1 TiB); header
 // counts beyond this are treated as corruption, not as a real request.
@@ -51,7 +56,7 @@ bool mul_within_cap(std::uint64_t& acc, std::uint64_t factor) {
   return true;
 }
 
-/// Common magic/version prologue for both readers.
+/// The particle reader's magic/version prologue.
 SnapshotStatus read_prologue(std::FILE* fp, std::uint32_t expected_magic) {
   std::uint32_t magic = 0, version = 0;
   if (!read_raw(fp, &magic, 1)) return SnapshotStatus::kShortRead;
@@ -59,6 +64,27 @@ SnapshotStatus read_prologue(std::FILE* fp, std::uint32_t expected_magic) {
   if (!read_raw(fp, &version, 1)) return SnapshotStatus::kShortRead;
   if (version != kVersion) return SnapshotStatus::kVersionMismatch;
   return SnapshotStatus::kOk;
+}
+
+/// The header of f's phase-space encoding.  Dims slot 7 records the
+/// stencil's ghost width; the blocks have no ghosts.
+std::array<std::uint8_t, kPhaseSpaceHeaderBytes> phase_space_header(
+    const vlasov::PhaseSpace& f) {
+  const std::uint32_t prologue[2] = {kPhaseSpaceMagic, kVersion};
+  const auto& d = f.dims();
+  const std::int32_t dims[7] = {d.nx,  d.ny,  d.nz, d.nux,
+                                d.nuy, d.nuz, vlasov::kStencilGhost};
+  const auto& g = f.geom();
+  const double geom[10] = {g.x0, g.y0, g.z0,  g.dx,  g.dy,
+                           g.dz, g.umax, g.dux, g.duy, g.duz};
+  std::array<std::uint8_t, kPhaseSpaceHeaderBytes> header;
+  static_assert(sizeof(prologue) + sizeof(dims) + sizeof(geom) ==
+                kPhaseSpaceHeaderBytes);
+  std::memcpy(header.data(), prologue, sizeof(prologue));
+  std::memcpy(header.data() + sizeof(prologue), dims, sizeof(dims));
+  std::memcpy(header.data() + sizeof(prologue) + sizeof(dims), geom,
+              sizeof(geom));
+  return header;
 }
 
 }  // namespace
@@ -135,74 +161,85 @@ SnapshotStatus read_particles(const std::string& path,
   return SnapshotStatus::kOk;
 }
 
+std::vector<std::uint8_t> encode_phase_space(const vlasov::PhaseSpace& f) {
+  const auto header = phase_space_header(f);
+  std::vector<std::uint8_t> bytes(header.size() + f.raw_size() * sizeof(float));
+  std::copy(header.begin(), header.end(), bytes.begin());
+  std::copy_n(reinterpret_cast<const std::uint8_t*>(f.raw()),
+              bytes.size() - header.size(), bytes.begin() + header.size());
+  return bytes;
+}
+
+SnapshotStatus decode_phase_space(std::span<const std::uint8_t> bytes,
+                                  vlasov::BrickView& brick) {
+  std::size_t at = 0;
+  // Copy out the next `n` bytes, or report that the encoding ends first.
+  const auto take = [&](void* out, std::size_t n) {
+    if (bytes.size() - at < n) return false;
+    std::memcpy(out, bytes.data() + at, n);
+    at += n;
+    return true;
+  };
+  std::uint32_t magic = 0, version = 0;
+  std::int32_t dims[7];
+  double geom[10];
+  if (!take(&magic, sizeof(magic))) return SnapshotStatus::kShortRead;
+  if (magic != kPhaseSpaceMagic) return SnapshotStatus::kBadMagic;
+  if (!take(&version, sizeof(version))) return SnapshotStatus::kShortRead;
+  if (version != kVersion) return SnapshotStatus::kVersionMismatch;
+  if (!take(dims, sizeof(dims)) || !take(geom, sizeof(geom)))
+    return SnapshotStatus::kShortRead;
+  // The ghost width is a property of the stencil, not the problem size,
+  // and allocates nothing; a large value is corruption.
+  if (dims[6] < 0 || dims[6] > 16) return SnapshotStatus::kBadHeader;
+  std::uint64_t block_bytes = sizeof(float);
+  for (int i = 0; i < 6; ++i)
+    if (dims[i] <= 0 || !mul_within_cap(block_bytes, std::uint64_t(dims[i])))
+      return SnapshotStatus::kBadHeader;
+  if (bytes.size() - at != block_bytes)
+    return bytes.size() - at < block_bytes ? SnapshotStatus::kShortRead
+                                           : SnapshotStatus::kBadHeader;
+  brick.dims = {dims[0], dims[1], dims[2], dims[3], dims[4], dims[5]};
+  brick.geom = {geom[0], geom[1], geom[2], geom[3], geom[4],
+                geom[5], geom[6], geom[7], geom[8], geom[9]};
+  brick.blocks = reinterpret_cast<const float*>(bytes.data() + at);
+  return SnapshotStatus::kOk;
+}
+
 SnapshotStatus write_phase_space(const std::string& path,
                                  const vlasov::PhaseSpace& f) {
   FilePtr fp(std::fopen(path.c_str(), "wb"));
   if (!fp) return SnapshotStatus::kOpenFailed;
-  const std::uint32_t magic = kPhaseSpaceMagic, version = kVersion;
-  const auto& d = f.dims();
-  // Slot 7 records the stencil's ghost width; the payload has no ghosts.
-  const std::int32_t dims[7] = {d.nx, d.ny, d.nz, d.nux, d.nuy, d.nuz,
-                                vlasov::kStencilGhost};
-  const auto& g = f.geom();
-  const double geom[10] = {g.x0, g.y0, g.z0,  g.dx,  g.dy,
-                           g.dz, g.umax, g.dux, g.duy, g.duz};
-  if (!write_raw(fp.get(), &magic, 1) || !write_raw(fp.get(), &version, 1) ||
-      !write_raw(fp.get(), dims, 7) || !write_raw(fp.get(), geom, 10))
-    return SnapshotStatus::kWriteFailed;
-  if (!write_raw(fp.get(), f.raw(), f.raw_size()))
+  const auto header = phase_space_header(f);
+  if (!write_raw(fp.get(), header.data(), header.size()) ||
+      !write_raw(fp.get(), f.raw(), f.raw_size()))
     return SnapshotStatus::kWriteFailed;
   return SnapshotStatus::kOk;
 }
 
 SnapshotStatus read_phase_space(const std::string& path,
-                                vlasov::PhaseSpace& f) {
-  FilePtr fp(std::fopen(path.c_str(), "rb"));
+                                std::vector<std::uint8_t>& bytes,
+                                vlasov::BrickView& brick) {
+  // The file's own length bounds the allocation, whatever its header says.
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  FilePtr fp(ec ? nullptr : std::fopen(path.c_str(), "rb"));
   if (!fp) return SnapshotStatus::kOpenFailed;
-  const SnapshotStatus prologue = read_prologue(fp.get(), kPhaseSpaceMagic);
-  if (prologue != SnapshotStatus::kOk) return prologue;
-  std::int32_t dims[7];
-  double geom[10];
-  if (!read_raw(fp.get(), dims, 7) || !read_raw(fp.get(), geom, 10))
+  bytes.resize(size);
+  if (size > 0 && !read_raw(fp.get(), bytes.data(), bytes.size()))
     return SnapshotStatus::kShortRead;
-  for (int i = 0; i < 6; ++i)
-    if (dims[i] <= 0) return SnapshotStatus::kBadHeader;
-  // The ghost width is a property of the stencil, not the problem size,
-  // and allocates nothing; a large value is corruption.
-  if (dims[6] < 0 || dims[6] > 16) return SnapshotStatus::kBadHeader;
-  // Bound what PhaseSpace will allocate, with overflow-safe products.
-  std::uint64_t interior = sizeof(float);
-  for (int i = 0; i < 6; ++i)
-    if (!mul_within_cap(interior, static_cast<std::uint64_t>(dims[i])))
-      return SnapshotStatus::kBadHeader;
-  const std::uint64_t header_bytes = 2 * sizeof(std::uint32_t) +
-                                     7 * sizeof(std::int32_t) +
-                                     10 * sizeof(double);
-  const long size = file_size(fp.get());
-  if (size >= 0 && static_cast<std::uint64_t>(size) < header_bytes + interior)
-    return SnapshotStatus::kShortRead;
-  vlasov::PhaseSpaceDims d;
-  d.nx = dims[0];
-  d.ny = dims[1];
-  d.nz = dims[2];
-  d.nux = dims[3];
-  d.nuy = dims[4];
-  d.nuz = dims[5];
-  vlasov::PhaseSpaceGeometry g;
-  g.x0 = geom[0];
-  g.y0 = geom[1];
-  g.z0 = geom[2];
-  g.dx = geom[3];
-  g.dy = geom[4];
-  g.dz = geom[5];
-  g.umax = geom[6];
-  g.dux = geom[7];
-  g.duy = geom[8];
-  g.duz = geom[9];
-  f = vlasov::PhaseSpace(d, g);
-  if (!read_raw(fp.get(), f.raw(), f.raw_size()))
-    return SnapshotStatus::kShortRead;
-  return SnapshotStatus::kOk;
+  return decode_phase_space(bytes, brick);
+}
+
+SnapshotStatus read_phase_space(const std::string& path,
+                                vlasov::PhaseSpace& f) {
+  std::vector<std::uint8_t> bytes;
+  vlasov::BrickView brick;
+  const SnapshotStatus status = read_phase_space(path, bytes, brick);
+  if (status != SnapshotStatus::kOk) return status;
+  f = vlasov::PhaseSpace(brick.dims, brick.geom);
+  std::copy_n(brick.blocks, f.raw_size(), f.raw());
+  return status;
 }
 
 }  // namespace v6d::io

@@ -1,17 +1,28 @@
 #include <gtest/gtest.h>
 // v6d-analyze: allow-file(tag-space): conformance tests drive raw low tags on isolated per-test worlds; the kFirstUserTag floor governs production exchanges
 
+#include <sched.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "comm/cart.hpp"
 #include "comm/communicator.hpp"
 #include "comm/perfmodel.hpp"
+#include "comm/runner.hpp"
 
 namespace {
 
@@ -387,6 +398,73 @@ TEST(Comm, ThrowingRankWakesPeerBlockedInHandleWait) {
     EXPECT_STREQ(e.what(), "rank 1 died mid-overlap");
   }
 }
+
+// ---- ranks sharing one host's CPUs ------------------------------------
+
+int affinity_cpus() {
+  cpu_set_t set;
+  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+}
+
+/// Sets OMP_NUM_THREADS (nullptr: unsets it) for the guard's lifetime.
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(const char* value) {
+    if (const char* old = std::getenv("OMP_NUM_THREADS")) saved_ = old;
+    set(value);
+  }
+  ~ScopedOmpThreads() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
+  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
+
+ private:
+  static void set(const char* value) {
+    if (value)
+      setenv("OMP_NUM_THREADS", value, 1);
+    else
+      unsetenv("OMP_NUM_THREADS");
+  }
+  std::optional<std::string> saved_;
+};
+
+TEST(RankCpuShare, EachRankTakesAnEqualShareUnlessTheEnvironmentChose) {
+  const int cpus = affinity_cpus();
+  {
+    ScopedOmpThreads unset(nullptr);
+    EXPECT_EQ(rank_cpu_share(1), cpus);
+    EXPECT_EQ(rank_cpu_share(2), std::max(1, cpus / 2));
+    EXPECT_EQ(rank_cpu_share(cpus + 1), 1);
+  }
+  ScopedOmpThreads chosen("3");
+  EXPECT_EQ(rank_cpu_share(4), 0);
+}
+
+#ifdef _OPENMP
+/// Exits 0 when every rank thread of comm::run(4, ...) runs OpenMP teams
+/// of `expected` threads.
+void exit_with_rank_teams_of(int expected) {
+  std::atomic<int> wrong{0};
+  run(4, [&](Communicator&) {
+    if (omp_get_max_threads() != expected) ++wrong;
+  });
+  std::exit(wrong == 0 ? 0 : 1);
+}
+
+// Thread ranks share the host's CPUs as spawned rank processes do.
+// libgomp reads OMP_NUM_THREADS when a process starts, so each case runs
+// in a fresh process started with the variable as the case sets it (a
+// threadsafe death test re-executes this binary).
+TEST(RankCpuShareDeathTest, RankThreadsOfCommRunTakeTheirShare) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  {
+    ScopedOmpThreads unset(nullptr);
+    EXPECT_EXIT(exit_with_rank_teams_of(std::max(1, affinity_cpus() / 4)),
+                ::testing::ExitedWithCode(0), "");
+  }
+  ScopedOmpThreads chosen("3");
+  EXPECT_EXIT(exit_with_rank_teams_of(3), ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 TEST(CartTopology, CoordsRoundTrip) {
   run(8, [&](Communicator& comm) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -14,6 +16,7 @@
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "driver/telemetry.hpp"
 
 namespace {
 
@@ -24,6 +27,45 @@ TEST(Aligned, VectorIsSimdAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kSimdAlign, 0u);
   AlignedVector<double> w(7);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % kSimdAlign, 0u);
+}
+
+// A freed buffer of a MiB or more leaves nothing resident.  Through malloc
+// the second one would: freeing the first raises glibc's mmap threshold
+// past its size, so the second comes from the heap and stays there.
+TEST(Aligned, LargeBuffersLeaveNothingResidentWhenFreed) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "under AddressSanitizer every buffer stays in malloc";
+#endif
+  const double before = driver::current_rss_mb();
+  for (int round = 0; round < 2; ++round) {
+    AlignedVector<float> big(std::size_t(7) << 20, 1.0f);  // 28 MiB
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % kSimdAlign, 0u);
+  }
+  EXPECT_LT(driver::current_rss_mb(), before + 8.0);
+}
+
+// Messages stay in malloc's heap, and one sweep's freed messages are the
+// next sweep's memory: a round of four 3 MiB messages faults in no pages
+// once the first round has.  glibc left to adapt would trim the 12 MiB
+// every round, its trim threshold being twice the largest block it freed.
+TEST(Aligned, RecycledMessagesFaultInNoPages) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "checks glibc's malloc";
+#endif
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  const auto round = [] {
+    std::vector<std::vector<std::uint8_t>> messages;
+    for (int m = 0; m < 4; ++m)
+      messages.emplace_back(std::size_t(3) << 20, std::uint8_t{1});
+  };
+  round();
+  const long before = minor_faults();
+  for (int r = 0; r < 10; ++r) round();
+  EXPECT_LT(minor_faults() - before, 100);
 }
 
 TEST(Rng, DeterministicAndWellDistributed) {

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -110,9 +111,10 @@ void set_meta_field(const std::string& dir, const std::string& key,
 }
 
 /// Driver::resume of `dir` must throw with `needle` in its message.
-void expect_resume_refused(const std::string& dir, const std::string& needle) {
+void expect_resume_refused(const std::string& dir, const std::string& needle,
+                           const Options& overrides = Options()) {
   try {
-    (void)driver::Driver::resume(dir);
+    (void)driver::Driver::resume(dir, overrides);
     ADD_FAILURE() << "resume of " << dir << " did not throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -365,6 +367,95 @@ TEST(Driver, ResumeRefusesAShardOutsideTheGrid) {
   replace_shard(dir, name, shard);
   expect_resume_refused(dir, "does not fit");
   std::filesystem::remove_all(dir);
+}
+
+// Overriding the box rebuilds a phase space of other cell sizes; its
+// shards must not be placed into it (the run would go on with the wrong
+// mass).  Twice the box keeps every shard origin on a cell corner, so
+// only the cell sizes tell.
+TEST(Driver, ResumeRefusesShardsOfOtherCellSizes) {
+  const auto dir = two_shard_checkpoint("v6d_shards_cell_sizes");
+  Options overrides;
+  overrides.set("box", "400");
+  expect_resume_refused(dir, "does not fit the grid: other cell sizes",
+                        overrides);
+  std::filesystem::remove_all(dir);
+}
+
+// A checkpoint written by spawn=N echoes its launch wiring.  Resume takes
+// transport, rank, world and transport_hosts from the caller, so such a
+// checkpoint resumes in process, bit-identically, instead of waiting for
+// TCP peers.
+TEST(Driver, ResumeTakesTheLaunchWiringFromTheCaller) {
+  const auto dir = two_shard_checkpoint("v6d_launch_wiring");
+  Options overrides;
+  overrides.set("max_steps", "2");
+  overrides.set("checkpoint_dir", "");
+  driver::Driver plain = driver::Driver::resume(dir, overrides);
+  plain.run();
+
+  set_meta_field(dir, "cfg.transport", "tcp");
+  set_meta_field(dir, "cfg.rank", "0");
+  set_meta_field(dir, "cfg.world", "4");
+  set_meta_field(dir, "cfg.transport_hosts", dir + "/rendezvous");
+  driver::Driver echoed = driver::Driver::resume(dir, overrides);
+  ASSERT_EQ(echoed.config().transport, "inproc");
+  EXPECT_EQ(echoed.config().world, 0);
+  EXPECT_EQ(echoed.config().transport_hosts, "");
+  EXPECT_EQ(echoed.config().ranks, 2);
+  echoed.run();
+  EXPECT_EQ(echoed.step_count(), 2);
+  expect_bit_identical(plain.solver(), echoed.solver());
+  std::filesystem::remove_all(dir);
+}
+
+/// What a one-step vlasov_only run at `ranks` ranks that checkpoints into
+/// `dir` throws ("" if nothing).
+std::string checkpoint_failure(int ranks, const std::string& dir) {
+  Options options;
+  options.set("nx", "8");
+  options.set("nu", "6");
+  options.set("ranks", std::to_string(ranks));
+  options.set("max_steps", "1");
+  options.set("checkpoint_dir", dir);
+  driver::Driver d(driver::make_config(options, "vlasov_only"));
+  try {
+    d.run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A checkpoint that cannot be written fails the run on every rank with
+// the first failing rank's error, naming the directory or file and the
+// OS cause: a directory under a regular file at every rank count, and a
+// shard only rank 1 cannot write.
+TEST(Driver, CheckpointFailureNamesTheDirectoryAndTheCause) {
+  const std::string file = temp_dir("v6d_ckpt_parent_is_a_file");
+  std::ofstream(file) << "not a directory";
+  const std::string dir = file + "/ck";
+  for (const int ranks : {1, 2}) {
+    const std::string what = checkpoint_failure(ranks, dir);
+    EXPECT_NE(what.find(dir), std::string::npos) << ranks << ": " << what;
+    EXPECT_NE(
+        what.find(std::make_error_code(std::errc::not_a_directory).message()),
+        std::string::npos)
+        << ranks << ": " << what;
+  }
+  std::filesystem::remove(file);
+
+  const std::string shared = temp_dir("v6d_ckpt_one_rank_fails");
+  const auto blocked =
+      std::filesystem::path(shared) / "phase_space.1.r1.bin.tmp";
+  std::filesystem::create_directories(blocked);
+  const std::string what = checkpoint_failure(2, shared);
+  EXPECT_NE(what.find(blocked.string()), std::string::npos) << what;
+  EXPECT_NE(
+      what.find(std::make_error_code(std::errc::is_a_directory).message()),
+      std::string::npos)
+      << what;
+  std::filesystem::remove_all(shared);
 }
 
 TEST(Checkpoint, MetaRoundTripsRngAndScaleFactor) {

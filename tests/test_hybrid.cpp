@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "cosmology/neutrino_ic.hpp"
 #include "cosmology/zeldovich.hpp"
 #include "hybrid/hybrid_solver.hpp"
+#include "io/snapshot.hpp"
 
 namespace {
 
@@ -189,45 +193,85 @@ TEST(HybridSolver, WorldOneTakesItsPhaseSpace) {
     EXPECT_EQ(std::memcmp(u->data(), v->data(), bytes), 0);
 }
 
-// Rank 0 places each peer's blocks by the placement header in its message.
-// A header that puts the brick outside the grid — past its end, at a
-// negative offset, or with an empty extent — must be rejected before any
-// block is copied.
-TEST(HybridSolver, GatherRejectsBrickHeadersOutsideTheGrid) {
+/// A gather message from a peer: the shard encoding of an all-zero brick
+/// of `global`'s shape with `extent` cells from cell `offset`, either of
+/// which may reach outside the grid.
+std::vector<std::uint8_t> brick_message(const vlasov::PhaseSpace& global,
+                                        std::array<int, 3> offset,
+                                        std::array<int, 3> extent) {
+  auto dims = global.dims();
+  dims.nx = extent[0];
+  dims.ny = extent[1];
+  dims.nz = extent[2];
+  auto geom = global.geom();
+  geom.x0 += offset[0] * geom.dx;
+  geom.y0 += offset[1] * geom.dy;
+  geom.z0 += offset[2] * geom.dz;
+  return io::encode_phase_space(vlasov::PhaseSpace(dims, geom));
+}
+
+/// Run a 2-rank gather of `global` where rank 1 sends `message` in place
+/// of its brick, then joins the rest of the gather's collectives; returns
+/// what rank 0's gather_into threw ("" if nothing).
+std::string gather_refusal(hybrid::HybridSolver& global,
+                           const std::vector<std::uint8_t>& message) {
   constexpr int kGatherTag = hybrid::HybridSolver::kGatherTag;
+  try {
+    comm::run(2, [&](comm::Communicator& comm) {
+      hybrid::HybridSolver local(global, comm, {2, 1, 1}, /*overlap=*/false);
+      if (comm.rank() == 1) {
+        comm.send_bytes(0, kGatherTag, message.data(), message.size());
+        (void)local.export_step_forces();
+        // v6d-analyze: allow(collective-consistency): rank 0 meets these collectives inside gather_into
+        comm.barrier();
+        return;
+      }
+      local.gather_into(global);
+    });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Rank 0 places each peer's brick by the geometry origin its shard
+// encoding carries.  A brick that lies outside the grid — past its end,
+// at a negative offset, or with an empty extent — must be refused before
+// any block is copied.
+TEST(HybridSolver, GatherRejectsBrickHeadersOutsideTheGrid) {
   HybridSetup setup;
   auto global = setup.make();
-  const auto& gd = global.neutrinos().dims();
-  const std::size_t block_bytes =
-      global.neutrinos().block_size() * sizeof(float);
-  const std::int32_t headers[][6] = {
-      {gd.nx, 0, 0, 1, gd.ny, gd.nz},      // one layer at x = nx
-      {gd.nx - 1, 0, 0, 4, gd.ny, gd.nz},  // four layers from the last one
-      {0, -1, 0, gd.nx / 2, gd.ny, gd.nz},
-      {0, 0, 0, gd.nx / 2, gd.ny, 0},
+  const auto& f = global.neutrinos();
+  const auto& gd = f.dims();
+  const std::array<int, 3> placements[][2] = {
+      {{gd.nx, 0, 0}, {1, gd.ny, gd.nz}},      // one layer at x = nx
+      {{gd.nx - 1, 0, 0}, {4, gd.ny, gd.nz}},  // four layers from the last
+      {{0, -1, 0}, {gd.nx / 2, gd.ny, gd.nz}},
+      {{0, 0, 0}, {gd.nx / 2, gd.ny, 0}},
   };
-  for (const auto& header : headers) {
-    const std::size_t blocks = static_cast<std::size_t>(
-        std::max(header[3], 0) * std::max(header[4], 0) *
-        std::max(header[5], 0));
-    std::vector<std::uint8_t> message(sizeof(header) + blocks * block_bytes);
-    std::memcpy(message.data(), header, sizeof(header));
-    EXPECT_THROW(
-        comm::run(2,
-                  [&](comm::Communicator& comm) {
-                    hybrid::HybridSolver local(global, comm, {2, 1, 1},
-                                               /*overlap=*/false);
-                    if (comm.rank() == 1) {
-                      comm.send_bytes(0, kGatherTag, message.data(),
-                                      message.size());
-                      return;
-                    }
-                    local.gather_into(global);
-                  }),
-        std::runtime_error)
-        << "header " << header[0] << "," << header[1] << "," << header[2]
-        << " extent " << header[3] << "," << header[4] << "," << header[5];
-  }
+  for (const auto& [offset, extent] : placements)
+    EXPECT_NE(gather_refusal(global, brick_message(f, offset, extent)), "")
+        << "offset " << offset[0] << "," << offset[1] << "," << offset[2]
+        << " extent " << extent[0] << "," << extent[1] << "," << extent[2];
+}
+
+// Rank 0 refuses a brick set that does not tile the grid exactly: a
+// duplicate of its own brick overlaps it, and a peer brick one layer
+// short of its share leaves cells uncovered.
+TEST(HybridSolver, GatherRefusesBrickSetsThatDoNotTileTheGrid) {
+  HybridSetup setup;
+  auto global = setup.make();
+  const auto& f = global.neutrinos();
+  const auto& gd = f.dims();
+  const int half = gd.nx / 2;
+  EXPECT_NE(gather_refusal(global, brick_message(f, {0, 0, 0},
+                                                 {half, gd.ny, gd.nz}))
+                .find("overlaps"),
+            std::string::npos);
+  EXPECT_NE(gather_refusal(global, brick_message(f, {half, 0, 0},
+                                                 {half - 1, gd.ny, gd.nz}))
+                .find("do not cover"),
+            std::string::npos);
 }
 
 // Thread ranks gather like process ranks: every brick but rank 0's reaches

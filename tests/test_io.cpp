@@ -2,12 +2,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "io/pgm.hpp"
 #include "io/snapshot.hpp"
 #include "io/table_writer.hpp"
+#include "vlasov/brick.hpp"
 
 namespace {
 
@@ -152,6 +156,89 @@ TEST(Snapshot, CorruptDimsAreBadHeader) {
   vlasov::PhaseSpace g;
   EXPECT_EQ(io::read_phase_space(path, g), io::SnapshotStatus::kBadHeader);
   std::remove(path.c_str());
+}
+
+// The phase-space decoder parses bytes that come from files and from TCP
+// peers (gathered bricks).  Every truncation and every bit flip of the
+// header must come back as a typed status; a flip that still decodes
+// must describe blocks inside the buffer, and placing it must not crash.
+// Each case decodes a buffer of exactly its own length, so the asan
+// preset catches any read past it.
+TEST(Snapshot, PhaseSpaceDecoderSurvivesTruncationsAndHeaderFlips) {
+  vlasov::PhaseSpaceDims d;
+  d.nx = 2;
+  d.ny = 3;
+  d.nz = 2;
+  d.nux = d.nuy = d.nuz = 2;
+  vlasov::PhaseSpaceGeometry g;
+  g.dx = g.dy = g.dz = 2.0;
+  g.dux = g.duy = g.duz = 1.0;
+  vlasov::PhaseSpace f(d, g);
+  for (std::size_t i = 0; i < f.raw_size(); ++i)
+    f.raw()[i] = static_cast<float>(i);
+  const auto bytes = io::encode_phase_space(f);
+  const std::size_t header = bytes.size() - f.raw_size() * sizeof(float);
+  ASSERT_EQ(header, 116u);
+  // A phase-space file holds exactly the encoding a gather message carries.
+  const std::string path = temp_path("v6d_ps_encoding.bin");
+  ASSERT_EQ(io::write_phase_space(path, f), io::SnapshotStatus::kOk);
+  std::vector<std::uint8_t> file;
+  vlasov::BrickView from_file;
+  ASSERT_EQ(io::read_phase_space(path, file, from_file),
+            io::SnapshotStatus::kOk);
+  EXPECT_EQ(file, bytes);
+  std::remove(path.c_str());
+  vlasov::BrickView brick;
+  ASSERT_EQ(io::decode_phase_space(bytes, brick), io::SnapshotStatus::kOk);
+  EXPECT_EQ(brick.dims.ny, 3);
+  EXPECT_EQ(std::memcmp(brick.blocks, f.raw(), f.raw_size() * sizeof(float)),
+            0);
+
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + n);
+    EXPECT_EQ(io::decode_phase_space(prefix, brick),
+              io::SnapshotStatus::kShortRead)
+        << n << " bytes";
+  }
+  auto longer = bytes;
+  longer.push_back(0);
+  EXPECT_EQ(io::decode_phase_space(longer, brick),
+            io::SnapshotStatus::kBadHeader);
+
+  const auto check = [&](const std::vector<std::uint8_t>& mutated,
+                         std::size_t at) {
+    const auto status = io::decode_phase_space(mutated, brick);
+    if (at < 4) {
+      EXPECT_EQ(status, io::SnapshotStatus::kBadMagic) << at;
+    } else if (at < 8) {
+      EXPECT_EQ(status, io::SnapshotStatus::kVersionMismatch) << at;
+    }
+    if (status != io::SnapshotStatus::kOk) {
+      EXPECT_NE(std::string(io::to_string(status)), "unknown") << at;
+      return;
+    }
+    EXPECT_EQ(brick.dims.total_interior() * sizeof(float),
+              mutated.size() - header);
+    EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(brick.blocks),
+              mutated.data() + header);
+    vlasov::PhaseSpace target(d, g);
+    vlasov::BrickPlacement placement(target);
+    std::string why;
+    (void)placement.place(brick, &why);
+  };
+  for (std::size_t at = 0; at < header; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutated = bytes;
+      mutated[at] ^= static_cast<std::uint8_t>(1u << bit);
+      check(mutated, at);
+    }
+    for (const std::uint8_t value : {0x00, 0xff}) {
+      auto mutated = bytes;
+      if (mutated[at] == value) continue;
+      mutated[at] = value;
+      check(mutated, at);
+    }
+  }
 }
 
 TEST(Snapshot, StatusNamesAreStable) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "vlasov/brick.hpp"
 #include "vlasov/phase_space.hpp"
 
 namespace {
@@ -90,6 +94,76 @@ TEST(PhaseSpace, DimsHelpers) {
   EXPECT_EQ(d.spatial_cells(), 24u);
   EXPECT_EQ(d.velocity_cells(), 210u);
   EXPECT_EQ(d.total_interior(), 24u * 210u);
+}
+
+// Bricks extracted at any split place back into a phase space of the same
+// shape bit for bit, and only an exact tiling completes it.
+TEST(Brick, ExtractedBricksPlaceBackBitForBit) {
+  PhaseSpace global = make_ps(5, 2);
+  global.geom().x0 = -3.0;
+  for (std::size_t i = 0; i < global.raw_size(); ++i)
+    global.raw()[i] = static_cast<float>(i) * 0.25f;
+  PhaseSpace target = make_ps(5, 2);
+  target.geom().x0 = -3.0;
+  BrickPlacement placement(target);
+  std::string why;
+  for (const int x : {0, 2})
+    for (const int y : {0, 3}) {
+      const PhaseSpace brick =
+          extract_brick(global, {x, y, 1}, {x == 0 ? 2 : 3, y == 0 ? 3 : 2, 4});
+      EXPECT_DOUBLE_EQ(brick.geom().x0, -3.0 + x);
+      EXPECT_DOUBLE_EQ(brick.geom().z0, 1.0);
+      ASSERT_TRUE(placement.place(view(brick), &why)) << why;
+    }
+  EXPECT_FALSE(placement.complete(&why));  // the z = 0 layer is missing
+  EXPECT_NE(why.find("do not cover"), std::string::npos);
+  ASSERT_TRUE(placement.place(view(extract_brick(global, {0, 0, 0}, {5, 5, 1})),
+                              &why))
+      << why;
+  EXPECT_TRUE(placement.complete(&why));
+  EXPECT_EQ(std::memcmp(target.raw(), global.raw(),
+                        global.raw_size() * sizeof(float)),
+            0);
+}
+
+// A brick is refused whole, before any block is copied, when it overlaps
+// a placed one or does not fit: another velocity grid, other cell sizes,
+// an origin between cell corners, or cells past the grid's end.
+TEST(Brick, PlacementRefusesMisfitsAndOverlapsWholesale) {
+  PhaseSpace global = make_ps(4, 2);
+  global.fill(1.0f);
+  PhaseSpace target = make_ps(4, 2);
+  BrickPlacement placement(target);
+  std::string why;
+  const PhaseSpace half = extract_brick(global, {0, 0, 0}, {2, 4, 4});
+  ASSERT_TRUE(placement.place(view(half), &why)) << why;
+  EXPECT_FALSE(placement.place(view(half), &why));
+  EXPECT_NE(why.find("overlaps"), std::string::npos) << why;
+
+  const auto refused = [&](BrickView brick, const char* because) {
+    std::vector<float> before(target.raw(), target.raw() + target.raw_size());
+    EXPECT_FALSE(placement.place(brick, &why)) << because;
+    EXPECT_NE(why.find("does not fit"), std::string::npos) << why;
+    EXPECT_EQ(std::memcmp(before.data(), target.raw(),
+                          before.size() * sizeof(float)),
+              0)
+        << because;
+  };
+  const PhaseSpace rest = extract_brick(global, {2, 0, 0}, {2, 4, 4});
+  BrickView brick = view(rest);
+  brick.geom.dux *= 2.0;
+  refused(brick, "velocity grid");
+  brick = view(rest);
+  brick.geom.dy *= 0.5;
+  refused(brick, "cell sizes");
+  brick = view(rest);
+  brick.geom.x0 += 0.5;
+  refused(brick, "origin between corners");
+  brick = view(rest);
+  brick.geom.x0 += 1.0;
+  refused(brick, "past the end");
+  EXPECT_TRUE(placement.place(view(rest), &why)) << why;
+  EXPECT_TRUE(placement.complete(&why));
 }
 
 }  // namespace
