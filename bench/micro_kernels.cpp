@@ -4,7 +4,9 @@
 // full set of six directional sweeps (fused velocity kick + position
 // drift) through the production dispatch path versus the seed's per-axis
 // scalar path.  The `fused_sweep_speedup` metric in BENCH_micro_kernels
-// .json is the perf-trajectory number tracked across PRs.
+// .json is the perf-trajectory number tracked across PRs; one
+// `fused_sweep_speedup_<tier>` per sweep tier the host runs sits beside
+// it (simd/dispatch.hpp).
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -15,8 +17,10 @@
 #include "fft/fft3d.hpp"
 #include "harness.hpp"
 #include "mesh/grid.hpp"
+#include "simd/dispatch.hpp"
 #include "simd/transpose.hpp"
 #include "vlasov/advect_kernels.hpp"
+#include "vlasov/advect_vec_impl.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace {
@@ -101,7 +105,7 @@ int main(int argc, char** argv) {
   // --- SL-MPP5 multi-lane SIMD lines ---
   const auto shift = vlasov::LineShift::uniform(0.37, vlasov::Limiter::kMpp);
   for (const int n : {64, 256}) {
-    constexpr int L = vlasov::kLanes;
+    constexpr int L = simd::kSweepLanes;
     std::vector<float> f(static_cast<std::size_t>(n) * L);
     for (std::size_t i = 0; i < f.size(); ++i)
       f[i] = 0.5f + 0.3f * static_cast<float>(std::sin(0.05 * i));
@@ -110,7 +114,8 @@ int main(int argc, char** argv) {
     harness.time_phase(
         "sl_mpp5_simd_lines_" + std::to_string(n), reps,
         [&] {
-          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, shift, ws);
+          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, L, shift,
+                                    ws);
         },
         static_cast<double>(n) * L,
         static_cast<double>(n) * L * 2 * sizeof(float));
@@ -120,7 +125,7 @@ int main(int argc, char** argv) {
   // phase-space block) takes the full Suresh-Huynh bounds in most lanes;
   // every rep advects the same input, so it stays rough.
   {
-    constexpr int L = vlasov::kLanes;
+    constexpr int L = simd::kSweepLanes;
     const int n = 64;
     std::vector<float> rough(static_cast<std::size_t>(n) * L);
     std::vector<float> out(rough.size());
@@ -131,8 +136,8 @@ int main(int argc, char** argv) {
     harness.time_phase(
         "sl_mpp5_simd_lines_rough_" + std::to_string(n), reps,
         [&] {
-          vlasov::advect_lines_simd(rough.data(), L, out.data(), L, n, shift,
-                                    ws);
+          vlasov::advect_lines_simd(rough.data(), L, out.data(), L, n, L,
+                                    shift, ws);
         },
         static_cast<double>(n) * L,
         static_cast<double>(n) * L * 2 * sizeof(float));
@@ -188,10 +193,15 @@ int main(int argc, char** argv) {
         static_cast<double>(f.dims().total_interior()) * 6.0;
     const double bytes = cells * 2 * sizeof(float);
 
-    const double t_scalar = harness.time_phase(
-        "sweep_scalar_seed", reps,
-        [&] { six_sweeps(f, accel, SweepKernel::kScalar, /*fused=*/false); },
-        cells, bytes);
+    // The seed's scalar path, on the baseline tier it was built for.
+    double t_scalar = 0.0;
+    {
+      const simd::ScopedSweepTier seed_tier(simd::SweepTier::kBaseline);
+      t_scalar = harness.time_phase(
+          "sweep_scalar_seed", reps,
+          [&] { six_sweeps(f, accel, SweepKernel::kScalar, /*fused=*/false); },
+          cells, bytes);
+    }
     const double t_fused = harness.time_phase(
         "sweep_fused_auto", reps,
         [&] { six_sweeps(f, accel, SweepKernel::kAuto, /*fused=*/true); },
@@ -200,9 +210,23 @@ int main(int argc, char** argv) {
     const double speedup = t_scalar / t_fused;
     harness.metric("fused_sweep_speedup", speedup, "x");
     std::printf(
-        "  fused sweep pipeline: %.3f ms vs scalar seed path %.3f ms "
-        "(%.2fx)\n",
-        t_fused * 1e3, t_scalar * 1e3, speedup);
+        "  fused sweep pipeline (%s tier): %.3f ms vs scalar seed path "
+        "%.3f ms (%.2fx)\n",
+        simd::to_string(simd::sweep_tier()), t_fused * 1e3, t_scalar * 1e3,
+        speedup);
+
+    // The same pipeline pinned to each tier this host runs.
+    for (const simd::SweepTier tier : simd::supported_tiers()) {
+      const simd::ScopedSweepTier pin(tier);
+      const std::string name = simd::to_string(tier);
+      const double t_tier = harness.time_phase(
+          "sweep_fused_auto_" + name, reps,
+          [&] { six_sweeps(f, accel, SweepKernel::kAuto, /*fused=*/true); },
+          cells, bytes);
+      harness.metric("fused_sweep_speedup_" + name, t_scalar / t_tier, "x");
+      std::printf("    %s tier: %.3f ms (%.2fx)\n", name.c_str(),
+                  t_tier * 1e3, t_scalar / t_tier);
+    }
   }
   return 0;
 }

@@ -71,7 +71,9 @@ void inject_nu_density(const vlasov::PhaseSpace& f,
 }
 
 /// Sample the mesh accelerations (gx, gy, gz; ghosts filled) at the
-/// Vlasov cell centers of `f` with CIC: the neutrino kick fields.
+/// Vlasov cell centers of `f` with CIC: the neutrino kick fields.  Each
+/// cell's three values are written by one thread and depend only on reads
+/// of the meshes, so any thread count gives the same fields.
 void sample_nu_accelerations(const vlasov::PhaseSpace& f,
                              const mesh::Grid3D<double>& gx,
                              const mesh::Grid3D<double>& gy,
@@ -82,6 +84,9 @@ void sample_nu_accelerations(const vlasov::PhaseSpace& f,
                              mesh::Grid3D<double>& az) {
   const auto& d = f.dims();
   const auto& g = f.geom();
+#ifdef _OPENMP
+#pragma omp parallel for collapse(2) schedule(static)
+#endif
   for (int ix = 0; ix < d.nx; ++ix)
     for (int iy = 0; iy < d.ny; ++iy)
       for (int iz = 0; iz < d.nz; ++iz) {

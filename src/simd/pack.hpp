@@ -2,9 +2,16 @@
 //
 // The paper's Vlasov kernels are hand-vectorized for A64FX SVE (16 x fp32).
 // This port expresses the same kernels over a width-generic Pack<T, N>;
-// the compiler lowers operations to the best available ISA (AVX2 = 8 x fp32,
-// AVX-512 = 16 x fp32 with -march=native, or synthesized code elsewhere).
-// Width is a template parameter so tests can exercise 4/8/16 uniformly.
+// the compiler lowers operations to the ISA of the function they are
+// inlined into.  The sweeps use 4-lane packs in every build
+// (simd::kSweepLanes) and reach wider encodings through their AVX-512
+// tier functions (simd/dispatch.hpp), which inline every Pack operation
+// they use; never compile a file that includes this header with
+// a per-file -m flag, since the out-of-line copies of these inline
+// functions it may emit could be linked into baseline callers.  No build
+// contracts a multiply-add (-ffp-contract=off), so fma() below is a
+// multiply then an add, rounded twice, on every tier.  Width is a template
+// parameter so tests can exercise 4/8/16 uniformly.
 //
 // Note: inside class templates GCC treats a vector_size-attributed typedef of
 // T as colliding with T itself for overload resolution, so construction goes
@@ -175,7 +182,8 @@ inline Pack<T, N> abs(Pack<T, N> a) {
       std::numeric_limits<typename P::MaskInt>::max();
   return make_pack<T, N>(std::bit_cast<typename P::Native>(magnitude));
 }
-/// Fused multiply-add a*b + c (the compiler emits FMA with -mfma).
+/// Multiply-add a*b + c: two roundings, since no build contracts it into
+/// an FMA instruction (-ffp-contract=off), so every tier gives equal bits.
 template <class T, int N>
 inline Pack<T, N> fma(Pack<T, N> a, Pack<T, N> b, Pack<T, N> c) {
   return make_pack<T, N>(a.v * b.v + c.v);

@@ -2,30 +2,29 @@
 #include <cmath>
 
 #include "vlasov/advect_kernels.hpp"
-#include "vlasov/advect_vec_impl.hpp"
 
 namespace v6d::vlasov {
 
 LineShift LineShift::uniform(double xi, Limiter limiter) {
-  double lanes[kLanes];
-  std::fill(lanes, lanes + kLanes, xi);
+  double lanes[kSweepLanes];
+  std::fill(lanes, lanes + kSweepLanes, xi);
   // Equal lanes share one floor, so per_lane always returns a shift.
   return *per_lane(lanes, limiter);
 }
 
 std::optional<LineShift> LineShift::per_lane(const double* xi,
                                              Limiter limiter) {
-  int floors[kLanes];
-  for (int l = 0; l < kLanes; ++l)
+  int floors[kSweepLanes];
+  for (int l = 0; l < kSweepLanes; ++l)
     floors[l] = static_cast<int>(std::floor(xi[l]));
-  const auto [lo, hi] = std::minmax_element(floors, floors + kLanes);
+  const auto [lo, hi] = std::minmax_element(floors, floors + kSweepLanes);
   if (*hi - *lo > 1) return std::nullopt;
 
   LineShift sh;
   sh.s = *lo;
   sh.limiter = limiter;
   sh.pure_shift = true;
-  for (int l = 0; l < kLanes; ++l) {
+  for (int l = 0; l < kSweepLanes; ++l) {
     if (floors[l] != sh.s) {
       sh.upper[l] = -1;
       sh.mixed = true;
@@ -54,28 +53,6 @@ std::optional<LineShift> LineShift::per_lane(const double* xi,
       std::max(sh.s + kStencilGhost + 1, 2 - sh.s) > sh.max_ghost)
     return std::nullopt;
   return sh;
-}
-
-void advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
-                       float* dst, std::ptrdiff_t dst_cell_stride, int n,
-                       const LineShift& shift, AdvectWorkspace& ws) {
-  using P = LineShift::P;
-  const int ghost = shift.max_ghost;
-  ws.ensure(n, ghost, kLanes);
-
-  float* in = ws.in.data();
-  const P zero = P::zero();
-  for (int k = -ghost; k < 0; ++k) zero.store(in + (k + ghost) * kLanes);
-  for (int k = 0; k < n; ++k)
-    P::load(src + static_cast<std::ptrdiff_t>(k) * cell_stride)
-        .store(in + (k + ghost) * kLanes);
-  for (int k = n; k < n + ghost; ++k) zero.store(in + (k + ghost) * kLanes);
-  detail::sl_mpp5_kernel_vec(in, kLanes, ws.out.data(), kLanes, n, ghost,
-                             shift, ws.flux.data());
-
-  for (int i = 0; i < n; ++i)
-    P::load(ws.out.data() + static_cast<std::ptrdiff_t>(i) * kLanes)
-        .store(dst + static_cast<std::ptrdiff_t>(i) * dst_cell_stride);
 }
 
 }  // namespace v6d::vlasov

@@ -1,8 +1,11 @@
-// Shared SL-MPP5 flux kernel of the vector line sweeps (included by the
-// advect_*.cpp translation units and the limiter test).  Mirrors
-// advect_line_scalar in sl_mpp5.cpp; any change here must be reflected
-// there — the test suite pins scalar/SIMD/LAT equivalence to catch
-// divergence.
+// Shared SL-MPP5 flux kernel of the vector line sweeps and the two panel
+// kernels around it, advect_lines_simd and advect_lines_lat (declared in
+// advect_kernels.hpp; included by the advect_*.cpp and sweep translation
+// units, the kernel tests and benches).  Everything here is inline so
+// that each sweep tier (simd/dispatch.hpp) compiles its own copy into its
+// flattened body.  Mirrors advect_line_scalar in sl_mpp5.cpp; any change
+// here must be reflected there — the test suite pins scalar/SIMD/LAT
+// equivalence to catch divergence.
 //
 // The kernel takes its per-lane weights from a LineShift: most sweeps
 // broadcast a single shift xi to all lanes, but the spatial z sweep
@@ -12,10 +15,12 @@
 // stencils and blends them per lane.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 
 #include "simd/pack.hpp"
+#include "simd/transpose.hpp"
 #include "vlasov/advect_kernels.hpp"
 #include "vlasov/sl_mpp5.hpp"
 
@@ -68,13 +73,13 @@ inline simd::Pack<float, L> mp_limit_vec(simd::Pack<float, L> g,
 }
 
 // in: (cell -ghost, lane 0); cells are `cs` floats apart, lanes contiguous.
-// out: (cell 0, lane 0); cells `os` floats apart.  flux: (n+1)*kLanes
+// out: (cell 0, lane 0); cells `os` floats apart.  flux: (n+1)*kSweepLanes
 // scratch.  in and out must not alias (callers stage through workspace
 // buffers).
 inline void sl_mpp5_kernel_vec(const float* in, std::ptrdiff_t cs, float* out,
                                std::ptrdiff_t os, int n, int ghost,
                                const LineShift& sh, float* flux) {
-  constexpr int L = kLanes;
+  constexpr int L = kSweepLanes;
   using P = LineShift::P;
   assert(ghost >= sh.max_ghost);
   const int s = sh.s;
@@ -153,4 +158,89 @@ inline void sl_mpp5_kernel_vec(const float* in, std::ptrdiff_t cs, float* out,
         .store(out + static_cast<std::ptrdiff_t>(i) * os);
 }
 
+// Zero the `ghost` rows of `width` floats on each side of a padded panel
+// of n rows.
+inline void zero_panel_ghosts(float* in, std::ptrdiff_t width, int n,
+                              int ghost) {
+  std::fill_n(in, ghost * width, 0.0f);
+  std::fill_n(in + (ghost + n) * width, ghost * width, 0.0f);
+}
+
+// Move kSweepLanes lines of n cells (line stride `line_stride`) into the
+// columns of a cell-major panel with rows `width` floats apart, through
+// kSweepLanes x kSweepLanes in-register transposes (the LAT step).
+inline void lines_to_columns(const float* src, std::ptrdiff_t line_stride,
+                             float* cols, std::ptrdiff_t width, int n) {
+  constexpr int L = kSweepLanes;
+  int t = 0;
+  for (; t + L <= n; t += L)
+    simd::transpose_tile<float, L>(src + t, line_stride, cols + t * width,
+                                   width);
+  for (; t < n; ++t)
+    for (int l = 0; l < L; ++l) cols[t * width + l] = src[l * line_stride + t];
+}
+
+// The inverse move: kSweepLanes panel columns back into lines.
+inline void columns_to_lines(const float* cols, std::ptrdiff_t width,
+                             float* dst, std::ptrdiff_t line_stride, int n) {
+  constexpr int L = kSweepLanes;
+  int t = 0;
+  for (; t + L <= n; t += L)
+    simd::transpose_tile<float, L>(cols + t * width, width, dst + t,
+                                   line_stride);
+  for (; t < n; ++t)
+    for (int l = 0; l < L; ++l) dst[l * line_stride + t] = cols[t * width + l];
+}
+
 }  // namespace v6d::vlasov::detail
+
+namespace v6d::vlasov {
+
+// The panel's full lane groups are staged once, as [n + 2*ghost][wide]
+// with zero ghost rows; every group then runs straight from that copy
+// into dst.
+inline int advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
+                             float* dst, std::ptrdiff_t dst_cell_stride,
+                             int n, int lanes, const LineShift& shift,
+                             AdvectWorkspace& ws) {
+  const std::ptrdiff_t wide = lanes - lanes % kSweepLanes;
+  if (wide == 0) return 0;
+  const int ghost = shift.max_ghost;
+  ws.ensure(n, ghost, static_cast<int>(wide), 0);
+  float* in = ws.in.data();
+  detail::zero_panel_ghosts(in, wide, n, ghost);
+  for (int k = 0; k < n; ++k)
+    std::copy_n(src + k * cell_stride, wide, in + (ghost + k) * wide);
+  for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
+    detail::sl_mpp5_kernel_vec(in + l, wide, dst + l, dst_cell_stride, n,
+                               ghost, shift, ws.flux.data());
+  return static_cast<int>(wide);
+}
+
+// The panel's full lane groups are transposed once into
+// [n + 2*ghost][wide], advected group by group into a cell-major result
+// panel and transposed back.
+inline int advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
+                            float* dst, std::ptrdiff_t dst_line_stride, int n,
+                            int lanes, const LineShift& shift,
+                            AdvectWorkspace& ws) {
+  const std::ptrdiff_t wide = lanes - lanes % kSweepLanes;
+  if (wide == 0) return 0;
+  const int ghost = shift.max_ghost;
+  ws.ensure(n, ghost, static_cast<int>(wide), static_cast<int>(wide));
+  float* in = ws.in.data();
+  float* out = ws.out.data();
+  detail::zero_panel_ghosts(in, wide, n, ghost);
+  for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
+    detail::lines_to_columns(src + l * line_stride, line_stride,
+                             in + ghost * wide + l, wide, n);
+  for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
+    detail::sl_mpp5_kernel_vec(in + l, wide, out + l, wide, n, ghost, shift,
+                               ws.flux.data());
+  for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
+    detail::columns_to_lines(out + l, wide, dst + l * dst_line_stride,
+                             dst_line_stride, n);
+  return static_cast<int>(wide);
+}
+
+}  // namespace v6d::vlasov

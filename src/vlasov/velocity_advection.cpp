@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "vlasov/advect_vec_impl.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::vlasov {
@@ -18,72 +19,98 @@ namespace v6d::vlasov {
 //            gather-style variant, reproducing the paper's "w/ SIMD inst."
 //            column; kAuto selects LAT.
 //
+// Each axis stages a block once per panel, not once per lane group: ux
+// pads the whole block as [nux+2g][nuy*nuz] (the block plus zero planes),
+// uy and uz pad one ux-plane at a time as [nuy+2g][nuz] and, transposed,
+// [nuz+2g][nuy].  Every full lane group of a panel runs from that copy
+// straight into the block; the lanes past the last full group run the
+// scalar kernel.
+//
 // Both entry points funnel into advect_block_axis, which updates one
-// spatial cell's velocity block in place.  Blocks are independent, which
-// is what makes the fused kick (advect_velocity_all) bit-identical to
-// three sequential per-axis passes.
+// spatial cell's velocity block in place, on the process's sweep tier
+// (simd/dispatch.hpp).  Blocks are independent, which is what makes the
+// fused kick (advect_velocity_all) bit-identical to three sequential
+// per-axis passes.
 
 namespace {
 
 /// Sweep one velocity block along `axis` by shift xi.  `kernel` must be
 /// concrete (resolved, never kAuto).
-void advect_block_axis(float* block, const PhaseSpace& f, int axis,
-                       double xi, SweepKernel kernel, AdvectWorkspace& ws) {
-  const auto& d = f.dims();
-  const int n = axis == 0 ? d.nux : axis == 1 ? d.nuy : d.nuz;
+inline void advect_block_axis(float* block, const PhaseSpaceDims& d,
+                              int axis, double xi, SweepKernel kernel,
+                              AdvectWorkspace& ws) {
   const bool vector = kernel != SweepKernel::kScalar;
   // Every lane group of the block shares xi: one flux setup serves them all.
   const LineShift shift = LineShift::uniform(xi, Limiter::kMpp);
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(d.nuy) * d.nuz;
+  // Scalar lines [from, to) of a panel whose line l starts at
+  // lines + l*line_stride, with cells cell_stride floats apart.
+  const auto scalar_lines = [&](float* lines, std::ptrdiff_t cell_stride,
+                                std::ptrdiff_t line_stride, int n, int from,
+                                int to) {
+    for (int l = from; l < to; ++l)
+      advect_line_strided_scalar(lines + l * line_stride, cell_stride,
+                                 lines + l * line_stride, cell_stride, n, xi,
+                                 Limiter::kMpp, ws);
+  };
 
   if (axis == 0) {
-    // Lines along iux, stride nuy*nuz; lanes over contiguous iuz.
-    const std::ptrdiff_t stride = static_cast<std::ptrdiff_t>(d.nuy) * d.nuz;
-    for (int b = 0; b < d.nuy; ++b) {
-      int c = 0;
-      for (; vector && c + kLanes <= d.nuz; c += kLanes)
-        advect_lines_simd(block + f.velocity_index(0, b, c), stride,
-                          block + f.velocity_index(0, b, c), stride, n, shift,
-                          ws);
-      for (; c < d.nuz; ++c)
-        advect_line_strided_scalar(block + f.velocity_index(0, b, c), stride,
-                                   block + f.velocity_index(0, b, c), stride,
-                                   n, xi, Limiter::kMpp, ws);
-    }
-  } else if (axis == 1) {
-    // Lines along iuy, stride nuz; lanes over contiguous iuz.
-    const std::ptrdiff_t stride = d.nuz;
-    for (int a = 0; a < d.nux; ++a) {
-      int c = 0;
-      for (; vector && c + kLanes <= d.nuz; c += kLanes)
-        advect_lines_simd(block + f.velocity_index(a, 0, c), stride,
-                          block + f.velocity_index(a, 0, c), stride, n, shift,
-                          ws);
-      for (; c < d.nuz; ++c)
-        advect_line_strided_scalar(block + f.velocity_index(a, 0, c), stride,
-                                   block + f.velocity_index(a, 0, c), stride,
-                                   n, xi, Limiter::kMpp, ws);
-    }
-  } else {
-    // Lines along the contiguous iuz axis; kLanes adjacent iuy lines per
-    // LAT call (line stride nuz).
-    const std::ptrdiff_t line_stride = d.nuz;
-    for (int a = 0; a < d.nux; ++a) {
-      int b = 0;
-      for (; vector && b + kLanes <= d.nuy; b += kLanes) {
-        float* lines0 = block + f.velocity_index(a, b, 0);
-        if (kernel == SweepKernel::kSimd)
-          advect_lines_lat_gather(lines0, line_stride, lines0, line_stride,
-                                  n, shift, ws);
-        else
-          advect_lines_lat(lines0, line_stride, lines0, line_stride, n, shift,
-                           ws);
-      }
-      for (; b < d.nuy; ++b)
-        advect_line_strided_scalar(block + f.velocity_index(a, b, 0), 1,
-                                   block + f.velocity_index(a, b, 0), 1, n,
-                                   xi, Limiter::kMpp, ws);
-    }
+    // One panel: lines along iux (stride nuy*nuz), lanes over the whole
+    // contiguous (iuy, iuz) plane.
+    const int lanes = d.nuy * d.nuz;
+    const int done =
+        vector ? advect_lines_simd(block, plane, block, plane, d.nux, lanes,
+                                   shift, ws)
+               : 0;
+    scalar_lines(block, plane, 1, d.nux, done, lanes);
+    return;
   }
+  for (int a = 0; a < d.nux; ++a) {
+    float* panel = block + a * plane;
+    if (axis == 1) {
+      // Lines along iuy (stride nuz); lanes over contiguous iuz.
+      const int done =
+          vector ? advect_lines_simd(panel, d.nuz, panel, d.nuz, d.nuy,
+                                     d.nuz, shift, ws)
+                 : 0;
+      scalar_lines(panel, d.nuz, 1, d.nuy, done, d.nuz);
+      continue;
+    }
+    // Lines along the contiguous iuz axis, one per iuy (line stride nuz).
+    int done = 0;
+    if (kernel == SweepKernel::kSimd) {
+      for (; done + kSweepLanes <= d.nuy; done += kSweepLanes) {
+        float* lines0 = panel + done * d.nuz;
+        advect_lines_lat_gather(lines0, d.nuz, lines0, d.nuz, d.nuz, shift,
+                                ws);
+      }
+    } else if (vector) {
+      done = advect_lines_lat(panel, d.nuz, panel, d.nuz, d.nuz, d.nuy,
+                              shift, ws);
+    }
+    scalar_lines(panel, 1, d.nuz, d.nuz, done, d.nuy);
+  }
+}
+
+using BlockAxisFn = void (*)(float*, const PhaseSpaceDims&, int, double,
+                             SweepKernel, AdvectWorkspace&);
+
+void block_axis_baseline(float* block, const PhaseSpaceDims& d, int axis,
+                         double xi, SweepKernel kernel, AdvectWorkspace& ws) {
+  advect_block_axis(block, d, axis, xi, kernel, ws);
+}
+V6D_SWEEP_TIER_AVX512 void block_axis_avx512(float* block,
+                                             const PhaseSpaceDims& d,
+                                             int axis, double xi,
+                                             SweepKernel kernel,
+                                             AdvectWorkspace& ws) {
+  advect_block_axis(block, d, axis, xi, kernel, ws);
+}
+
+/// advect_block_axis compiled for the running sweep tier.
+BlockAxisFn block_axis_for_tier() {
+  return simd::for_sweep_tier<BlockAxisFn>(block_axis_baseline,
+                                           block_axis_avx512);
 }
 
 }  // namespace
@@ -97,6 +124,7 @@ void advect_velocity_axis(PhaseSpace& f, int axis,
   const double dt_over_du = dt / du;
   const SweepKernel resolved =
       simd::resolve_sweep_kernel(kernel, /*contiguous_axis=*/axis == 2);
+  const BlockAxisFn block_axis = block_axis_for_tier();
 
 #ifdef _OPENMP
 #pragma omp parallel
@@ -111,7 +139,7 @@ void advect_velocity_axis(PhaseSpace& f, int axis,
         for (int iz = 0; iz < d.nz; ++iz) {
           const double xi = accel.at(ix, iy, iz) * dt_over_du;
           if (xi == 0.0) continue;
-          advect_block_axis(f.block(ix, iy, iz), f, axis, xi, resolved, ws);
+          block_axis(f.block(ix, iy, iz), d, axis, xi, resolved, ws);
         }
       }
     }
@@ -129,6 +157,7 @@ void advect_velocity_all(PhaseSpace& f, const mesh::Grid3D<double>& gx,
   for (int axis = 0; axis < 3; ++axis)
     resolved[axis] =
         simd::resolve_sweep_kernel(kernel, /*contiguous_axis=*/axis == 2);
+  const BlockAxisFn block_axis = block_axis_for_tier();
 
   // Cache blocking: one spatial cell's velocity block (nux*nuy*nuz floats)
   // is the natural tile.  All three axis sweeps run on it back-to-back
@@ -152,7 +181,7 @@ void advect_velocity_all(PhaseSpace& f, const mesh::Grid3D<double>& gx,
           for (int axis = 0; axis < 3; ++axis) {
             const double xi = a_cell[axis] * dt_du[axis];
             if (xi == 0.0) continue;
-            advect_block_axis(block, f, axis, xi, resolved[axis], ws);
+            block_axis(block, d, axis, xi, resolved[axis], ws);
           }
         }
       }

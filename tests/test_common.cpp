@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "driver/telemetry.hpp"
+#include "temp_paths.hpp"
 
 namespace {
 
@@ -215,8 +216,7 @@ TEST(Options, ParseCliSeparatesPositionalAndHelp) {
 }
 
 TEST(Options, LoadFileSectionsCommentsAndPrecedence) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "v6d_options_test.cfg";
+  const auto path = temp_paths::process_temp_path("v6d_options_test.cfg");
   {
     std::ofstream out(path);
     out << "# full-line comment\n"
@@ -242,8 +242,7 @@ TEST(Options, LoadFileRejectsMalformedLinesAndMissingFiles) {
   EXPECT_FALSE(opt.load_file("/nonexistent/v6d.cfg", &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos);
 
-  const auto path =
-      std::filesystem::temp_directory_path() / "v6d_malformed.cfg";
+  const auto path = temp_paths::process_temp_path("v6d_malformed.cfg");
   {
     std::ofstream out(path);
     out << "this line has no equals sign\n";

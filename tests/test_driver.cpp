@@ -16,13 +16,14 @@
 #include "driver/config.hpp"
 #include "driver/driver.hpp"
 #include "driver/scenario.hpp"
+#include "temp_paths.hpp"
 
 namespace {
 
 using namespace v6d;
 
 std::string temp_dir(const std::string& name) {
-  const auto path = std::filesystem::temp_directory_path() / name;
+  const auto path = temp_paths::process_temp_path(name);
   std::filesystem::remove_all(path);
   return path.string();
 }
@@ -143,7 +144,7 @@ TEST(SimulationConfig, KvRoundTripIsExact) {
 
 TEST(SimulationConfig, PrecedenceCliOverFileOverScenario) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "v6d_test.cfg").string();
+      temp_paths::process_temp_path("v6d_test.cfg").string();
   {
     std::ofstream out(path);
     out << "# comment\n"

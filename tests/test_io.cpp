@@ -11,6 +11,7 @@
 #include "io/pgm.hpp"
 #include "io/snapshot.hpp"
 #include "io/table_writer.hpp"
+#include "temp_paths.hpp"
 #include "vlasov/brick.hpp"
 
 namespace {
@@ -18,7 +19,7 @@ namespace {
 using namespace v6d;
 
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return temp_paths::process_temp_path(name).string();
 }
 
 TEST(Snapshot, ParticlesRoundTrip) {

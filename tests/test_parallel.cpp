@@ -22,6 +22,7 @@
 #include "mesh/halo_plan.hpp"
 #include "parallel/decomp_plan.hpp"
 #include "parallel/field_exchange.hpp"
+#include "temp_paths.hpp"
 #include "vlasov/moments.hpp"
 
 namespace {
@@ -606,7 +607,7 @@ void expect_same_payloads(const std::string& dir_a, const std::string& dir_b,
 
 TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
   namespace fs = std::filesystem;
-  const auto base_dir = fs::temp_directory_path() / "v6d_dist_ckpt";
+  const auto base_dir = temp_paths::process_temp_path("v6d_dist_ckpt");
   fs::remove_all(base_dir);
   const std::string dir_full = (base_dir / "full").string();
   const std::string dir_resumed = (base_dir / "resumed").string();
@@ -650,7 +651,7 @@ TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
 // them.
 TEST(DistributedCheckpoint, ResumeUnderAnotherRankCountIsBitIdentical) {
   namespace fs = std::filesystem;
-  const auto base_dir = fs::temp_directory_path() / "v6d_dist_ckpt_ranks";
+  const auto base_dir = temp_paths::process_temp_path("v6d_dist_ckpt_ranks");
   fs::remove_all(base_dir);
   const std::string written = (base_dir / "ranks4").string();
   auto cfg = make_cfg("vlasov_only", {{"nx", "8"}, {"nu", "6"}});
@@ -687,7 +688,7 @@ TEST(DistributedCheckpoint, ResumeUnderAnotherRankCountIsBitIdentical) {
 
 TEST(DistributedCheckpoint, GarbageCollectionKeepsLiveShards) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "v6d_dist_gc";
+  const auto dir = temp_paths::process_temp_path("v6d_dist_gc");
   fs::remove_all(dir);
   auto cfg = make_cfg("vlasov_only", {{"nx", "8"}, {"nu", "6"}});
   cfg.ranks = 2;

@@ -36,6 +36,7 @@
 #include "driver/config.hpp"
 #include "driver/driver.hpp"
 #include "driver/supervisor.hpp"
+#include "temp_paths.hpp"
 
 namespace {
 
@@ -256,11 +257,6 @@ driver::SimulationConfig tiny_distributed_config(const std::string& dir) {
   return cfg;
 }
 
-std::string temp_dir(const std::string& name) {
-  const auto path = fs::temp_directory_path() / name;
-  fs::remove_all(path);
-  return path.string();
-}
 
 /// First phase-space shard the committed meta references.
 std::string any_payload(const std::string& dir) {
@@ -271,7 +267,8 @@ std::string any_payload(const std::string& dir) {
 }
 
 TEST(TornCheckpoint, TruncatedShardIsRejectedOnResume) {
-  const auto dir = temp_dir("v6d_torn_truncated");
+  const temp_paths::ScratchDir scratch("v6d_torn_truncated");
+  const auto dir = scratch.str();
   driver::Driver d(tiny_distributed_config(dir));
   d.run();  // stops at max_steps and commits a sharded checkpoint
 
@@ -291,7 +288,8 @@ TEST(TornCheckpoint, TruncatedShardIsRejectedOnResume) {
 }
 
 TEST(TornCheckpoint, MissingShardIsRejectedOnResume) {
-  const auto dir = temp_dir("v6d_torn_missing");
+  const temp_paths::ScratchDir scratch("v6d_torn_missing");
+  const auto dir = scratch.str();
   driver::Driver d(tiny_distributed_config(dir));
   d.run();
   fs::remove(fs::path(dir) / any_payload(dir));
@@ -306,7 +304,8 @@ TEST(TornCheckpoint, MissingShardIsRejectedOnResume) {
 }
 
 TEST(TornCheckpoint, GcKeepsValidCheckpointsAndSweepsDebris) {
-  const auto dir = temp_dir("v6d_gc_valid");
+  const temp_paths::ScratchDir scratch("v6d_gc_valid");
+  const auto dir = scratch.str();
   driver::Driver d(tiny_distributed_config(dir));
   d.run();
 
@@ -326,7 +325,8 @@ TEST(TornCheckpoint, GcKeepsValidCheckpointsAndSweepsDebris) {
 }
 
 TEST(TornCheckpoint, GcRemovesATornCheckpointEntirely) {
-  const auto dir = temp_dir("v6d_gc_torn");
+  const temp_paths::ScratchDir scratch("v6d_gc_torn");
+  const auto dir = scratch.str();
   driver::Driver d(tiny_distributed_config(dir));
   d.run();
   const auto shard = fs::path(dir) / any_payload(dir);
@@ -343,7 +343,8 @@ TEST(TornCheckpoint, GcRemovesATornCheckpointEntirely) {
 
 TEST(TornCheckpoint, FsyncFileReportsMissingTarget) {
   EXPECT_FALSE(driver::fsync_file("/nonexistent/v6d/file"));
-  const auto dir = temp_dir("v6d_fsync");
+  const temp_paths::ScratchDir scratch("v6d_fsync");
+  const auto dir = scratch.str();
   fs::create_directories(dir);
   const auto path = fs::path(dir) / "x";
   std::ofstream(path) << "bytes";

@@ -179,10 +179,29 @@ TEST(SimdPack, HorizontalSum) {
 }
 
 TEST(SimdDispatch, ReportsIsa) {
+  // isa_info() describes the tier the sweeps run on: every tier calls the
+  // 4-lane kernels and none contracts a multiply-add.
   const IsaInfo info = isa_info();
   EXPECT_FALSE(info.name.empty());
-  EXPECT_GE(info.float_width, 4);
-  EXPECT_EQ(info.float_width, kNativeFloatWidth);
+  EXPECT_EQ(info.float_width, 4);
+  EXPECT_EQ(info.float_width, kSweepLanes);
+  EXPECT_FALSE(info.has_fma);
+  // The baseline tier is named after the build's own ISA.
+  for (const SweepTier tier : supported_tiers()) {
+    const ScopedSweepTier pin(tier);
+    if (tier == SweepTier::kAvx512)
+      EXPECT_EQ(isa_info().name, "AVX-512");
+    else
+      EXPECT_NE(isa_info().name, "AVX-512");
+  }
+}
+
+TEST(SimdDispatch, RunsTheWidestSupportedTier) {
+  const auto tiers = supported_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), SweepTier::kBaseline);
+  EXPECT_EQ(sweep_tier(), tiers.back());
+  for (const SweepTier tier : tiers) EXPECT_TRUE(tier_supported(tier));
 }
 
 }  // namespace

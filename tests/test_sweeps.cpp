@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sweep_tiers.hpp"
 #include "vlasov/moments.hpp"
 #include "vlasov/splitting.hpp"
 #include "vlasov/sweeps.hpp"
@@ -48,64 +49,71 @@ void fill_blob(PhaseSpace& f, double center_frac = 0.5) {
       }
 }
 
+// Every SweepKernels case runs on each sweep tier the host supports.
 class SweepKernels : public ::testing::TestWithParam<SweepKernel> {};
 
 TEST_P(SweepKernels, PositionSweepsConserveMass) {
-  auto f = make_ps(8, 8);
-  fill_blob(f);
-  const double mass0 = f.total_mass();
-  for (int axis = 0; axis < 3; ++axis)
-    advect_position_axis(f, axis, 0.9 * f.geom().dx / f.geom().umax,
-                         GetParam(), AxisFaces{});
-  EXPECT_NEAR(f.total_mass(), mass0, 2e-5 * mass0);
-  EXPECT_GE(f.min_interior(), 0.0f);
+  v6d::sweep_tiers::on_every_tier([&] {
+    auto f = make_ps(8, 8);
+    fill_blob(f);
+    const double mass0 = f.total_mass();
+    for (int axis = 0; axis < 3; ++axis)
+      advect_position_axis(f, axis, 0.9 * f.geom().dx / f.geom().umax,
+                           GetParam(), AxisFaces{});
+    EXPECT_NEAR(f.total_mass(), mass0, 2e-5 * mass0);
+    EXPECT_GE(f.min_interior(), 0.0f);
+  });
 }
 
 TEST_P(SweepKernels, VelocitySweepsConserveMassWithinDomain) {
   // Wide velocity cube (edge at ~6.7 sigma) so the Maxwellian tail carries
   // negligible mass through the open boundary during a small kick.
-  auto f = make_ps(4, 16, 8.0, 2.0);
-  fill_blob(f);
-  const double mass0 = f.total_mass();
-  v6d::mesh::Grid3D<double> accel(4, 4, 4);
-  accel.fill(0.02);
-  for (int axis = 0; axis < 3; ++axis)
-    advect_velocity_axis(f, axis, accel, 1.0, GetParam());
-  EXPECT_NEAR(f.total_mass(), mass0, 1e-4 * mass0);
-  EXPECT_GE(f.min_interior(), 0.0f);
+  v6d::sweep_tiers::on_every_tier([&] {
+    auto f = make_ps(4, 16, 8.0, 2.0);
+    fill_blob(f);
+    const double mass0 = f.total_mass();
+    v6d::mesh::Grid3D<double> accel(4, 4, 4);
+    accel.fill(0.02);
+    for (int axis = 0; axis < 3; ++axis)
+      advect_velocity_axis(f, axis, accel, 1.0, GetParam());
+    EXPECT_NEAR(f.total_mass(), mass0, 1e-4 * mass0);
+    EXPECT_GE(f.min_interior(), 0.0f);
+  });
 }
 
 TEST_P(SweepKernels, MatchesScalarReference) {
   if (GetParam() == SweepKernel::kScalar) GTEST_SKIP();
-  auto fa = make_ps(6, 8);
-  auto fb = make_ps(6, 8);
-  fill_blob(fa);
-  fill_blob(fb);
-  v6d::mesh::Grid3D<double> accel(6, 6, 6);
-  for (int i = 0; i < 6; ++i)
-    for (int j = 0; j < 6; ++j)
-      for (int k = 0; k < 6; ++k)
-        accel.at(i, j, k) = 0.02 * (i - j + 2 * k);
+  v6d::sweep_tiers::on_every_tier([&] {
+    auto fa = make_ps(6, 8);
+    auto fb = make_ps(6, 8);
+    fill_blob(fa);
+    fill_blob(fb);
+    v6d::mesh::Grid3D<double> accel(6, 6, 6);
+    for (int i = 0; i < 6; ++i)
+      for (int j = 0; j < 6; ++j)
+        for (int k = 0; k < 6; ++k)
+          accel.at(i, j, k) = 0.02 * (i - j + 2 * k);
 
-  for (int axis = 0; axis < 3; ++axis) {
-    advect_position_axis(fa, axis, 0.5 * fa.geom().dx, SweepKernel::kScalar,
-                         AxisFaces{});
-    advect_position_axis(fb, axis, 0.5 * fb.geom().dx, GetParam(),
-                         AxisFaces{});
-    advect_velocity_axis(fa, axis, accel, 0.7, SweepKernel::kScalar);
-    advect_velocity_axis(fb, axis, accel, 0.7, GetParam());
-  }
-  const auto& d = fa.dims();
-  float worst = 0.0f;
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz) {
-        const float* a = fa.block(ix, iy, iz);
-        const float* b = fb.block(ix, iy, iz);
-        for (std::size_t v = 0; v < fa.block_size(); ++v)
-          worst = std::max(worst, std::fabs(a[v] - b[v]));
-      }
-  EXPECT_LT(worst, 5e-6f);
+    for (int axis = 0; axis < 3; ++axis) {
+      advect_position_axis(fa, axis, 0.5 * fa.geom().dx, SweepKernel::kScalar,
+                           AxisFaces{});
+      advect_position_axis(fb, axis, 0.5 * fb.geom().dx, GetParam(),
+                           AxisFaces{});
+      advect_velocity_axis(fa, axis, accel, 0.7, SweepKernel::kScalar);
+      advect_velocity_axis(fb, axis, accel, 0.7, GetParam());
+    }
+    const auto& d = fa.dims();
+    float worst = 0.0f;
+    for (int ix = 0; ix < d.nx; ++ix)
+      for (int iy = 0; iy < d.ny; ++iy)
+        for (int iz = 0; iz < d.nz; ++iz) {
+          const float* a = fa.block(ix, iy, iz);
+          const float* b = fb.block(ix, iy, iz);
+          for (std::size_t v = 0; v < fa.block_size(); ++v)
+            worst = std::max(worst, std::fabs(a[v] - b[v]));
+        }
+    EXPECT_LT(worst, 5e-6f);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, SweepKernels,
