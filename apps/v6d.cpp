@@ -10,6 +10,7 @@
 // it — overrides there should stick to driver-control keys (a_final,
 // max_steps, wall_budget_s, checkpoint cadence) so the continuation stays
 // bit-identical with an uninterrupted run.
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -63,13 +64,15 @@ void print_summary(driver::Driver& d, const driver::RunResult& result) {
     std::printf("perf report written to %s\n",
                 d.config().perf_report.c_str());
 
-  std::printf("per-phase wall time [s]:\n");
-  for (const auto& bucket : d.timers().buckets())
-    std::printf("  %-14s %8.3f\n", bucket.c_str(),
-                d.timers().total(bucket));
-  for (const auto& bucket : d.solver().timers().buckets())
-    std::printf("  %-14s %8.3f\n", bucket.c_str(),
-                d.solver().timers().total(bucket));
+  std::printf("wall time per region [s]:   total     self\n");
+  for (const auto& b : d.solver().timers().buckets()) {
+    const auto depth = std::count(b.path.begin(), b.path.end(), '/');
+    const std::string label =
+        std::string(2 * static_cast<std::size_t>(depth), ' ') +
+        b.path.substr(b.path.rfind('/') + 1);
+    std::printf("  %-24s %8.3f %8.3f\n", label.c_str(), b.seconds,
+                b.self_seconds);
+  }
   std::printf("total mass (critical-density units): %.6e\n",
               d.solver().total_mass());
 }

@@ -1,6 +1,6 @@
 // Shared state behind a group of simulated ranks (internal header): two
-// mailboxes per rank, one for each channel of InProcTransport, and the
-// abort flag they all observe.
+// mailboxes per rank, one for each channel of InProcTransport, the abort
+// flag they all observe, and one departed flag per rank.
 #pragma once
 
 #include <atomic>
@@ -13,9 +13,13 @@ namespace v6d::comm {
 class Context {
  public:
   explicit Context(int nranks)
-      : nranks_(nranks), mailboxes_(nranks), internal_(nranks) {
-    for (auto& mailbox : mailboxes_) mailbox.set_abort_flag(&aborted_);
-    for (auto& mailbox : internal_) mailbox.set_abort_flag(&aborted_);
+      : nranks_(nranks), mailboxes_(nranks), internal_(nranks),
+        departed_(static_cast<std::size_t>(nranks)) {
+    for (auto* channel : {&mailboxes_, &internal_})
+      for (auto& mailbox : *channel) {
+        mailbox.set_abort_flag(&aborted_);
+        mailbox.set_departed_flags(departed_);
+      }
   }
 
   int size() const { return nranks_; }
@@ -53,11 +57,26 @@ class Context {
   /// Acquire load: pairs with the release half of abort()'s exchange.
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
+  /// Mark `rank` departed (its body returned) and wake every blocked pop:
+  /// one waiting on a message from `rank` that is not queued can never
+  /// complete, so it throws TransportError{kPeerLost, rank}.  Messages
+  /// `rank` sent before departing still drain first.  Same flag-then-
+  /// wake protocol as abort(): the release store pairs with the acquire
+  /// loads in Mailbox::pop/try_pop, and the wake round-trips each
+  /// waiter's mutex.
+  void depart(int rank) noexcept {
+    departed_[static_cast<std::size_t>(rank)].store(true,
+                                                    std::memory_order_release);
+    for (auto& mailbox : mailboxes_) mailbox.notify_abort();
+    for (auto& mailbox : internal_) mailbox.notify_abort();
+  }
+
  private:
   int nranks_;
   std::vector<Mailbox> mailboxes_;
   std::vector<Mailbox> internal_;
   std::atomic<bool> aborted_{false};
+  std::vector<std::atomic<bool>> departed_;  // by rank
 };
 
 }  // namespace v6d::comm

@@ -35,6 +35,8 @@ class InProcTransport final : public Transport {
 
   void abort() noexcept override { ctx_->abort(); }
   bool aborted() const override { return ctx_->aborted(); }
+  /// The rank is done: peers still waiting on it fail instead of hanging.
+  void shutdown() override { ctx_->depart(rank_); }
 
  private:
   Context* ctx_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
+
+#include "comm/transport.hpp"
 
 namespace v6d::comm {
 
@@ -29,16 +32,16 @@ std::vector<std::uint8_t> Mailbox::pop(int source, int tag) {
   const Key key{source, tag};
   const auto wait_start = std::chrono::steady_clock::now();
   cv_.wait(lock, [&] {
-    if (abort_ && abort_->load(std::memory_order_acquire)) return true;
     auto it = queues_.find(key);
-    return it != queues_.end() && !it->second.empty();
+    return (it != queues_.end() && !it->second.empty()) || aborted() ||
+           departed(source);
   });
   // Wait time is charged even when the wait ends in an abort: the blocked
   // interval is real and trace consumers want to see it.
   stats_.pop_wait_s +=
       seconds_between(wait_start, std::chrono::steady_clock::now());
   auto it = queues_.find(key);
-  if (it == queues_.end() || it->second.empty()) throw AbortedError();
+  if (it == queues_.end() || it->second.empty()) throw_unreachable(source);
   std::vector<std::uint8_t> payload = std::move(it->second.front());
   it->second.pop_front();
   stats_.messages_popped += 1;
@@ -57,8 +60,7 @@ bool Mailbox::try_pop(int source, int tag, std::vector<std::uint8_t>& out) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = queues_.find({source, tag});
   if (it == queues_.end() || it->second.empty()) {
-    if (abort_ && abort_->load(std::memory_order_acquire))
-      throw AbortedError();
+    if (aborted() || departed(source)) throw_unreachable(source);
     return false;
   }
   out = std::move(it->second.front());
@@ -77,6 +79,14 @@ bool Mailbox::probe(int source, int tag) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = queues_.find({source, tag});
   return it != queues_.end() && !it->second.empty();
+}
+
+void Mailbox::throw_unreachable(int source) const {
+  if (aborted()) throw AbortedError();
+  throw TransportError(TransportFault::kPeerLost, source,
+                       "rank " + std::to_string(source) +
+                           " returned without sending a message this rank "
+                           "waits for");
 }
 
 void Mailbox::notify_abort() {

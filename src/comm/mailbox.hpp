@@ -24,6 +24,10 @@
 //  * Queued messages outrank the abort: a pop whose message is already
 //    buffered returns it even after abort, so completed exchanges drain
 //    deterministically during unwind.
+//
+// The same protocol covers a source that departed (its rank body returned,
+// Context::depart): a pop from it with nothing queued throws
+// TransportError{kPeerLost, source} instead of blocking forever.
 #pragma once
 
 #include <atomic>
@@ -33,6 +37,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -66,12 +71,14 @@ class Mailbox {
  public:
   void push(int source, int tag, std::vector<std::uint8_t> payload);
   /// Blocks until a matching message arrives; returns its payload.
-  /// Throws AbortedError if the context is aborted while waiting.
+  /// Throws AbortedError if the context is aborted while waiting, and
+  /// TransportError{kPeerLost, source} if `source` departed with no
+  /// matching message queued.
   std::vector<std::uint8_t> pop(int source, int tag);
   /// Non-blocking pop: moves a matching message into `out` and returns
-  /// true, or returns false if none is queued.  Throws AbortedError once
-  /// the context is aborted, so completion-handle pollers cannot spin on a
-  /// message that will never arrive.
+  /// true, or returns false if none is queued.  Throws like pop() once the
+  /// context is aborted or `source` departed, so completion-handle pollers
+  /// cannot spin on a message that will never arrive.
   bool try_pop(int source, int tag, std::vector<std::uint8_t>& out);
   /// Non-blocking probe: true if a matching message is queued.
   bool probe(int source, int tag);
@@ -79,7 +86,13 @@ class Mailbox {
   /// Install the context-wide abort flag consulted by blocking pops.
   /// Must be called before any rank thread touches the mailbox.
   void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
-  /// Wake every blocked pop so it can observe the abort flag.
+  /// Install the per-rank departed flags (indexed by source rank), under
+  /// the same rule.
+  void set_departed_flags(std::span<const std::atomic<bool>> departed) {
+    departed_ = departed;
+  }
+  /// Wake every blocked pop so it can observe the abort flag and the
+  /// departed flags.
   void notify_abort();
 
   /// Number of live (source, tag) queues.  pop() erases a queue it has
@@ -94,10 +107,22 @@ class Mailbox {
 
  private:
   using Key = std::pair<int, int>;  // (source, tag)
+  bool aborted() const {
+    return abort_ && abort_->load(std::memory_order_acquire);
+  }
+  bool departed(int source) const {
+    const auto r = static_cast<std::size_t>(source);
+    return r < departed_.size() &&
+           departed_[r].load(std::memory_order_acquire);
+  }
+  /// Throws the error of a pop from `source` that can never complete.
+  [[noreturn]] void throw_unreachable(int source) const;
+
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::map<Key, std::deque<std::vector<std::uint8_t>>> queues_;
   const std::atomic<bool>* abort_ = nullptr;
+  std::span<const std::atomic<bool>> departed_;
   // Traffic accounting, all guarded by mutex_.
   MailboxStats stats_;
   std::uint64_t depth_ = 0;  // currently queued messages

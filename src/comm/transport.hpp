@@ -154,8 +154,9 @@ class Transport {
   /// short-read path).  Fault-injection hook; default = abort().
   virtual void fail_hard() noexcept { abort(); }
   /// Graceful teardown: flush goodbyes so peers can distinguish a clean
-  /// exit from a crash.  Idempotent; default no-op (in-process ranks junk
-  /// their Context wholesale).
+  /// exit from a crash (in process: mark the rank departed, so a peer's
+  /// receive from it with nothing queued fails with kPeerLost).
+  /// Idempotent; default no-op.
   virtual void shutdown() {}
   /// Teardown for a rank that says goodbye but cannot linger: goodbyes
   /// are flushed, then every connection drops immediately without

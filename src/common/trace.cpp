@@ -67,14 +67,6 @@ namespace detail {
 
 std::atomic<bool> g_enabled{false};
 
-std::uint64_t now_ns_impl() {
-  const auto now = std::chrono::steady_clock::now().time_since_epoch();
-  const auto ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
-  const std::uint64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
-  return ns > epoch ? ns - epoch : 0;
-}
-
 void record(Kind kind, const char* name, std::uint64_t t0, std::uint64_t t1,
             double value) {
   ThreadBuffer* buf = t_buf;
@@ -98,15 +90,22 @@ void record(Kind kind, const char* name, std::uint64_t t0, std::uint64_t t1,
 
 }  // namespace detail
 
+std::uint64_t clock_ns() {
+  const auto now = std::chrono::steady_clock::now().time_since_epoch();
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
+}
+
+std::uint64_t since_epoch(std::uint64_t clock) {
+  const std::uint64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
+  return clock > epoch ? clock - epoch : 0;
+}
+
 void enable(std::size_t events_per_thread) {
   std::lock_guard<std::mutex> lock(g_registry_mutex);
   if (events_per_thread == 0) events_per_thread = 1;
   g_capacity = events_per_thread;
-  const auto now = std::chrono::steady_clock::now().time_since_epoch();
-  g_epoch_ns.store(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now).count()),
-      std::memory_order_relaxed);
+  g_epoch_ns.store(clock_ns(), std::memory_order_relaxed);
   for (auto& buf : registry()) {
     if (buf->count.load(std::memory_order_relaxed) == 0)
       buf->events.resize(g_capacity);

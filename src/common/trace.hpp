@@ -4,10 +4,11 @@
 // a step ran on each rank, not just its accumulated total: did the halo sends
 // posted by HaloPlan::begin_axis actually fly while the interior sweeps ran,
 // or did finish_axis stall?  TimerRegistry answers "how much", this answers
-// "when".  Every rank thread records spans/instants/counters into its own
-// fixed-capacity buffer (single-writer, no locks on the hot path) and the
-// driver flushes the merged stream as Chrome trace_event JSON, loadable in
-// Perfetto / chrome://tracing.
+// "when"; both come from the same regions (common/timer.hpp), which emit
+// their spans here.  Every rank thread records spans/instants/counters into
+// its own fixed-capacity buffer (single-writer, no locks on the hot path)
+// and the driver flushes the merged stream as Chrome trace_event JSON,
+// loadable in Perfetto / chrome://tracing.
 //
 // Cost model: when tracing is disabled (the default), every emit call is one
 // relaxed atomic load and a branch — cheap enough to leave the
@@ -46,8 +47,6 @@ struct Event {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-constexpr std::uint64_t kOff = ~std::uint64_t{0};
-std::uint64_t now_ns_impl();
 void record(Kind kind, const char* name, std::uint64_t t0, std::uint64_t t1,
             double value);
 }  // namespace detail
@@ -57,8 +56,13 @@ inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Nanoseconds since the enable() epoch (steady clock).
-inline std::uint64_t now_ns() { return detail::now_ns_impl(); }
+/// A steady-clock reading in nanoseconds.
+std::uint64_t clock_ns();
+/// A clock_ns() reading as nanoseconds since the enable() epoch (0 for a
+/// reading before it).
+std::uint64_t since_epoch(std::uint64_t clock);
+/// Nanoseconds since the enable() epoch.
+inline std::uint64_t now_ns() { return since_epoch(clock_ns()); }
 
 /// Start tracing.  Sets the timestamp epoch to "now" and (re)sizes each
 /// idle per-thread buffer to `events_per_thread` slots.  Control-plane.
@@ -74,7 +78,7 @@ void reset();
 /// log::set_rank; -1 = untagged).
 void set_rank(int rank);
 
-/// Record a completed span [t0, t1] (values from now_ns()).
+/// Record a completed span [t0, t1] (nanoseconds since the epoch).
 inline void emit_span(const char* name, std::uint64_t t0, std::uint64_t t1) {
   if (enabled()) detail::record(Kind::kSpan, name, t0, t1, 0.0);
 }
@@ -94,24 +98,6 @@ inline void counter(const char* name, double value) {
     detail::record(Kind::kCounter, name, t, t, value);
   }
 }
-
-/// RAII span: records [construction, destruction] under `name`.  When
-/// tracing is off the constructor is one relaxed load.  `name` must outlive
-/// the span (string literals; ScopedTimer keeps its bucket string alive).
-class Span {
- public:
-  explicit Span(const char* name)
-      : name_(name), t0_(enabled() ? now_ns() : detail::kOff) {}
-  ~Span() {
-    if (t0_ != detail::kOff) detail::record(Kind::kSpan, name_, t0_, now_ns(), 0.0);
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  const char* name_;
-  std::uint64_t t0_;
-};
 
 struct Stats {
   std::uint64_t recorded = 0;

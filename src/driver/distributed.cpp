@@ -159,9 +159,10 @@ RunResult Driver::run() {
     // Thread ranks share one Driver, so only the lead writes its fields;
     // process ranks each own their Driver and keep it coherent locally.
     const bool own_driver = lead || multiproc;
-    // This rank's driver buckets (step / step-control / checkpoint-io),
-    // folded into the Driver's registry by its owner after the loop.
-    TimerRegistry driver_timers;
+    // The loop's regions (step / step-control / checkpoint-io) open in the
+    // solver's registry, so the solver's phases nest in `step` and the
+    // rank keeps one record.
+    TimerRegistry& timers = ds.timers();
     double a = a_;
     std::int64_t steps = steps_;
     int steps_here = 0;
@@ -169,17 +170,9 @@ RunResult Driver::run() {
     bool early = false;
     std::string checkpoint_written;
     const double mass0 = heartbeat ? ds.total_mass() : 0.0;
-    // Per-step phase increments for the heartbeat = deltas of the merged
-    // (driver + solver) bucket totals around the step.
-    const auto phase_snapshot = [&] {
-      TimerRegistry merged;
-      merged.merge(driver_timers);
-      merged.merge(ds.timers(), "solver:");
-      return timer_totals(merged);
-    };
 
     auto checkpoint_all = [&] {
-      ScopedTimer t(driver_timers, "checkpoint-io");
+      ScopedTimer t(timers, "checkpoint-io");
       write_rank_checkpoint(cfg_, rng_.state(), ds, comm, cfg_.checkpoint_dir,
                             a, steps);
       checkpoint_written = cfg_.checkpoint_dir;
@@ -205,20 +198,16 @@ RunResult Driver::run() {
 
       double a1;
       {
-        ScopedTimer t(driver_timers, "step-control");
+        ScopedTimer t(timers, "step-control");
         a1 = std::min(ds.suggest_next_a(a, cfg_.da_max), cfg_.a_final);
       }
+      // Per-step phase increments for the heartbeat: deltas of the
+      // record's totals around the step.
       std::map<std::string, double> phases_before;
-      if (heartbeat && lead) phases_before = phase_snapshot();
-      double step_seconds;
+      if (heartbeat && lead) phases_before = timer_totals(timers);
       {
-        // Per-step samples feed the paper's median-of-steps metric in the
-        // perf report alongside the accumulated total.
-        trace::Span step_span("step");
-        Stopwatch step_watch;
+        ScopedTimer t(timers, "step");
         ds.step(a, a1);
-        step_seconds = step_watch.seconds();
-        driver_timers.add_sample("step", step_seconds);
       }
       trace::counter("comm-bytes-sent",
                      static_cast<double>(comm.bytes_sent()));
@@ -238,8 +227,8 @@ RunResult Driver::run() {
                 ds.neutrinos(), ds.background().drift_factor(a, a1));
           hb.mass = mass;
           hb.mass_drift = mass0 != 0.0 ? (mass - mass0) / mass0 : 0.0;
-          hb.step_seconds = step_seconds;
-          hb.phase_seconds = timer_delta(phases_before, phase_snapshot());
+          hb.step_seconds = timers.samples("step").back();
+          hb.phase_seconds = timer_delta(phases_before, timer_totals(timers));
           hb.comm_bytes = comm_bytes;
           hb.rss_mb = current_rss_mb();
           telemetry.write(hb);
@@ -269,7 +258,6 @@ RunResult Driver::run() {
       result.reason = reason;
       result.steps = steps_here;
       result.checkpoint = checkpoint_written;
-      timers_.merge(driver_timers);
     }
   };
 

@@ -107,26 +107,26 @@ void Driver::write_perf_report(const std::string& path) const {
   if (rank_threads_ > 0)
     report.context["threads"] = std::to_string(rank_threads_);
 
-  // Driver buckets (step / step-control / checkpoint-io) and the solver's
-  // force/sweep buckets (vlasov / pm / tree / vlasov-moments) share one
-  // report; phase-space cell counts turn the step total into a rate.
-  TimerRegistry merged;
-  merged.merge(timers_);
-  merged.merge(solver_->timers(), "solver:");
-  report.add_timers(merged);
-  const double step_median = timers_.median_sample("step");
-  if (step_median > 0.0)
-    report.add_metric("step_median_seconds", step_median, "s");
-  // Rate over the steps *this* process actually timed (a resumed run's
-  // steps_ includes pre-resume steps whose time it never saw).
-  const double cells =
-      static_cast<double>(solver_->neutrinos().dims().total_interior());
-  const double step_total = timers_.total("step");
-  const auto timed_steps =
-      static_cast<double>(timers_.samples("step").size());
-  if (cells > 0.0 && step_total > 0.0 && timed_steps > 0.0)
-    report.add_metric("cell_updates_per_s", cells * timed_steps / step_total,
-                      "1/s");
+  // One record: the loop's regions with the solver's nested in `step`;
+  // phase-space cell counts turn the step total into a rate.
+  const TimerRegistry& timers = solver_->timers();
+  report.add_timers(timers);
+  const auto& steps = timers.samples("step");
+  const double step_total = timers.total("step");
+  if (!steps.empty() && step_total > 0.0) {
+    report.add_metric("step_median_seconds", timers.median_sample("step"),
+                      "s");
+    // What no region inside the step explains.
+    report.add_metric("step_unattributed_seconds", timers.self("step"), "s");
+    // Rate over the steps *this* process actually timed (a resumed run's
+    // steps_ includes pre-resume steps whose time it never saw).
+    const double cells =
+        static_cast<double>(solver_->neutrinos().dims().total_interior());
+    if (cells > 0.0)
+      report.add_metric("cell_updates_per_s",
+                        cells * static_cast<double>(steps.size()) / step_total,
+                        "1/s");
+  }
 
   std::string error;
   if (!report.write(path, &error))

@@ -6,11 +6,11 @@
 // epoch, a step budget, or a wall-clock budget is hit.  One rank loop
 // (driver/distributed.cpp) runs at every rank count: at ranks = 1 it steps
 // the world-1 solver itself; otherwise each rank steps its slice and the
-// state is gathered back.  Per-phase wall time accumulates into the
-// driver's TimerRegistry ("step", "step-control", "checkpoint-io")
-// alongside the solver's own buckets (vlasov / pm / tree / halo ...) — the
-// paper's end-to-end timing includes snapshot I/O (§7.2), so checkpoint
-// writes are timed like any other phase.
+// state is gathered back.  The loop's timed regions ("step",
+// "step-control", "checkpoint-io") open in the solver's TimerRegistry, so
+// the solver's own regions (vlasov / pm / tree ...) nest in "step" and a
+// rank has one record — the paper's end-to-end timing includes snapshot
+// I/O (§7.2), so checkpoint writes are timed like any other phase.
 //
 // Checkpoints (periodic or on early stop) capture everything the run loop
 // needs — phase space (one shard per rank), particles, RNG state, scale
@@ -23,7 +23,6 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "driver/config.hpp"
 #include "hybrid/hybrid_solver.hpp"
 
@@ -63,10 +62,11 @@ class Driver {
   /// with allreduce-agreed CFL intervals and per-rank checkpoint shards.
   RunResult run();
 
-  /// Write the per-phase timers (driver buckets + the solver's vlasov /
-  /// pm / tree buckets) as a v6d-perf/1 JSON report.  run() calls this
-  /// automatically when config().perf_report is non-empty.  Throws
-  /// std::runtime_error on I/O failure.
+  /// Write the lead rank's record of timed regions (solver().timers()) as
+  /// a v6d-perf/1 JSON report: one phase per path with its self time, and
+  /// the step's median, unattributed self time and cell-update rate.
+  /// run() calls this automatically when config().perf_report is
+  /// non-empty.  Throws std::runtime_error on I/O failure.
   void write_perf_report(const std::string& path) const;
 
   hybrid::HybridSolver& solver() { return *solver_; }
@@ -74,7 +74,6 @@ class Driver {
   const SimulationConfig& config() const { return cfg_; }
   double scale_factor() const { return a_; }
   std::int64_t step_count() const { return steps_; }
-  TimerRegistry& timers() { return timers_; }
 
  private:
   Driver(const SimulationConfig& cfg, bool with_ics);
@@ -85,7 +84,6 @@ class Driver {
   double a_ = 0.0;
   std::int64_t steps_ = 0;
   int rank_threads_ = 0;  // OpenMP threads of the lead rank's last run()
-  TimerRegistry timers_;
 };
 
 }  // namespace v6d::driver

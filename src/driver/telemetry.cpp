@@ -36,11 +36,11 @@ void TelemetryStream::write(const Heartbeat& hb) {
   add_number("step_seconds", hb.step_seconds);
   line += "\"phase_seconds\":{";
   bool first = true;
-  for (const auto& [bucket, seconds] : hb.phase_seconds) {
+  for (const auto& [path, seconds] : hb.phase_seconds) {
     if (!first) line += ',';
     first = false;
     line += '"';
-    line += io::json_escape(bucket);
+    line += io::json_escape(path);
     std::snprintf(num, sizeof num, "\":%.17g", seconds);
     line += num;
   }
@@ -84,8 +84,7 @@ double current_rss_mb() {
 
 std::map<std::string, double> timer_totals(const TimerRegistry& timers) {
   std::map<std::string, double> totals;
-  for (const auto& bucket : timers.buckets())
-    totals[bucket] = timers.total(bucket);
+  for (const auto& b : timers.buckets()) totals[b.path] = b.seconds;
   return totals;
 }
 

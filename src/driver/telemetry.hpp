@@ -18,9 +18,9 @@
 
 namespace v6d::driver {
 
-/// One heartbeat row.  `phase_seconds` holds this step's *increment* per
-/// timer bucket (the driver snapshots totals around the step and
-/// subtracts).
+/// One heartbeat row.  `phase_seconds` holds this step's *increment* of
+/// every path of the lead rank's record (the driver snapshots totals
+/// around the step and subtracts).
 struct Heartbeat {
   std::int64_t step = 0;
   double a = 0.0;
@@ -53,10 +53,10 @@ class TelemetryStream {
 /// Resident-set size of this process in MiB (0 where unsupported).
 double current_rss_mb();
 
-/// Snapshot every bucket total of `timers` (helper for per-step deltas).
+/// Snapshot the total of every path of `timers` (for per-step deltas).
 std::map<std::string, double> timer_totals(const TimerRegistry& timers);
 
-/// after[bucket] - before[bucket] for every bucket in `after`, zero
+/// after[path] - before[path] for every path in `after`, zero
 /// increments included (so every row of a run carries the same keys) —
 /// the per-step phase cost.
 std::map<std::string, double> timer_delta(

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "simd/dispatch.hpp"
 #include "simd/pack.hpp"
 
 namespace v6d::gravity {
@@ -94,7 +95,9 @@ void pp_accumulate_simd(const float* tx, const float* ty, const float* tz,
                         const float* sz, const float* sm, std::size_t ns,
                         const PpKernelParams& params, const CutoffPoly& poly,
                         float* ax, float* ay, float* az) {
-  using P = simd::PackF;
+  // The sweeps' lane count in every build: the lane partial sums, and so
+  // the forces and a run's digest, do not depend on -march.
+  using P = simd::Pack<float, simd::kSweepLanes>;
   constexpr int L = P::width;
   const float eps2 = static_cast<float>(params.eps * params.eps);
   const float inv_2rs =

@@ -59,7 +59,10 @@ void pp_accumulate_scalar(const double* tx, const double* ty,
                           const PpKernelParams& params, double* ax,
                           double* ay, double* az);
 
-/// Single-precision SIMD kernel (vectorized over sources).  Targets and
+/// Single-precision SIMD kernel, vectorized over sources in 4-lane packs
+/// in every build: source s adds to lane s % 4 over the full groups, the
+/// lanes are summed in order, then the tail adds one source at a time, so
+/// the result is the same bits under any -march.  Targets and
 /// sources are given as float SoA; the caller is responsible for staging
 /// coordinates relative to a local origin so float precision suffices
 /// (the tree walk stages per-node).

@@ -8,7 +8,6 @@
 
 #include "comm/context.hpp"
 #include "comm/inproc_transport.hpp"
-#include "common/trace.hpp"
 #include "io/snapshot.hpp"
 #include "mesh/interp.hpp"
 #include "parallel/decomp_plan.hpp"
@@ -290,7 +289,7 @@ bool HybridSolver::owns_particle(std::size_t i) const {
 }
 
 void HybridSolver::deposit_cdm_local() {
-  trace::Span span("deposit");
+  ScopedTimer region("deposit");
   rho_cdm_.fill(0.0);
   // Particles are replicated; each rank deposits only the ones it owns
   // (owned_ is refreshed once per force assembly), spilling CIC weight
@@ -399,7 +398,7 @@ void HybridSolver::compute_forces(double a) {
       });
   if (has_nu_) {
     ScopedTimer t(timers_, "vlasov-moments");
-    trace::Span span("deposit");
+    ScopedTimer region("deposit");
     inject_nu_density(f_, rho_v_, patch_, rho_nu_);
   }
 
@@ -412,7 +411,7 @@ void HybridSolver::compute_forces(double a) {
     std::vector<fft::cplx>* slab_cdm = nullptr;
     std::vector<fft::cplx>* slab_nu = nullptr;
     auto forward = [&](std::vector<fft::cplx>& slab) {
-      trace::Span fft_span("fft-forward");
+      ScopedTimer region("fft-forward");
       pfft_.forward(slab);
     };
     finish_behind(
@@ -473,7 +472,7 @@ void HybridSolver::compute_forces(double a) {
           s = fft::cplx(0.0, -1.0) * k_d * phi_[m];
           ++m;
         });
-        trace::Span fft_span("fft-inverse");
+        ScopedTimer region("fft-inverse");
         pfft_.inverse_normalized(spec_);
       };
       mesh::Grid3D<double>* outs[3] = {&gx, &gy, &gz};
@@ -520,9 +519,6 @@ void HybridSolver::compute_forces(double a) {
       sample_nu_accelerations(f_, gx_nu_, gy_nu_, gz_nu_, patch_,
                               forces_.nu_ax, forces_.nu_ay, forces_.nu_az);
   }
-  timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
-  timers_.add("slab-wait", slab_cdm_x_.take_wait() + slab_nu_x_.take_wait() +
-                               slab_out_.take_wait());
 
   // --- tree short-range at the owned particles: every rank builds the
   //     same tree over the replicated set, so a target's force does not
@@ -549,13 +545,13 @@ void HybridSolver::drift(double drift_factor) {
   // filler: a position sweep along one axis reads only that axis' ghosts
   // at interior transverse positions, so each sweep needs one face pair,
   // not a transitively extended 3-axis halo.
+  ScopedTimer region("drift");
   vlasov::drift_full(f_, drift_factor, options_.kernel,
                      [this](vlasov::PhaseSpace& f, int axis) {
                        ScopedTimer t(timers_, "halo");
                        ps_plan_.begin_axis(f, axis);
                        return ps_plan_.finish_axis(axis);
                      });
-  timers_.add("halo-wait", ps_plan_.take_wait());
 }
 
 void HybridSolver::step(double a0, double a1) {
@@ -565,7 +561,7 @@ void HybridSolver::step(double a0, double a1) {
   const double kick_pre = background_.kick_factor(a0, a_mid);
   if (has_nu_) {
     ScopedTimer t(timers_, "vlasov");
-    trace::Span kick_span("kick");
+    ScopedTimer kick("kick");
     vlasov::kick_half(f_, forces_.nu_ax, forces_.nu_ay, forces_.nu_az,
                       kick_pre, options_.kernel);
   }
@@ -583,7 +579,7 @@ void HybridSolver::step(double a0, double a1) {
   const double kick_post = background_.kick_factor(a_mid, a1);
   if (has_nu_) {
     ScopedTimer t(timers_, "vlasov");
-    trace::Span kick_span("kick");
+    ScopedTimer kick("kick");
     vlasov::kick_half(f_, forces_.nu_ax, forces_.nu_ay, forces_.nu_az,
                       kick_post, options_.kernel);
   }

@@ -53,9 +53,16 @@
 // its begin.  Both modes send the same messages and compute every field
 // with the same floating-point operations, so they are bit-identical
 // (tests/test_parallel.cpp asserts exact equality and equal per-rank
-// traffic).  Exposed (un-hidden) communication time is tracked in the
-// "halo-wait" / "fold-wait" / "slab-wait" timer buckets, which
-// bench/table3 turns into the halo_overlap_efficiency metric.
+// traffic).
+//
+// Every phase is a timed region in timers(): `vlasov` (its `kick` and
+// `drift`, the drift's `halo` with the plan's `halo-*` regions),
+// `vlasov-moments`, `pm` (`deposit`, the fold and slab plans' `*-begin` /
+// `*-finish` / `*-wait`, the fill's `fill-wait`, `fft-forward` /
+// `fft-inverse`) and `tree`.  The plans open their regions without a
+// registry, so they land in the record of the solver region around them.
+// The `*-wait` regions are the exposed (un-hidden) communication time,
+// which bench/table3 turns into the halo_overlap_efficiency metric.
 //
 // Deliberate deviation from the paper, documented in docs/ARCHITECTURE.md:
 // CDM particle *storage* is replicated on every rank, and so is the
@@ -199,6 +206,8 @@ class HybridSolver {
   const mesh::Grid3D<double>& nu_density() const { return rho_nu_; }
   const mesh::Grid3D<double>& cdm_density() const { return rho_cdm_; }
 
+  /// The record of this rank's timed regions (common/timer.hpp); a caller
+  /// that opens a region here around step() gets the solver's nested in it.
   TimerRegistry& timers() { return timers_; }
   static double poisson_prefactor(double a) { return 1.5 / a; }
 

@@ -58,7 +58,7 @@ std::string json_escape(const std::string& text) {
 
 void PerfReport::add_phase(const std::string& phase_name, double seconds,
                            long reps, double cells, double bytes) {
-  phases.push_back({phase_name, seconds, reps, cells, bytes});
+  phases.push_back({phase_name, seconds, reps, cells, bytes, std::nullopt});
 }
 
 void PerfReport::add_metric(const std::string& metric_name, double value,
@@ -66,10 +66,9 @@ void PerfReport::add_metric(const std::string& metric_name, double value,
   metrics.push_back({metric_name, value, unit});
 }
 
-void PerfReport::add_timers(const TimerRegistry& timers,
-                            const std::string& prefix) {
-  for (const auto& bucket : timers.buckets())
-    add_phase(prefix + bucket, timers.total(bucket));
+void PerfReport::add_timers(const TimerRegistry& timers) {
+  for (const auto& b : timers.buckets())
+    phases.push_back({b.path, b.seconds, b.count, 0.0, 0.0, b.self_seconds});
 }
 
 std::string PerfReport::to_json() const {
@@ -97,6 +96,8 @@ std::string PerfReport::to_json() const {
        << ", \"reps\": " << p.reps;
     const double per_rep = p.reps > 0 ? p.seconds / p.reps : p.seconds;
     os << ", \"seconds_per_rep\": " << fmt_double(per_rep);
+    if (p.self_seconds)
+      os << ", \"self_seconds\": " << fmt_double(*p.self_seconds);
     if (p.cells > 0.0) {
       os << ", \"cells\": " << fmt_double(p.cells);
       if (per_rep > 0.0)

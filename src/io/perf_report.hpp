@@ -3,7 +3,7 @@
 //
 // One reporter serves both producers of timing data: the bench harness
 // (bench/harness.hpp wraps it with phase timing and rate computation) and
-// the simulation driver (per-phase TimerRegistry buckets from a real run).
+// the simulation driver (the paths of a TimerRegistry from a real run).
 // Consumers — the CI perf-smoke job, tools/check_bench_schema.py, and
 // cross-PR trajectory comparisons — parse only this schema:
 //
@@ -13,17 +13,20 @@
 //     "context": { "<key>": "<string value>", ... },
 //     "phases": [
 //       { "name": "...", "seconds": <total>, "reps": <n>,
-//         "seconds_per_rep": <t>, "cells": <per rep>, "bytes": <per rep>,
-//         "cell_updates_per_s": <rate>, "gb_per_s": <rate> }, ...
+//         "seconds_per_rep": <t>, "self_seconds": <t>, "cells": <per rep>,
+//         "bytes": <per rep>, "cell_updates_per_s": <rate>,
+//         "gb_per_s": <rate> }, ...
 //     ],
 //     "metrics": [ { "name": "...", "value": <v>, "unit": "..." }, ... ]
 //   }
 //
-// "cells"/"bytes" and the derived rates are emitted only when nonzero.
+// "cells"/"bytes" and the derived rates are emitted only when nonzero,
+// "self_seconds" only for a timed region (its total minus its children's).
 // The schema string is bumped on any backwards-incompatible change.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,7 @@ struct PerfPhase {
   long reps = 1;
   double cells = 0.0;
   double bytes = 0.0;
+  std::optional<double> self_seconds;  // timed regions only
 };
 
 /// A named scalar result (speedups, errors, counts) with a free-form unit.
@@ -61,9 +65,9 @@ struct PerfReport {
                  double cells = 0.0, double bytes = 0.0);
   void add_metric(const std::string& metric_name, double value,
                   const std::string& unit = "");
-  /// Import every bucket of a TimerRegistry as a phase named
-  /// `prefix + bucket` (one rep, no work counters).
-  void add_timers(const TimerRegistry& timers, const std::string& prefix = "");
+  /// Import every path of a TimerRegistry as a phase: its total over
+  /// `reps` = closes, with its self time (no work counters).
+  void add_timers(const TimerRegistry& timers);
 
   std::string to_json() const;
   /// Serialize to `path`; false (with *error set) on I/O failure.

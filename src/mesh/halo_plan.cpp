@@ -1,7 +1,8 @@
 #include "mesh/halo_plan.hpp"
 
+#include <utility>
+
 #include "common/timer.hpp"
-#include "common/trace.hpp"
 #include "vlasov/sl_mpp5.hpp"
 
 namespace v6d::mesh {
@@ -43,23 +44,21 @@ HaloPlan::HaloPlan(comm::CartTopology& cart,
 }
 
 void HaloPlan::begin_axis(vlasov::PhaseSpace& f, int axis) {
-  trace::Span span("halo-begin");
+  ScopedTimer region("halo-begin");
   if (axes_[static_cast<std::size_t>(axis)].decomposed)
     messages_[static_cast<std::size_t>(axis)].post(
         *cart_, tag_base_, faces_, GhostOp::kFill, cell_view(f), axis);
 }
 
 vlasov::AxisFaces HaloPlan::finish_axis(int axis) {
-  trace::Span span("halo-finish");
+  ScopedTimer region("halo-finish");
   const auto ax = static_cast<std::size_t>(axis);
   vlasov::AxisFaces faces;
   if (!axes_[ax].decomposed) return faces;
   for (std::size_t side : {0u, 1u}) {
-    trace::Span wait_span("halo-wait");
-    Stopwatch w;
+    ScopedTimer wait("halo-wait");
     faces.payloads[side] =
         messages_[ax].from[side].wait(axes_[ax].face_floats * sizeof(float));
-    wait_s_ += w.seconds();
   }
   faces.lo = reinterpret_cast<const float*>(faces.payloads[0].data());
   faces.hi = reinterpret_cast<const float*>(faces.payloads[1].data());
@@ -105,16 +104,11 @@ void GridGhostChain::finish_chain(Grid3D<double>& grid) {
     const int axis = std::exchange(pending_axis_, -1);
     const std::size_t bytes = faces_.face_cells(axis) * sizeof(double);
     for (int side : {0, 1}) {
-      auto& from = messages_.from[static_cast<std::size_t>(side)];
-      Stopwatch w;
       std::vector<std::uint8_t> payload;
-      if (op_ == GhostOp::kFold) {
-        trace::Span wait_span("fold-wait");
-        payload = from.wait(bytes);
-      } else {  // the force-grid fill stays unspanned inside `pm`
-        payload = from.wait(bytes);
+      {
+        ScopedTimer wait(op_ == GhostOp::kFold ? "fold-wait" : "fill-wait");
+        payload = messages_.from[static_cast<std::size_t>(side)].wait(bytes);
       }
-      wait_s_ += w.seconds();
       faces_.unpack(op_, cell_view(grid), axis, side,
                     reinterpret_cast<const double*>(payload.data()));
     }
@@ -123,12 +117,12 @@ void GridGhostChain::finish_chain(Grid3D<double>& grid) {
 }
 
 void GridFoldPlan::begin(Grid3D<double>& grid) {
-  trace::Span span("fold-begin");
+  ScopedTimer region("fold-begin");
   begin_chain(grid);
 }
 
 void GridFoldPlan::finish(Grid3D<double>& grid) {
-  trace::Span span("fold-finish");
+  ScopedTimer region("fold-finish");
   finish_chain(grid);
 }
 

@@ -11,8 +11,10 @@
 // Each plan splits its data movement into begin/finish halves, so the
 // distributed solver can let independent compute run while messages fly;
 // either placement moves the same bytes and gives bit-identical fields.
-// take_wait() returns the time spent *blocked* in message waits, the
-// exposed communication cost the overlap metrics report.
+// The halves and the message waits inside them are timed regions
+// ("halo-begin", "halo-finish", "halo-wait", and so on) in the record of
+// whichever region encloses them; the waits are the exposed communication
+// cost the overlap metrics report.
 //
 //  * HaloPlan — the phase-space face pair a position sweep along one axis
 //    reads (that axis' ghosts at interior transverse positions).
@@ -29,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "comm/cart.hpp"
@@ -82,15 +83,12 @@ class HaloPlan {
   /// faces on an undecomposed axis.
   vlasov::AxisFaces finish_axis(int axis);
 
-  double take_wait() { return std::exchange(wait_s_, 0.0); }
-
  private:
   comm::CartTopology* cart_ = nullptr;
   int tag_base_ = 0;
   GhostFaces faces_;
   std::array<AxisPlan, 3> axes_{};
   std::array<FaceMessages<float>, 3> messages_;
-  double wait_s_ = 0.0;
 };
 
 /// The axis chain of GridFillPlan and GridFoldPlan: begin() runs it
@@ -98,9 +96,6 @@ class HaloPlan {
 /// decomposed axis' faces; finish() completes that axis and runs the rest.
 /// The caller must not touch the grid in between.
 class GridGhostChain {
- public:
-  double take_wait() { return std::exchange(wait_s_, 0.0); }
-
  protected:
   GridGhostChain() = default;
   GridGhostChain(comm::CartTopology& cart, const Grid3D<double>& shape,
@@ -118,7 +113,6 @@ class GridGhostChain {
   GhostFaces faces_;
   int pending_axis_ = -1;
   FaceMessages<double> messages_;
-  double wait_s_ = 0.0;
 };
 
 class GridFillPlan : public GridGhostChain {

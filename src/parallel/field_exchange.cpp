@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/timer.hpp"
-#include "common/trace.hpp"
 
 namespace v6d::parallel {
 
@@ -71,15 +70,12 @@ SlabExchange::SlabExchange(const mesh::BrickDecomposition& dec,
 
 std::vector<std::uint8_t> SlabExchange::wait_pending(std::size_t s,
                                                      const Footprint& fp) {
-  trace::Span wait_span("slab-wait");
-  Stopwatch w;
-  auto payload = pending_[s].wait(fp.bytes());
-  wait_s_ += w.seconds();
-  return payload;
+  ScopedTimer wait("slab-wait");
+  return pending_[s].wait(fp.bytes());
 }
 
 void SlabExchange::begin_to_slab(const mesh::Grid3D<double>& brick) {
-  trace::Span span("slab-begin");
+  ScopedTimer region("slab-begin");
   auto& comm = cart_->comm();
   for (const auto& fp : brick_rows_) {
     std::vector<std::uint8_t> payload(fp.bytes());
@@ -98,7 +94,7 @@ void SlabExchange::begin_to_slab(const mesh::Grid3D<double>& brick) {
 }
 
 std::vector<fft::cplx>& SlabExchange::finish_to_slab() {
-  trace::Span span("slab-finish");
+  ScopedTimer region("slab-finish");
   const int n = pfft_->n();
   for (std::size_t s = 0; s < slab_rows_.size(); ++s) {
     const auto& fp = slab_rows_[s];
@@ -115,7 +111,7 @@ std::vector<fft::cplx>& SlabExchange::finish_to_slab() {
 }
 
 void SlabExchange::begin_to_brick(const std::vector<fft::cplx>& slab) {
-  trace::Span span("slab-begin");
+  ScopedTimer region("slab-begin");
   auto& comm = cart_->comm();
   const int n = pfft_->n();
   for (const auto& fp : slab_rows_) {
@@ -137,7 +133,7 @@ void SlabExchange::begin_to_brick(const std::vector<fft::cplx>& slab) {
 }
 
 void SlabExchange::finish_to_brick(mesh::Grid3D<double>& brick) {
-  trace::Span span("slab-finish");
+  ScopedTimer region("slab-finish");
   for (std::size_t s = 0; s < brick_rows_.size(); ++s) {
     const auto& fp = brick_rows_[s];
     const auto payload = wait_pending(s, fp);

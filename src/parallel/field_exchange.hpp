@@ -60,13 +60,6 @@ class SlabExchange {
   void begin_to_brick(const std::vector<fft::cplx>& slab);
   void finish_to_brick(mesh::Grid3D<double>& brick);
 
-  /// Seconds spent blocked waiting for messages since the last call.
-  double take_wait() {
-    const double w = wait_s_;
-    wait_s_ = 0.0;
-    return w;
-  }
-
  private:
   struct Footprint {
     int rank = 0;
@@ -92,7 +85,6 @@ class SlabExchange {
   std::vector<Footprint> brick_rows_, slab_rows_;
   std::vector<comm::Communicator::RecvHandle> pending_;
   std::vector<fft::cplx> slab_;
-  double wait_s_ = 0.0;
 };
 
 }  // namespace v6d::parallel

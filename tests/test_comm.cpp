@@ -281,6 +281,46 @@ TEST(Comm, ThrowingRankWakesPeerBlockedInCollective) {
   }
 }
 
+// A rank whose body returns is gone for good: a peer that still needs a
+// message from it fails with the lost peer named instead of blocking.
+TEST(Comm, ReturnedRankFailsPeerEnteringBarrier) {
+  try {
+    run(2, [&](Communicator& comm) {
+      if (comm.rank() == 1) return;
+      // v6d-analyze: allow(collective-consistency): the deadlock under test
+      comm.barrier();  // rank 1 will never arrive
+      FAIL() << "barrier without a returned rank's arrival must not complete";
+    });
+    FAIL() << "run() must report the lost rank";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.fault(), TransportFault::kPeerLost);
+    EXPECT_EQ(e.peer(), 1);
+  }
+}
+
+TEST(Comm, ReturnedRankFailsPeerRecvAfterItsMessagesDrain) {
+  try {
+    run(2, [&](Communicator& comm) {
+      double value = 1.5;
+      if (comm.rank() == 1) {
+        comm.send(0, 70, &value, 1);
+        return;
+      }
+      // Let rank 1 return first: its queued message must still arrive.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      value = 0.0;
+      comm.recv(1, 70, &value, 1);
+      EXPECT_EQ(value, 1.5);
+      comm.recv(1, 71, &value, 1);  // never sent
+      FAIL() << "recv from a returned rank must not return";
+    });
+    FAIL() << "run() must report the lost rank";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.fault(), TransportFault::kPeerLost);
+    EXPECT_EQ(e.peer(), 1);
+  }
+}
+
 TEST(Mailbox, TrimsDrainedQueues) {
   Mailbox mailbox;
   EXPECT_EQ(mailbox.queue_count(), 0u);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <barrier>
+#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -121,19 +124,149 @@ TEST(Rng, HashMixSpreadsBits) {
   EXPECT_EQ(seen.size(), 1000u);
 }
 
-TEST(Timer, AccumulatesAndMedians) {
+std::vector<std::string> paths_of(const TimerRegistry& reg) {
+  std::vector<std::string> paths;
+  for (const auto& b : reg.buckets()) paths.push_back(b.path);
+  return paths;
+}
+
+TEST(Timer, RegionsNestIntoPaths) {
   TimerRegistry reg;
-  reg.add("part", 1.0);
-  reg.add("part", 2.0);
-  EXPECT_DOUBLE_EQ(reg.total("part"), 3.0);
-  reg.add_sample("step", 5.0);
-  reg.add_sample("step", 1.0);
-  reg.add_sample("step", 3.0);
-  EXPECT_DOUBLE_EQ(reg.median_sample("step"), 3.0);
-  reg.add_sample("step", 100.0);
-  EXPECT_DOUBLE_EQ(reg.median_sample("step"), 4.0);  // (3+5)/2
-  EXPECT_DOUBLE_EQ(reg.total("missing"), 0.0);
-  EXPECT_EQ(reg.buckets().size(), 2u);
+  for (int step = 0; step < 2; ++step) {
+    ScopedTimer t(reg, "step");
+    {
+      ScopedTimer v("vlasov");  // no registry: the innermost region's
+      { ScopedTimer k("kick"); }
+      {
+        ScopedTimer d("drift");
+        for (int axis = 0; axis < 3; ++axis) {
+          ScopedTimer h("halo");
+        }
+      }
+    }
+    ScopedTimer p(reg, "pm");  // a registry's own region nests as well
+  }
+  EXPECT_EQ(paths_of(reg),
+            (std::vector<std::string>{"step", "step/vlasov",
+                                      "step/vlasov/kick", "step/vlasov/drift",
+                                      "step/vlasov/drift/halo", "step/pm"}));
+  for (const auto& b : reg.buckets())
+    EXPECT_EQ(b.count, b.path == "step/vlasov/drift/halo" ? 6 : 2) << b.path;
+}
+
+TEST(Timer, SelfTimeIsTotalMinusChildren) {
+  TimerRegistry reg;
+  {
+    ScopedTimer outer(reg, "outer");
+    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    for (int i = 0; i < 2; ++i) {
+      ScopedTimer inner("inner");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_GT(reg.self("outer"), 0.003);
+  EXPECT_GT(reg.total("inner"), 0.003);
+  EXPECT_NEAR(reg.self("outer"), reg.total("outer") - reg.total("inner"),
+              1e-12);
+  EXPECT_DOUBLE_EQ(reg.self("outer/inner"), reg.total("outer/inner"));
+}
+
+TEST(Timer, BareLeafTotalSumsEveryPathEndingInIt) {
+  TimerRegistry reg;
+  const auto timed = [](const char* name) {
+    ScopedTimer t(name);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  {
+    ScopedTimer a(reg, "a");
+    timed("wait");
+  }
+  {
+    ScopedTimer b(reg, "b");
+    timed("wait");
+    ScopedTimer c("c");
+    timed("wait");
+    timed("await");  // ends in "wait", but not at a '/'
+  }
+  EXPECT_EQ(paths_of(reg),
+            (std::vector<std::string>{"a", "a/wait", "b", "b/wait", "b/c",
+                                      "b/c/wait", "b/c/await"}));
+  EXPECT_EQ(reg.total("wait"), reg.total("a/wait") + reg.total("b/wait") +
+                                   reg.total("b/c/wait"));
+  EXPECT_GT(reg.total("b/c/await"), 0.0);
+  EXPECT_EQ(reg.total("c/wait"), reg.total("b/c/wait"));
+  EXPECT_EQ(reg.total("missing"), 0.0);
+}
+
+TEST(Timer, RootRegionsKeepSamplesAndMedians) {
+  TimerRegistry reg;
+  for (const int ms : {1, 5, 3}) {
+    ScopedTimer t(reg, "step");
+    ScopedTimer inner("inner");
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  }
+  auto samples = reg.samples("step");
+  ASSERT_EQ(samples.size(), 3u);
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(reg.median_sample("step"), samples[1]);  // odd count: the middle
+  EXPECT_GT(samples[1], 0.002);
+
+  {  // a fourth close: an even count averages the two middle samples
+    ScopedTimer t(reg, "step");
+    std::this_thread::sleep_for(std::chrono::milliseconds(7));
+  }
+  samples = reg.samples("step");
+  ASSERT_EQ(samples.size(), 4u);
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(reg.median_sample("step"), 0.5 * (samples[1] + samples[2]));
+  EXPECT_GT(samples[1], 0.002);
+  EXPECT_LT(samples[1], samples[2]);
+  EXPECT_TRUE(reg.samples("inner").empty());
+  EXPECT_EQ(reg.median_sample("missing"), 0.0);
+}
+
+TEST(Timer, MergeAddsPathByPath) {
+  TimerRegistry a, b;
+  {
+    ScopedTimer t(a, "step");
+    ScopedTimer k("kick");
+  }
+  {
+    ScopedTimer t(b, "step");
+    ScopedTimer k("tree");
+  }
+  TimerRegistry merged;
+  merged.merge(a);
+  merged.merge(b);
+  EXPECT_EQ(paths_of(merged), (std::vector<std::string>{
+                                  "step", "step/kick", "step/tree"}));
+  EXPECT_EQ(merged.samples("step").size(), 2u);
+  EXPECT_NEAR(merged.total("step"), a.total("step") + b.total("step"), 1e-15);
+  EXPECT_NEAR(merged.self("step"), a.self("step") + b.self("step"), 1e-15);
+}
+
+// Rank threads time concurrently: each thread nests into its own region
+// stack, so a region without a registry lands in its own thread's record,
+// or nowhere, never in a peer's open region.
+TEST(Timer, RegionsOnTwoThreadsKeepSeparateRecords) {
+  TimerRegistry regs[2];
+  std::barrier both_open(3);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&, t] {
+      ScopedTimer step(regs[t], "step");
+      both_open.arrive_and_wait();
+      ScopedTimer leaf(t == 0 ? "left" : "right");
+      both_open.arrive_and_wait();
+    });
+  both_open.arrive_and_wait();
+  { ScopedTimer stray("stray"); }  // this thread has no region open
+  both_open.arrive_and_wait();
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(paths_of(regs[0]),
+            (std::vector<std::string>{"step", "step/left"}));
+  EXPECT_EQ(paths_of(regs[1]),
+            (std::vector<std::string>{"step", "step/right"}));
 }
 
 TEST(Timer, ScopedTimerMeasuresElapsed) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -241,7 +242,7 @@ std::vector<std::set<std::string>> telemetry_phase_keys(
       continue;
     }
     const auto begin = open + std::strlen(kField);
-    // Entries are "bucket":seconds; bucket names hold no ',' or '"'.
+    // Entries are "path":seconds; region paths hold no ',' or '"'.
     std::istringstream entries(
         line.substr(begin, line.find('}', begin) - begin));
     std::set<std::string> keys;
@@ -252,11 +253,20 @@ std::vector<std::set<std::string>> telemetry_phase_keys(
   return rows;
 }
 
-// One loop writes every heartbeat, so a serial and a 2-rank run report the
-// same phase buckets, in the documented form: driver buckets bare, solver
-// buckets under "solver:".
+/// `path` is `name` or ends in "/" + name.
+bool path_ends_in(const std::string& path, const std::string& name) {
+  return path == name ||
+         (path.size() > name.size() &&
+          path.compare(path.size() - name.size(), name.size(), name) == 0 &&
+          path[path.size() - name.size() - 1] == '/');
+}
+
+// One loop writes every heartbeat from one record, so a serial and a
+// 2-rank run report the same region paths.  Only the waits differ: a
+// decomposed axis adds the halo, fold and fill waits that a world of one
+// rank never makes.
 TEST(Driver, TelemetryRowsHaveOneFormAtEveryRankCount) {
-  std::vector<std::set<std::string>> rows;
+  std::set<std::string> keys[2];
   for (const int ranks : {1, 2}) {
     auto cfg = tiny_config();
     cfg.nx = 8;  // two bricks of 4 >= the ghost width
@@ -265,15 +275,122 @@ TEST(Driver, TelemetryRowsHaveOneFormAtEveryRankCount) {
     cfg.telemetry = temp_dir("v6d_telemetry_ranks" + std::to_string(ranks));
     driver::Driver d(cfg);
     d.run();
-    const auto got = telemetry_phase_keys(cfg.telemetry);
-    EXPECT_EQ(got.size(), 2u) << ranks << " ranks";
-    rows.insert(rows.end(), got.begin(), got.end());
+    const auto rows = telemetry_phase_keys(cfg.telemetry);
+    ASSERT_EQ(rows.size(), 2u) << ranks << " ranks";
+    EXPECT_EQ(rows[0], rows[1]) << ranks << " ranks";
+    keys[ranks - 1] = rows[0];
     std::filesystem::remove(cfg.telemetry);
   }
-  ASSERT_FALSE(rows.empty());
-  EXPECT_TRUE(rows[0].count("step"));
-  EXPECT_TRUE(rows[0].count("solver:vlasov"));
-  for (const auto& keys : rows) EXPECT_EQ(keys, rows[0]);
+  for (const char* path :
+       {"step", "step-control", "step/vlasov/kick", "step/vlasov/drift/halo",
+        "step/vlasov-moments", "step/pm/slab-finish/slab-wait", "step/tree"})
+    EXPECT_TRUE(keys[0].count(path)) << path;
+  for (const auto& key : keys[0]) EXPECT_TRUE(keys[1].count(key)) << key;
+  for (const auto& key : keys[1]) {
+    if (keys[0].count(key)) continue;
+    EXPECT_TRUE(path_ends_in(key, "halo-wait") ||
+                path_ends_in(key, "fold-wait") ||
+                path_ends_in(key, "fill-wait"))
+        << key;
+  }
+  EXPECT_TRUE(keys[1].count("step/vlasov/drift/halo/halo-finish/halo-wait"));
+}
+
+/// Per-leaf sums of the pid-0 span durations of a trace file written by
+/// trace::write_chrome_trace (one event per line), in seconds.
+std::map<std::string, double> rank0_span_seconds(const std::string& path) {
+  std::map<std::string, double> sums;
+  std::map<int, std::vector<std::pair<std::string, double>>> open;  // tid
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    char name[64];
+    char ph = 0;
+    int pid = 0, tid = 0;
+    double ts = 0.0;
+    if (std::sscanf(line.c_str(),
+                    "{\"name\":\"%63[^\"]\",\"ph\":\"%c\",\"pid\":%d,"
+                    "\"tid\":%d,\"ts\":%lf",
+                    name, &ph, &pid, &tid, &ts) != 5 ||
+        pid != 0)
+      continue;
+    auto& stack = open[tid];
+    if (ph == 'B') {
+      stack.emplace_back(name, ts);
+    } else if (ph == 'E' && !stack.empty() && stack.back().first == name) {
+      sums[name] += (ts - stack.back().second) * 1e-6;
+      stack.pop_back();
+    }
+  }
+  return sums;
+}
+
+struct ReportPhase {
+  double seconds = 0.0, self_seconds = 0.0;
+  long reps = 0;
+};
+
+/// The phases of a v6d-perf/1 report written by io::PerfReport, by name.
+std::map<std::string, ReportPhase> report_phases(const std::string& path) {
+  std::map<std::string, ReportPhase> phases;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    char name[128];
+    ReportPhase p;
+    double per_rep = 0.0;
+    if (std::sscanf(line.c_str(),
+                    " { \"name\": \"%127[^\"]\", \"seconds\": %lf, "
+                    "\"reps\": %ld, \"seconds_per_rep\": %lf, "
+                    "\"self_seconds\": %lf",
+                    name, &p.seconds, &p.reps, &per_rep,
+                    &p.self_seconds) == 5)
+      phases[name] = p;
+  }
+  return phases;
+}
+
+// The trace and the perf report are one record seen twice: every region a
+// rank-0 span shows sums to the report's total for its leaf, and each
+// report path's total is its children's plus its self time.
+TEST(Driver, TraceSpansSumToTheReportAtEveryRankCount) {
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    auto cfg = tiny_config();
+    cfg.nx = 8;
+    cfg.max_steps = 2;
+    cfg.ranks = ranks;
+    cfg.trace = temp_dir("v6d_record_trace" + std::to_string(ranks));
+    cfg.perf_report = temp_dir("v6d_record_perf" + std::to_string(ranks));
+    driver::Driver d(cfg);
+    d.run();
+    const auto spans = rank0_span_seconds(cfg.trace);
+    const auto phases = report_phases(cfg.perf_report);
+    std::filesystem::remove(cfg.trace);
+    std::filesystem::remove(cfg.perf_report);
+    ASSERT_TRUE(spans.count("step"));
+    ASSERT_TRUE(phases.count("step"));
+    for (const auto& [leaf, seconds] : spans) {
+      double total = 0.0;
+      long reps = 0;
+      for (const auto& [path, p] : phases)
+        if (path_ends_in(path, leaf)) {
+          total += p.seconds;
+          reps += p.reps;
+        }
+      EXPECT_GT(reps, 0) << leaf << " has spans but no report path";
+      EXPECT_NEAR(seconds, total, 1e-9 * static_cast<double>(reps + 1))
+          << leaf;
+    }
+    for (const auto& [path, p] : phases) {
+      double children = 0.0;
+      for (const auto& [child, c] : phases)
+        if (child.size() > path.size() + 1 &&
+            child.compare(0, path.size() + 1, path + "/") == 0 &&
+            child.find('/', path.size() + 1) == std::string::npos)
+          children += c.seconds;
+      EXPECT_LE(children, p.seconds + 1e-12) << path;
+      EXPECT_NEAR(p.self_seconds, p.seconds - children, 1e-9) << path;
+    }
+  }
 }
 
 // Writing a periodic checkpoint must not perturb the run itself.

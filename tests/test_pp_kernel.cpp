@@ -112,6 +112,100 @@ TEST_F(PpFixture, SimdMatchesScalarWithSplitCutoff) {
   EXPECT_LT(worst, 5e-4 * std::max(norm, 1.0));
 }
 
+/// pp_accumulate_simd's summation order written out one float operation
+/// at a time: lane l sums the sources s = l (mod 4) of the full groups, the
+/// lanes add in order, then the tail adds one source at a time.  No build
+/// contracts a multiply-add, so each line rounds as the packs do.
+void four_lane_reference(const std::vector<float>* t,
+                         const std::vector<float>* s,
+                         const std::vector<float>& sm, std::size_t ns,
+                         const PpKernelParams& params, const CutoffPoly& poly,
+                         std::vector<float>* a) {
+  constexpr std::size_t kLanes = 4;
+  const float eps2 = static_cast<float>(params.eps * params.eps);
+  const float inv_2rs =
+      params.rs > 0.0 ? static_cast<float>(1.0 / (2.0 * params.rs)) : 0.0f;
+  const float rcut2 =
+      params.rcut > 0.0 ? static_cast<float>(params.rcut * params.rcut) : 0.0f;
+  const float x_scale = 2.0f / static_cast<float>(poly.u_cut());
+  const auto& c = poly.coeffs();
+  const std::size_t full = ns / kLanes * kLanes;
+  for (std::size_t i = 0; i < t[0].size(); ++i) {
+    float lane[3][kLanes] = {};
+    float d[3];
+    for (std::size_t j = 0; j < full; ++j) {
+      for (int k = 0; k < 3; ++k) d[k] = s[k][j] - t[k][i];
+      const float r2 = (d[2] * d[2] + (d[1] * d[1] + d[0] * d[0])) + eps2;
+      const float r = std::sqrt(r2);
+      float f = sm[j] * (1.0f / (r2 * r));
+      if (params.rs > 0.0) {
+        const float x = r * inv_2rs * x_scale - 1.0f;
+        const float two_x = x + x;
+        float b1 = 0.0f, b2 = 0.0f;
+        for (std::size_t n = c.size(); n-- > 1;) {
+          const float b0 = two_x * b1 + (c[n] - b2);
+          b2 = b1;
+          b1 = b0;
+        }
+        f = f * (x * b1 + (c[0] - b2));
+      }
+      if ((rcut2 > 0.0f && !(r2 < rcut2)) || !(r2 > 0.0f)) f = 0.0f;
+      for (int k = 0; k < 3; ++k)
+        lane[k][j % kLanes] = f * d[k] + lane[k][j % kLanes];
+    }
+    float h[3] = {0.0f, 0.0f, 0.0f};
+    for (int k = 0; k < 3; ++k)
+      for (std::size_t l = 0; l < kLanes; ++l) h[k] += lane[k][l];
+    for (std::size_t j = full; j < ns; ++j) {
+      for (int k = 0; k < 3; ++k) d[k] = s[k][j] - t[k][i];
+      const float r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
+      if (r2 == 0.0f || (rcut2 > 0.0f && r2 >= rcut2)) continue;
+      const float r = std::sqrt(r2);
+      float f = sm[j] / (r2 * r);
+      if (params.rs > 0.0) f *= poly.eval(r * inv_2rs);
+      for (int k = 0; k < 3; ++k) h[k] += f * d[k];
+    }
+    for (int k = 0; k < 3; ++k) a[k][i] += h[k];
+  }
+}
+
+// The lane count is fixed, not the build's native width, so an
+// -march=x86-64-v3 or AVX-512 build sums in this order too.
+TEST_F(PpFixture, SimdSumsInFourLaneOrderBitForBit) {
+  const std::size_t ns = sx.size() - 1;  // a tail of 3 after 49 full groups
+  const std::vector<float> t[3] = {{tx.begin(), tx.end()},
+                                   {ty.begin(), ty.end()},
+                                   {tz.begin(), tz.end()}};
+  const std::vector<float> src[3] = {{sx.begin(), sx.end()},
+                                     {sy.begin(), sy.end()},
+                                     {sz.begin(), sz.end()}};
+  const std::vector<float> m(sm.begin(), sm.end());
+  PpKernelParams plain;
+  plain.eps = 0.05;
+  PpKernelParams split = plain;
+  split.rs = 0.15;
+  split.rcut = 4.5 * split.rs;
+  for (const auto& params : {plain, split}) {
+    const CutoffPoly poly(params.rs > 0.0 ? params.rcut / (2.0 * params.rs)
+                                          : 3.0,
+                          14);
+    std::vector<float> got[3], want[3];
+    for (int k = 0; k < 3; ++k) {
+      got[k].assign(t[0].size(), 0.25f);
+      want[k] = got[k];
+    }
+    pp_accumulate_simd(t[0].data(), t[1].data(), t[2].data(), t[0].size(),
+                       src[0].data(), src[1].data(), src[2].data(), m.data(),
+                       ns, params, poly, got[0].data(), got[1].data(),
+                       got[2].data());
+    four_lane_reference(t, src, m, ns, params, poly, want);
+    for (int k = 0; k < 3; ++k)
+      for (std::size_t i = 0; i < t[0].size(); ++i)
+        EXPECT_EQ(got[k][i], want[k][i])
+            << "axis " << k << " target " << i << " rs " << params.rs;
+  }
+}
+
 TEST(PpKernel, NewtonThirdLawPair) {
   // Two particles exert equal and opposite forces.
   PpKernelParams params;

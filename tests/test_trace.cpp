@@ -1,5 +1,6 @@
 // common/trace: the per-thread event ring, the enabled() gate, and the
-// Chrome trace_event writer (emit -> parse -> nesting validated).
+// Chrome trace_event writer (emit -> parse -> nesting validated), fed by
+// the timed regions of common/timer.
 //
 // Every test brackets itself with reset()/enable() ... disable()/reset()
 // because the registry is process-global and suites share the binary.
@@ -52,7 +53,7 @@ class TraceTest : public ::testing::Test {
 TEST_F(TraceTest, DisabledRecordsNothing) {
   ASSERT_FALSE(trace::enabled());
   {
-    trace::Span span("ignored");
+    ScopedTimer region("ignored");
     trace::instant("ignored-too");
     trace::counter("ignored-counter", 1.0);
   }
@@ -60,13 +61,14 @@ TEST_F(TraceTest, DisabledRecordsNothing) {
   EXPECT_EQ(trace::stats().recorded, 0u);
 }
 
-TEST_F(TraceTest, SpanNestingRoundtrip) {
+TEST_F(TraceTest, RegionNestingRoundtrip) {
   trace::enable();
   trace::set_rank(0);
+  TimerRegistry reg;
   {
-    trace::Span outer("outer");
+    ScopedTimer outer(reg, "outer");
     {
-      trace::Span inner("inner");
+      ScopedTimer inner("inner");
     }
   }
   trace::disable();
@@ -78,6 +80,12 @@ TEST_F(TraceTest, SpanNestingRoundtrip) {
   EXPECT_STREQ(events[1].name, "outer");
   EXPECT_LE(events[1].t0_ns, events[0].t0_ns);
   EXPECT_GE(events[1].t1_ns, events[0].t1_ns);
+  // The span and the record come from the same two clock reads.
+  const auto seconds = [](const trace::Event& e) {
+    return static_cast<double>(e.t1_ns - e.t0_ns) * 1e-9;
+  };
+  EXPECT_EQ(seconds(events[0]), reg.total("outer/inner"));
+  EXPECT_EQ(seconds(events[1]), reg.total("outer"));
 
   const std::string path = "test_trace_nesting.json";
   std::string error;
@@ -100,19 +108,26 @@ TEST_F(TraceTest, SpanNestingRoundtrip) {
   EXPECT_LT(e_inner, e_outer);
 }
 
-TEST_F(TraceTest, ScopedTimerEmitsSpanWhenEnabled) {
+// A region with no open parent has no record to write: it emits its span
+// and nothing else, not even into the registry of a region closed before.
+TEST_F(TraceTest, RegionWithoutParentEmitsSpanAndRecordsNothing) {
   trace::enable();
   TimerRegistry reg;
   {
-    ScopedTimer t(reg, "unit-test-bucket");
+    ScopedTimer t(reg, "unit-test-region");
+  }
+  {
+    ScopedTimer lone("lone");
   }
   trace::disable();
   const auto events = trace::collect();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "unit-test-bucket");
-  EXPECT_EQ(events[0].kind, trace::Kind::kSpan);
-  // The timer bucket still accumulated normally.
-  EXPECT_GT(reg.total("unit-test-bucket"), 0.0);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_STREQ(events[0].name, "unit-test-region");
+  EXPECT_STREQ(events[1].name, "lone");
+  EXPECT_EQ(events[1].kind, trace::Kind::kSpan);
+  ASSERT_EQ(reg.buckets().size(), 1u);
+  EXPECT_EQ(reg.buckets()[0].path, "unit-test-region");
+  EXPECT_GT(reg.total("unit-test-region"), 0.0);
 }
 
 TEST_F(TraceTest, CounterAndInstantCarryPayload) {
@@ -176,7 +191,7 @@ TEST_F(TraceTest, MultiRankRoundtripTagsEveryRank) {
   trace::enable();
   comm::run(4, [&](comm::Communicator& comm) {
     trace::set_rank(comm.rank());
-    trace::Span span("rank-work");
+    ScopedTimer region("rank-work");
     trace::counter("rank-bytes", static_cast<double>(comm.rank()) * 8.0);
     comm.barrier();
   });

@@ -60,7 +60,8 @@ def check_file(path):
                 return fail(path, f"phases[{i}] ('{p['name']}') bad '{key}'")
         if not isinstance(p.get("reps"), int) or p["reps"] < 1:
             return fail(path, f"phases[{i}] ('{p['name']}') bad 'reps'")
-        for key in ("cells", "bytes", "cell_updates_per_s", "gb_per_s"):
+        for key in ("cells", "bytes", "cell_updates_per_s", "gb_per_s",
+                    "self_seconds"):
             if key in p and (not is_num(p[key]) or p[key] < 0):
                 return fail(path, f"phases[{i}] ('{p['name']}') bad '{key}'")
 

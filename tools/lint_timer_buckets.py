@@ -1,37 +1,30 @@
 #!/usr/bin/env python3
-"""Lint: every TimerRegistry bucket a bench/report *reads* must be one the
-code actually *writes*.
+"""Lint: every timer region a bench/report *reads* must be one the code
+actually *opens*, and the trace contract must list exactly what src/ emits.
 
     python3 tools/lint_timer_buckets.py [repo-root]
     python3 tools/lint_timer_buckets.py --self-test
 
-The scaling benches and the driver's perf report query buckets by string
-name (`timers.total("halo-wait")`); a renamed producer bucket silently
-turns those metrics into zeros — `compare_bench.py` then gates CI on a
-metric that no longer measures anything.  This lint cross-references:
+The scaling benches and the driver's perf report query the record by name
+(`timers.total("halo-wait")`, `total("step/vlasov")`); a renamed region
+silently turns those metrics into zeros — `compare_bench.py` then gates CI
+on a metric that no longer measures anything.  tools/trace_summary.py keys
+its analysis on event names (KNOWN_EVENTS) the same way.  One producer set
+serves both checks:
 
-  producers — `ScopedTimer t(reg, "name")`, `reg.add("name", s)`,
-              `reg.add_sample("name", s)` in src/
-  consumers — `reg.total("name")`, `reg.median_sample("name")`,
-              `reg.samples("name")` in src/, apps/, bench/, examples/
+  producers — the string literals of every `ScopedTimer x(...)` (a region
+              emits its trace span under the same name), and the
+              `trace::instant("name")` / `trace::counter("name", ...)`
+              literals, in src/
+  consumers — `reg.total("path")`, `reg.self("path")`,
+              `reg.median_sample("path")`, `reg.samples("path")` in src/,
+              apps/, bench/, examples/: every '/'-separated part of the
+              path must be a producer
+  contract  — the KNOWN_EVENTS set literal in tools/trace_summary.py must
+              equal the producer set, in both directions
 
-A consumer name is also accepted with a `TimerRegistry::merge` prefix
-(e.g. `solver:vlasov` when some caller merges with prefix `"solver:"`).
-tests/ are excluded: suites produce and consume their own ad-hoc buckets.
-
-The same failure mode exists for trace events: tools/trace_summary.py
-keys its analysis on span/counter names (KNOWN_EVENTS), and a renamed
-`trace::Span` would silently drop out of the summary.  So this lint also
-cross-references, in BOTH directions:
-
-  trace producers — `trace::Span x("name")`, `trace::instant("name")`,
-                    `trace::counter("name", ...)` literals in src/, plus
-                    every ScopedTimer bucket (ScopedTimer emits a span
-                    named after its bucket when tracing is on)
-  trace contract  — the KNOWN_EVENTS set literal in tools/trace_summary.py
-
-Stdlib only; exit 0 when every consumed bucket has a producer and the
-trace contract matches the producers exactly.
+tests/ are excluded: suites open and read their own ad-hoc regions.
+Stdlib only; exit 0 when the tree is clean.
 """
 import os
 import re
@@ -42,76 +35,20 @@ PRODUCER_DIRS = ("src",)
 CONSUMER_DIRS = ("src", "apps", "bench", "examples")
 EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 
-_PRODUCE = [
-    re.compile(r"\bScopedTimer\s+\w+\s*\(\s*[^,()]+,\s*\"([^\"]+)\""),
-    re.compile(r"\badd\s*\(\s*\"([^\"]+)\"\s*,"),
-    re.compile(r"\badd_sample\s*\(\s*\"([^\"]+)\"\s*,"),
-]
-_CONSUME = [
-    re.compile(r"\btotal\s*\(\s*\"([^\"]+)\"\s*\)"),
-    re.compile(r"\bmedian_sample\s*\(\s*\"([^\"]+)\"\s*\)"),
-    re.compile(r"\bsamples\s*\(\s*\"([^\"]+)\"\s*\)"),
-]
-_MERGE_PREFIX = re.compile(r"\bmerge\s*\(\s*[^,()]+,\s*\"([^\"]+)\"\s*\)")
-_TRACE_PRODUCE = [
-    re.compile(r"\btrace::Span\s+\w+\s*(?:\(|\{)\s*\"([^\"]+)\""),
-    re.compile(r"\btrace::instant\s*\(\s*\"([^\"]+)\""),
-    re.compile(r"\btrace::counter\s*\(\s*\"([^\"]+)\""),
-]
-_KNOWN_EVENTS_BLOCK = re.compile(
-    r"KNOWN_EVENTS\s*=\s*\{(.*?)\}", re.DOTALL)
+_REGION = re.compile(r"\bScopedTimer\s+\w+\s*\(([^;]*)\)\s*;")
+_EVENT = re.compile(r"\btrace::(?:instant|counter)\s*\(\s*\"([^\"]+)\"")
+_CONSUME = re.compile(
+    r"\b(?:total|self|median_sample|samples)\s*\(\s*\"([^\"]+)\"\s*\)")
+_KNOWN_EVENTS_BLOCK = re.compile(r"KNOWN_EVENTS\s*=\s*\{(.*?)\}", re.DOTALL)
 _STRING_LITERAL = re.compile(r"\"([^\"]+)\"")
 
 
-def trace_contract(root):
-    """Parse the KNOWN_EVENTS set literal out of tools/trace_summary.py.
-
-    Returns None when the file is absent (self-test fixtures without a
-    tools/ dir skip the trace check)."""
-    path = os.path.join(root, "tools", "trace_summary.py")
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        m = _KNOWN_EVENTS_BLOCK.search(f.read())
-    if not m:
-        return set()
-    return set(_STRING_LITERAL.findall(m.group(1)))
-
-
-def lint_trace_events(root):
-    """Cross-check src/ trace-event names against KNOWN_EVENTS, both ways.
-
-    Returns (failures, n_produced) where each failure is a message
-    string.  ScopedTimer buckets count as trace producers because the
-    timer emits a span named after its bucket; plain add()/add_sample()
-    buckets do not (they never reach the trace)."""
-    contract = trace_contract(root)
-    if contract is None:
-        return [], 0
-    spans = scan(root, PRODUCER_DIRS, _TRACE_PRODUCE)
-    timer_spans = scan(root, PRODUCER_DIRS, [_PRODUCE[0]])
-    names = set(spans) | set(timer_spans)
-    failures = []
-    for name in sorted(names - contract):
-        sites = spans.get(name) or timer_spans.get(name) or []
-        at = f" ({sites[0][0]}:{sites[0][1]})" if sites else ""
-        failures.append(
-            f"trace event \"{name}\"{at} is produced in src/ but missing "
-            "from KNOWN_EVENTS in tools/trace_summary.py")
-    for name in sorted(contract - names):
-        failures.append(
-            f"KNOWN_EVENTS entry \"{name}\" in tools/trace_summary.py is "
-            "never produced by any trace::Span/instant/counter or "
-            "ScopedTimer bucket in src/")
-    return failures, len(names)
-
-
-def scan(root, dirs, patterns):
-    """Return {name: [(relpath, lineno), ...]} for every pattern match."""
+def scan(root, dirs, pattern, literals=False):
+    """Return {name: [(relpath, lineno), ...]} for every match of `pattern`:
+    its first group, or with `literals` every string literal in it."""
     found = {}
     for sub in dirs:
-        base = os.path.join(root, sub)
-        for dirpath, _, filenames in os.walk(base):
+        for dirpath, _, filenames in os.walk(os.path.join(root, sub)):
             for name in sorted(filenames):
                 if not name.endswith(EXTENSIONS):
                     continue
@@ -119,128 +56,137 @@ def scan(root, dirs, patterns):
                 rel = os.path.relpath(path, root)
                 with open(path, "r", encoding="utf-8", errors="replace") as f:
                     for lineno, line in enumerate(f, start=1):
-                        for pat in patterns:
-                            for m in pat.finditer(line):
-                                found.setdefault(m.group(1), []).append(
-                                    (rel, lineno))
+                        for m in pattern.finditer(line):
+                            names = (_STRING_LITERAL.findall(m.group(1))
+                                     if literals else [m.group(1)])
+                            for n in names:
+                                found.setdefault(n, []).append((rel, lineno))
     return found
 
 
+def producers(root):
+    found = scan(root, PRODUCER_DIRS, _REGION, literals=True)
+    for name, sites in scan(root, PRODUCER_DIRS, _EVENT).items():
+        found.setdefault(name, []).extend(sites)
+    return found
+
+
+def trace_contract(root):
+    """The KNOWN_EVENTS set literal of tools/trace_summary.py (None when the
+    file is absent)."""
+    path = os.path.join(root, "tools", "trace_summary.py")
+    if not os.path.isfile(path):
+        return None
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        m = _KNOWN_EVENTS_BLOCK.search(f.read())
+    return set(_STRING_LITERAL.findall(m.group(1))) if m else set()
+
+
 def lint_tree(root):
-    produced = scan(root, PRODUCER_DIRS, _PRODUCE)
+    """Return (failures, produced, consumed); each failure is a message."""
+    produced = producers(root)
     consumed = scan(root, CONSUMER_DIRS, _CONSUME)
-    prefixes = scan(root, CONSUMER_DIRS, [_MERGE_PREFIX])
-    names = set(produced)
-    for prefix in prefixes:
-        names.update(prefix + n for n in produced)
     failures = []
     for name, sites in sorted(consumed.items()):
-        if name in names:
+        unknown = [part for part in name.split("/") if part not in produced]
+        if not unknown:
             continue
         for rel, lineno in sites:
-            failures.append((rel, lineno, name))
+            failures.append(
+                f"{rel}:{lineno}: \"{name}\" is read but no region in src/ "
+                f"is named {', '.join(repr(u) for u in unknown)}")
+    contract = trace_contract(root)
+    if contract is not None:
+        for name in sorted(set(produced) - contract):
+            rel, lineno = produced[name][0]
+            failures.append(
+                f"{rel}:{lineno}: event \"{name}\" is emitted in src/ but "
+                "missing from KNOWN_EVENTS in tools/trace_summary.py")
+        for name in sorted(contract - set(produced)):
+            failures.append(
+                f"KNOWN_EVENTS entry \"{name}\" in tools/trace_summary.py is "
+                "never emitted by any region, instant or counter in src/")
     return failures, produced, consumed
 
 
 CLEAN_FIXTURE_SRC = """\
-void step(v6d::TimerRegistry& reg) {
-  v6d::ScopedTimer t(reg, "halo");
-  reg.add("fold-wait", 0.25);
-  reg.add_sample("step", 1.0);
-  merged.merge(reg, "solver:");
+void step(v6d::TimerRegistry& reg, bool fold) {
+  v6d::ScopedTimer t(reg, "step");
+  v6d::ScopedTimer h("halo");
+  v6d::ScopedTimer w(fold ? "fold-wait" : "fill-wait");
+  trace::instant("marker");
+  trace::counter("mass-drift", 0.0);
 }
 """
 
 CLEAN_FIXTURE_BENCH = """\
 double report(const v6d::TimerRegistry& reg) {
   return reg.total("halo") + reg.median_sample("step") +
-         reg.total("fold-wait") + reg.total("solver:halo");
+         reg.total("fold-wait") + reg.self("step/halo");
 }
 """
 
-SEEDED_VIOLATION_BENCH = """\
-double broken(const v6d::TimerRegistry& reg) {
-  return reg.total("halo-watt") + reg.median_sample("steps");
-}
-"""
-
-CLEAN_FIXTURE_TRACE_SRC = """\
-void traced() {
-  trace::Span span("deposit");
-  trace::instant("marker");
-  trace::counter("mass-drift", 0.0);
-}
-"""
-
-# Matches CLEAN_FIXTURE_TRACE_SRC plus the one ScopedTimer bucket from
-# CLEAN_FIXTURE_SRC ("halo") — ScopedTimer buckets double as span names;
-# add()/add_sample() buckets ("fold-wait", "step") never reach the trace
-# and must NOT be required in KNOWN_EVENTS.
 CLEAN_FIXTURE_SUMMARY = """\
 KNOWN_EVENTS = {
+    "step",
     "halo",
-    "deposit",
+    "fold-wait",
+    "fill-wait",
     "marker",
     "mass-drift",
 }
 """
 
-SEEDED_VIOLATION_TRACE_SRC = """\
+SEEDED_PHANTOM_BENCH = """\
+double broken(const v6d::TimerRegistry& reg) {
+  return reg.total("halo-watt") + reg.samples("steps").size();
+}
+"""
+
+SEEDED_UNLISTED_SRC = """\
 void broken_traced() {
-  trace::Span span("unlisted-span");
+  v6d::ScopedTimer region("unlisted-span");
 }
 """
 
 
+def write(root, rel, text):
+    path = os.path.join(root, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def self_test():
     with tempfile.TemporaryDirectory() as tmp:
-        os.makedirs(os.path.join(tmp, "src"))
-        os.makedirs(os.path.join(tmp, "bench"))
-        os.makedirs(os.path.join(tmp, "tools"))
-        with open(os.path.join(tmp, "src", "solver.cpp"), "w",
-                  encoding="utf-8") as f:
-            f.write(CLEAN_FIXTURE_SRC)
-        with open(os.path.join(tmp, "src", "traced.cpp"), "w",
-                  encoding="utf-8") as f:
-            f.write(CLEAN_FIXTURE_TRACE_SRC)
-        with open(os.path.join(tmp, "bench", "report.cpp"), "w",
-                  encoding="utf-8") as f:
-            f.write(CLEAN_FIXTURE_BENCH)
-        with open(os.path.join(tmp, "tools", "trace_summary.py"), "w",
-                  encoding="utf-8") as f:
-            f.write(CLEAN_FIXTURE_SUMMARY)
+        write(tmp, "src/solver.cpp", CLEAN_FIXTURE_SRC)
+        write(tmp, "bench/report.cpp", CLEAN_FIXTURE_BENCH)
+        write(tmp, "tools/trace_summary.py", CLEAN_FIXTURE_SUMMARY)
         failures, _, _ = lint_tree(tmp)
-        trace_failures, _ = lint_trace_events(tmp)
-        if failures or trace_failures:
-            print("self-test FAIL: clean fixture flagged: "
-                  f"{failures} {trace_failures}")
+        if failures:
+            print(f"self-test FAIL: clean fixture flagged: {failures}")
             return 1
-        with open(os.path.join(tmp, "bench", "broken.cpp"), "w",
-                  encoding="utf-8") as f:
-            f.write(SEEDED_VIOLATION_BENCH)
+        write(tmp, "bench/broken.cpp", SEEDED_PHANTOM_BENCH)
         failures, _, _ = lint_tree(tmp)
-        got = {name for (_, _, name) in failures}
-        if got != {"halo-watt", "steps"}:
-            print(f"self-test FAIL: flagged {sorted(got)}, expected "
-                  "['halo-watt', 'steps']")
+        msgs = "\n".join(failures)
+        if (len(failures) != 2 or "halo-watt" not in msgs
+                or "'steps'" not in msgs):
+            print(f"self-test FAIL: phantom reads flagged: {failures}")
             return 1
-        # Seed trace violations in both directions: a span the contract
-        # does not list, and a contract entry nothing produces.
-        with open(os.path.join(tmp, "src", "broken_traced.cpp"), "w",
-                  encoding="utf-8") as f:
-            f.write(SEEDED_VIOLATION_TRACE_SRC)
-        with open(os.path.join(tmp, "tools", "trace_summary.py"), "w",
-                  encoding="utf-8") as f:
-            f.write(CLEAN_FIXTURE_SUMMARY.replace(
-                '    "marker",\n', '    "marker",\n    "ghost-event",\n'))
-        trace_failures, _ = lint_trace_events(tmp)
-        msgs = "\n".join(trace_failures)
-        if ("unlisted-span" not in msgs or "ghost-event" not in msgs
-                or len(trace_failures) != 2):
-            print(f"self-test FAIL: trace check flagged: {trace_failures}")
+        os.remove(os.path.join(tmp, "bench", "broken.cpp"))
+        # Seed contract violations in both directions: a region the
+        # contract does not list, and a contract entry nothing emits.
+        write(tmp, "src/broken_traced.cpp", SEEDED_UNLISTED_SRC)
+        write(tmp, "tools/trace_summary.py", CLEAN_FIXTURE_SUMMARY.replace(
+            '    "marker",\n', '    "marker",\n    "ghost-event",\n'))
+        failures, _, _ = lint_tree(tmp)
+        msgs = "\n".join(failures)
+        if (len(failures) != 2 or "unlisted-span" not in msgs
+                or "ghost-event" not in msgs):
+            print(f"self-test FAIL: contract check flagged: {failures}")
             return 1
-    print("self-test OK: 2 seeded phantom buckets + 2 seeded trace "
-          "mismatches caught, clean fixtures clean")
+    print("self-test OK: 2 seeded phantom reads + 2 seeded contract "
+          "mismatches caught, clean fixture clean")
     return 0
 
 
@@ -250,20 +196,13 @@ def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     failures, produced, consumed = lint_tree(root)
-    for rel, lineno, name in failures:
-        print(f"FAIL {rel}:{lineno}: bucket \"{name}\" is read but never "
-              "written by any ScopedTimer/add/add_sample in src/")
-    trace_failures, n_trace = lint_trace_events(root)
-    for msg in trace_failures:
+    for msg in failures:
         print(f"FAIL {msg}")
     if failures:
-        print(f"{len(failures)} phantom timer-bucket read(s); known buckets: "
-              + ", ".join(sorted(produced)))
-    if failures or trace_failures:
+        print("known names: " + ", ".join(sorted(produced)))
         return 1
-    print(f"OK   {len(consumed)} consumed bucket name(s) all have producers "
-          f"({len(produced)} produced); {n_trace} trace event name(s) match "
-          "KNOWN_EVENTS")
+    print(f"OK   {len(consumed)} consumed name(s) all have producers; "
+          f"{len(produced)} region/event name(s) match KNOWN_EVENTS")
     return 0
 
 

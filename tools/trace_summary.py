@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Summarize a v6d Chrome trace: per-rank critical paths, measured halo
 overlap efficiency, and rank imbalance.  Optionally folds in the telemetry
-JSONL heartbeat and cross-checks the trace-derived overlap efficiency
-against the bucket-derived value in a v6d-perf/1 report.
+JSONL heartbeat and cross-checks rank 0's overlap efficiency against the
+region paths of the run's v6d-perf/1 report.
 
 Usage:
   python3 tools/trace_summary.py TRACE.json
       [--telemetry telemetry.jsonl] [--perf perf.json] [--tolerance 0.10]
   python3 tools/trace_summary.py --self-test
 
-Exit status is non-zero when --perf is given and the trace-derived halo
-overlap efficiency disagrees with the report's bucket-derived value by
-more than --tolerance (relative).  stdlib only; CI runs this after the
-traced distributed-smoke run.
+Exit status is non-zero when --perf is given and the two efficiencies
+disagree by more than --tolerance (relative).  The trace spans and the
+report paths come from the same region clock reads, so they must agree.
+stdlib only; CI runs this after the traced distributed-smoke run.
 """
 
 import argparse
@@ -21,35 +21,36 @@ import sys
 
 # Every span/instant/counter name the C++ side can produce.  Kept in
 # lockstep with src/ by tools/lint_timer_buckets.py (both directions), so
-# a renamed span fails the lint rather than silently vanishing from the
-# summary.  ScopedTimer buckets double as span names.
+# a renamed region fails the lint rather than silently vanishing from the
+# summary.
 KNOWN_EVENTS = {
-    # ScopedTimer buckets (see tools/lint_timer_buckets.py KNOWN_BUCKETS)
-    "checkpoint-io",
-    "halo",
-    "pm",
-    "retry-backoff",
-    "step-control",
-    "supervise-relaunch",
-    "supervise-wait",
-    "tree",
-    "vlasov",
-    "vlasov-moments",
-    # explicit trace::Span names
+    # timed regions (ScopedTimer), each a span under its leaf name
     "step",
-    "deposit",
+    "step-control",
+    "checkpoint-io",
+    "vlasov",
     "kick",
-    "fft-forward",
-    "fft-inverse",
+    "drift",
+    "halo",
     "halo-begin",
     "halo-finish",
     "halo-wait",
+    "vlasov-moments",
+    "deposit",
+    "pm",
     "fold-begin",
     "fold-finish",
     "fold-wait",
+    "fill-wait",
     "slab-begin",
     "slab-finish",
     "slab-wait",
+    "fft-forward",
+    "fft-inverse",
+    "tree",
+    "retry-backoff",
+    "supervise-relaunch",
+    "supervise-wait",
     # trace::counter names
     "comm-bytes-sent",
     "mass-drift",
@@ -122,27 +123,17 @@ def analyze(events):
     return {"ranks": ranks, "counters": counters, "unknown": sorted(unknown)}
 
 
-def overlap_efficiency(ranks, mode="sum"):
+def overlap_efficiency(ranks, lead=False):
     """Exposed halo wait / total halo time: 0 = fully hidden, 1 = fully
-    on the critical path.  The 'halo' ScopedTimer bucket covers
-    begin+finish+wait; 'halo-wait' spans cover only the blocking waits.
-
-    The mode must match the producer being compared against:
-      sum  — all ranks aggregated (the summary's headline number);
-      lead — rank 0 only (a driver perf report's solver:* phases are the
-             lead rank's timers);
-      max  — ratio of per-rank maxima (how the table3 bench reduces
-             halo_wait_seconds / halo_seconds across ranks).
-    """
-    waits = [r["total"].get("halo-wait", 0.0) for r in ranks.values()]
-    halos = [r["total"].get("halo", 0.0) for r in ranks.values()]
-    if mode == "lead":
-        waits = [ranks[0]["total"].get("halo-wait", 0.0)] if 0 in ranks else []
-        halos = [ranks[0]["total"].get("halo", 0.0)] if 0 in ranks else []
-    reduce = max if mode == "max" else sum
-    if not halos or reduce(halos) <= 0.0:
+    on the critical path.  The 'halo' region covers begin+finish+wait;
+    'halo-wait' regions cover only the blocking waits.  Summed over all
+    ranks (the summary's headline), or rank 0 alone with `lead` (the rank
+    whose record a driver perf report holds)."""
+    picked = [r for pid, r in ranks.items() if pid == 0 or not lead]
+    halo = sum(r["total"].get("halo", 0.0) for r in picked)
+    if halo <= 0.0:
         return None
-    return reduce(waits) / reduce(halos)
+    return sum(r["total"].get("halo-wait", 0.0) for r in picked) / halo
 
 
 def rank_imbalance(ranks):
@@ -153,23 +144,16 @@ def rank_imbalance(ranks):
     return (max(totals) - min(totals)) / max(totals)
 
 
-def perf_bucket_efficiency(perf, nranks):
-    """Pull the bucket-derived overlap efficiency out of a v6d-perf/1
-    report: prefer the explicit metric (a max-over-ranks reduction, see
-    bench/scaling_harness.hpp), else derive from the halo phases (the
-    lead rank's timers in a driver report).
+def report_efficiency(perf):
+    """The same ratio from a driver's v6d-perf/1 report: its region paths
+    ending in halo-wait over those ending in halo (the lead rank's
+    record); None without halo time."""
+    def leaf_seconds(leaf):
+        return sum(p["seconds"] for p in perf.get("phases", [])
+                   if p["name"] == leaf or p["name"].endswith("/" + leaf))
 
-    Returns (value, trace_mode) where trace_mode names the
-    overlap_efficiency() reduction that measures the same thing."""
-    for m in perf.get("metrics", []):
-        if m.get("name") == f"halo_overlap_efficiency_ranks_{nranks}":
-            return float(m["value"]), "max"
-    phases = {p["name"]: p["seconds"] for p in perf.get("phases", [])}
-    halo = phases.get("solver:halo")
-    wait = phases.get("solver:halo-wait")
-    if halo and wait is not None and halo > 0.0:
-        return wait / halo, "lead"
-    return None, "sum"
+    halo = leaf_seconds("halo")
+    return leaf_seconds("halo-wait") / halo if halo > 0.0 else None
 
 
 def summarize_telemetry(path):
@@ -256,27 +240,22 @@ def self_test():
     assert abs(imb - 0.5) < 1e-9, imb  # (100-50)/100
     assert r["counters"][1]["comm-bytes-sent"] == 64
 
-    # Reduction modes: lead uses rank 0 only; max is a ratio of maxima
-    # (rank 0 holds both maxima here: wait 10, halo 50).
-    assert abs(overlap_efficiency(r["ranks"], "lead") - 10.0 / 30.0) < 1e-9
-    assert abs(overlap_efficiency(r["ranks"], "max") - 10.0 / 30.0) < 1e-9
+    # lead: rank 0 alone (wait 10, halo 30).
+    assert abs(overlap_efficiency(r["ranks"], lead=True) - 10.0 / 30.0) < 1e-9
 
     perf = {
-        "metrics": [
-            {"name": "halo_overlap_efficiency_ranks_2", "value": 0.21}
-        ],
-        "phases": [],
-    }
-    assert perf_bucket_efficiency(perf, 2) == (0.21, "max")
-    perf2 = {
-        "metrics": [],
         "phases": [
-            {"name": "solver:halo", "seconds": 2.0},
-            {"name": "solver:halo-wait", "seconds": 0.5},
+            {"name": "step/vlasov/drift/halo", "seconds": 2.0},
+            {"name": "step/vlasov/drift/halo/halo-finish/halo-wait",
+             "seconds": 0.5},
+            {"name": "step/pm/slab-finish/slab-wait", "seconds": 9.0},
         ],
     }
-    value, mode = perf_bucket_efficiency(perf2, 4)
-    assert abs(value - 0.25) < 1e-9 and mode == "lead"
+    assert abs(report_efficiency(perf) - 0.25) < 1e-9
+    # A world of one rank waits for no face: the ratio is 0, not missing.
+    perf["phases"] = perf["phases"][:1]
+    assert report_efficiency(perf) == 0.0
+    assert report_efficiency({"phases": []}) is None
 
     bad = analyze([ev("B", "mystery", 0), ev("E", "mystery", 1)])
     assert bad["unknown"] == ["mystery"]
@@ -297,8 +276,8 @@ def main(argv):
         "--tolerance",
         type=float,
         default=0.10,
-        help="max relative disagreement between trace- and bucket-derived "
-        "halo overlap efficiency (default 0.10)",
+        help="max relative disagreement between the trace's and the "
+        "report's halo overlap efficiency (default 0.10)",
     )
     args = parser.parse_args(argv[1:])
 
@@ -320,20 +299,19 @@ def main(argv):
     if args.perf:
         with open(args.perf, encoding="utf-8") as f:
             perf = json.load(f)
-        nranks = int(perf.get("context", {}).get("ranks", "1"))
-        bucket_eff, mode = perf_bucket_efficiency(perf, nranks)
-        trace_eff = overlap_efficiency(result["ranks"], mode)
-        if bucket_eff is None or trace_eff is None:
+        report_eff = report_efficiency(perf)
+        trace_eff = overlap_efficiency(result["ranks"], lead=True)
+        if report_eff is None or trace_eff is None:
             print("cross-check skipped: no halo activity on one side")
             return 0
         # Small absolute epsilon keeps near-zero efficiencies (tiny traced
         # runs where nothing waits) from tripping the relative gate.
-        denom = max(abs(bucket_eff), 0.05)
-        rel = abs(trace_eff - bucket_eff) / denom
+        denom = max(abs(report_eff), 0.05)
+        rel = abs(trace_eff - report_eff) / denom
         verdict = "OK" if rel <= args.tolerance else "FAIL"
         print(
-            f"cross-check ({mode}): trace {trace_eff:.3f} vs buckets "
-            f"{bucket_eff:.3f} (rel diff {rel:.3f}, tol "
+            f"cross-check (lead rank): trace {trace_eff:.3f} vs report "
+            f"{report_eff:.3f} (rel diff {rel:.3f}, tol "
             f"{args.tolerance:.2f}) {verdict}"
         )
         if verdict == "FAIL":
