@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
       a = a1;
       ++nbody_steps;
     }
+    nbody.synchronize();  // the snapshots hold velocities at a_final
   }
   io::write_particles("tts_nbody_nu.snap", *nbody.hot());
   io::write_particles("tts_nbody_cdm.snap", nbody.cdm());

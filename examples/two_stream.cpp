@@ -137,7 +137,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Phase-space (x, ux) portrait: the vortex structure at saturation.
+  // Phase-space (x, ux) portrait: the vortex structure at saturation,
+  // with the last step's owed half-kick applied so ux is read at a.
+  solver.synchronize();
   diag::Map2D portrait;
   portrait.nx = dims.nx;
   portrait.ny = dims.nux;

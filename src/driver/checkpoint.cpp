@@ -26,8 +26,11 @@ namespace {
 // Version 2 added the per-rank shard list; a version-1 reader would
 // silently ignore the shard fields and resume a neutrino run from a
 // zeroed phase space, so the bump makes it fail with kVersionMismatch
-// instead.
-constexpr unsigned kVersion = 2;
+// instead.  Version 3 added the owed kick to the force payload, so the
+// layouts differ: this build refuses a version-2 checkpoint rather than
+// misread its force payload, and a version-2 build refuses a version-3
+// one, which it would otherwise resume a half-kick short.
+constexpr unsigned kVersion = 3;
 constexpr const char* kMagicToken = "v6d-checkpoint";
 constexpr const char* kMetaName = "meta";
 constexpr std::uint32_t kForcesMagic = 0x76364643;  // "v6FC"
@@ -156,8 +159,9 @@ io::SnapshotStatus write_step_forces(
                                 sf.nu_ax.ghost()};
   const std::uint64_t n = sf.ax.size();
   if (!write_raw(fp.get(), &magic, 1) || !write_raw(fp.get(), &version, 1) ||
-      !write_raw(fp.get(), &fresh, 1) || !write_raw(fp.get(), dims, 4) ||
-      !write_raw(fp.get(), &n, 1))
+      !write_raw(fp.get(), &fresh, 1) ||
+      !write_raw(fp.get(), &sf.owed_kick, 1) ||
+      !write_raw(fp.get(), dims, 4) || !write_raw(fp.get(), &n, 1))
     return io::SnapshotStatus::kWriteFailed;
   for (const auto* grid : {&sf.nu_ax, &sf.nu_ay, &sf.nu_az})
     if (!write_raw(fp.get(), grid->raw(), grid->raw_size()))
@@ -173,20 +177,23 @@ io::SnapshotStatus read_step_forces(const std::string& path,
   FilePtr fp(std::fopen(path.c_str(), "rb"));
   if (!fp) return io::SnapshotStatus::kOpenFailed;
   std::uint32_t magic = 0, version = 0, fresh = 0;
+  double owed_kick = 0.0;
   std::int32_t dims[4];
   std::uint64_t n = 0;
   if (!read_raw(fp.get(), &magic, 1)) return io::SnapshotStatus::kShortRead;
   if (magic != kForcesMagic) return io::SnapshotStatus::kBadMagic;
   if (!read_raw(fp.get(), &version, 1)) return io::SnapshotStatus::kShortRead;
   if (version != kVersion) return io::SnapshotStatus::kVersionMismatch;
-  if (!read_raw(fp.get(), &fresh, 1) || !read_raw(fp.get(), dims, 4) ||
-      !read_raw(fp.get(), &n, 1))
+  if (!read_raw(fp.get(), &fresh, 1) || !read_raw(fp.get(), &owed_kick, 1) ||
+      !read_raw(fp.get(), dims, 4) || !read_raw(fp.get(), &n, 1))
     return io::SnapshotStatus::kShortRead;
-  // Validate against corruption before allocating: bounded ghost count,
-  // overflow-safe grid volume, and the advertised sizes vs the file size.
+  // Validate against corruption before allocating: a finite owed kick,
+  // bounded ghost count, overflow-safe grid volume, and the advertised
+  // sizes vs the file size.
   constexpr std::uint64_t kMaxBytes = 1ULL << 40;
-  if (dims[0] < 0 || dims[1] < 0 || dims[2] < 0 || dims[3] < 0 ||
-      dims[3] > 16 || n > kMaxBytes / (3 * sizeof(double)))
+  if (!std::isfinite(owed_kick) || dims[0] < 0 || dims[1] < 0 ||
+      dims[2] < 0 || dims[3] < 0 || dims[3] > 16 ||
+      n > kMaxBytes / (3 * sizeof(double)))
     return io::SnapshotStatus::kBadHeader;
   std::uint64_t grid_bytes = sizeof(double);
   for (int i = 0; i < 3; ++i) {
@@ -201,8 +208,8 @@ io::SnapshotStatus read_step_forces(const std::string& path,
     grid_bytes *= extent;
   }
   const std::uint64_t header_bytes =
-      3 * sizeof(std::uint32_t) + 4 * sizeof(std::int32_t) +
-      sizeof(std::uint64_t);
+      3 * sizeof(std::uint32_t) + sizeof(double) +
+      4 * sizeof(std::int32_t) + sizeof(std::uint64_t);
   const std::uint64_t payload_bytes =
       3 * grid_bytes + 3 * n * sizeof(double);
   const long pos = std::ftell(fp.get());
@@ -215,6 +222,7 @@ io::SnapshotStatus read_step_forces(const std::string& path,
       return io::SnapshotStatus::kShortRead;
   }
   sf.fresh = fresh != 0;
+  sf.owed_kick = owed_kick;
   sf.nu_ax = mesh::Grid3D<double>(dims[0], dims[1], dims[2], dims[3]);
   sf.nu_ay = mesh::Grid3D<double>(dims[0], dims[1], dims[2], dims[3]);
   sf.nu_az = mesh::Grid3D<double>(dims[0], dims[1], dims[2], dims[3]);

@@ -15,9 +15,18 @@
 //   forces.<step>.bin
 //                  the solver's step-boundary force cache — accelerations
 //                  evaluated from the post-drift state, which the next
-//                  step's leading kick reuses; recomputing them from the
-//                  post-kick f matches only to rounding, so restart would
-//                  not be bit-identical without them
+//                  step's kick reuses, and (since version 3) the kick
+//                  factor the velocities owe on them, the last step's
+//                  trailing half-kick (hybrid/leapfrog.hpp); recomputing
+//                  the forces from the post-kick f matches only to
+//                  rounding, and without the owed factor the resumed run
+//                  would skip a half-kick, so restart would not be
+//                  bit-identical without them
+//
+// The payloads hold the state as the step left it: the phase space and
+// particles owe the half-kick the force payload records.  A checkpoint
+// does not synchronize the run, so the trajectory does not depend on
+// where checkpoints fall; Driver::run() synchronizes after its last one.
 //
 // Atomicity: payloads carry the step in their names, so writing a new
 // checkpoint into the same directory never touches the files the current
@@ -96,7 +105,8 @@ io::SnapshotStatus write_checkpoint(
     std::string* error = nullptr);
 
 /// Read and check the meta before any payload is read.  Refuses (with a
-/// typed status, *error naming the field) a meta of another version, one
+/// typed status, *error naming the field) a meta of another version
+/// (kVersionMismatch: versions 1 and 2 are retired), one
 /// that names a global phase-space payload, one that references a payload
 /// without a recorded `bytes.` size, and any number field that does not
 /// parse to its end (`a` must also be finite and > 0).
@@ -128,7 +138,9 @@ bool fsync_file(const std::string& path);
 /// geometry origins — whatever rank count wrote them — through one
 /// vlasov::BrickPlacement and must tile it exactly: a shard that does not
 /// fit, an overlap, or an uncovered cell is refused (kBadHeader).
-/// Particles and the force cache are read when flagged.
+/// Particles and the force cache are read when flagged; a force payload
+/// of another version is refused with kVersionMismatch, and one whose
+/// owed kick is not finite with kBadHeader.
 io::SnapshotStatus read_checkpoint_payload(
     const std::string& dir, const Checkpoint& meta, vlasov::PhaseSpace& f,
     nbody::Particles& cdm, hybrid::HybridSolver::StepForces& forces,

@@ -250,6 +250,10 @@ RunResult Driver::run() {
     }
 
     if (early && !cfg_.checkpoint_dir.empty()) checkpoint_all();
+    // Checkpoints keep the half-kick the last step owes (a resume goes on
+    // with the same steps wherever they fall); what the run hands back —
+    // the gathered solver, accessors, reports — is synchronized.
+    ds.synchronize();
 
     if (own_driver) {
       a_ = a;

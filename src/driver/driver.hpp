@@ -13,9 +13,12 @@
 // I/O (§7.2), so checkpoint writes are timed like any other phase.
 //
 // Checkpoints (periodic or on early stop) capture everything the run loop
-// needs — phase space (one shard per rank), particles, RNG state, scale
-// factor, step count, and the full config — so a killed run resumed with
+// needs — phase space (one shard per rank), particles, the force cache
+// with the half-kick the last step owes, RNG state, scale factor, step
+// count, and the full config — so a killed run resumed with
 // Driver::resume continues bit-identically with the uninterrupted run.
+// run() synchronizes the solver after its last checkpoint, so callers
+// read velocities at the scale factor they read positions.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +63,8 @@ class Driver {
   /// driver/distributed.cpp: steps the world-1 solver at ranks = 1, or
   /// slices it over comm::run thread ranks (or this process's TCP rank)
   /// with allreduce-agreed CFL intervals and per-rank checkpoint shards.
+  /// Returns with the solver synchronized (HybridSolver::synchronize);
+  /// the checkpoints it wrote owe the last half-kick.
   RunResult run();
 
   /// Write the lead rank's record of timed regions (solver().timers()) as

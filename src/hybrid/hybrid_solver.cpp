@@ -8,6 +8,7 @@
 
 #include "comm/context.hpp"
 #include "comm/inproc_transport.hpp"
+#include "hybrid/leapfrog.hpp"
 #include "io/snapshot.hpp"
 #include "mesh/interp.hpp"
 #include "parallel/decomp_plan.hpp"
@@ -554,36 +555,32 @@ void HybridSolver::drift(double drift_factor) {
                      });
 }
 
+void HybridSolver::kick(double kick_factor) {
+  if (has_nu_) {
+    ScopedTimer t(timers_, "vlasov");
+    ScopedTimer region("kick");
+    vlasov::kick_half(f_, forces_.nu_ax, forces_.nu_ay, forces_.nu_az,
+                      kick_factor, options_.kernel);
+  }
+  nbody::kick(cdm_, forces_.ax, forces_.ay, forces_.az, kick_factor);
+}
+
 void HybridSolver::step(double a0, double a1) {
-  const double a_mid = 0.5 * (a0 + a1);
-  if (!forces_.fresh) compute_forces(a0);
+  leapfrog_step(
+      background_, a0, a1, forces_.fresh, forces_.owed_kick,
+      [this](double k) { kick(k); },
+      [this](double d) {
+        if (has_nu_) {
+          ScopedTimer t(timers_, "vlasov");
+          drift(d);
+        }
+        nbody::drift(cdm_, d, box_);
+      },
+      [this](double a) { compute_forces(a); });
+}
 
-  const double kick_pre = background_.kick_factor(a0, a_mid);
-  if (has_nu_) {
-    ScopedTimer t(timers_, "vlasov");
-    ScopedTimer kick("kick");
-    vlasov::kick_half(f_, forces_.nu_ax, forces_.nu_ay, forces_.nu_az,
-                      kick_pre, options_.kernel);
-  }
-  nbody::kick(cdm_, forces_.ax, forces_.ay, forces_.az, kick_pre);
-
-  const double drift_f = background_.drift_factor(a0, a1);
-  if (has_nu_) {
-    ScopedTimer t(timers_, "vlasov");
-    drift(drift_f);
-  }
-  nbody::drift(cdm_, drift_f, box_);
-
-  compute_forces(a1);
-
-  const double kick_post = background_.kick_factor(a_mid, a1);
-  if (has_nu_) {
-    ScopedTimer t(timers_, "vlasov");
-    ScopedTimer kick("kick");
-    vlasov::kick_half(f_, forces_.nu_ax, forces_.nu_ay, forces_.nu_az,
-                      kick_post, options_.kernel);
-  }
-  nbody::kick(cdm_, forces_.ax, forces_.ay, forces_.az, kick_post);
+void HybridSolver::synchronize() {
+  settle_owed_kick(forces_.owed_kick, [this](double k) { kick(k); });
 }
 
 double HybridSolver::suggest_next_a(double a0, double da_max) {
@@ -607,6 +604,7 @@ HybridSolver::StepForces HybridSolver::export_step_forces() const {
   StepForces out;
   out.fresh = forces_.fresh;
   if (!out.fresh) return out;
+  out.owed_kick = forces_.owed_kick;
   const auto global = dec_.global();
   out.nu_ax = mesh::Grid3D<double>(global[0], global[1], global[2]);
   out.nu_ay = out.nu_ax;
@@ -625,6 +623,7 @@ HybridSolver::StepForces HybridSolver::export_step_forces() const {
 void HybridSolver::import_step_forces(const StepForces& sf) {
   if (!sf.fresh) {
     forces_.fresh = false;
+    forces_.owed_kick = 0.0;
     return;
   }
   const auto global = dec_.global();
@@ -645,6 +644,7 @@ void HybridSolver::import_step_forces(const StepForces& sf) {
   forces_.ax = sf.ax;
   forces_.ay = sf.ay;
   forces_.az = sf.az;
+  forces_.owed_kick = sf.owed_kick;
   forces_.fresh = true;
 }
 

@@ -14,7 +14,10 @@
 //
 // The neutrino kicks are the velocity-space sweeps of Eq. (4)-(5); the
 // drifts are the position-space sweeps; both components share the same
-// drift/kick factors from the background integrator.
+// drift/kick factors from the background integrator.  A step kicks once:
+// the trailing half-kick of Eq. (5) uses the same forces as the next
+// step's leading one, so it is owed to that kick (hybrid/leapfrog.hpp)
+// and synchronize() applies it when velocities are read.
 //
 // Execution model (§5.1.3): one solver runs at every world size.  Each rank
 // owns one brick of the Vlasov spatial grid (velocity space is never
@@ -188,9 +191,22 @@ class HybridSolver {
   /// The communicator the solver steps over (its own at world 1).
   comm::Communicator& communicator() { return comm_; }
 
-  /// One KDK step from scale factor a0 to a1 (collective; every rank must
-  /// take the same interval — use suggest_next_a).
+  /// One step from scale factor a0 to a1 (collective; every rank must
+  /// take the same interval — use suggest_next_a): one kick on the cached
+  /// forces by the owed factor plus kick_factor(a0, a_mid), the drift, the
+  /// force pass at a1, and kick_factor(a_mid, a1) recorded as owed.  The
+  /// velocities (of f and of the particles) then lag the positions by that
+  /// half-kick until the next step or synchronize(); mass and density do
+  /// not depend on it.
   void step(double a0, double a1);
+
+  /// Apply the owed half-kick and zero it, so that velocities and
+  /// positions are at the same time.  It sends no message, but every rank
+  /// of a world calls it, or the bricks and the replicated particles part
+  /// ways.  A no-op on a fresh or already synchronized solver.  Call it
+  /// before reading velocities after step(); Driver::run() calls it after
+  /// its last checkpoint, so a run's output is synchronized.
+  void synchronize();
 
   /// Largest a1 <= a0 + da_max keeping every position sweep under the CFL
   /// bound; the shift bound is allreduce-d, so every rank gets the same a1
@@ -211,23 +227,29 @@ class HybridSolver {
   TimerRegistry& timers() { return timers_; }
   static double poisson_prefactor(double a) { return 1.5 / a; }
 
-  /// The step-boundary force cache: accelerations computed from the
-  /// post-drift state at the end of the last step and reused by the next
-  /// step's leading kick.  Checkpoints must carry it — recomputing from
-  /// the post-kick f reproduces it only to rounding (velocity sweeps
-  /// conserve the density moment approximately), which would break
-  /// bit-identical restart.
+  /// The step-boundary state: accelerations computed from the post-drift
+  /// state at the end of the last step, and the kick factor the
+  /// velocities owe on them (the last step's trailing half-kick).  The
+  /// next step's kick, or synchronize(), applies the owed factor.
+  /// Checkpoints must carry both — recomputing the forces from the
+  /// post-kick f reproduces them only to rounding (velocity sweeps
+  /// conserve the density moment approximately), and without the owed
+  /// factor the resumed run would skip a half-kick, so neither restart
+  /// would be bit-identical.  The slicing constructor and gather_into
+  /// carry the cache as is and never apply the owed kick.
   struct StepForces {
     bool fresh = false;
+    double owed_kick = 0.0;  // kick factor owed on these forces
     mesh::Grid3D<double> nu_ax, nu_ay, nu_az;  // Vlasov-grid accelerations
     std::vector<double> ax, ay, az;            // particle accelerations
   };
   /// The cache in *global* layout: the Vlasov-grid acceleration bricks are
-  /// assembled across ranks, the replicated particle accelerations copied
-  /// (collective).
+  /// assembled across ranks, the replicated particle accelerations and the
+  /// owed kick copied (collective).
   StepForces export_step_forces() const;
-  /// Slice a global-layout cache onto this rank.  Throws
-  /// std::runtime_error when its shape does not match the configured one.
+  /// Slice a global-layout cache onto this rank, owed kick included.
+  /// Throws std::runtime_error when its shape does not match the
+  /// configured one.
   void import_step_forces(const StepForces& forces);
 
   /// Write the evolved state back into rank 0's world-1 solver `global`
@@ -235,8 +257,9 @@ class HybridSolver {
   /// kGatherTag message in the shard encoding; rank 0 places every brick
   /// through one vlasov::BrickPlacement, refusing (std::runtime_error) a
   /// set that is not an exact tiling, and restores particles and the
-  /// force cache.  Thread ranks and process ranks run this same path;
-  /// only rank 0 touches `global`, so thread ranks may share one.
+  /// force cache with its owed kick, which it does not apply.  Thread
+  /// ranks and process ranks run this same path; only rank 0 touches
+  /// `global`, so thread ranks may share one.
   void gather_into(HybridSolver& global);
   static constexpr int kGatherTag = 0x6a7;
 
@@ -250,6 +273,7 @@ class HybridSolver {
                bool overlap);
 
   void compute_forces(double a);
+  void kick(double kick_factor);
   bool owns_particle(std::size_t i) const;
   void deposit_cdm_local();
   void prepare_green_tables(bool has_cdm,
@@ -280,7 +304,7 @@ class HybridSolver {
   mesh::Grid3D<double> gx_cdm_, gy_cdm_, gz_cdm_;  // filtered (particles)
   mesh::Grid3D<double> gx_nu_, gy_nu_, gz_nu_;     // full (Vlasov kicks)
   mesh::Grid3D<double> rho_v_;                     // nu moment scratch
-  StepForces forces_;  // Vlasov-grid part on the local brick
+  StepForces forces_;  // Vlasov-grid part on the local brick, owed kick
   std::vector<std::size_t> owned_;  // particles in this PM brick: the
                                     // deposit, gather and tree-walk split,
                                     // refreshed once per force assembly

@@ -1,5 +1,6 @@
 #include "hybrid/nbody_solver.hpp"
 
+#include "hybrid/leapfrog.hpp"
 #include "mesh/interp.hpp"
 
 namespace v6d::hybrid {
@@ -70,23 +71,24 @@ void NBodySolver::compute_forces(double a) {
   forces_fresh_ = true;
 }
 
+void NBodySolver::kick(double kick_factor) {
+  nbody::kick(cdm_, ax_, ay_, az_, kick_factor);
+  if (hot_) nbody::kick(*hot_, hax_, hay_, haz_, kick_factor);
+}
+
 void NBodySolver::step(double a0, double a1) {
-  const double a_mid = 0.5 * (a0 + a1);
-  if (!forces_fresh_) compute_forces(a0);
+  leapfrog_step(
+      background_, a0, a1, forces_fresh_, owed_kick_,
+      [this](double k) { kick(k); },
+      [this](double d) {
+        nbody::drift(cdm_, d, box_);
+        if (hot_) nbody::drift(*hot_, d, box_);
+      },
+      [this](double a) { compute_forces(a); });
+}
 
-  const double kick_pre = background_.kick_factor(a0, a_mid);
-  nbody::kick(cdm_, ax_, ay_, az_, kick_pre);
-  if (hot_) nbody::kick(*hot_, hax_, hay_, haz_, kick_pre);
-
-  const double drift_f = background_.drift_factor(a0, a1);
-  nbody::drift(cdm_, drift_f, box_);
-  if (hot_) nbody::drift(*hot_, drift_f, box_);
-
-  compute_forces(a1);
-
-  const double kick_post = background_.kick_factor(a_mid, a1);
-  nbody::kick(cdm_, ax_, ay_, az_, kick_post);
-  if (hot_) nbody::kick(*hot_, hax_, hay_, haz_, kick_post);
+void NBodySolver::synchronize() {
+  settle_owed_kick(owed_kick_, [this](double k) { kick(k); });
 }
 
 }  // namespace v6d::hybrid

@@ -29,11 +29,20 @@ class NBodySolver {
   void set_cdm(nbody::Particles p) { cdm_ = std::move(p); }
   void set_hot(nbody::Particles p) { hot_ = std::move(p); }
 
-  /// One KDK step from scale factor a0 to a1.
+  /// One step from scale factor a0 to a1, the leapfrog HybridSolver
+  /// takes (hybrid/leapfrog.hpp): one kick by the owed factor plus
+  /// kick_factor(a0, a_mid), the drift, the force pass at a1, and
+  /// kick_factor(a_mid, a1) owed.  Velocities lag positions by that
+  /// half-kick until the next step or synchronize().
   void step(double a0, double a1);
+
+  /// Apply the owed half-kick to both species and zero it; a no-op when
+  /// nothing is owed.  Call it before reading velocities after step().
+  void synchronize();
 
  private:
   void compute_forces(double a);
+  void kick(double kick_factor);
 
   double box_;
   cosmo::Background background_;
@@ -47,6 +56,7 @@ class NBodySolver {
   std::vector<double> ax_, ay_, az_;     // CDM accelerations
   std::vector<double> hax_, hay_, haz_;  // hot-species accelerations
   bool forces_fresh_ = false;
+  double owed_kick_ = 0.0;  // kick factor owed on the cached forces
 };
 
 }  // namespace v6d::hybrid

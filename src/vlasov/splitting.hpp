@@ -8,7 +8,10 @@
 // kick again — symmetric (2nd-order in time) while each 1-D operator is
 // 5th-order in its own coordinate and integrated in a single stage.
 // hybrid::HybridSolver composes its step from these pieces, with the force
-// solves between them.
+// solves between them, in leapfrog form: a step's trailing half-kick and
+// the next step's leading one act on the same forces, so they run as one
+// kick by the sum of their factors (hybrid/leapfrog.hpp): one velocity
+// pass per step.
 #pragma once
 
 #include <functional>
@@ -28,7 +31,8 @@ using HaloFiller = std::function<AxisFaces(PhaseSpace&, int axis)>;
 /// undecomposed axes of a mesh::HaloPlan.
 HaloFiller periodic_halo_filler();
 
-/// The kick half-sequence Dux Duy Duz (order per Eq. 5).
+/// The kick sequence Dux Duy Duz (order per Eq. 5) by kick factor `dt`:
+/// one of Eq. 5's half-kicks, or the leapfrog's merged kick.
 void kick_half(PhaseSpace& f, const mesh::Grid3D<double>& gx,
                const mesh::Grid3D<double>& gy,
                const mesh::Grid3D<double>& gz, double dt,

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -658,25 +660,28 @@ void expect_meta_refused(const std::string& dir, io::SnapshotStatus status,
 }
 
 // Layouts this build does not read are refused by the meta alone, before
-// any payload is opened: a version-1 meta, a meta naming the one global
-// phase-space payload serial runs wrote before they became world-1 runs,
-// and a meta referencing a payload whose size it did not record.
+// any payload is opened: a version-1 meta, a version-2 one (its force
+// payload has no owed kick), a meta naming the one global phase-space
+// payload serial runs wrote before they became world-1 runs, and a meta
+// referencing a payload whose size it did not record.
 TEST(Checkpoint, RetiredLayoutsAreRefusedByTheMeta) {
   const auto source = two_shard_checkpoint("v6d_ckpt_retired_source");
 
-  auto dir = copy_checkpoint(source, "v6d_ckpt_retired");
-  {
+  std::string dir;
+  for (const int version : {1, 2}) {
+    dir = copy_checkpoint(source, "v6d_ckpt_retired");
     const auto path = std::filesystem::path(dir) / "meta";
     std::ifstream in(path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     in.close();
-    const std::string header = "v6d-checkpoint 2\n";
+    const std::string header = "v6d-checkpoint 3\n";
     ASSERT_EQ(text.rfind(header, 0), 0u);
-    std::ofstream(path) << "v6d-checkpoint 1\n" << text.substr(header.size());
+    std::ofstream(path) << "v6d-checkpoint " << version << "\n"
+                        << text.substr(header.size());
+    expect_meta_refused(dir, io::SnapshotStatus::kVersionMismatch,
+                        "version " + std::to_string(version));
   }
-  expect_meta_refused(dir, io::SnapshotStatus::kVersionMismatch,
-                      "version 1");
 
   dir = copy_checkpoint(source, "v6d_ckpt_retired");
   set_meta_field(dir, "phase_space_file", "phase_space.1.bin");
@@ -689,6 +694,43 @@ TEST(Checkpoint, RetiredLayoutsAreRefusedByTheMeta) {
                       "field 'bytes.phase_space.1.r1.bin'");
 
   std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(source);
+}
+
+/// Overwrite `size` bytes at `offset` of the file `path` with `bytes`.
+void patch_file(const std::filesystem::path& path, std::streamoff offset,
+                const void* bytes, std::size_t size) {
+  std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+  io.seekp(offset);
+  io.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(size));
+}
+
+// The force payload holds the owed kick behind its fresh flag (byte 12):
+// resume refuses a version-2 payload, which has none, and an owed kick
+// that is not finite, before a step runs.  Each patch keeps the payload's
+// size, so only the force reader can catch it.
+TEST(Checkpoint, ForcePayloadRefusesVersion2AndANonFiniteOwedKick) {
+  const auto source = two_shard_checkpoint("v6d_ckpt_forces_source");
+  driver::Checkpoint meta;
+  ASSERT_EQ(driver::read_checkpoint_meta(source, meta),
+            io::SnapshotStatus::kOk);
+  ASSERT_TRUE(meta.has_forces);
+
+  auto dir = copy_checkpoint(source, "v6d_ckpt_forces");
+  const std::uint32_t version = 2;
+  patch_file(std::filesystem::path(dir) / meta.forces_file, 4, &version,
+             sizeof(version));
+  expect_resume_refused(dir, "version-mismatch");
+  std::filesystem::remove_all(dir);
+
+  for (const double owed : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    dir = copy_checkpoint(source, "v6d_ckpt_forces");
+    patch_file(std::filesystem::path(dir) / meta.forces_file, 12, &owed,
+               sizeof(owed));
+    expect_resume_refused(dir, "bad-header");
+    std::filesystem::remove_all(dir);
+  }
   std::filesystem::remove_all(source);
 }
 

@@ -157,6 +157,23 @@ TEST(HybridSolver, TimersAccumulatePerPart) {
   EXPECT_GT(solver.timers().total("tree"), 0.0);
 }
 
+/// `a` and `b` hold the same bytes: phase space and every particle array.
+void expect_same_state(const hybrid::HybridSolver& a,
+                       const hybrid::HybridSolver& b) {
+  const auto& f = a.neutrinos();
+  const auto& g = b.neutrinos();
+  ASSERT_EQ(f.raw_size(), g.raw_size());
+  EXPECT_EQ(std::memcmp(f.raw(), g.raw(), f.raw_size() * sizeof(float)), 0);
+  const auto& p = a.cdm();
+  const auto& q = b.cdm();
+  ASSERT_EQ(p.size(), q.size());
+  const std::size_t bytes = p.size() * sizeof(double);
+  for (const auto& [u, v] : {std::pair{&p.x, &q.x}, std::pair{&p.y, &q.y},
+                             std::pair{&p.z, &q.z}, std::pair{&p.ux, &q.ux},
+                             std::pair{&p.uy, &q.uy}, std::pair{&p.uz, &q.uz}})
+    EXPECT_EQ(std::memcmp(u->data(), v->data(), bytes), 0);
+}
+
 // The world-1 solver owns its phase space: the scenario constructor moves
 // f in (a copy would hold a second phase space), and nothing it builds
 // points into f, so the phase space may be replaced after construction —
@@ -179,18 +196,42 @@ TEST(HybridSolver, WorldOneTakesItsPhaseSpace) {
     reference.step(a, a1);
     a = a1;
   }
-  const auto& got = solver.neutrinos();
-  const auto& want = reference.neutrinos();
-  ASSERT_EQ(got.raw_size(), want.raw_size());
-  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), got.raw_size() * sizeof(float)),
-            0);
+  expect_same_state(solver, reference);
+}
+
+// A step owes its trailing half-kick, kick_factor(a_mid, a1), on the
+// forces it computed at a1; synchronize() applies exactly that kick and
+// zeroes it.  With nothing owed — a solver that has not stepped, or one
+// already synchronized — it leaves the state bit for bit.
+TEST(HybridSolver, SynchronizeAppliesTheOwedKickOnce) {
+  HybridSetup setup;
+  auto solver = setup.make();
+  auto untouched = setup.make();
+  solver.synchronize();
+  EXPECT_EQ(solver.export_step_forces().owed_kick, 0.0);
+  expect_same_state(solver, untouched);
+
+  const double a0 = setup.a0;
+  const double a1 = solver.suggest_next_a(a0, 0.02);
+  solver.step(a0, a1);
+  const auto forces = solver.export_step_forces();
+  const cosmo::Background bg(setup.params);
+  EXPECT_EQ(forces.owed_kick, bg.kick_factor(0.5 * (a0 + a1), a1));
+  const nbody::Particles before = solver.cdm();
+  solver.synchronize();
+  EXPECT_EQ(solver.export_step_forces().owed_kick, 0.0);
   const auto& p = solver.cdm();
-  const auto& q = reference.cdm();
-  const std::size_t bytes = p.size() * sizeof(double);
-  for (const auto& [u, v] : {std::pair{&p.x, &q.x}, std::pair{&p.y, &q.y},
-                             std::pair{&p.z, &q.z}, std::pair{&p.ux, &q.ux},
-                             std::pair{&p.uy, &q.uy}, std::pair{&p.uz, &q.uz}})
-    EXPECT_EQ(std::memcmp(u->data(), v->data(), bytes), 0);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    ASSERT_EQ(p.ux[i], before.ux[i] + forces.ax[i] * forces.owed_kick) << i;
+    ASSERT_EQ(p.uy[i], before.uy[i] + forces.ay[i] * forces.owed_kick) << i;
+    ASSERT_EQ(p.uz[i], before.uz[i] + forces.az[i] * forces.owed_kick) << i;
+  }
+
+  auto synchronized = setup.make();
+  synchronized.step(a0, a1);
+  synchronized.synchronize();
+  synchronized.synchronize();
+  expect_same_state(solver, synchronized);
 }
 
 /// A gather message from a peer: the shard encoding of an all-zero brick

@@ -127,6 +127,7 @@ TEST(NBodySolver, MomentumStaysNearZero) {
   solver.set_cdm(std::move(ics.particles));
   solver.step(0.2, 0.25);
   solver.step(0.25, 0.3);
+  solver.synchronize();
 
   const auto& p = solver.cdm();
   double px = 0.0, pn = 0.0;
@@ -159,6 +160,7 @@ TEST(NBodySolver, HotSpeciesFeelsGravityAndKeepsThermalSpread) {
   solver.set_cdm(std::move(ics.particles));
   solver.set_hot(std::move(nu));
   solver.step(0.2, 0.24);
+  solver.synchronize();
 
   double rms = 0.0;
   const auto& hot = *solver.hot();
@@ -172,9 +174,10 @@ TEST(NBodySolver, HotSpeciesFeelsGravityAndKeepsThermalSpread) {
 }
 
 TEST(NBodySolver, SharesHybridSolverForcePass) {
-  // The particle baseline runs the production solver's force pass: with
-  // no hot species it must step CDM exactly like a HybridSolver with an
-  // empty phase space, bit for bit.
+  // The particle baseline runs the production solver's force pass and
+  // its leapfrog (hybrid/leapfrog.hpp): with no hot species it must step
+  // CDM exactly like a HybridSolver with an empty phase space, bit for
+  // bit, the owed half-kick and its settling included.
   cosmo::Params params = cosmo::Params::planck2015(0.0);
   cosmo::PowerSpectrum ps(params);
   cosmo::Background bg(params);
@@ -198,6 +201,8 @@ TEST(NBodySolver, SharesHybridSolverForcePass) {
     hybrid.step(a, a + 0.05);
     a += 0.05;
   }
+  nbody.synchronize();
+  hybrid.synchronize();
 
   auto same = [](const std::vector<double>& u, const std::vector<double>& v) {
     return u.size() == v.size() &&

@@ -11,9 +11,11 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/runner.hpp"
+#include "driver/checkpoint.hpp"
 #include "driver/distributed.hpp"
 #include "driver/driver.hpp"
 #include "driver/scenario.hpp"
@@ -682,6 +684,66 @@ TEST(DistributedCheckpoint, ResumeUnderAnotherRankCountIsBitIdentical) {
       payloads.push_back("phase_space.4.r" + std::to_string(r) + ".bin");
     expect_same_payloads(cfg_full.checkpoint_dir,
                          (base_dir / ("resumed" + tag)).string(), payloads);
+  }
+  fs::remove_all(base_dir);
+}
+
+// A checkpoint holds the state as its step left it, owing the step's
+// trailing half-kick, and its force payload records the owed factor.
+// Written serially it resumes at 2 ranks, and written at 2 ranks it
+// resumes serially, bit-identically with the uninterrupted run at the
+// resume's rank count: the step-4 checkpoints match byte for byte, and so
+// do the synchronized states the runs end in.
+TEST(DistributedCheckpoint, OwedKickResumesAcrossRankCounts) {
+  namespace fs = std::filesystem;
+  const auto base_dir = temp_paths::process_temp_path("v6d_dist_ckpt_owed");
+  fs::remove_all(base_dir);
+  const auto cfg = make_cfg("vlasov_only", {{"nx", "8"}, {"nu", "6"}});
+  for (const auto& [written_at, resumed_at] :
+       {std::pair{1, 2}, std::pair{2, 1}}) {
+    const std::string tag =
+        std::to_string(written_at) + "to" + std::to_string(resumed_at);
+    SCOPED_TRACE(tag);
+    const std::string written = (base_dir / ("written" + tag)).string();
+    auto cfg_half = cfg;
+    cfg_half.ranks = written_at;
+    cfg_half.max_steps = 2;
+    cfg_half.checkpoint_dir = written;
+    driver::Driver(cfg_half).run();
+
+    driver::Checkpoint meta;
+    ASSERT_EQ(driver::read_checkpoint_meta(written, meta),
+              io::SnapshotStatus::kOk);
+    driver::Driver shape(cfg);
+    hybrid::HybridSolver::StepForces forces;
+    ASSERT_EQ(driver::read_checkpoint_payload(
+                  written, meta, shape.solver().neutrinos(),
+                  shape.solver().cdm(), forces),
+              io::SnapshotStatus::kOk);
+    EXPECT_NE(forces.owed_kick, 0.0);
+
+    auto cfg_full = cfg;
+    cfg_full.ranks = resumed_at;
+    cfg_full.max_steps = 4;
+    cfg_full.checkpoint_dir = (base_dir / ("full" + tag)).string();
+    driver::Driver full(cfg_full);
+    full.run();
+
+    const std::string resumed_dir = (base_dir / ("resumed" + tag)).string();
+    Options overrides;
+    overrides.set("ranks", std::to_string(resumed_at));
+    overrides.set("max_steps", "4");
+    overrides.set("checkpoint_dir", resumed_dir);
+    driver::Driver resumed = driver::Driver::resume(written, overrides);
+    resumed.run();
+    EXPECT_EQ(resumed.step_count(), 4);
+
+    std::vector<std::string> payloads = {"forces.4.bin"};
+    for (int r = 0; r < resumed_at; ++r)
+      payloads.push_back("phase_space.4.r" + std::to_string(r) + ".bin");
+    expect_same_payloads(cfg_full.checkpoint_dir, resumed_dir, payloads);
+    expect_phase_space_memcmp_equal(full.solver().neutrinos(),
+                                    resumed.solver().neutrinos());
   }
   fs::remove_all(base_dir);
 }

@@ -176,9 +176,10 @@ TEST(VlasovFusedKick, BitIdenticalToPerAxisSweeps) {
 }
 
 TEST(SweepTiers, RealVlasovStepIsBitIdenticalOnEveryTier) {
-  // One KDK step (two kicks, one drift) of a real vlasov_only state on
-  // every supported tier must leave the baseline tier's phase space, bit
-  // for bit: the tiers differ only in instruction encoding.
+  // One step and its synchronization (two kicks, one drift) of a real
+  // vlasov_only state on every supported tier must leave the baseline
+  // tier's phase space, bit for bit: the tiers differ only in instruction
+  // encoding.
   Options options;
   options.set("nx", "8");
   options.set("nu", "12");
@@ -188,6 +189,7 @@ TEST(SweepTiers, RealVlasovStepIsBitIdenticalOnEveryTier) {
     auto solver = driver::find_scenario("vlasov_only")->build(cfg, true);
     const double a0 = cfg.a_init;
     solver->step(a0, solver->suggest_next_a(a0, cfg.da_max));
+    solver->synchronize();
     return solver->neutrinos();
   };
   const PhaseSpace baseline = step_on(simd::SweepTier::kBaseline);
