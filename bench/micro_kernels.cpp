@@ -6,7 +6,8 @@
 // scalar path.  The `fused_sweep_speedup` metric in BENCH_micro_kernels
 // .json is the perf-trajectory number tracked across PRs; one
 // `fused_sweep_speedup_<tier>` per sweep tier the host runs sits beside
-// it (simd/dispatch.hpp).
+// it (simd/dispatch.hpp), and the cell rate of each directional sweep
+// on each tier at nu = 12 beside the tier's lane count.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
   }
 
   // --- SL-MPP5 multi-lane SIMD lines ---
-  const auto shift = vlasov::LineShift::uniform(0.37, vlasov::Limiter::kMpp);
+  const auto shift = vlasov::LaneShift::at(0.37, vlasov::Limiter::kMpp);
   for (const int n : {64, 256}) {
     constexpr int L = simd::kSweepLanes;
     std::vector<float> f(static_cast<std::size_t>(n) * L);
@@ -114,8 +115,8 @@ int main(int argc, char** argv) {
     harness.time_phase(
         "sl_mpp5_simd_lines_" + std::to_string(n), reps,
         [&] {
-          vlasov::advect_lines_simd(f.data(), L, f.data(), L, n, L, shift,
-                                    ws);
+          vlasov::advect_lines_simd<L>(f.data(), L, f.data(), L, n, L, shift,
+                                       ws);
         },
         static_cast<double>(n) * L,
         static_cast<double>(n) * L * 2 * sizeof(float));
@@ -136,8 +137,8 @@ int main(int argc, char** argv) {
     harness.time_phase(
         "sl_mpp5_simd_lines_rough_" + std::to_string(n), reps,
         [&] {
-          vlasov::advect_lines_simd(rough.data(), L, out.data(), L, n, L,
-                                    shift, ws);
+          vlasov::advect_lines_simd<L>(rough.data(), L, out.data(), L, n, L,
+                                       shift, ws);
         },
         static_cast<double>(n) * L,
         static_cast<double>(n) * L * 2 * sizeof(float));
@@ -226,6 +227,66 @@ int main(int argc, char** argv) {
       harness.metric("fused_sweep_speedup_" + name, t_scalar / t_tier, "x");
       std::printf("    %s tier: %.3f ms (%.2fx)\n", name.c_str(),
                   t_tier * 1e3, t_scalar / t_tier);
+    }
+  }
+
+  // --- one sweep per axis and tier on the production nu = 12 shape ---
+  // Cell updates per second of each directional sweep on each tier, and
+  // each tier's lane count: which axis gains least from the wide groups.
+  {
+    const int nx = opt.get_int("nx", bench::scaled(10, 6));
+    const int nu = 12;
+    const int reps = opt.get_int("reps", 2);
+    auto f = make_box(nx, nu);
+    mesh::Grid3D<double> accel(nx, nx, nx);
+    accel.fill(0.11);
+    const double cells = static_cast<double>(f.dims().total_interior());
+    const double bytes = cells * 2 * sizeof(float);
+    const double drift = 0.35 * f.geom().dx / f.geom().umax;
+    const char* const axes[6] = {"ux", "uy", "uz", "x", "y", "z"};
+    std::vector<std::array<double, 6>> rates;
+    for (const simd::SweepTier tier : simd::supported_tiers()) {
+      const simd::ScopedSweepTier pin(tier);
+      const std::string name = simd::to_string(tier);
+      harness.context("sweep_lanes_" + name,
+                      std::to_string(simd::sweep_lanes(tier)));
+      std::array<double, 6> rate{};
+      for (int a = 0; a < 6; ++a) {
+        const double t = harness.time_phase(
+            std::string("sweep_") + axes[a] + "_" + name, reps,
+            [&] {
+              if (a < 3)
+                vlasov::advect_velocity_axis(f, a, accel, 0.5,
+                                             SweepKernel::kAuto);
+              else
+                vlasov::advect_position_axis(f, a - 3, drift,
+                                             SweepKernel::kAuto,
+                                             vlasov::AxisFaces{});
+            },
+            cells, bytes);
+        rate[a] = cells / t;
+        harness.metric(std::string("sweep_cells_per_s_") + axes[a] + "_" +
+                           name,
+                       rate[a], "1/s");
+      }
+      rates.push_back(rate);
+    }
+    std::printf("  one sweep per axis, nu = %d, Mcell/s:\n    %-9s %5s", nu,
+                "tier", "lanes");
+    for (const char* axis : axes) std::printf(" %7s", axis);
+    std::printf("\n");
+    const auto tiers = simd::supported_tiers();
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      std::printf("    %-9s %5d", simd::to_string(tiers[t]),
+                  simd::sweep_lanes(tiers[t]));
+      for (const double r : rates[t]) std::printf(" %7.1f", r * 1e-6);
+      std::printf("\n");
+    }
+    if (rates.size() > 1) {
+      std::printf("    %-9s %5s", "widest/", "base");
+      for (int a = 0; a < 6; ++a)
+        std::printf(" %6.2fx", rates.back()[a] / rates.front()[a]);
+      std::printf("\n");
     }
   }
   return 0;

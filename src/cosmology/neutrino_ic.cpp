@@ -17,38 +17,48 @@ void initialize_neutrino_phase_space(
   const auto& d = f.dims();
   const auto& g = f.geom();
   const double du3 = g.du3();
-  std::vector<double> profile(f.block_size());
 
-  for (int ix = 0; ix < d.nx; ++ix)
-    for (int iy = 0; iy < d.ny; ++iy)
-      for (int iz = 0; iz < d.nz; ++iz) {
-        const int gx = ix + x_offset, gy = iy + y_offset, gz = iz + z_offset;
-        const double delta = delta_nu.at(gx, gy, gz);
-        const double ubx = bulk_x ? bulk_x->at(gx, gy, gz) : 0.0;
-        const double uby = bulk_y ? bulk_y->at(gx, gy, gz) : 0.0;
-        const double ubz = bulk_z ? bulk_z->at(gx, gy, gz) : 0.0;
+  // Spatial cells are independent and each keeps its own sum order, so the
+  // fill gives the same bits at every thread count.
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
+  {
+    std::vector<double> profile(f.block_size());
+#ifdef _OPENMP
+#pragma omp for collapse(3) schedule(static)
+#endif
+    for (int ix = 0; ix < d.nx; ++ix)
+      for (int iy = 0; iy < d.ny; ++iy)
+        for (int iz = 0; iz < d.nz; ++iz) {
+          const int gx = ix + x_offset, gy = iy + y_offset, gz = iz + z_offset;
+          const double delta = delta_nu.at(gx, gy, gz);
+          const double ubx = bulk_x ? bulk_x->at(gx, gy, gz) : 0.0;
+          const double uby = bulk_y ? bulk_y->at(gx, gy, gz) : 0.0;
+          const double ubz = bulk_z ? bulk_z->at(gx, gy, gz) : 0.0;
 
-        // Evaluate the shifted FD profile, then renormalize discretely so
-        // the 0th moment is exact on this velocity grid.
-        double sum = 0.0;
-        std::size_t v = 0;
-        for (int a = 0; a < d.nux; ++a)
-          for (int b = 0; b < d.nuy; ++b)
-            for (int c = 0; c < d.nuz; ++c, ++v) {
-              const double dux = g.ux(a) - ubx;
-              const double duy = g.uy(b) - uby;
-              const double duz = g.uz(c) - ubz;
-              const double s =
-                  std::sqrt(dux * dux + duy * duy + duz * duz);
-              profile[v] = fd_density(s, u_th);
-              sum += profile[v];
-            }
-        const double target = params.omega_nu * (1.0 + delta);
-        const double scale = sum > 0.0 ? target / (sum * du3) : 0.0;
-        float* block = f.block(ix, iy, iz);
-        for (v = 0; v < f.block_size(); ++v)
-          block[v] = static_cast<float>(profile[v] * scale);
-      }
+          // Evaluate the shifted FD profile, then renormalize discretely so
+          // the 0th moment is exact on this velocity grid.
+          double sum = 0.0;
+          std::size_t v = 0;
+          for (int a = 0; a < d.nux; ++a)
+            for (int b = 0; b < d.nuy; ++b)
+              for (int c = 0; c < d.nuz; ++c, ++v) {
+                const double dux = g.ux(a) - ubx;
+                const double duy = g.uy(b) - uby;
+                const double duz = g.uz(c) - ubz;
+                const double s =
+                    std::sqrt(dux * dux + duy * duy + duz * duz);
+                profile[v] = fd_density(s, u_th);
+                sum += profile[v];
+              }
+          const double target = params.omega_nu * (1.0 + delta);
+          const double scale = sum > 0.0 ? target / (sum * du3) : 0.0;
+          float* block = f.block(ix, iy, iz);
+          for (v = 0; v < f.block_size(); ++v)
+            block[v] = static_cast<float>(profile[v] * scale);
+        }
+  }
 }
 
 NeutrinoFields neutrino_linear_fields(const PowerSpectrum& ps, double box,

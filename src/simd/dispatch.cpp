@@ -41,9 +41,9 @@ std::atomic<SweepTier>& active_tier() {
 
 IsaInfo isa_info() {
   IsaInfo info;
-  info.name =
-      sweep_tier() == SweepTier::kAvx512 ? "AVX-512" : baseline_isa_name();
-  info.float_width = kSweepLanes;
+  const SweepTier tier = sweep_tier();
+  info.name = tier == SweepTier::kAvx512 ? "AVX-512" : baseline_isa_name();
+  info.float_width = sweep_lanes(tier);
   info.has_fma = false;  // -ffp-contract=off in every build
   return info;
 }

@@ -10,11 +10,12 @@
 // Tiers: each hot sweep body (one velocity block-axis, one spatial line's
 // lane groups) is compiled from one source into a baseline copy plus, on
 // x86-64, an AVX-512 copy (V6D_SWEEP_TIER_AVX512 below); the process runs
-// the AVX-512 copy when its CPU supports it.  Both tiers run the same
-// 4-lane kernels and no build contracts a multiply-add (-ffp-contract=off),
-// so they perform the same float operations in the same order and give
-// equal bits: the AVX-512 copy only encodes them better (three-operand
-// EVEX forms, mask-register blends).
+// the AVX-512 copy when its CPU supports it.  The lane count is the
+// tier's (sweep_lanes): the baseline copy runs 4-lane groups, the AVX-512
+// copy 16-lane groups (one zmm register, the paper's SVE width) and
+// 4-lane groups past the last of those.  A lane performs the same float
+// operations at any width and no build contracts a multiply-add
+// (-ffp-contract=off), so both tiers give equal bits.
 #pragma once
 
 #include <string>
@@ -22,18 +23,16 @@
 
 namespace v6d::simd {
 
-/// fp32 lanes per vector sweep kernel call, on every tier and in every
-/// build.  Four lanes tile the production velocity grids (nu = 12: three
-/// full groups per line) where eight would leave a scalar tail of four
-/// lines, and a fixed count keeps one set of float operations per line
-/// whatever the build's -march.  The paper's SVE kernels use 16 lanes
-/// against 64-cell velocity grids.
+/// fp32 lanes of the narrowest vector group: the baseline tier's only
+/// width, whatever the build's -march, and the tail groups of the wider
+/// tier.  Four lanes tile every velocity extent that is a multiple of 4.
+/// The PP kernel sums in this lane order too (gravity/pp_kernel.cpp).
 inline constexpr int kSweepLanes = 4;
 
 /// The tier the sweeps run on, as a perf report records it.
 struct IsaInfo {
   std::string name;  // "AVX-512", or the baseline's ISA, e.g. "SSE2"
-  int float_width;   // fp32 lanes per sweep kernel call (kSweepLanes)
+  int float_width;   // fp32 lanes per wide group on the tier (sweep_lanes)
   bool has_fma;      // whether the sweeps contract multiply-adds: never
 };
 
@@ -57,6 +56,12 @@ SweepKernel resolve_sweep_kernel(SweepKernel requested, bool contiguous_axis);
 
 /// Instruction-set tiers of the sweep bodies, narrowest first.
 enum class SweepTier { kBaseline, kAvx512 };
+
+/// fp32 lanes per wide vector group on `tier`: 4 on the baseline, 16 (one
+/// zmm register) on AVX-512.
+constexpr int sweep_lanes(SweepTier tier) {
+  return tier == SweepTier::kAvx512 ? 16 : kSweepLanes;
+}
 
 /// "baseline" or "avx512".
 const char* to_string(SweepTier tier);
@@ -87,11 +92,11 @@ class ScopedSweepTier {
   SweepTier previous_;
 };
 
-/// The copy of a tiered sweep body for the running tier, given its
-/// baseline and AVX-512 copies (V6D_SWEEP_TIER_AVX512 below).
+/// The copy of a tiered sweep body for `tier`, given its baseline and
+/// AVX-512 copies (V6D_SWEEP_TIER_AVX512 below).
 template <class Fn>
-Fn for_sweep_tier(Fn baseline, Fn avx512) {
-  return sweep_tier() == SweepTier::kAvx512 ? avx512 : baseline;
+Fn for_sweep_tier(SweepTier tier, Fn baseline, Fn avx512) {
+  return tier == SweepTier::kAvx512 ? avx512 : baseline;
 }
 
 /// OpenMP thread count the parallel sweeps will use (1 in serial builds).
@@ -103,7 +108,10 @@ int thread_count();
 // (the baseline copy is a plain function).  `flatten` inlines the whole body,
 // Pack operations and vector kernel included, into the tiered function,
 // so its wide instructions never reach code a baseline caller could
-// share.  (A per-file -m flag would be unsafe: the out-of-line copies of
+// share.  Only scalars and plain arrays cross between baseline code and a
+// tiered body: GCC passes a 32- or 64-byte vector differently with and
+// without AVX (what -Wpsabi warns about), so a shift table built by
+// baseline code holds per-lane floats that the body loads at its width.  (A per-file -m flag would be unsafe: the out-of-line copies of
 // inline Pack functions it emits could be the ones the linker keeps for
 // baseline callers.)  GCC outlines an `omp parallel` body into a function
 // that does not inherit a `target` attribute, so a tiered function is

@@ -3,15 +3,17 @@
 // The paper's Vlasov kernels are hand-vectorized for A64FX SVE (16 x fp32).
 // This port expresses the same kernels over a width-generic Pack<T, N>;
 // the compiler lowers operations to the ISA of the function they are
-// inlined into.  The sweeps and the PP kernel use 4-lane packs in every
-// build (simd::kSweepLanes); the sweeps reach wider encodings through
-// their AVX-512 tier functions (simd/dispatch.hpp), which inline every
-// Pack operation they use.  Never compile a file that includes this
-// header with a per-file -m flag, since the out-of-line copies of these
-// inline functions it may emit could be linked into baseline callers.  No
-// build contracts a multiply-add (-ffp-contract=off), so fma() below is a
-// multiply then an add, rounded twice, on every tier.  Width is a template
-// parameter so tests can exercise 4/8/16 uniformly.
+// inlined into.  The sweeps run the width of their tier
+// (simd::sweep_lanes): 4-lane packs in the baseline copies, 16-lane packs
+// (one zmm register each) in the AVX-512 tier functions
+// (simd/dispatch.hpp), which inline every Pack operation they use.  The PP
+// kernel uses 4-lane packs in every build (simd::kSweepLanes).  Never
+// compile a file that includes this header with a per-file -m flag, since
+// the out-of-line copies of these inline functions it may emit could be
+// linked into baseline callers.  No build contracts a multiply-add
+// (-ffp-contract=off), so fma() below is a multiply then an add, rounded
+// twice, on every tier.  Width is a template parameter so tests can
+// exercise 4/8/16 uniformly.
 //
 // Note: inside class templates GCC treats a vector_size-attributed typedef of
 // T as colliding with T itself for overload resolution, so construction goes

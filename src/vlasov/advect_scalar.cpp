@@ -2,11 +2,12 @@
 
 namespace v6d::vlasov {
 
-void AdvectWorkspace::ensure(int n, int ghost, int lanes, int out_lanes) {
+void AdvectWorkspace::ensure(int n, int ghost, int lanes, int out_lanes,
+                             int group) {
   const std::size_t need_in =
       static_cast<std::size_t>(n + 2 * ghost) * lanes;
   const std::size_t need_out = static_cast<std::size_t>(n) * out_lanes;
-  const std::size_t need_flux = static_cast<std::size_t>(n + 1) * kSweepLanes;
+  const std::size_t need_flux = static_cast<std::size_t>(n + 1) * group;
   if (in.size() < need_in) in.resize(need_in);
   if (out.size() < need_out) out.resize(need_out);
   if (flux.size() < need_flux) flux.resize(need_flux);
@@ -17,7 +18,7 @@ void advect_line_strided_scalar(const float* src, std::ptrdiff_t stride,
                                 double xi, Limiter limiter,
                                 AdvectWorkspace& ws) {
   const int ghost = required_ghost(xi);
-  ws.ensure(n, ghost, 1, 1);
+  ws.ensure(n, ghost, 1, 1, 1);
   float* in = ws.in.data();
   for (int k = -ghost; k < n + ghost; ++k)
     in[k + ghost] = k >= 0 && k < n ? src[k * stride] : 0.0f;

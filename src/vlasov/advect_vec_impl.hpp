@@ -1,18 +1,19 @@
 // Shared SL-MPP5 flux kernel of the vector line sweeps and the two panel
 // kernels around it, advect_lines_simd and advect_lines_lat (declared in
 // advect_kernels.hpp; included by the advect_*.cpp and sweep translation
-// units, the kernel tests and benches).  Everything here is inline so
-// that each sweep tier (simd/dispatch.hpp) compiles its own copy into its
-// flattened body.  Mirrors advect_line_scalar in sl_mpp5.cpp; any change
-// here must be reflected there — the test suite pins scalar/SIMD/LAT
-// equivalence to catch divergence.
+// units, the kernel tests and benches).  Everything here is an inline
+// template on the lane count L, so that each sweep tier (simd/dispatch.hpp)
+// compiles its own copy, at its own width, into its flattened body.
+// Mirrors advect_line_scalar in sl_mpp5.cpp; any change here must be
+// reflected there — the test suite pins scalar/SIMD/LAT equivalence to
+// catch divergence.
 //
-// The kernel takes its per-lane weights from a LineShift: most sweeps
-// broadcast a single shift xi to all lanes, but the spatial z sweep
-// vectorizes across the contiguous uz index whose velocity (hence xi)
-// differs per lane.  A lane's floor(xi) may be the shift's s or s + 1; when
-// any lane is at s + 1 a separate loop loads the six cells that cover both
-// stencils and blends them per lane.
+// The kernel takes its per-lane weights from a LineShift: the velocity
+// sweeps broadcast a single shift xi to all lanes, while a position
+// sweep's group spans velocity cells whose speed (hence xi) may differ per
+// lane.  A lane's floor(xi) may be the shift's s or s + 1; when any lane is
+// at s + 1 a separate loop loads the six cells that cover both stencils
+// and blends them per lane.
 #pragma once
 
 #include <algorithm>
@@ -73,14 +74,13 @@ inline simd::Pack<float, L> mp_limit_vec(simd::Pack<float, L> g,
 }
 
 // in: (cell -ghost, lane 0); cells are `cs` floats apart, lanes contiguous.
-// out: (cell 0, lane 0); cells `os` floats apart.  flux: (n+1)*kSweepLanes
-// scratch.  in and out must not alias (callers stage through workspace
-// buffers).
+// out: (cell 0, lane 0); cells `os` floats apart.  flux: (n+1)*L scratch.
+// in and out must not alias (callers stage through workspace buffers).
+template <int L>
 inline void sl_mpp5_kernel_vec(const float* in, std::ptrdiff_t cs, float* out,
                                std::ptrdiff_t os, int n, int ghost,
-                               const LineShift& sh, float* flux) {
-  constexpr int L = kSweepLanes;
-  using P = LineShift::P;
+                               const LineShift<L>& sh, float* flux) {
+  using P = typename LineShift<L>::P;
   assert(ghost >= sh.max_ghost);
   const int s = sh.s;
   const auto upper = sh.upper;
@@ -166,6 +166,29 @@ inline void zero_panel_ghosts(float* in, std::ptrdiff_t width, int n,
   std::fill_n(in + (ghost + n) * width, ghost * width, 0.0f);
 }
 
+// Advect the lanes [0, lanes) of a staged panel by `shift`: in addresses
+// (cell -ghost, lane 0) of a panel with rows `width` floats apart, out
+// (cell 0, lane 0) of results with rows `os` floats apart.  L-lane groups
+// run first, then kSweepLanes-lane groups; returns the lanes covered,
+// lanes - lanes % kSweepLanes.
+template <int L>
+inline int advect_staged_groups(const float* in, std::ptrdiff_t width,
+                                float* out, std::ptrdiff_t os, int n,
+                                int lanes, int ghost, const LaneShift& shift,
+                                float* flux) {
+  int l = 0;
+  const auto wide = LineShift<L>::uniform(shift);
+  for (; l + L <= lanes; l += L)
+    sl_mpp5_kernel_vec<L>(in + l, width, out + l, os, n, ghost, wide, flux);
+  if constexpr (L > kSweepLanes) {
+    const auto narrow = LineShift<kSweepLanes>::uniform(shift);
+    for (; l + kSweepLanes <= lanes; l += kSweepLanes)
+      sl_mpp5_kernel_vec<kSweepLanes>(in + l, width, out + l, os, n, ghost,
+                                      narrow, flux);
+  }
+  return l;
+}
+
 // Move kSweepLanes lines of n cells (line stride `line_stride`) into the
 // columns of a cell-major panel with rows `width` floats apart, through
 // kSweepLanes x kSweepLanes in-register transposes (the LAT step).
@@ -196,51 +219,49 @@ inline void columns_to_lines(const float* cols, std::ptrdiff_t width,
 
 namespace v6d::vlasov {
 
-// The panel's full lane groups are staged once, as [n + 2*ghost][wide]
-// with zero ghost rows; every group then runs straight from that copy
-// into dst.
+// The panel's lane groups are staged once, as [n + 2*ghost][wide] with
+// zero ghost rows; every group then runs straight from that copy into dst.
+template <int L>
 inline int advect_lines_simd(const float* src, std::ptrdiff_t cell_stride,
                              float* dst, std::ptrdiff_t dst_cell_stride,
-                             int n, int lanes, const LineShift& shift,
+                             int n, int lanes, const LaneShift& shift,
                              AdvectWorkspace& ws) {
-  const std::ptrdiff_t wide = lanes - lanes % kSweepLanes;
+  const int wide = lanes - lanes % kSweepLanes;
   if (wide == 0) return 0;
-  const int ghost = shift.max_ghost;
-  ws.ensure(n, ghost, static_cast<int>(wide), 0);
+  const int ghost = shift.shape.max_ghost;
+  ws.ensure(n, ghost, wide, 0, L);
   float* in = ws.in.data();
   detail::zero_panel_ghosts(in, wide, n, ghost);
   for (int k = 0; k < n; ++k)
     std::copy_n(src + k * cell_stride, wide, in + (ghost + k) * wide);
-  for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
-    detail::sl_mpp5_kernel_vec(in + l, wide, dst + l, dst_cell_stride, n,
-                               ghost, shift, ws.flux.data());
-  return static_cast<int>(wide);
+  return detail::advect_staged_groups<L>(in, wide, dst, dst_cell_stride, n,
+                                         wide, ghost, shift, ws.flux.data());
 }
 
-// The panel's full lane groups are transposed once into
-// [n + 2*ghost][wide], advected group by group into a cell-major result
-// panel and transposed back.
+// The panel's lane groups are transposed once into [n + 2*ghost][wide],
+// advected group by group into a cell-major result panel and transposed
+// back.
+template <int L>
 inline int advect_lines_lat(const float* src, std::ptrdiff_t line_stride,
                             float* dst, std::ptrdiff_t dst_line_stride, int n,
-                            int lanes, const LineShift& shift,
+                            int lanes, const LaneShift& shift,
                             AdvectWorkspace& ws) {
-  const std::ptrdiff_t wide = lanes - lanes % kSweepLanes;
+  const int wide = lanes - lanes % kSweepLanes;
   if (wide == 0) return 0;
-  const int ghost = shift.max_ghost;
-  ws.ensure(n, ghost, static_cast<int>(wide), static_cast<int>(wide));
+  const int ghost = shift.shape.max_ghost;
+  ws.ensure(n, ghost, wide, wide, L);
   float* in = ws.in.data();
   float* out = ws.out.data();
   detail::zero_panel_ghosts(in, wide, n, ghost);
   for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
     detail::lines_to_columns(src + l * line_stride, line_stride,
                              in + ghost * wide + l, wide, n);
-  for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
-    detail::sl_mpp5_kernel_vec(in + l, wide, out + l, wide, n, ghost, shift,
-                               ws.flux.data());
+  detail::advect_staged_groups<L>(in, wide, out, wide, n, wide, ghost, shift,
+                                  ws.flux.data());
   for (std::ptrdiff_t l = 0; l < wide; l += kSweepLanes)
     detail::columns_to_lines(out + l, wide, dst + l * dst_line_stride,
                              dst_line_stride, n);
-  return static_cast<int>(wide);
+  return wide;
 }
 
 }  // namespace v6d::vlasov

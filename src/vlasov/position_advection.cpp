@@ -1,6 +1,6 @@
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -10,24 +10,31 @@
 namespace v6d::vlasov {
 
 // Position sweeps (paper Eq. 3): advection speed along spatial axis i is
-// u_i / a^2; drift_factor carries the time integral of dt/a^2.  For the x
-// and y sweeps the speed is constant across the contiguous uz lanes (it
-// depends on the iux / iuy index), so lane groups share one xi.  For the z
-// sweep the speed varies per lane (it *is* u_z), so each lane group gets a
-// per-lane shift.
+// u_i / a^2; drift_factor carries the time integral of dt/a^2.  The speed
+// of a velocity line depends on its iux (x sweep), iuy (y) or iuz (z)
+// index, so a lane group of velocity cells may hold several shifts.
 //
 // The per-line shift depends only on the velocity index, never on the
-// spatial line, so the shift tables (xi for the scalar lines, LineShift for
-// the lane groups) are built once per sweep and shared by every thread —
-// the hot loop reduces to table lookups plus the flux cores.  Threading
-// is over spatial lines (collapse(2)); each thread keeps one reusable
-// AdvectWorkspace so the sweep never allocates in steady state.  Every
-// line group is staged into the workspace — low ghosts, interior, high
+// spatial line, so the shift tables (xi per velocity index for the scalar
+// lanes, GroupShifts for the lane groups) are built once per sweep and
+// shared by every thread — the hot loop reduces to table loads plus the
+// flux cores.  One group loop serves all three axes: it walks L-lane
+// groups straight through each cell's velocity block in memory order, L
+// being the sweep tier's lane count (simd/dispatch.hpp), then 4-lane
+// groups, then scalar lanes.  A group takes its per-lane shifts from the
+// table; they are uniform where the group lies inside one shift's cells.
+// At nu = 12 on the AVX-512 tier a 16-lane group spans 1 1/3 uz rows, so
+// every z group and the y group at u_y = 0 hold both velocity signs and
+// run the kernel's blended loop.
+//
+// Threading is over spatial lines (collapse(2)); each thread keeps one
+// reusable AdvectWorkspace so the sweep never allocates in steady state.
+// Every group is staged into the workspace — low ghosts, interior, high
 // ghosts — and advected by the shared SL-MPP5 cores, the vector kernel
 // writing straight into the line's blocks.  The ghosts come from the two
 // faces, or from the line's periodic image when the brick spans the axis.
-// One spatial line's lane groups are the body compiled per sweep tier
-// (simd/dispatch.hpp), called once per line inside the OpenMP loop.
+// One spatial line's lane groups are the body compiled per sweep tier,
+// called once per line inside the OpenMP loop.
 
 namespace {
 
@@ -65,21 +72,55 @@ struct LineSweep {
   std::ptrdiff_t face_layer;  // floats per face layer
   const AxisFaces* faces;
   bool scalar;  // the scalar kernel on every line
-  const double* xi_table;
-  const std::optional<LineShift>* shift_table;
+  const double* xi;           // per iux (x sweep), iuy (y) or iuz (z)
+  const GroupShifts* wide;    // the tier's groups, from velocity cell 0
+  const GroupShifts* narrow;  // 4-lane groups after them (wider tiers)
+
+  /// The shift of velocity cell v of a block.
+  double xi_at(std::ptrdiff_t v) const {
+    const auto& d = f->dims();
+    return xi[axis == 0   ? v / (static_cast<std::ptrdiff_t>(d.nuy) * d.nuz)
+              : axis == 1 ? (v / d.nuz) % d.nuy
+                          : v % d.nuz];
+  }
 };
 
-// Advect every velocity line of the spatial line (t1, t2).  `cell` is
-// per-thread scratch for the block address of every cell the line's
-// stencils read: cell[k] for k = -max_ghost .. n_cells + max_ghost - 1.
+// Advect the groups of `table`, W lanes each and the first at velocity
+// cell v0, along the spatial line whose cells `cell` addresses; the lanes
+// of a group without a shape go to `scalar_lane`.
+template <int W, class ScalarLane>
+inline void advect_groups(const GroupShifts& table, std::ptrdiff_t v0,
+                          const float* const* cell, float* line,
+                          std::ptrdiff_t stride, int n_cells,
+                          AdvectWorkspace& ws, ScalarLane&& scalar_lane) {
+  using P = simd::Pack<float, W>;
+  assert(table.groups() == 0 || table.lanes() == W);
+  for (int g = 0; g < table.groups(); ++g) {
+    const std::ptrdiff_t v = v0 + static_cast<std::ptrdiff_t>(g) * W;
+    if (!table.shape(g)) {
+      for (int l = 0; l < W; ++l) scalar_lane(v + l);
+      continue;
+    }
+    const auto shift = LineShift<W>::load(table, g);
+    const int ghost = shift.max_ghost;
+    ws.ensure(n_cells, ghost, W, 0, W);
+    for (int k = -ghost; k < n_cells + ghost; ++k)
+      P::load(cell[k] + v).store(ws.in.data() + (k + ghost) * W);
+    detail::sl_mpp5_kernel_vec<W>(ws.in.data(), W, line + v, stride, n_cells,
+                                  ghost, shift, ws.flux.data());
+  }
+}
+
+// Advect every velocity line of the spatial line (t1, t2) in L-lane
+// groups.  `cell` is per-thread scratch for the block address of every
+// cell the line's stencils read: cell[k] for k = -max_ghost ..
+// n_cells + max_ghost - 1.
+template <int L>
 inline void advect_spatial_line(const LineSweep& sw, int t1, int t2,
                                 const float** cell, AdvectWorkspace& ws) {
-  using P = LineShift::P;
-  PhaseSpace& f = *sw.f;
-  const auto& d = f.dims();
   const int n_cells = sw.n_cells;
   const std::ptrdiff_t stride = sw.stride;
-  float* line = line_start(f, sw.axis, t1, t2);
+  float* line = line_start(*sw.f, sw.axis, t1, t2);
   const std::ptrdiff_t face_cell =
       (static_cast<std::ptrdiff_t>(t1) * sw.t2n + t2) * sw.bs;
   for (int k = -sw.max_ghost; k < n_cells + sw.max_ghost; ++k) {
@@ -91,41 +132,28 @@ inline void advect_spatial_line(const LineSweep& sw, int t1, int t2,
                                stride
                   : face + layer * sw.face_layer + face_cell;
   }
-  for (int a = 0; a < d.nux; ++a) {
-    for (int b = 0; b < d.nuy; ++b) {
-      const auto scalar_line = [&](int c) {
-        const double xi = sw.xi_table[sw.axis == 0   ? a
-                                      : sw.axis == 1 ? b
-                                                     : c];
-        const int ghost = required_ghost(xi);
-        ws.ensure(n_cells, ghost, 1, 1);
-        const auto v = static_cast<std::ptrdiff_t>(f.velocity_index(a, b, c));
-        for (int k = -ghost; k < n_cells + ghost; ++k)
-          ws.in[k + ghost] = cell[k][v];
-        advect_line_scalar(ws.in.data(), ws.out.data(), n_cells, ghost, xi,
-                           Limiter::kMpp);
-        for (int i = 0; i < n_cells; ++i) line[i * stride + v] = ws.out[i];
-      };
-      int c = 0;
-      for (; !sw.scalar && c + kSweepLanes <= d.nuz; c += kSweepLanes) {
-        const auto& shift = sw.shift_table[sw.axis == 0   ? a
-                                           : sw.axis == 1 ? b
-                                                          : c / kSweepLanes];
-        if (!shift) {
-          for (int l = 0; l < kSweepLanes; ++l) scalar_line(c + l);
-          continue;
-        }
-        const int ghost = shift->max_ghost;
-        ws.ensure(n_cells, ghost, kSweepLanes, 0);
-        const auto v = static_cast<std::ptrdiff_t>(f.velocity_index(a, b, c));
-        for (int k = -ghost; k < n_cells + ghost; ++k)
-          P::load(cell[k] + v).store(ws.in.data() + (k + ghost) * kSweepLanes);
-        detail::sl_mpp5_kernel_vec(ws.in.data(), kSweepLanes, line + v, stride,
-                                   n_cells, ghost, *shift, ws.flux.data());
-      }
-      for (; c < d.nuz; ++c) scalar_line(c);
+  const auto scalar_lane = [&](std::ptrdiff_t v) {
+    const double xi = sw.xi_at(v);
+    const int ghost = required_ghost(xi);
+    ws.ensure(n_cells, ghost, 1, 1, 1);
+    for (int k = -ghost; k < n_cells + ghost; ++k)
+      ws.in[k + ghost] = cell[k][v];
+    advect_line_scalar(ws.in.data(), ws.out.data(), n_cells, ghost, xi,
+                       Limiter::kMpp);
+    for (int i = 0; i < n_cells; ++i) line[i * stride + v] = ws.out[i];
+  };
+  std::ptrdiff_t v = 0;
+  if (!sw.scalar) {
+    advect_groups<L>(*sw.wide, v, cell, line, stride, n_cells, ws,
+                     scalar_lane);
+    v += static_cast<std::ptrdiff_t>(sw.wide->groups()) * L;
+    if constexpr (L > kSweepLanes) {
+      advect_groups<kSweepLanes>(*sw.narrow, v, cell, line, stride, n_cells,
+                                 ws, scalar_lane);
+      v += static_cast<std::ptrdiff_t>(sw.narrow->groups()) * kSweepLanes;
     }
   }
+  for (; v < sw.bs; ++v) scalar_lane(v);
 }
 
 using SpatialLineFn = void (*)(const LineSweep&, int, int, const float**,
@@ -133,12 +161,14 @@ using SpatialLineFn = void (*)(const LineSweep&, int, int, const float**,
 
 void spatial_line_baseline(const LineSweep& sw, int t1, int t2,
                            const float** cell, AdvectWorkspace& ws) {
-  advect_spatial_line(sw, t1, t2, cell, ws);
+  advect_spatial_line<simd::sweep_lanes(simd::SweepTier::kBaseline)>(
+      sw, t1, t2, cell, ws);
 }
 V6D_SWEEP_TIER_AVX512 void spatial_line_avx512(const LineSweep& sw, int t1,
                                                int t2, const float** cell,
                                                AdvectWorkspace& ws) {
-  advect_spatial_line(sw, t1, t2, cell, ws);
+  advect_spatial_line<simd::sweep_lanes(simd::SweepTier::kAvx512)>(
+      sw, t1, t2, cell, ws);
 }
 
 }  // namespace
@@ -166,9 +196,8 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
   const double inv_dx_drift = drift_factor / dx;
 
   // Shift tables, hoisted out of the spatial loops: xi depends on iux for
-  // the x sweep, iuy for y and iuz for z.  The lane-group shifts follow:
-  // one per iux (x) or iuy (y), one per uz lane group (z), where a group
-  // per_lane cannot vectorize holds none and runs lane by lane.
+  // the x sweep, iuy for y and iuz for z.  The lane groups follow, at the
+  // tier's width through each block, then at 4 lanes.
   const int n_xi = axis == 0 ? d.nux : axis == 1 ? d.nuy : d.nuz;
   std::vector<double> xi_table(static_cast<std::size_t>(n_xi));
   int max_ghost = 0;
@@ -183,29 +212,35 @@ void advect_position_axis(PhaseSpace& f, int axis, double drift_factor,
     throw std::invalid_argument(
         "advect_position_axis: the shift needs more ghost layers than a "
         "face holds; subcycle the drift (|xi| <= 1)");
-  std::vector<std::optional<LineShift>> shift_table;
-  if (axis == 2) {
-    for (int c = 0; c + kSweepLanes <= d.nuz; c += kSweepLanes)
-      shift_table.push_back(LineShift::per_lane(&xi_table[c], Limiter::kMpp));
-  } else {
-    for (const double xi : xi_table)
-      shift_table.emplace_back(LineShift::uniform(xi, Limiter::kMpp));
-  }
-
-  const LineSweep sweep{.f = &f,
-                        .axis = axis,
-                        .n_cells = n_cells,
-                        .t2n = t2n,
-                        .max_ghost = max_ghost,
-                        .bs = bs,
-                        .stride = stride,
-                        .face_layer = face_layer,
-                        .faces = &faces,
-                        .scalar = resolved == SweepKernel::kScalar,
-                        .xi_table = xi_table.data(),
-                        .shift_table = shift_table.data()};
+  LineSweep sweep{.f = &f,
+                  .axis = axis,
+                  .n_cells = n_cells,
+                  .t2n = t2n,
+                  .max_ghost = max_ghost,
+                  .bs = bs,
+                  .stride = stride,
+                  .face_layer = face_layer,
+                  .faces = &faces,
+                  .scalar = resolved == SweepKernel::kScalar,
+                  .xi = xi_table.data(),
+                  .wide = nullptr,
+                  .narrow = nullptr};
+  const simd::SweepTier tier = simd::sweep_tier();
+  const int lanes = simd::sweep_lanes(tier);
+  const int wide_groups = static_cast<int>(bs / lanes);
+  const std::ptrdiff_t narrow_from =
+      static_cast<std::ptrdiff_t>(wide_groups) * lanes;
+  const GroupShifts wide([&](std::ptrdiff_t v) { return sweep.xi_at(v); },
+                         wide_groups, lanes, Limiter::kMpp);
+  const GroupShifts narrow(
+      [&](std::ptrdiff_t v) { return sweep.xi_at(narrow_from + v); },
+      lanes > kSweepLanes ? static_cast<int>((bs - narrow_from) / kSweepLanes)
+                          : 0,
+      kSweepLanes, Limiter::kMpp);
+  sweep.wide = &wide;
+  sweep.narrow = &narrow;
   const SpatialLineFn spatial_line = simd::for_sweep_tier<SpatialLineFn>(
-      spatial_line_baseline, spatial_line_avx512);
+      tier, spatial_line_baseline, spatial_line_avx512);
 
 #ifdef _OPENMP
 #pragma omp parallel

@@ -10,7 +10,9 @@
 // Every sweep can run with three interchangeable kernels (scalar reference,
 // multi-lane SIMD, LAT); kAuto resolves through simd::resolve_sweep_kernel
 // (the paper's Table-1 choice: SIMD for the five non-contiguous axes, LAT
-// for uz, the memory-contiguous axis).
+// for uz, the memory-contiguous axis).  The vector kernels run lane groups
+// as wide as the process's sweep tier (simd::sweep_lanes: 4 lanes on the
+// baseline, 16 on AVX-512) and give the scalar kernel's bits on every tier.
 #pragma once
 
 #include "mesh/grid.hpp"

@@ -13,83 +13,101 @@ namespace v6d::vlasov {
 //
 // Kernel choice per axis (paper Table 1, applied by simd::resolve_sweep_
 // kernel):
-//   ux, uy : multi-lane SIMD across the contiguous uz index;
+//   ux, uy : multi-lane SIMD, lanes over velocity cells adjacent in
+//            memory (ux: a whole (iuy, iuz) plane; uy: the iuz rows of
+//            every iux plane, gathered);
 //   uz     : the sweep axis *is* the contiguous one -> LAT (in-register
 //            transpose).  kSimd on uz deliberately selects the slow
 //            gather-style variant, reproducing the paper's "w/ SIMD inst."
 //            column; kAuto selects LAT.
 //
-// Each axis stages a block once per panel, not once per lane group: ux
-// pads the whole block as [nux+2g][nuy*nuz] (the block plus zero planes),
-// uy and uz pad one ux-plane at a time as [nuy+2g][nuz] and, transposed,
-// [nuz+2g][nuy].  Every full lane group of a panel runs from that copy
-// straight into the block; the lanes past the last full group run the
-// scalar kernel.
+// Each axis stages a block once, as one panel whose lanes are every line
+// of the block: ux pads the whole block as [nux+2g][nuy*nuz] (the block
+// plus zero planes); uy gathers the block's nuz-float rows into
+// [nuy+2g][nux*nuz] and scatters its results back; uz transposes all
+// nux*nuy lines, 4x4 tiles at a time, into [nuz+2g][nux*nuy].  At nu = 12
+// each panel is 144 lanes wide: whole 16-lane groups on the AVX-512 tier,
+// where one 12-float row would hold none.  Every group of a panel runs from
+// that copy; the lanes past the last 4-lane group run the scalar kernel.
 //
 // Both entry points funnel into advect_block_axis, which updates one
-// spatial cell's velocity block in place, on the process's sweep tier
-// (simd/dispatch.hpp).  Blocks are independent, which is what makes the
-// fused kick (advect_velocity_all) bit-identical to three sequential
-// per-axis passes.
+// spatial cell's velocity block in place, on the process's sweep tier at
+// the tier's lane count (simd/dispatch.hpp).  Blocks are independent,
+// which is what makes the fused kick (advect_velocity_all) bit-identical
+// to three sequential per-axis passes.
 
 namespace {
 
-/// Sweep one velocity block along `axis` by shift xi.  `kernel` must be
-/// concrete (resolved, never kAuto).
+/// Sweep one velocity block along `axis` by shift xi, in L-lane groups.
+/// `kernel` must be concrete (resolved, never kAuto).
+template <int L>
 inline void advect_block_axis(float* block, const PhaseSpaceDims& d,
                               int axis, double xi, SweepKernel kernel,
                               AdvectWorkspace& ws) {
   const bool vector = kernel != SweepKernel::kScalar;
   // Every lane group of the block shares xi: one flux setup serves them all.
-  const LineShift shift = LineShift::uniform(xi, Limiter::kMpp);
+  const LaneShift shift = LaneShift::at(xi, Limiter::kMpp);
   const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(d.nuy) * d.nuz;
-  // Scalar lines [from, to) of a panel whose line l starts at
-  // lines + l*line_stride, with cells cell_stride floats apart.
-  const auto scalar_lines = [&](float* lines, std::ptrdiff_t cell_stride,
-                                std::ptrdiff_t line_stride, int n, int from,
-                                int to) {
-    for (int l = from; l < to; ++l)
-      advect_line_strided_scalar(lines + l * line_stride, cell_stride,
-                                 lines + l * line_stride, cell_stride, n, xi,
-                                 Limiter::kMpp, ws);
+  // The scalar kernel on one line of n cells, cell_stride floats apart.
+  const auto scalar_line = [&](float* line, std::ptrdiff_t cell_stride,
+                               int n) {
+    advect_line_strided_scalar(line, cell_stride, line, cell_stride, n, xi,
+                               Limiter::kMpp, ws);
   };
 
   if (axis == 0) {
-    // One panel: lines along iux (stride nuy*nuz), lanes over the whole
-    // contiguous (iuy, iuz) plane.
+    // Lines along iux (stride nuy*nuz), lanes over the contiguous
+    // (iuy, iuz) plane.
     const int lanes = d.nuy * d.nuz;
-    const int done =
-        vector ? advect_lines_simd(block, plane, block, plane, d.nux, lanes,
-                                   shift, ws)
-               : 0;
-    scalar_lines(block, plane, 1, d.nux, done, lanes);
+    int done = vector ? advect_lines_simd<L>(block, plane, block, plane, d.nux,
+                                             lanes, shift, ws)
+                      : 0;
+    for (; done < lanes; ++done) scalar_line(block + done, plane, d.nux);
     return;
   }
-  for (int a = 0; a < d.nux; ++a) {
-    float* panel = block + a * plane;
-    if (axis == 1) {
-      // Lines along iuy (stride nuz); lanes over contiguous iuz.
-      const int done =
-          vector ? advect_lines_simd(panel, d.nuz, panel, d.nuz, d.nuy,
-                                     d.nuz, shift, ws)
-                 : 0;
-      scalar_lines(panel, d.nuz, 1, d.nuy, done, d.nuz);
-      continue;
-    }
-    // Lines along the contiguous iuz axis, one per iuy (line stride nuz).
+  if (axis == 1) {
+    // Lines along iuy (stride nuz); lane a*nuz + c is the line at (iux a,
+    // iuz c).
+    const int lanes = d.nux * d.nuz;
     int done = 0;
-    if (kernel == SweepKernel::kSimd) {
-      for (; done + kSweepLanes <= d.nuy; done += kSweepLanes) {
-        float* lines0 = panel + done * d.nuz;
-        advect_lines_lat_gather(lines0, d.nuz, lines0, d.nuz, d.nuz, shift,
-                                ws);
-      }
-    } else if (vector) {
-      done = advect_lines_lat(panel, d.nuz, panel, d.nuz, d.nuz, d.nuy,
-                              shift, ws);
+    if (vector) {
+      const int ghost = shift.shape.max_ghost;
+      ws.ensure(d.nuy, ghost, lanes, lanes, L);
+      float* in = ws.in.data();
+      float* out = ws.out.data();
+      detail::zero_panel_ghosts(in, lanes, d.nuy, ghost);
+      for (int b = 0; b < d.nuy; ++b)
+        for (int a = 0; a < d.nux; ++a)
+          std::copy_n(block + a * plane + b * d.nuz, d.nuz,
+                      in + (ghost + b) * lanes + a * d.nuz);
+      done = detail::advect_staged_groups<L>(in, lanes, out, lanes, d.nuy,
+                                             lanes, ghost, shift,
+                                             ws.flux.data());
+      for (int b = 0; b < d.nuy; ++b)
+        for (int a = 0; a * d.nuz < done; ++a)
+          std::copy_n(out + b * lanes + a * d.nuz,
+                      std::min(d.nuz, done - a * d.nuz),
+                      block + a * plane + b * d.nuz);
     }
-    scalar_lines(panel, 1, d.nuz, d.nuz, done, d.nuy);
+    for (; done < lanes; ++done)
+      scalar_line(block + (done / d.nuz) * plane + done % d.nuz, d.nuz,
+                  d.nuy);
+    return;
   }
+  // Lines along the contiguous iuz axis: line l = a*nuy + b starts at
+  // block + l*nuz.
+  const int lines = d.nux * d.nuy;
+  int done = 0;
+  if (kernel == SweepKernel::kSimd) {
+    for (; done + kSweepLanes <= lines; done += kSweepLanes) {
+      float* lines0 = block + done * d.nuz;
+      advect_lines_lat_gather(lines0, d.nuz, lines0, d.nuz, d.nuz, shift, ws);
+    }
+  } else if (vector) {
+    done = advect_lines_lat<L>(block, d.nuz, block, d.nuz, d.nuz, lines,
+                               shift, ws);
+  }
+  for (; done < lines; ++done) scalar_line(block + done * d.nuz, 1, d.nuz);
 }
 
 using BlockAxisFn = void (*)(float*, const PhaseSpaceDims&, int, double,
@@ -97,20 +115,22 @@ using BlockAxisFn = void (*)(float*, const PhaseSpaceDims&, int, double,
 
 void block_axis_baseline(float* block, const PhaseSpaceDims& d, int axis,
                          double xi, SweepKernel kernel, AdvectWorkspace& ws) {
-  advect_block_axis(block, d, axis, xi, kernel, ws);
+  advect_block_axis<simd::sweep_lanes(simd::SweepTier::kBaseline)>(
+      block, d, axis, xi, kernel, ws);
 }
 V6D_SWEEP_TIER_AVX512 void block_axis_avx512(float* block,
                                              const PhaseSpaceDims& d,
                                              int axis, double xi,
                                              SweepKernel kernel,
                                              AdvectWorkspace& ws) {
-  advect_block_axis(block, d, axis, xi, kernel, ws);
+  advect_block_axis<simd::sweep_lanes(simd::SweepTier::kAvx512)>(
+      block, d, axis, xi, kernel, ws);
 }
 
 /// advect_block_axis compiled for the running sweep tier.
 BlockAxisFn block_axis_for_tier() {
-  return simd::for_sweep_tier<BlockAxisFn>(block_axis_baseline,
-                                           block_axis_avx512);
+  return simd::for_sweep_tier<BlockAxisFn>(
+      simd::sweep_tier(), block_axis_baseline, block_axis_avx512);
 }
 
 }  // namespace

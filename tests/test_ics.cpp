@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "cosmology/gaussian_field.hpp"
 #include "cosmology/neutrino_ic.hpp"
@@ -215,6 +220,49 @@ TEST(NeutrinoIc, PhaseSpaceDensityMatchesTarget) {
   // Total mass = Omega_nu * V within the delta fluctuation average.
   EXPECT_NEAR(f.total_mass(), params.omega_nu * box * box * box,
               0.05 * params.omega_nu * box * box * box);
+}
+
+TEST(NeutrinoIc, FillIsBitIdenticalAtEveryThreadCount) {
+  // Each spatial cell's profile and sum are its own, so threading the fill
+  // over cells cannot change a bit.
+  using namespace v6d::vlasov;
+  Params params = Params::planck2015(0.4);
+  PowerSpectrum ps(params);
+  const int nx = 5, nu = 8;
+  const double u_th = neutrino_thermal_velocity(params.m_nu_total_ev / 3.0);
+  NeutrinoIcOptions opt;
+  const auto fields = neutrino_linear_fields(ps, 150.0, nx, opt);
+  PhaseSpaceDims dims;
+  dims.nx = dims.ny = dims.nz = nx;
+  dims.nux = dims.nuy = dims.nuz = nu;
+  PhaseSpaceGeometry geom;
+  geom.dx = geom.dy = geom.dz = 150.0 / nx;
+  geom.umax = opt.umax_over_uth * u_th;
+  geom.dux = geom.duy = geom.duz = 2.0 * geom.umax / nu;
+  const auto fill = [&](int threads) {
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    PhaseSpace f(dims, geom);
+    initialize_neutrino_phase_space(f, params, u_th, fields.delta,
+                                    &fields.bulk_x, &fields.bulk_y,
+                                    &fields.bulk_z);
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
+    return f;
+  };
+  const PhaseSpace one = fill(1);
+  for (const int threads : {2, 3, 4}) {
+    const PhaseSpace many = fill(threads);
+    EXPECT_EQ(std::memcmp(one.raw(), many.raw(),
+                          one.raw_size() * sizeof(float)),
+              0)
+        << threads << " threads";
+  }
 }
 
 TEST(NeutrinoIc, SampledParticlesHaveThermalSpread) {

@@ -179,20 +179,25 @@ TEST(SimdPack, HorizontalSum) {
 }
 
 TEST(SimdDispatch, ReportsIsa) {
-  // isa_info() describes the tier the sweeps run on: every tier calls the
-  // 4-lane kernels and none contracts a multiply-add.
-  const IsaInfo info = isa_info();
-  EXPECT_FALSE(info.name.empty());
-  EXPECT_EQ(info.float_width, 4);
-  EXPECT_EQ(info.float_width, kSweepLanes);
-  EXPECT_FALSE(info.has_fma);
+  // isa_info() describes the tier the sweeps run on: its name, its lane
+  // count (4 on the baseline, 16 on AVX-512), and no contracted
+  // multiply-adds on any tier.
+  EXPECT_FALSE(isa_info().name.empty());
+  EXPECT_EQ(isa_info().float_width, sweep_lanes(sweep_tier()));
+  EXPECT_EQ(sweep_lanes(SweepTier::kBaseline), kSweepLanes);
+  EXPECT_EQ(sweep_lanes(SweepTier::kAvx512), 16);
   // The baseline tier is named after the build's own ISA.
   for (const SweepTier tier : supported_tiers()) {
     const ScopedSweepTier pin(tier);
-    if (tier == SweepTier::kAvx512)
-      EXPECT_EQ(isa_info().name, "AVX-512");
-    else
-      EXPECT_NE(isa_info().name, "AVX-512");
+    const IsaInfo info = isa_info();
+    EXPECT_FALSE(info.has_fma);
+    if (tier == SweepTier::kAvx512) {
+      EXPECT_EQ(info.name, "AVX-512");
+      EXPECT_EQ(info.float_width, 16);
+    } else {
+      EXPECT_NE(info.name, "AVX-512");
+      EXPECT_EQ(info.float_width, 4);
+    }
   }
 }
 

@@ -4,17 +4,22 @@
 // vectorized result must equal the scalar reference bit for bit, on every
 // sweep tier the host supports.
 //
-// Deliberately awkward shapes: odd velocity extents produce tail lanes
-// (partial groups fall back to the scalar path mid-sweep, and a velocity
-// panel's lanes past its last full group run scalar), odd extents also
-// misalign every lane group after the first (blocks are 64-byte aligned,
-// interior group offsets are not), and mixed-sign uz lanes make the
-// spatial z sweep straddle the floor(xi) boundary inside a group (the
-// kernel's blended loop).
+// Shapes: the production extents nu = 12 and nu = 16, whose panels and
+// position-sweep groups are whole 16-lane groups, and deliberately awkward
+// ones.  Odd velocity extents produce tail lanes (a panel's lanes past its
+// last 16-lane group run 4-lane groups, then scalar lanes; a position
+// sweep's groups run through each block the same way, and a group refused
+// mid-sweep falls back to the scalar path), odd extents also misalign
+// every lane group after the first (blocks are 64-byte aligned, interior
+// group offsets are not), and mixed-sign velocity lanes make position
+// groups straddle the floor(xi) boundary (the kernel's blended loop).
+// Position sweeps run with null faces (the periodic image) and with
+// hand-built faces of their own values.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/options.hpp"
 #include "common/rng.hpp"
@@ -96,14 +101,41 @@ struct Shape {
   int nx, ny, nz, nux, nuy, nuz;
 };
 
-// Odd extents everywhere: every velocity panel has 1-3 tail lanes at
-// kSweepLanes = 4 (ux panels of 99, 65 and 190 lanes; uy panels and z-sweep
-// groups over nuz = 11, 13, 19; uz panels of nuy = 9, 5, 10 lines).
+// At 16 lanes: nu = 12 and 16 hold whole groups on every axis; the odd
+// shapes leave 4-lane groups and scalar lanes (ux panels of 99, 65, 190
+// and 143 lanes; uy panels of 77, 104, 114 and 91; uz panels of 63, 40, 60
+// and 77 lines; blocks of 693, 520, 1140 and 1001 cells), and {7, 11, 13}
+// ends every panel and every block in 4-lane groups plus scalar lanes.
 const Shape kShapes[] = {
-    {5, 4, 6, 7, 9, 11},   // odd velocity extents, tail lanes on all axes
-    {4, 5, 3, 8, 5, 13},   // nuz = 13: three full groups + 1 tail lane
-    {6, 3, 5, 6, 10, 19},  // nuz = 19: unaligned groups deep into the block
+    {4, 3, 5, 12, 12, 12},  // production extent: 144-lane panels
+    {3, 4, 2, 16, 16, 16},  // 256-lane panels, 4096-cell blocks
+    {5, 4, 6, 7, 9, 11},    // odd velocity extents, tail lanes on all axes
+    {4, 5, 3, 8, 5, 13},    // nuz = 13
+    {6, 3, 5, 6, 10, 19},   // nuz = 19: unaligned groups deep into the block
+    {3, 4, 3, 7, 11, 13},   // every panel ends in 4-lane groups + scalars
 };
+
+// Faces with values of their own (not the brick's periodic image), in the
+// pack order of vlasov::AxisFaces: `lo` holds cells -3..-1, `hi` cells
+// n..n+2 of every line.
+vlasov::AxisFaces hand_built_faces(const PhaseSpace& f, int axis,
+                                   std::vector<float>& lo,
+                                   std::vector<float>& hi) {
+  const auto& d = f.dims();
+  const int n[3] = {d.nx, d.ny, d.nz};
+  const int t1 = axis == 0 ? 1 : 0, t2 = axis == 2 ? 1 : 2;
+  const std::size_t floats = static_cast<std::size_t>(vlasov::kStencilGhost) *
+                             n[t1] * n[t2] * f.block_size();
+  Xoshiro256 rng(7 + axis);
+  for (auto* face : {&lo, &hi}) {
+    face->resize(floats);
+    for (float& v : *face) v = static_cast<float>(0.05 + rng.next_double());
+  }
+  vlasov::AxisFaces faces;
+  faces.lo = lo.data();
+  faces.hi = hi.data();
+  return faces;
+}
 
 class VlasovSimdEquivalence : public ::testing::TestWithParam<SweepKernel> {};
 
@@ -123,6 +155,30 @@ TEST_P(VlasovSimdEquivalence, PositionSweepsMatchScalarBitForBit) {
                                      vlasov::AxisFaces{});
         vlasov::advect_position_axis(fb, axis, drift, GetParam(),
                                      vlasov::AxisFaces{});
+        EXPECT_TRUE(sweeps_agree(fa, fb))
+            << "position axis " << axis << " shape {" << s.nx << ","
+            << s.ny << "," << s.nz << "," << s.nux << "," << s.nuy << ","
+            << s.nuz << "}";
+      }
+    }
+  });
+}
+
+TEST_P(VlasovSimdEquivalence, FaceFedPositionSweepsMatchScalarBitForBit) {
+  // A decomposed axis reads its ghosts from received faces: every group's
+  // staging must take them in pack order on every tier.
+  sweep_tiers::on_every_tier([&] {
+    for (const Shape& s : kShapes) {
+      for (int axis = 0; axis < 3; ++axis) {
+        auto fa = make_odd_ps(s.nx, s.ny, s.nz, s.nux, s.nuy, s.nuz);
+        auto fb = fa;
+        // |xi| < 1, as the faces' three layers require.
+        const double drift = 0.73 * fa.geom().dx / fa.geom().umax;
+        std::vector<float> lo, hi;
+        vlasov::advect_position_axis(fa, axis, drift, SweepKernel::kScalar,
+                                     hand_built_faces(fa, axis, lo, hi));
+        vlasov::advect_position_axis(fb, axis, drift, GetParam(),
+                                     hand_built_faces(fb, axis, lo, hi));
         EXPECT_TRUE(sweeps_agree(fa, fb))
             << "position axis " << axis << " shape {" << s.nx << ","
             << s.ny << "," << s.nz << "," << s.nux << "," << s.nuy << ","
