@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <climits>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 namespace v6d {
 
@@ -18,7 +19,30 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+/// The value of `key` parsed in full as a T, `def` when it is absent or
+/// empty; throws BadOptionValue when it is anything else.
+template <class T>
+T parse_in_full(const Options& options, const std::string& key, T def,
+                const char* expected) {
+  const std::string v = options.get(key, "");
+  if (v.empty()) return def;
+  T value{};
+  const char* end = v.data() + v.size();
+  const auto parsed = std::from_chars(v.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end)
+    throw BadOptionValue(key, v, expected);
+  return value;
+}
+
 }  // namespace
+
+BadOptionValue::BadOptionValue(const std::string& key,
+                               const std::string& value,
+                               const std::string& expected)
+    : std::invalid_argument("bad value '" + value + "' for key '" + key +
+                            "': expected " + expected),
+      key_(key),
+      value_(value) {}
 
 Options::Options(int argc, char** argv) {
   *this = parse_cli(argc, argv).options;
@@ -53,31 +77,24 @@ std::string Options::get(const std::string& key, const std::string& def) const {
 }
 
 int Options::get_int(const std::string& key, int def) const {
-  // strtol, not atoi: atoi has undefined behaviour on out-of-range text
-  // and cannot distinguish "0" from garbage.  Unparseable values fall
-  // back to the default instead of silently becoming zero.
-  const std::string v = get(key, "");
-  if (v.empty()) return def;
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str()) return def;
-  if (parsed < INT_MIN) return INT_MIN;
-  if (parsed > INT_MAX) return INT_MAX;
-  return static_cast<int>(parsed);
+  return parse_in_full(*this, key, def, "an integer in range");
 }
 
 double Options::get_double(const std::string& key, double def) const {
-  const std::string v = get(key, "");
-  if (v.empty()) return def;
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  return end == v.c_str() ? def : parsed;
+  return parse_in_full(*this, key, def, "a number");
+}
+
+std::uint64_t Options::get_u64(const std::string& key,
+                               std::uint64_t def) const {
+  return parse_in_full(*this, key, def, "a non-negative integer");
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {
   const std::string v = get(key, "");
   if (v.empty()) return def;
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  throw BadOptionValue(key, v, "1/0, true/false, yes/no or on/off");
 }
 
 bool Options::has(const std::string& key) const {

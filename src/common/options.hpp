@@ -7,11 +7,26 @@
 // precedence is command line > config file > environment > defaults.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace v6d {
+
+/// Thrown by the typed getters when a present, non-empty value does not
+/// parse in full as the key's type.
+class BadOptionValue : public std::invalid_argument {
+ public:
+  BadOptionValue(const std::string& key, const std::string& value,
+                 const std::string& expected);
+  const std::string& key() const { return key_; }
+  const std::string& value() const { return value_; }
+
+ private:
+  std::string key_, value_;
+};
 
 class Options {
  public:
@@ -21,11 +36,14 @@ class Options {
   /// Value lookup order: command line, then environment variable
   /// `V6D_<KEY>` (upper-cased), then the supplied default.
   std::string get(const std::string& key, const std::string& def) const;
-  /// Checked numeric reads (strtol/strtod, not atoi): values with no
-  /// numeric prefix fall back to `def`; out-of-range ints saturate to
-  /// INT_MIN/INT_MAX instead of invoking undefined behaviour.
+  /// Typed reads of the same lookup: an absent or empty value gives
+  /// `def`; any other value must parse in full — an int in range, a
+  /// double, a non-negative 64-bit integer, or a bool spelled 1/0,
+  /// true/false, yes/no or on/off — or the read throws BadOptionValue
+  /// naming the key and the value.
   int get_int(const std::string& key, int def) const;
   double get_double(const std::string& key, double def) const;
+  std::uint64_t get_u64(const std::string& key, std::uint64_t def) const;
   bool get_bool(const std::string& key, bool def) const;
 
   bool has(const std::string& key) const;

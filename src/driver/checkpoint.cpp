@@ -13,7 +13,6 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <system_error>
 #include <type_traits>
 
@@ -26,14 +25,13 @@ namespace {
 // Version 2 added the per-rank shard list; a version-1 reader would
 // silently ignore the shard fields and resume a neutrino run from a
 // zeroed phase space, so the bump makes it fail with kVersionMismatch
-// instead.  Version 3 added the owed kick to the force payload, so the
-// layouts differ: this build refuses a version-2 checkpoint rather than
-// misread its force payload, and a version-2 build refuses a version-3
-// one, which it would otherwise resume a half-kick short.
-constexpr unsigned kVersion = 3;
+// instead.  Version 3 added the owed kick to a force-cache payload;
+// version 4 drops that payload and records the owed kick in the meta, so
+// a version-3 build would resume a version-4 checkpoint a half-kick
+// short, and this build refuses a version-3 one.
+constexpr unsigned kVersion = 4;
 constexpr const char* kMagicToken = "v6d-checkpoint";
 constexpr const char* kMetaName = "meta";
-constexpr std::uint32_t kForcesMagic = 0x76364643;  // "v6FC"
 
 namespace fs = std::filesystem;
 
@@ -44,13 +42,6 @@ std::string join(const std::string& dir, const std::string& name) {
 void set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
 }
-
-struct FileCloser {
-  void operator()(std::FILE* fp) const {
-    if (fp) std::fclose(fp);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 bool fsync_fd_path(const char* path, int open_flags) {
   const int fd = ::open(path, open_flags);
@@ -97,11 +88,10 @@ io::SnapshotStatus write_durable(const std::string& dir,
 }
 
 /// Every payload file `meta` references: its shards, then the particles
-/// and the force cache when flagged.
+/// when flagged.
 std::vector<std::string> referenced_payloads(const Checkpoint& meta) {
   std::vector<std::string> names = meta.shard_files;
   if (meta.has_particles) names.push_back(meta.particles_file);
-  if (meta.has_forces) names.push_back(meta.forces_file);
   return names;
 }
 
@@ -115,8 +105,7 @@ void sweep_unreferenced_payloads(const std::string& dir,
     if (ec) break;
     const std::string name = entry.path().filename().string();
     const bool is_payload = name.rfind("phase_space.", 0) == 0 ||
-                            name.rfind("particles.", 0) == 0 ||
-                            name.rfind("forces.", 0) == 0;
+                            name.rfind("particles.", 0) == 0;
     if (is_payload && std::find(live.begin(), live.end(), name) == live.end())
       fs::remove(entry.path(), ec);
   }
@@ -135,109 +124,6 @@ bool parse_number(const std::string& text, T& value, int base = 10) {
   return parsed.ec == std::errc() && parsed.ptr == end;
 }
 
-// fwrite/fread declare their buffer nonnull; an empty std::vector's
-// data() may be nullptr, so a zero-count transfer must short-circuit
-// before the call (UBSan: "null pointer passed as argument 1").
-template <class T>
-bool write_raw(std::FILE* fp, const T* data, std::size_t count) {
-  if (count == 0) return true;
-  return std::fwrite(data, sizeof(T), count, fp) == count;
-}
-template <class T>
-bool read_raw(std::FILE* fp, T* data, std::size_t count) {
-  if (count == 0) return true;
-  return std::fread(data, sizeof(T), count, fp) == count;
-}
-
-io::SnapshotStatus write_step_forces(
-    const std::string& path, const hybrid::HybridSolver::StepForces& sf) {
-  FilePtr fp(std::fopen(path.c_str(), "wb"));
-  if (!fp) return io::SnapshotStatus::kOpenFailed;
-  const std::uint32_t magic = kForcesMagic, version = kVersion;
-  const std::uint32_t fresh = sf.fresh ? 1 : 0;
-  const std::int32_t dims[4] = {sf.nu_ax.nx(), sf.nu_ax.ny(), sf.nu_ax.nz(),
-                                sf.nu_ax.ghost()};
-  const std::uint64_t n = sf.ax.size();
-  if (!write_raw(fp.get(), &magic, 1) || !write_raw(fp.get(), &version, 1) ||
-      !write_raw(fp.get(), &fresh, 1) ||
-      !write_raw(fp.get(), &sf.owed_kick, 1) ||
-      !write_raw(fp.get(), dims, 4) || !write_raw(fp.get(), &n, 1))
-    return io::SnapshotStatus::kWriteFailed;
-  for (const auto* grid : {&sf.nu_ax, &sf.nu_ay, &sf.nu_az})
-    if (!write_raw(fp.get(), grid->raw(), grid->raw_size()))
-      return io::SnapshotStatus::kWriteFailed;
-  for (const auto* v : {&sf.ax, &sf.ay, &sf.az})
-    if (!write_raw(fp.get(), v->data(), v->size()))
-      return io::SnapshotStatus::kWriteFailed;
-  return io::SnapshotStatus::kOk;
-}
-
-io::SnapshotStatus read_step_forces(const std::string& path,
-                                    hybrid::HybridSolver::StepForces& sf) {
-  FilePtr fp(std::fopen(path.c_str(), "rb"));
-  if (!fp) return io::SnapshotStatus::kOpenFailed;
-  std::uint32_t magic = 0, version = 0, fresh = 0;
-  double owed_kick = 0.0;
-  std::int32_t dims[4];
-  std::uint64_t n = 0;
-  if (!read_raw(fp.get(), &magic, 1)) return io::SnapshotStatus::kShortRead;
-  if (magic != kForcesMagic) return io::SnapshotStatus::kBadMagic;
-  if (!read_raw(fp.get(), &version, 1)) return io::SnapshotStatus::kShortRead;
-  if (version != kVersion) return io::SnapshotStatus::kVersionMismatch;
-  if (!read_raw(fp.get(), &fresh, 1) || !read_raw(fp.get(), &owed_kick, 1) ||
-      !read_raw(fp.get(), dims, 4) || !read_raw(fp.get(), &n, 1))
-    return io::SnapshotStatus::kShortRead;
-  // Validate against corruption before allocating: a finite owed kick,
-  // bounded ghost count, overflow-safe grid volume, and the advertised
-  // sizes vs the file size.
-  constexpr std::uint64_t kMaxBytes = 1ULL << 40;
-  if (!std::isfinite(owed_kick) || dims[0] < 0 || dims[1] < 0 ||
-      dims[2] < 0 || dims[3] < 0 || dims[3] > 16 ||
-      n > kMaxBytes / (3 * sizeof(double)))
-    return io::SnapshotStatus::kBadHeader;
-  std::uint64_t grid_bytes = sizeof(double);
-  for (int i = 0; i < 3; ++i) {
-    const std::uint64_t extent =
-        static_cast<std::uint64_t>(dims[i]) + 2 * dims[3];
-    if (extent == 0) {
-      grid_bytes = 0;
-      break;
-    }
-    if (grid_bytes > kMaxBytes / extent)
-      return io::SnapshotStatus::kBadHeader;
-    grid_bytes *= extent;
-  }
-  const std::uint64_t header_bytes =
-      3 * sizeof(std::uint32_t) + sizeof(double) +
-      4 * sizeof(std::int32_t) + sizeof(std::uint64_t);
-  const std::uint64_t payload_bytes =
-      3 * grid_bytes + 3 * n * sizeof(double);
-  const long pos = std::ftell(fp.get());
-  if (pos >= 0 && std::fseek(fp.get(), 0, SEEK_END) == 0) {
-    const long size = std::ftell(fp.get());
-    if (std::fseek(fp.get(), pos, SEEK_SET) != 0)
-      return io::SnapshotStatus::kShortRead;
-    if (size >= 0 &&
-        static_cast<std::uint64_t>(size) < header_bytes + payload_bytes)
-      return io::SnapshotStatus::kShortRead;
-  }
-  sf.fresh = fresh != 0;
-  sf.owed_kick = owed_kick;
-  sf.nu_ax = mesh::Grid3D<double>(dims[0], dims[1], dims[2], dims[3]);
-  sf.nu_ay = mesh::Grid3D<double>(dims[0], dims[1], dims[2], dims[3]);
-  sf.nu_az = mesh::Grid3D<double>(dims[0], dims[1], dims[2], dims[3]);
-  sf.ax.resize(static_cast<std::size_t>(n));
-  sf.ay.resize(static_cast<std::size_t>(n));
-  sf.az.resize(static_cast<std::size_t>(n));
-  for (auto* grid : {&sf.nu_ax, &sf.nu_ay, &sf.nu_az})
-    if (!read_raw(fp.get(), grid->raw(), grid->raw_size()))
-      return io::SnapshotStatus::kShortRead;
-  for (auto* v : {&sf.ax, &sf.ay, &sf.az})
-    if (!read_raw(fp.get(), v->data(), v->size()))
-      return io::SnapshotStatus::kShortRead;
-  return io::SnapshotStatus::kOk;
-}
-
 /// The meta's text: the version line, then key=value lines for the run's
 /// numbers, the payload names and sizes, and the config echo.
 io::SnapshotStatus write_meta(const std::string& path,
@@ -249,6 +135,8 @@ io::SnapshotStatus write_meta(const std::string& path,
   std::snprintf(buf, sizeof(buf), "%.17g", meta.a);
   out << "a=" << buf << "\n";
   out << "step=" << meta.step << "\n";
+  std::snprintf(buf, sizeof(buf), "%.17g", meta.owed_kick);
+  out << "owed_kick=" << buf << "\n";
   for (int i = 0; i < 4; ++i) {
     std::snprintf(buf, sizeof(buf), "%" PRIx64, meta.rng.s[i]);
     out << "rng.s" << i << "=" << buf << "\n";
@@ -257,7 +145,6 @@ io::SnapshotStatus write_meta(const std::string& path,
   std::snprintf(buf, sizeof(buf), "%.17g", meta.rng.cached_normal);
   out << "rng.normal=" << buf << "\n";
   out << "particles_file=" << meta.particles_file << "\n";
-  out << "forces_file=" << meta.forces_file << "\n";
   out << "phase_space_shards=" << meta.shard_files.size() << "\n";
   for (std::size_t r = 0; r < meta.shard_files.size(); ++r)
     out << "shard" << r << "=" << meta.shard_files[r] << "\n";
@@ -324,10 +211,10 @@ io::SnapshotStatus write_phase_space_shard(const std::string& dir,
       error);
 }
 
-io::SnapshotStatus write_checkpoint(
-    const std::string& dir, const Checkpoint& meta_in,
-    const nbody::Particles* cdm,
-    const hybrid::HybridSolver::StepForces* forces, std::string* error) {
+io::SnapshotStatus write_checkpoint(const std::string& dir,
+                                    const Checkpoint& meta_in,
+                                    const nbody::Particles* cdm,
+                                    std::string* error) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -350,18 +237,6 @@ io::SnapshotStatus write_checkpoint(
     const auto status = write_durable(
         dir, meta.particles_file,
         [&](const std::string& tmp) { return io::write_particles(tmp, *cdm); },
-        error);
-    if (status != io::SnapshotStatus::kOk) return status;
-  }
-  if (meta.has_forces) {
-    if (!forces) {
-      set_error(error, "force-cache payload flagged but not supplied");
-      return io::SnapshotStatus::kWriteFailed;
-    }
-    meta.forces_file = "forces." + tag + ".bin";
-    const auto status = write_durable(
-        dir, meta.forces_file,
-        [&](const std::string& tmp) { return write_step_forces(tmp, *forces); },
         error);
     if (status != io::SnapshotStatus::kOk) return status;
   }
@@ -458,8 +333,7 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
   }
   for (const char* required :
        {"a", "step", "rng.s0", "rng.s1", "rng.s2", "rng.s3", "rng.cached",
-        "rng.normal", "particles_file", "forces_file",
-        "phase_space_shards"}) {
+        "rng.normal", "particles_file", "phase_space_shards"}) {
     if (!fields.count(required)) {
       set_error(error,
                 meta_path + ": missing field '" + std::string(required) + "'");
@@ -477,6 +351,10 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
     return bad_value("a");
   if (!parse_number(fields["step"], meta.step) || meta.step < 0)
     return bad_value("step");
+  // A missing owed kick reads as empty, which does not parse either.
+  if (!parse_number(fields["owed_kick"], meta.owed_kick) ||
+      !std::isfinite(meta.owed_kick))
+    return bad_value("owed_kick");
   for (int i = 0; i < 4; ++i) {
     const std::string key = "rng.s" + std::to_string(i);
     if (!parse_number(fields[key], meta.rng.s[i], 16)) return bad_value(key);
@@ -494,9 +372,7 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
     return bad_value("phase_space_shards");
 
   meta.particles_file = fields["particles_file"];
-  meta.forces_file = fields["forces_file"];
   meta.has_particles = !meta.particles_file.empty();
-  meta.has_forces = !meta.forces_file.empty();
   meta.shard_files.clear();
   for (long r = 0; r < shards; ++r) {
     const std::string key = "shard" + std::to_string(r);
@@ -525,7 +401,14 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
       return io::SnapshotStatus::kShortRead;
     }
   }
-  meta.config = SimulationConfig::from_kv(cfg_kv);
+  // The echo parses as strictly as a command line does.
+  try {
+    meta.config = SimulationConfig::from_kv(cfg_kv);
+  } catch (const BadOptionValue& e) {
+    set_error(error, meta_path + ": bad value '" + e.value() +
+                         "' in field 'cfg." + e.key() + "'");
+    return io::SnapshotStatus::kBadHeader;
+  }
   return io::SnapshotStatus::kOk;
 }
 
@@ -580,23 +463,16 @@ void gc_checkpoint_leftovers(const std::string& dir) {
   sweep_unreferenced_payloads(dir, Checkpoint{});
 }
 
-io::SnapshotStatus read_checkpoint_payload(
-    const std::string& dir, const Checkpoint& meta, vlasov::PhaseSpace& f,
-    nbody::Particles& cdm, hybrid::HybridSolver::StepForces& forces,
-    std::string* error) {
+io::SnapshotStatus read_checkpoint_payload(const std::string& dir,
+                                           const Checkpoint& meta,
+                                           vlasov::PhaseSpace& f,
+                                           nbody::Particles& cdm,
+                                           std::string* error) {
   auto status = read_phase_space_shards(dir, meta, f, error);
   if (status != io::SnapshotStatus::kOk) return status;
   if (meta.has_particles) {
     const std::string path = join(dir, meta.particles_file);
     status = io::read_particles(path, cdm);
-    if (status != io::SnapshotStatus::kOk) {
-      set_error(error, path);
-      return status;
-    }
-  }
-  if (meta.has_forces) {
-    const std::string path = join(dir, meta.forces_file);
-    status = read_step_forces(path, forces);
     if (status != io::SnapshotStatus::kOk) {
       set_error(error, path);
       return status;

@@ -3,30 +3,25 @@
 //
 // A checkpoint is a directory:
 //   meta           text header: format version, scale factor, step count,
-//                  RNG state, payload names and byte sizes, and the full
-//                  config echo (doubles as %.17g, so the round-trip is
-//                  exact)
+//                  the kick factor the velocities owe, RNG state, payload
+//                  names and byte sizes, and the full config echo (doubles
+//                  as %.17g, so the round-trip is exact)
 //   phase_space.<step>.r<k>.bin
 //                  one io::snapshot phase-space shard per rank (rank k's
 //                  brick; a serial run writes the one shard .r0), the
 //                  encoding HybridSolver::gather_into sends too
 //   particles.<step>.bin
 //                  the io::snapshot particle payload
-//   forces.<step>.bin
-//                  the solver's step-boundary force cache — accelerations
-//                  evaluated from the post-drift state, which the next
-//                  step's kick reuses, and (since version 3) the kick
-//                  factor the velocities owe on them, the last step's
-//                  trailing half-kick (hybrid/leapfrog.hpp); recomputing
-//                  the forces from the post-kick f matches only to
-//                  rounding, and without the owed factor the resumed run
-//                  would skip a half-kick, so restart would not be
-//                  bit-identical without them
 //
-// The payloads hold the state as the step left it: the phase space and
-// particles owe the half-kick the force payload records.  A checkpoint
-// does not synchronize the run, so the trajectory does not depend on
-// where checkpoints fall; Driver::run() synchronizes after its last one.
+// A checkpoint holds state, not forces.  The payloads hold the state as
+// the step left it: after its drift, owing the step's trailing half-kick
+// (hybrid/leapfrog.hpp), whose factor the meta records as `owed_kick`.
+// The step-boundary forces are a function of that state and the scale
+// factor, so a resumed solver recomputes them on its own ranks before its
+// first kick; at the writer's rank count they come out bit for bit as the
+// writer had them.  A checkpoint does not synchronize the run, so the
+// trajectory does not depend on where checkpoints fall; Driver::run()
+// synchronizes after its last one.
 //
 // Atomicity: payloads carry the step in their names, so writing a new
 // checkpoint into the same directory never touches the files the current
@@ -37,7 +32,8 @@
 // garbage-collected after the meta lands.  Restarting rebuilds the solver
 // from the echoed config (its launch wiring aside), places the shards
 // back into its global phase space, and continues bit-identically with
-// the uninterrupted run (tests/test_driver.cpp, tests/test_parallel.cpp).
+// the uninterrupted run at the writer's rank count (tests/test_driver.cpp,
+// tests/test_parallel.cpp).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +43,6 @@
 
 #include "common/rng.hpp"
 #include "driver/config.hpp"
-#include "hybrid/hybrid_solver.hpp"
 #include "io/snapshot.hpp"
 #include "nbody/particles.hpp"
 #include "vlasov/phase_space.hpp"
@@ -59,11 +54,12 @@ struct Checkpoint {
   double a = 0.0;
   std::int64_t step = 0;
   Xoshiro256::State rng;
+  /// The kick factor the velocities owe on the forces at `a` (finite).
+  double owed_kick = 0.0;
   bool has_particles = false;
-  bool has_forces = false;
-  /// Payload file names inside the checkpoint directory; filled in by
-  /// write_checkpoint and read back from the meta.
-  std::string particles_file, forces_file;
+  /// Particle payload file name inside the checkpoint directory; filled in
+  /// by write_checkpoint and read back from the meta.
+  std::string particles_file;
   /// The phase space's per-rank shards (rank r's brick in shard_files[r],
   /// named by shard_file_name), written concurrently by the ranks with
   /// write_phase_space_shard *before* the meta commits.  The meta lists
@@ -94,22 +90,23 @@ io::SnapshotStatus write_phase_space_shard(const std::string& dir,
                                            const vlasov::PhaseSpace& brick,
                                            std::string* error = nullptr);
 
-/// Commit `meta` into `dir` (created if needed): write the particle and
-/// force-cache payloads it flags, record the size of every payload it
+/// Commit `meta` into `dir` (created if needed): write the particle
+/// payload when it flags one, record the size of every payload it
 /// references (its shards included), then publish the meta.  On failure
 /// *error names the offending file.
-io::SnapshotStatus write_checkpoint(
-    const std::string& dir, const Checkpoint& meta,
-    const nbody::Particles* cdm,
-    const hybrid::HybridSolver::StepForces* forces,
-    std::string* error = nullptr);
+io::SnapshotStatus write_checkpoint(const std::string& dir,
+                                    const Checkpoint& meta,
+                                    const nbody::Particles* cdm,
+                                    std::string* error = nullptr);
 
 /// Read and check the meta before any payload is read.  Refuses (with a
 /// typed status, *error naming the field) a meta of another version
-/// (kVersionMismatch: versions 1 and 2 are retired), one
-/// that names a global phase-space payload, one that references a payload
-/// without a recorded `bytes.` size, and any number field that does not
-/// parse to its end (`a` must also be finite and > 0).
+/// (kVersionMismatch: versions 1-3 are retired), one that names a global
+/// phase-space payload, one that references a payload without a recorded
+/// `bytes.` size, any number field that does not parse to its end (`a`
+/// must also be finite and > 0, `owed_kick` finite), and a config echo
+/// value that does not parse as its key's type (kBadHeader naming the
+/// `cfg.` field).  Never throws on a malformed meta.
 io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
                                         Checkpoint& meta,
                                         std::string* error = nullptr);
@@ -137,13 +134,12 @@ bool fsync_file(const std::string& path);
 /// state.  The shards are placed into the global phase space `f` by their
 /// geometry origins — whatever rank count wrote them — through one
 /// vlasov::BrickPlacement and must tile it exactly: a shard that does not
-/// fit, an overlap, or an uncovered cell is refused (kBadHeader).
-/// Particles and the force cache are read when flagged; a force payload
-/// of another version is refused with kVersionMismatch, and one whose
-/// owed kick is not finite with kBadHeader.
-io::SnapshotStatus read_checkpoint_payload(
-    const std::string& dir, const Checkpoint& meta, vlasov::PhaseSpace& f,
-    nbody::Particles& cdm, hybrid::HybridSolver::StepForces& forces,
-    std::string* error = nullptr);
+/// fit, an overlap, or an uncovered cell is refused (kBadHeader).  The
+/// particles are read when flagged.
+io::SnapshotStatus read_checkpoint_payload(const std::string& dir,
+                                           const Checkpoint& meta,
+                                           vlasov::PhaseSpace& f,
+                                           nbody::Particles& cdm,
+                                           std::string* error = nullptr);
 
 }  // namespace v6d::driver

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 namespace v6d::driver {
 
@@ -44,8 +43,7 @@ void SimulationConfig::apply(const Options& options) {
   theta = options.get_double("theta", theta);
   eps_cells = options.get_double("eps_cells", eps_cells);
   enable_tree = options.get_bool("enable_tree", enable_tree);
-  const std::string seed_str = options.get("seed", "");
-  if (!seed_str.empty()) seed = std::strtoull(seed_str.c_str(), nullptr, 10);
+  seed = options.get_u64("seed", seed);
 
   u_beam = options.get_double("u_beam", u_beam);
   beam_sigma = options.get_double("beam_sigma", beam_sigma);

@@ -82,6 +82,8 @@ struct SimulationConfig {
   /// Overwrite every field whose key is present in `options` (or in the
   /// V6D_* environment).  Absent keys keep their current values, so the
   /// caller layers sources by calling apply() from lowest precedence up.
+  /// A typed key's value must parse in full (Options' typed getters), or
+  /// this throws BadOptionValue naming the key and the value.
   void apply(const Options& options);
 
   /// Exact-round-trip dump of every field (checkpoint config echo).

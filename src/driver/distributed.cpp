@@ -76,25 +76,20 @@ void write_rank_checkpoint(const SimulationConfig& cfg,
   if (!failure.empty())
     throw std::runtime_error("cannot write checkpoint: " + failure);
 
-  // Gather the step-boundary force cache (collective) before the commit.
-  const auto forces = ds.export_step_forces();
-  comm.barrier();
-
   if (comm.rank() == 0) {
     Checkpoint meta;
     meta.config = cfg;
     meta.a = a;
     meta.step = step;
+    meta.owed_kick = ds.step_forces().owed_kick;
     meta.rng = rng;
     meta.has_particles = ds.cdm().size() > 0;
-    meta.has_forces = forces.fresh;
     if (ds.has_neutrinos())
       for (int r = 0; r < comm.size(); ++r)
         meta.shard_files.push_back(shard_file_name(step, r));
     std::string detail;
     const auto status = driver::write_checkpoint(
-        dir, meta, meta.has_particles ? &ds.cdm() : nullptr,
-        meta.has_forces ? &forces : nullptr, &detail);
+        dir, meta, meta.has_particles ? &ds.cdm() : nullptr, &detail);
     if (status != io::SnapshotStatus::kOk)
       throw std::runtime_error("cannot write checkpoint (" +
                                std::string(io::to_string(status)) +

@@ -81,14 +81,14 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   Driver driver(meta.config, /*with_ics=*/false);
   // The scenario rebuild fixes the expected shapes: the shards must tile
   // its phase space exactly, or the config was overridden incompatibly.
-  hybrid::HybridSolver::StepForces forces;
   status = read_checkpoint_payload(dir, meta, driver.solver_->neutrinos(),
-                                   driver.solver_->cdm(), forces, &detail);
+                                   driver.solver_->cdm(), &detail);
   if (status != io::SnapshotStatus::kOk)
     throw std::runtime_error("cannot read checkpoint payload (" +
                              std::string(io::to_string(status)) +
                              "): " + detail);
-  if (meta.has_forces) driver.solver_->import_step_forces(forces);
+  // The forces are recomputed from this state, on the ranks that step it.
+  driver.solver_->owe_kick(meta.owed_kick, meta.a);
 
   driver.a_ = meta.a;
   driver.steps_ = meta.step;

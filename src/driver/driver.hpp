@@ -12,13 +12,14 @@
 // rank has one record — the paper's end-to-end timing includes snapshot
 // I/O (§7.2), so checkpoint writes are timed like any other phase.
 //
-// Checkpoints (periodic or on early stop) capture everything the run loop
-// needs — phase space (one shard per rank), particles, the force cache
-// with the half-kick the last step owes, RNG state, scale factor, step
-// count, and the full config — so a killed run resumed with
-// Driver::resume continues bit-identically with the uninterrupted run.
-// run() synchronizes the solver after its last checkpoint, so callers
-// read velocities at the scale factor they read positions.
+// Checkpoints (periodic or on early stop) capture the run's state — phase
+// space (one shard per rank), particles, the factor of the half-kick the
+// last step owes, RNG state, scale factor, step count, and the full
+// config — but not its forces, which the resumed ranks recompute from
+// that state.  So a killed run resumed with Driver::resume at the same
+// rank count continues bit-identically with the uninterrupted run.  run()
+// synchronizes the solver after its last checkpoint, so callers read
+// velocities at the scale factor they read positions.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +50,15 @@ class Driver {
   /// std::invalid_argument for an unknown scenario name.
   explicit Driver(const SimulationConfig& cfg);
 
-  /// Rebuild a killed run from a checkpoint directory.  `overrides` may
-  /// adjust driver-control keys (a_final, max_steps, wall_budget_s,
-  /// checkpoint cadence); physics keys must stay untouched for the
-  /// continuation to remain bit-identical.  Throws std::runtime_error on
-  /// unreadable/corrupt checkpoints or config/payload shape mismatches.
+  /// Rebuild a killed run from a checkpoint directory: the state and the
+  /// owed kick (HybridSolver::owe_kick), whose forces the first step or
+  /// synchronize() recomputes.  `overrides` may adjust driver-control keys
+  /// (a_final, max_steps, wall_budget_s, checkpoint cadence, ranks);
+  /// physics keys must stay untouched for the continuation to remain
+  /// bit-identical.  A particle run resumed at another rank count starts
+  /// from that decomposition's forces, which differ from the writer's in
+  /// their last bits.  Throws std::runtime_error on unreadable/corrupt
+  /// checkpoints or config/payload shape mismatches.
   static Driver resume(const std::string& dir,
                        const Options& overrides = Options());
 

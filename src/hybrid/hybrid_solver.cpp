@@ -194,10 +194,7 @@ HybridSolver::HybridSolver(const HybridSolver& global,
         global.f_, {dec_.offset(0), dec_.offset(1), dec_.offset(2)},
         {dec_.local_n(0), dec_.local_n(1), dec_.local_n(2)});
   cdm_ = global.cdm_;
-  // A world-1 cache is in global layout.  Carrying a fresh one across the
-  // slicing keeps a resumed run bit-identical (recomputing it would only
-  // match to rounding).
-  import_step_forces(global.forces_);
+  owe_kick(global.forces_.owed_kick, global.forces_.a);
 }
 
 HybridSolver::HybridSolver(std::unique_ptr<World> world,
@@ -539,6 +536,7 @@ void HybridSolver::compute_forces(double a) {
     comm_.allreduce_sum(forces_.az.data(), forces_.az.size());
   }
   forces_.fresh = true;
+  forces_.a = a;
 }
 
 void HybridSolver::drift(double drift_factor) {
@@ -580,7 +578,16 @@ void HybridSolver::step(double a0, double a1) {
 }
 
 void HybridSolver::synchronize() {
+  // The owed factor is the same on every rank, so either every rank runs
+  // this force pass or none does.
+  if (forces_.owed_kick != 0.0 && !forces_.fresh) compute_forces(forces_.a);
   settle_owed_kick(forces_.owed_kick, [this](double k) { kick(k); });
+}
+
+void HybridSolver::owe_kick(double owed_kick, double a) {
+  forces_.fresh = false;
+  forces_.a = a;
+  forces_.owed_kick = owed_kick;
 }
 
 double HybridSolver::suggest_next_a(double a0, double da_max) {
@@ -598,54 +605,6 @@ double HybridSolver::total_mass() const {
   double mass = comm_.allreduce_sum(has_nu_ ? f_.total_mass() : 0.0);
   mass += cdm_.mass * static_cast<double>(cdm_.size());
   return mass;
-}
-
-HybridSolver::StepForces HybridSolver::export_step_forces() const {
-  StepForces out;
-  out.fresh = forces_.fresh;
-  if (!out.fresh) return out;
-  out.owed_kick = forces_.owed_kick;
-  const auto global = dec_.global();
-  out.nu_ax = mesh::Grid3D<double>(global[0], global[1], global[2]);
-  out.nu_ay = out.nu_ax;
-  out.nu_az = out.nu_ax;
-  if (has_nu_) {
-    parallel::allgather_bricks(forces_.nu_ax, dec_, comm_, out.nu_ax);
-    parallel::allgather_bricks(forces_.nu_ay, dec_, comm_, out.nu_ay);
-    parallel::allgather_bricks(forces_.nu_az, dec_, comm_, out.nu_az);
-  }
-  out.ax = forces_.ax;
-  out.ay = forces_.ay;
-  out.az = forces_.az;
-  return out;
-}
-
-void HybridSolver::import_step_forces(const StepForces& sf) {
-  if (!sf.fresh) {
-    forces_.fresh = false;
-    forces_.owed_kick = 0.0;
-    return;
-  }
-  const auto global = dec_.global();
-  if (sf.nu_ax.nx() != global[0] || sf.nu_ax.ny() != global[1] ||
-      sf.nu_ax.nz() != global[2] || sf.ax.size() != cdm_.size())
-    throw std::runtime_error(
-        "force cache does not match the configured shape (physics keys "
-        "must not change across a resume)");
-  for (int i = 0; i < dec_.local_n(0); ++i)
-    for (int j = 0; j < dec_.local_n(1); ++j)
-      for (int k = 0; k < dec_.local_n(2); ++k) {
-        const int gi = dec_.offset(0) + i, gj = dec_.offset(1) + j,
-                  gk = dec_.offset(2) + k;
-        forces_.nu_ax.at(i, j, k) = sf.nu_ax.at(gi, gj, gk);
-        forces_.nu_ay.at(i, j, k) = sf.nu_ay.at(gi, gj, gk);
-        forces_.nu_az.at(i, j, k) = sf.nu_az.at(gi, gj, gk);
-      }
-  forces_.ax = sf.ax;
-  forces_.ay = sf.ay;
-  forces_.az = sf.az;
-  forces_.owed_kick = sf.owed_kick;
-  forces_.fresh = true;
 }
 
 void HybridSolver::gather_into(HybridSolver& global) {
@@ -676,10 +635,9 @@ void HybridSolver::gather_into(HybridSolver& global) {
   } else if (has_nu_) {
     comm_.send(0, kGatherTag, io::encode_phase_space(f_));
   }
-  const auto forces = export_step_forces();  // collective
   if (comm_.rank() == 0) {
     global.cdm_ = cdm_;
-    global.import_step_forces(forces);
+    global.owe_kick(forces_.owed_kick, forces_.a);
   }
   comm_.barrier();
 }

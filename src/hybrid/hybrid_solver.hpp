@@ -156,14 +156,15 @@ class HybridSolver {
                const HybridOptions& options);
 
   /// One rank's share of the world-1 solver `global`: its brick of f and
-  /// of the PM mesh, the replicated particles, and a slice of a fresh force
-  /// cache (so a resumed run continues bit-identically).  `global` is only
-  /// read — every rank thread of a world may run this at once — and no
-  /// collective runs on its communicator.  `decomp` must multiply to
-  /// comm.size() and satisfy parallel::validate_decomp.  `overlap` places
-  /// each fold and slab exchange's finish after the compute it hides
-  /// behind (default on) instead of right after its begin; the results are
-  /// bit-identical.
+  /// of the PM mesh, the replicated particles, and the kick the velocities
+  /// owe with the scale factor it falls due at.  `global`'s forces stay
+  /// behind: the first step() or synchronize() computes this rank's from
+  /// its own state.  `global` is only read — every rank thread of a world
+  /// may run this at once — and no collective runs on its communicator.
+  /// `decomp` must multiply to comm.size() and satisfy
+  /// parallel::validate_decomp.  `overlap` places each fold and slab
+  /// exchange's finish after the compute it hides behind (default on)
+  /// instead of right after its begin; the results are bit-identical.
   HybridSolver(const HybridSolver& global, comm::Communicator& comm,
                std::array<int, 3> decomp, bool overlap = true);
 
@@ -201,11 +202,14 @@ class HybridSolver {
   void step(double a0, double a1);
 
   /// Apply the owed half-kick and zero it, so that velocities and
-  /// positions are at the same time.  It sends no message, but every rank
-  /// of a world calls it, or the bricks and the replicated particles part
-  /// ways.  A no-op on a fresh or already synchronized solver.  Call it
-  /// before reading velocities after step(); Driver::run() calls it after
-  /// its last checkpoint, so a run's output is synchronized.
+  /// positions are at the same time.  Collective when a kick is owed on
+  /// forces this rank does not hold (a sliced, gathered-into or resumed
+  /// solver before its first step): it computes them from its state at
+  /// the owed kick's scale factor first.  Every rank of a world calls it,
+  /// or the bricks and the replicated particles part ways.  A no-op on a
+  /// fresh or already synchronized solver.  Call it before reading
+  /// velocities after step(); Driver::run() calls it after its last
+  /// checkpoint, so a run's output is synchronized.
   void synchronize();
 
   /// Largest a1 <= a0 + da_max keeping every position sweep under the CFL
@@ -227,39 +231,37 @@ class HybridSolver {
   TimerRegistry& timers() { return timers_; }
   static double poisson_prefactor(double a) { return 1.5 / a; }
 
-  /// The step-boundary state: accelerations computed from the post-drift
-  /// state at the end of the last step, and the kick factor the
-  /// velocities owe on them (the last step's trailing half-kick).  The
-  /// next step's kick, or synchronize(), applies the owed factor.
-  /// Checkpoints must carry both — recomputing the forces from the
-  /// post-kick f reproduces them only to rounding (velocity sweeps
-  /// conserve the density moment approximately), and without the owed
-  /// factor the resumed run would skip a half-kick, so neither restart
-  /// would be bit-identical.  The slicing constructor and gather_into
-  /// carry the cache as is and never apply the owed kick.
+  /// The step-boundary state on this rank: accelerations computed from
+  /// the post-drift state at scale factor `a` at the end of the last step,
+  /// and the kick factor the velocities owe on them (the last step's
+  /// trailing half-kick).  The next step's kick, or synchronize(), applies
+  /// the owed factor.  The cache is a function of the state and `a`, so
+  /// it never leaves the rank: the slicing constructor, gather_into and a
+  /// checkpoint carry only `owed_kick` and `a`, and the solver that takes
+  /// them over recomputes the forces (`fresh` false) before it kicks.
   struct StepForces {
     bool fresh = false;
+    double a = 0.0;          // scale factor of the forces and the owed kick
     double owed_kick = 0.0;  // kick factor owed on these forces
     mesh::Grid3D<double> nu_ax, nu_ay, nu_az;  // Vlasov-grid accelerations
     std::vector<double> ax, ay, az;            // particle accelerations
   };
-  /// The cache in *global* layout: the Vlasov-grid acceleration bricks are
-  /// assembled across ranks, the replicated particle accelerations and the
-  /// owed kick copied (collective).
-  StepForces export_step_forces() const;
-  /// Slice a global-layout cache onto this rank, owed kick included.
-  /// Throws std::runtime_error when its shape does not match the
-  /// configured one.
-  void import_step_forces(const StepForces& forces);
+  /// This rank's cache (no message is sent).
+  const StepForces& step_forces() const { return forces_; }
+  /// Take over a step boundary whose forces this solver does not hold
+  /// (a checkpoint's): the velocities owe `owed_kick` on the forces at
+  /// scale factor `a`, which the next step() or synchronize() computes
+  /// from the state.
+  void owe_kick(double owed_kick, double a);
 
   /// Write the evolved state back into rank 0's world-1 solver `global`
   /// (collective): every other rank sends its f brick to rank 0 as one
   /// kGatherTag message in the shard encoding; rank 0 places every brick
   /// through one vlasov::BrickPlacement, refusing (std::runtime_error) a
-  /// set that is not an exact tiling, and restores particles and the
-  /// force cache with its owed kick, which it does not apply.  Thread
-  /// ranks and process ranks run this same path; only rank 0 touches
-  /// `global`, so thread ranks may share one.
+  /// set that is not an exact tiling, and restores the particles and the
+  /// owed kick with its scale factor (owe_kick), which it does not apply.
+  /// Thread ranks and process ranks run this same path; only rank 0
+  /// touches `global`, so thread ranks may share one.
   void gather_into(HybridSolver& global);
   static constexpr int kGatherTag = 0x6a7;
 
@@ -304,7 +306,7 @@ class HybridSolver {
   mesh::Grid3D<double> gx_cdm_, gy_cdm_, gz_cdm_;  // filtered (particles)
   mesh::Grid3D<double> gx_nu_, gy_nu_, gz_nu_;     // full (Vlasov kicks)
   mesh::Grid3D<double> rho_v_;                     // nu moment scratch
-  StepForces forces_;  // Vlasov-grid part on the local brick, owed kick
+  StepForces forces_;  // the local brick's step boundary
   std::vector<std::size_t> owned_;  // particles in this PM brick: the
                                     // deposit, gather and tree-walk split,
                                     // refreshed once per force assembly

@@ -11,9 +11,12 @@
 // Mass and density do not depend on it.
 //
 // HybridSolver keeps the owed factor in its step-boundary force cache
-// (StepForces::owed_kick), which checkpoints, the slicing constructor and
-// gather_into carry, so a resumed or re-sliced run continues the same
-// sequence.  NBodySolver keeps its own next to its accelerations.
+// (StepForces::owed_kick).  Checkpoints, the slicing constructor and
+// gather_into carry the factor and its scale factor but not the forces,
+// so a resumed or re-sliced solver starts without fresh forces: its first
+// step computes them at a0 (the `fresh` branch below), and its
+// synchronize() computes them before it settles the owed kick.
+// NBodySolver keeps its own next to its accelerations.
 #pragma once
 
 #include "cosmology/background.hpp"

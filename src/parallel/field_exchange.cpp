@@ -145,18 +145,4 @@ void SlabExchange::finish_to_brick(mesh::Grid3D<double>& brick) {
   }
 }
 
-void allgather_bricks(const mesh::Grid3D<double>& brick,
-                      const mesh::BrickDecomposition& dec,
-                      comm::Communicator& comm,
-                      mesh::Grid3D<double>& global) {
-  global.fill(0.0);
-  for (int i = 0; i < dec.local_n(0); ++i)
-    for (int j = 0; j < dec.local_n(1); ++j)
-      for (int k = 0; k < dec.local_n(2); ++k)
-        global.at(dec.offset(0) + i, dec.offset(1) + j, dec.offset(2) + k) =
-            brick.at(i, j, k);
-  // Bricks are disjoint, so the sum assembles values exactly (x + 0 == x).
-  comm.allreduce_sum(global.raw(), global.raw_size());
-}
-
 }  // namespace v6d::parallel

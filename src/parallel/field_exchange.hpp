@@ -19,14 +19,6 @@
 
 namespace v6d::parallel {
 
-/// Assemble the full global field from disjoint brick interiors on every
-/// rank (allreduce of a zero-padded global grid).  Used by diagnostics and
-/// the checkpoint force gather; `global` must be pre-sized to the global
-/// extents (any ghost width; ghosts are left zero).
-void allgather_bricks(const mesh::Grid3D<double>& brick,
-                      const mesh::BrickDecomposition& dec,
-                      comm::Communicator& comm, mesh::Grid3D<double>& global);
-
 /// Split (overlappable) brick <-> x-slab redistribution.
 ///
 /// Buffered point-to-point sends let the caller compute (Green-function

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -320,14 +319,75 @@ TEST(Options, NumericParsingIsCheckedNotAtoi) {
                         "neg=-99999999999999999999", "dbl=nonsense",
                         "mixed=12cells"};
   Options opt(6, const_cast<char**>(argv));
-  // Unparseable text falls back to the default instead of atoi's silent 0.
-  EXPECT_EQ(opt.get_int("junk", 7), 7);
-  EXPECT_EQ(opt.get_double("dbl", 2.5), 2.5);
-  // Out-of-range values saturate instead of invoking undefined behaviour.
-  EXPECT_EQ(opt.get_int("huge", 0), INT_MAX);
-  EXPECT_EQ(opt.get_int("neg", 0), INT_MIN);
-  // strtol semantics: a leading numeric prefix still parses.
-  EXPECT_EQ(opt.get_int("mixed", 0), 12);
+  // A present value parses in full or throws naming the key and the
+  // value: no atoi zero, no default, no saturation, no numeric prefix.
+  const auto expect_refused = [&](const std::string& key,
+                                  const std::string& value, auto read) {
+    try {
+      read();
+      ADD_FAILURE() << key << " accepted";
+    } catch (const BadOptionValue& e) {
+      EXPECT_EQ(e.key(), key);
+      EXPECT_EQ(e.value(), value);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+    }
+  };
+  expect_refused("junk", "abc", [&] { (void)opt.get_int("junk", 7); });
+  expect_refused("dbl", "nonsense", [&] { (void)opt.get_double("dbl", 2.5); });
+  expect_refused("huge", "99999999999999999999",
+                 [&] { (void)opt.get_int("huge", 0); });
+  expect_refused("neg", "-99999999999999999999",
+                 [&] { (void)opt.get_int("neg", 0); });
+  expect_refused("mixed", "12cells", [&] { (void)opt.get_int("mixed", 0); });
+  EXPECT_THROW((void)opt.get_double("mixed", 0.0), std::invalid_argument);
+}
+
+TEST(Options, TypedValuesParseInFull) {
+  Options opt;
+  opt.set("i", "-42");
+  opt.set("d", "2.5e-3");
+  opt.set("u", "18446744073709551615");
+  opt.set("empty", "");
+  EXPECT_EQ(opt.get_int("i", 0), -42);
+  EXPECT_EQ(opt.get_double("d", 0.0), 2.5e-3);
+  EXPECT_EQ(opt.get_u64("u", 0), 18446744073709551615ULL);
+  // An empty value reads as absent.
+  EXPECT_EQ(opt.get_int("empty", 7), 7);
+  EXPECT_EQ(opt.get_u64("empty", 9), 9u);
+  EXPECT_TRUE(opt.get_bool("empty", true));
+
+  for (const char* value :
+       {"-1", "1.5", "0x10", "18446744073709551616", " 1"}) {
+    Options o;
+    o.set("k", value);
+    EXPECT_THROW((void)o.get_u64("k", 0), BadOptionValue) << value;
+  }
+  for (const char* value : {"2e3", "1.0", "+1 ", "2147483648", "one"}) {
+    Options o;
+    o.set("k", value);
+    EXPECT_THROW((void)o.get_int("k", 0), BadOptionValue) << value;
+  }
+  for (const char* value : {"1.2.3", "0.0O2", "1e", "1e999", "--1"}) {
+    Options o;
+    o.set("k", value);
+    EXPECT_THROW((void)o.get_double("k", 0.0), BadOptionValue) << value;
+  }
+
+  const std::pair<const char*, bool> spellings[] = {
+      {"1", true},  {"true", true},   {"yes", true}, {"on", true},
+      {"0", false}, {"false", false}, {"no", false}, {"off", false}};
+  for (const auto& [value, expected] : spellings) {
+    Options o;
+    o.set("b", value);
+    EXPECT_EQ(o.get_bool("b", !expected), expected) << value;
+  }
+  for (const char* value : {"2", "True", "maybe", "onn", " yes"}) {
+    Options o;
+    o.set("b", value);
+    EXPECT_THROW((void)o.get_bool("b", false), BadOptionValue) << value;
+  }
 }
 
 TEST(Options, EnvironmentFallback) {

@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -168,6 +176,63 @@ TEST(SimulationConfig, PrecedenceCliOverFileOverScenario) {
   std::remove(path.c_str());
 }
 
+// A typed key's value parses in full wherever it comes from: the command
+// line, a config file or a V6D_* variable.  Read as a numeric prefix or
+// the default, these would run da_max 0, nx 8, max_steps 2 or seed
+// 2^64 - 1; each throws naming the key and the value instead.
+TEST(SimulationConfig, TypedKeysParseInFull) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"da_max", "0.0O2"},   {"nx", "eight"},     {"max_steps", "2e3"},
+      {"seed", "-1"},        {"overlap", "maybe"}, {"ranks", "9999999999"},
+      {"enable_tree", "2"}};
+  const std::string path =
+      temp_paths::process_temp_path("v6d_strict.cfg").string();
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(key + "=" + value);
+    const auto expect_refused = [&](const Options& options) {
+      try {
+        (void)driver::make_config(options, "vlasov_only");
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+      }
+    };
+    Options cli;
+    cli.set(key, value);
+    expect_refused(cli);
+
+    std::ofstream(path) << key << " = " << value << "\n";
+    Options file;
+    std::string error;
+    ASSERT_TRUE(file.load_file(path, &error)) << error;
+    expect_refused(file);
+
+    std::string env = "V6D_" + key;
+    for (char& c : env) c = static_cast<char>(std::toupper(c));
+    setenv(env.c_str(), value.c_str(), 1);
+    expect_refused(Options());
+    unsetenv(env.c_str());
+  }
+  std::remove(path.c_str());
+
+  Options good;
+  good.set("da_max", "0.002");
+  good.set("nx", "12");
+  good.set("max_steps", "2000");
+  good.set("seed", "18446744073709551615");
+  good.set("overlap", "off");
+  good.set("enable_tree", "yes");
+  const auto cfg = driver::make_config(good, "vlasov_only");
+  EXPECT_EQ(cfg.da_max, 0.002);
+  EXPECT_EQ(cfg.nx, 12);
+  EXPECT_EQ(cfg.max_steps, 2000);
+  EXPECT_EQ(cfg.seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(cfg.overlap);
+  EXPECT_TRUE(cfg.enable_tree);
+}
+
 TEST(ScenarioRegistry, AllScenariosBuildAndStep) {
   for (const auto& scenario : driver::scenarios()) {
     Options overrides;
@@ -228,6 +293,67 @@ TEST(Driver, CheckpointResumeIsBitIdentical) {
   EXPECT_EQ(resumed.step_count(), full.total_steps);
   EXPECT_EQ(resumed.scale_factor(), continuous.scale_factor());
   expect_bit_identical(continuous.solver(), resumed.solver());
+  std::filesystem::remove_all(dir);
+}
+
+/// `a` and `b` hold the same doubles bit for bit.
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+bool same_bits(const mesh::Grid3D<double>& a, const mesh::Grid3D<double>& b) {
+  return a.raw_size() == b.raw_size() &&
+         same_bits(a.raw(), b.raw(), a.raw_size());
+}
+
+// A checkpoint holds state, not forces.  Resumed and synchronized, a
+// world-1 run recomputes the step-boundary forces its writer held from
+// the state and the scale factor, bit for bit, and reaches the writer's
+// synchronized state, at any OpenMP thread count: every threaded loop of
+// the force pass writes per-cell or per-line results.
+TEST(Driver, ResumeRecomputesTheWritersForcesBitForBit) {
+  const std::string dir = temp_dir("v6d_ckpt_recompute");
+  Options options;
+  options.set("nx", "8");
+  options.set("nu", "6");
+  options.set("np", "8");
+  options.set("max_steps", "2");
+  options.set("checkpoint_dir", dir);
+  driver::Driver writer(driver::make_config(options, "neutrino_box"));
+  ASSERT_EQ(writer.run().reason, driver::StopReason::kMaxSteps);
+  // run() settled the owed kick on the step-2 forces and kept them.
+  const auto& kept = writer.solver().step_forces();
+  ASSERT_TRUE(kept.fresh);
+  ASSERT_GT(kept.ax.size(), 0u);
+  EXPECT_EQ(kept.a, writer.scale_factor());
+
+  for (const int threads : {0, 1, 3}) {  // 0: the writer's thread count
+    SCOPED_TRACE(threads);
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    if (threads > 0) omp_set_num_threads(threads);
+#endif
+    driver::Driver resumed = driver::Driver::resume(dir);
+    EXPECT_FALSE(resumed.solver().step_forces().fresh);
+    EXPECT_NE(resumed.solver().step_forces().owed_kick, 0.0);
+    resumed.solver().synchronize();
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
+    const auto& recomputed = resumed.solver().step_forces();
+    EXPECT_TRUE(recomputed.fresh);
+    EXPECT_EQ(recomputed.a, kept.a);
+    EXPECT_EQ(recomputed.owed_kick, 0.0);
+    EXPECT_TRUE(same_bits(recomputed.nu_ax, kept.nu_ax));
+    EXPECT_TRUE(same_bits(recomputed.nu_ay, kept.nu_ay));
+    EXPECT_TRUE(same_bits(recomputed.nu_az, kept.nu_az));
+    EXPECT_TRUE(same_bits(recomputed.ax, kept.ax));
+    EXPECT_TRUE(same_bits(recomputed.ay, kept.ay));
+    EXPECT_TRUE(same_bits(recomputed.az, kept.az));
+    expect_bit_identical(writer.solver(), resumed.solver());
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -588,8 +714,9 @@ TEST(Checkpoint, MetaRoundTripsRngAndScaleFactor) {
   meta.config = tiny_config();
   meta.a = 1.0 / 7.0;
   meta.step = 42;
+  meta.owed_kick = 1.0 / 3.0;
   meta.rng = rng.state();
-  ASSERT_EQ(driver::write_checkpoint(dir, meta, nullptr, nullptr),
+  ASSERT_EQ(driver::write_checkpoint(dir, meta, nullptr),
             io::SnapshotStatus::kOk);
 
   driver::Checkpoint back;
@@ -597,6 +724,7 @@ TEST(Checkpoint, MetaRoundTripsRngAndScaleFactor) {
             io::SnapshotStatus::kOk);
   EXPECT_EQ(back.a, meta.a);
   EXPECT_EQ(back.step, 42);
+  EXPECT_EQ(back.owed_kick, meta.owed_kick);
   EXPECT_EQ(back.config.seed, meta.config.seed);
   EXPECT_EQ(back.config.nx, meta.config.nx);
 
@@ -661,21 +789,22 @@ void expect_meta_refused(const std::string& dir, io::SnapshotStatus status,
 
 // Layouts this build does not read are refused by the meta alone, before
 // any payload is opened: a version-1 meta, a version-2 one (its force
-// payload has no owed kick), a meta naming the one global phase-space
+// payload has no owed kick), a version-3 one (its owed kick is in a force
+// payload, not in the meta), a meta naming the one global phase-space
 // payload serial runs wrote before they became world-1 runs, and a meta
 // referencing a payload whose size it did not record.
 TEST(Checkpoint, RetiredLayoutsAreRefusedByTheMeta) {
   const auto source = two_shard_checkpoint("v6d_ckpt_retired_source");
 
   std::string dir;
-  for (const int version : {1, 2}) {
+  for (const int version : {1, 2, 3}) {
     dir = copy_checkpoint(source, "v6d_ckpt_retired");
     const auto path = std::filesystem::path(dir) / "meta";
     std::ifstream in(path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     in.close();
-    const std::string header = "v6d-checkpoint 3\n";
+    const std::string header = "v6d-checkpoint 4\n";
     ASSERT_EQ(text.rfind(header, 0), 0u);
     std::ofstream(path) << "v6d-checkpoint " << version << "\n"
                         << text.substr(header.size());
@@ -697,38 +826,46 @@ TEST(Checkpoint, RetiredLayoutsAreRefusedByTheMeta) {
   std::filesystem::remove_all(source);
 }
 
-/// Overwrite `size` bytes at `offset` of the file `path` with `bytes`.
-void patch_file(const std::filesystem::path& path, std::streamoff offset,
-                const void* bytes, std::size_t size) {
-  std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
-  io.seekp(offset);
-  io.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(size));
-}
-
-// The force payload holds the owed kick behind its fresh flag (byte 12):
-// resume refuses a version-2 payload, which has none, and an owed kick
-// that is not finite, before a step runs.  Each patch keeps the payload's
-// size, so only the force reader can catch it.
-TEST(Checkpoint, ForcePayloadRefusesVersion2AndANonFiniteOwedKick) {
-  const auto source = two_shard_checkpoint("v6d_ckpt_forces_source");
+// The meta records the kick factor the velocities owe.  Missing, with
+// trailing characters, or not finite, it is refused with kBadHeader naming
+// the field, by the meta reader and by resume, before a step runs.
+TEST(Checkpoint, MetaOwedKickMustBeAFiniteNumber) {
+  const auto source = two_shard_checkpoint("v6d_ckpt_owed_source");
   driver::Checkpoint meta;
   ASSERT_EQ(driver::read_checkpoint_meta(source, meta),
             io::SnapshotStatus::kOk);
-  ASSERT_TRUE(meta.has_forces);
+  EXPECT_TRUE(std::isfinite(meta.owed_kick));
+  EXPECT_NE(meta.owed_kick, 0.0);
 
-  auto dir = copy_checkpoint(source, "v6d_ckpt_forces");
-  const std::uint32_t version = 2;
-  patch_file(std::filesystem::path(dir) / meta.forces_file, 4, &version,
-             sizeof(version));
-  expect_resume_refused(dir, "version-mismatch");
-  std::filesystem::remove_all(dir);
+  const std::vector<std::optional<std::string>> corruptions = {
+      std::nullopt, "", "0.25x", "1e", "nan", "inf", "-inf", "1e999"};
+  for (const auto& value : corruptions) {
+    SCOPED_TRACE(value ? "owed_kick=" + *value : "no owed_kick");
+    const auto dir = copy_checkpoint(source, "v6d_ckpt_owed");
+    set_meta_field(dir, "owed_kick", value);
+    expect_meta_refused(dir, io::SnapshotStatus::kBadHeader,
+                        "field 'owed_kick'");
+    std::filesystem::remove_all(dir);
+  }
+  std::filesystem::remove_all(source);
+}
 
-  for (const double owed : {std::numeric_limits<double>::quiet_NaN(),
-                            std::numeric_limits<double>::infinity()}) {
-    dir = copy_checkpoint(source, "v6d_ckpt_forces");
-    patch_file(std::filesystem::path(dir) / meta.forces_file, 12, &owed,
-               sizeof(owed));
-    expect_resume_refused(dir, "bad-header");
+// The config echo parses as strictly as a command line: a typed key whose
+// value does not parse in full is refused with kBadHeader naming its
+// `cfg.` field, by the meta reader and by resume, instead of resuming
+// with a prefix of the value or the default.
+TEST(Checkpoint, ConfigEchoParsesInFull) {
+  const auto source = two_shard_checkpoint("v6d_ckpt_echo_source");
+  const std::vector<std::pair<std::string, std::string>> corruptions = {
+      {"nx", "eight"},      {"nx", "8x"},          {"da_max", "0.0O2"},
+      {"max_steps", "2e3"}, {"seed", "-1"},        {"overlap", "maybe"},
+      {"ranks", "2.0"},     {"a_final", "0.5.1"},  {"enable_tree", "yes!"}};
+  for (const auto& [key, value] : corruptions) {
+    SCOPED_TRACE(key + "=" + value);
+    const auto dir = copy_checkpoint(source, "v6d_ckpt_echo");
+    set_meta_field(dir, "cfg." + key, value);
+    expect_meta_refused(dir, io::SnapshotStatus::kBadHeader,
+                        "field 'cfg." + key + "'");
     std::filesystem::remove_all(dir);
   }
   std::filesystem::remove_all(source);
@@ -768,6 +905,146 @@ TEST(Checkpoint, MetaNumbersMustParseToTheirEnd) {
     std::filesystem::remove_all(dir);
   }
   std::filesystem::remove_all(source);
+}
+
+// Every mutation of a valid version-4 meta — each truncation, a seeded set
+// of single-byte flips, and digit, `=` and newline edits, config echo
+// included — gets a typed status from the meta reader, which never throws.
+// A meta it reads as kOk still holds values that parse, and
+// gc_checkpoint_leftovers never throws on the mutated directory.  A typed
+// config value with a character appended is refused naming its field:
+// the echo parses strictly.
+TEST(Checkpoint, MetaSurvivesMutation) {
+  namespace fs = std::filesystem;
+  const std::string dir = temp_dir("v6d_meta_mutation");
+  fs::create_directories(dir);
+  // The meta reader and the collector check payload names and sizes, never
+  // contents, so a few bytes stand in for each shard.
+  const std::vector<std::pair<std::string, std::string>> shards = {
+      {"phase_space.7.r0.bin", "shard zero"},
+      {"phase_space.7.r1.bin", "shard one"}};
+  for (const auto& [name, bytes] : shards)
+    std::ofstream(fs::path(dir) / name, std::ios::binary) << bytes;
+  nbody::Particles cdm(3);
+  cdm.mass = 0.5;
+  driver::Checkpoint meta;
+  meta.config = tiny_config();
+  meta.a = 1.0 / 7.0;
+  meta.step = 7;
+  meta.owed_kick = 0.0123;
+  meta.rng = Xoshiro256(5).state();
+  meta.has_particles = true;
+  for (const auto& shard : shards) meta.shard_files.push_back(shard.first);
+  ASSERT_EQ(driver::write_checkpoint(dir, meta, &cdm),
+            io::SnapshotStatus::kOk);
+  const auto slurp = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string text = slurp(fs::path(dir) / "meta");
+  const std::string particles = slurp(fs::path(dir) / "particles.7.bin");
+  ASSERT_EQ(text.rfind("v6d-checkpoint 4\n", 0), 0u);
+  ASSERT_FALSE(particles.empty());
+
+  std::string error;  // the last case's
+  const auto check = [&](const std::string& mutated, const std::string& what) {
+    // The collector may have removed any file of the last case.
+    for (const auto& [name, bytes] : shards)
+      std::ofstream(fs::path(dir) / name, std::ios::binary) << bytes;
+    std::ofstream(fs::path(dir) / "particles.7.bin", std::ios::binary)
+        << particles;
+    std::ofstream(fs::path(dir) / "meta", std::ios::binary) << mutated;
+    driver::Checkpoint back;
+    error.clear();
+    auto status = io::SnapshotStatus::kOk;
+    try {
+      status = driver::read_checkpoint_meta(dir, back, &error);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": the meta reader threw " << e.what();
+      return io::SnapshotStatus::kBadHeader;
+    }
+    EXPECT_STRNE(io::to_string(status), "unknown") << what;
+    if (status == io::SnapshotStatus::kOk) {
+      EXPECT_TRUE(std::isfinite(back.a) && back.a > 0.0) << what;
+      EXPECT_GE(back.step, 0) << what;
+      EXPECT_TRUE(std::isfinite(back.owed_kick)) << what;
+      EXPECT_TRUE(std::isfinite(back.rng.cached_normal)) << what;
+      for (const auto& name : back.shard_files)
+        EXPECT_EQ(back.payload_bytes.count(name), 1u) << what << ": " << name;
+      EXPECT_NO_THROW((void)driver::SimulationConfig::from_kv(
+          back.config.to_kv()))
+          << what;
+      EXPECT_NO_THROW((void)driver::validate_checkpoint_payloads(dir, back))
+          << what;
+    } else {
+      EXPECT_FALSE(error.empty()) << what;
+    }
+    EXPECT_NO_THROW(driver::gc_checkpoint_leftovers(dir)) << what;
+    return status;
+  };
+
+  ASSERT_EQ(check(text, "unmutated"), io::SnapshotStatus::kOk);
+  for (std::size_t n = 0; n < text.size(); ++n)
+    check(text.substr(0, n), "truncated to " + std::to_string(n));
+
+  std::mt19937 rng(20261020);
+  std::uniform_int_distribution<std::size_t> at(0, text.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255), bit(0, 7);
+  for (int k = 0; k < 1500; ++k) {
+    auto mutated = text;
+    const std::size_t i = at(rng);
+    if (k % 2 == 0)
+      mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit(rng)));
+    else
+      mutated[i] = static_cast<char>(byte(rng));
+    check(mutated, "byte " + std::to_string(i) + " set to " +
+                       std::to_string(static_cast<unsigned char>(mutated[i])));
+  }
+
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const std::string where = " at byte " + std::to_string(i);
+    const char c = text[i];
+    if (std::isdigit(static_cast<unsigned char>(c))) {
+      auto next = text;
+      next[i] = static_cast<char>('0' + (c - '0' + 1) % 10);
+      check(next, "digit bumped" + where);
+      auto letter = text;
+      letter[i] = 'x';
+      check(letter, "digit replaced by x" + where);
+    } else if (c == '=' || c == '\n') {
+      check(text.substr(0, i) + text.substr(i + 1),
+            std::string(c == '=' ? "'='" : "newline") + " dropped" + where);
+      check(text.substr(0, i + 1) + text.substr(i),
+            std::string(c == '=' ? "'='" : "newline") + " doubled" + where);
+      if (c == '=')
+        check(text.substr(0, i + 1) + "\n" + text.substr(i + 1),
+              "newline after '='" + where);
+    }
+  }
+
+  // Every config value that reads as a number is a typed key's.
+  int typed = 0;
+  std::size_t line_start = 0;
+  while (line_start < text.size()) {
+    const std::size_t line_end = text.find('\n', line_start);
+    const std::string line = text.substr(line_start, line_end - line_start);
+    line_start = line_end + 1;
+    const std::size_t eq = line.find('=');
+    if (line.rfind("cfg.", 0) != 0 || eq + 1 >= line.size() ||
+        line.find_first_not_of("0123456789.e+-", eq + 1) != std::string::npos)
+      continue;
+    ++typed;
+    const std::string field = line.substr(0, eq);
+    auto mutated = text;
+    mutated.insert(line_end, "x");
+    EXPECT_EQ(check(mutated, field + " with a trailing x"),
+              io::SnapshotStatus::kBadHeader);
+    EXPECT_NE(error.find("field '" + field + "'"), std::string::npos)
+        << error;
+  }
+  EXPECT_GE(typed, 20);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ struct Accelerations {
 
 /// Total TreePM accelerations with G = 1 from HybridSolver's force pass:
 /// an empty phase space, a zero-length step(a, a) (zero kick, zero drift)
-/// and the exported force cache.  At a = 1.5 / (4 pi) the Poisson
+/// and the solver's force cache.  At a = 1.5 / (4 pi) the Poisson
 /// prefactor 1.5 / a multiplying (rho - mean) is 4 pi G with G = 1.
 Accelerations treepm_accelerations(const Particles& p, double box,
                                    const HybridOptions& options) {
@@ -39,8 +39,8 @@ Accelerations treepm_accelerations(const Particles& p, double box,
                                    background, options);
   const double a = 1.5 / (4.0 * M_PI);
   solver.step(a, a);
-  auto forces = solver.export_step_forces();
-  return {std::move(forces.ax), std::move(forces.ay), std::move(forces.az)};
+  const auto& forces = solver.step_forces();
+  return {forces.ax, forces.ay, forces.az};
 }
 
 TEST(TreePm, MomentumConservation) {

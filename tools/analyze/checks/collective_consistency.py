@@ -35,7 +35,7 @@ COLLECTIVES = {
     "barrier", "allreduce_sum", "allreduce_max", "allreduce_min",
     "bcast", "bcast_bytes", "allgather", "allgather_bytes",
     "alltoall", "alltoall_bytes", "alltoallv",
-    # Project collective helper (every rank must call; field_exchange.hpp).
+    # Test collective helper (every rank must call; tests/test_parallel.cpp).
     "allgather_bricks",
 }
 

@@ -10,20 +10,25 @@ Default (kill) mode proves crash recovery end to end:
 
   1. runs an uninterrupted reference world (`spawn=N`) to a final
      checkpoint,
-  2. runs the same scenario under `v6d supervise`, SIGKILLing a randomly
-     chosen worker mid-step `--kills` times (different rounds, different
-     ranks — the schedule is seeded and printed),
+  2. runs the same scenario under `v6d supervise` and SIGKILLs a worker
+     `--kills` times, once per round: a round is killed as soon as it has
+     committed a checkpoint a seeded offset of steps past the one it
+     resumed from (read from the meta's `step`), so every kill lands after
+     real progress however fast the host is; victim and offset are seeded
+     and printed,
   3. asserts the supervised run still exits 0, restarted at least once
      per landed kill, and its final checkpoint payloads are
      **byte-identical** to the reference — recovery is invisible in the
      physics.
 
 `--lost-host` mode proves graceful degradation: the same rank is killed
-right after every launch (a permanently dead host), so the supervisor
-sees repeated rounds with no checkpoint progress, shrinks the world by
-one, and the run completes on the smaller topology.  Asserts exit 0, a
-shrink event, and a final world of N-1 (no bit-identity claim — the
-decomposition legitimately changed).
+in every round as soon as the round's world has formed and taken its
+first step (the lead's first telemetry row), long before it commits a
+checkpoint (a permanently dead host), so the supervisor sees repeated
+rounds with no checkpoint progress, shrinks the world by one, and the
+run completes on the smaller topology.  Asserts exit 0, a shrink event,
+and a final world of N-1 (no bit-identity claim — the decomposition
+changed, and a particle run would step on that decomposition's forces).
 
 Exit status 0 when every assertion holds, 1 otherwise.  A supervised run
 that outlives --timeout is killed and counted as a failure: no failure
@@ -80,6 +85,41 @@ def compare_checkpoints(ref_dir, chaos_dir):
         else:
             print(f"  ok: {name} byte-identical to reference")
     return ok
+
+
+def meta_step(ckpt_dir):
+    """The step of the checkpoint committed in `ckpt_dir`, -1 if none.
+    The meta is published by rename, so a read sees one whole meta."""
+    try:
+        text = (ckpt_dir / "meta").read_text(errors="replace")
+    except OSError:
+        return -1
+    for line in text.splitlines():
+        if line.startswith("step="):
+            try:
+                return int(line[len("step="):])
+            except ValueError:
+                return -1
+    return -1
+
+
+def nonempty(path):
+    try:
+        return path.stat().st_size > 0
+    except OSError:
+        return False
+
+
+def wait_until(sup, ready, timeout):
+    """Poll `ready()` until it returns a truthy value and return that;
+    None when the supervised run exits first or `timeout` passes."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and sup.proc.poll() is None:
+        value = ready()
+        if value:
+            return value
+        time.sleep(0.002)
+    return None
 
 
 def read_done_event(log_path):
@@ -157,6 +197,7 @@ def kill_mode(args, v6d, work, common):
 
     kills = 0
     killed_rounds = set()
+    ckpt = chaos / "ckpt"
     while kills < args.kills:
         launched = sup.next_round_pids(args.ranks)
         if launched is None:
@@ -164,9 +205,22 @@ def kill_mode(args, v6d, work, common):
         round_no, pids = launched
         if round_no in killed_rounds:
             continue
-        delay = rng.uniform(0.2, 0.8)
+        # The round resumes from the checkpoint committed when it launched
+        # (none in the first round).
+        resumed_from = max(meta_step(ckpt), 0)
+        offset = rng.randint(1, 2 * args.checkpoint_every)
         victim = rng.choice(sorted(pids))
-        time.sleep(delay)
+        target = resumed_from + offset
+
+        def reached_target():
+            step = meta_step(ckpt)
+            return step if step >= target else None
+
+        committed = wait_until(sup, reached_target, args.timeout)
+        if committed is None:
+            print(f"  (round {round_no} ended before committing step "
+                  f"{target})")
+            continue
         try:
             os.kill(pids[victim], signal.SIGKILL)
         except ProcessLookupError:
@@ -175,7 +229,9 @@ def kill_mode(args, v6d, work, common):
         kills += 1
         killed_rounds.add(round_no)
         print(f"  chaos: SIGKILL rank {victim} (pid {pids[victim]}) "
-              f"in round {round_no} after {delay:.2f}s", flush=True)
+              f"in round {round_no}, resumed from step {resumed_from}, "
+              f"once step {committed} was committed (offset {offset})",
+              flush=True)
 
     code, output = sup.finish(args.timeout)
     if code != 0:
@@ -201,11 +257,12 @@ def lost_host_mode(args, v6d, work, common):
     chaos = work / "lost-host"
     chaos.mkdir(parents=True)
     dead_rank = args.ranks - 1
+    telemetry = chaos / "telemetry.jsonl"
     sup = Supervised(
         supervise_cmd(v6d, chaos, common, args.ranks,
                       ["max_restarts=12", "shrink_after=2",
                        f"min_world={args.ranks - 1}",
-                       "checkpoint_every=1000"]),
+                       "checkpoint_every=1000", f"telemetry={telemetry}"]),
         "lost-host")
 
     shrunk = False
@@ -217,13 +274,18 @@ def lost_host_mode(args, v6d, work, common):
         # Let the mesh form first: a rank killed mid-rendezvous makes the
         # survivors burn the (long) connect budget instead of the fast
         # peer-loss path, and either way the round fails without progress.
-        time.sleep(0.5)
+        # The lead writes its first row after the round's first step.
+        if not wait_until(sup, lambda: nonempty(telemetry), args.timeout):
+            break  # child exited; verdict comes from the exit code below
         try:
             os.kill(pids[dead_rank], signal.SIGKILL)
             print(f"  chaos: host of rank {dead_rank} still dead "
                   f"(round {round_no})", flush=True)
         except ProcessLookupError:
             pass
+        # The lead keeps writing to the unlinked file until it exits; the
+        # next round's lead starts a new one, which alone can signal it.
+        telemetry.unlink(missing_ok=True)
         shrunk = any(SHRINK_LINE.search(line) for line in sup.lines)
 
     code, output = sup.finish(args.timeout)

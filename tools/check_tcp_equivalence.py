@@ -12,7 +12,8 @@ over loopback TCP (`spawn=N`) — then asserts the runs are *equivalent*,
 not merely close:
 
   * every per-rank phase-space checkpoint shard is byte-identical,
-  * the particles / force-cache payloads are byte-identical,
+  * the particle payloads are byte-identical (a checkpoint holds no
+    forces: both resumes recompute them from the state),
   * the telemetry trajectories agree exactly on every deterministic field
     (step, a, da, mass, mass_drift, cfl_shift, comm_bytes — timing and
     RSS fields are machine noise and are ignored),

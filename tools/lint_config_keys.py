@@ -7,8 +7,8 @@
 Three cross-checks, all by string literal:
 
   1. Every key read in src/ or apps/ (`opt.get("key", ...)`, `get_int`,
-     `get_double`, `get_bool`, `has`) must be documented in a key table of
-     docs/CONFIG.md — the driver surface is the user contract.
+     `get_double`, `get_u64`, `get_bool`, `has`) must be documented in a
+     key table of docs/CONFIG.md — the driver surface is the user contract.
   2. Every key read in bench/ or examples/ must be documented in
      docs/CONFIG.md or docs/BENCHMARKING.md (bench-only knobs live there).
   3. Every documented key must be read somewhere in src/apps/bench/
@@ -30,7 +30,7 @@ CODE_DIRS_BENCH = ("bench", "examples")  # CONFIG.md or BENCHMARKING.md
 EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 
 _READ = re.compile(
-    r"\b(?:get_int|get_double|get_bool|get|has)\s*\(\s*\"([^\"]+)\"")
+    r"\b(?:get_int|get_double|get_u64|get_bool|get|has)\s*\(\s*\"([^\"]+)\"")
 _TABLE_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 _TABLE_HEADER = re.compile(r"^\|\s*([^|]+?)\s*\|")
 _CFG_LINE = re.compile(r"^\s*([A-Za-z0-9_.\-]+)\s*=")
@@ -143,6 +143,7 @@ void apply(const v6d::Options& opt) {
   nx = opt.get_int("nx", nx);
   label = opt.get("label", label);
   if (opt.has("cfl")) cfl = opt.get_double("cfl", cfl);
+  seed = opt.get_u64("seed", seed);
   json = opt.get("--json-out", "");  // CLI flag: exempt
 }
 """
@@ -155,6 +156,7 @@ CLEAN_DOC = """\
 | `nx` | `8` | Grid. |
 | `label` | *(empty)* | Name. |
 | `cfl` | `0.9` | Bound. |
+| `seed` | `77` | Realization. |
 
 | Scenario | Species |
 | --- | --- |
