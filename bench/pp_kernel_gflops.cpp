@@ -2,15 +2,20 @@
 //
 // Paper: 1.2e9 interactions/s with SVE vs 2.4e7 without, per A64FX core
 // (a ~50x contrast).  Measured here: interactions/s of the scalar
-// double-precision path and the single-precision SIMD path on this host
+// double-precision path and the single-precision SIMD path on the host
 // (with and without the cutoff polynomial); the expected shape is a large
-// SIMD win, recorded as `pp_simd_speedup` in the JSON report.
+// SIMD win, recorded as `pp_simd_speedup` in the JSON report.  The SIMD
+// kernel is then timed once per sweep tier the host runs (16 source lanes
+// per group on AVX-512, 4 on the baseline; simd/dispatch.hpp), recorded
+// as `pp_interactions_per_s_<tier>` and `pp_simd_speedup_<tier>`.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gravity/pp_kernel.hpp"
 #include "harness.hpp"
+#include "simd/dispatch.hpp"
 
 namespace {
 
@@ -120,6 +125,40 @@ int main(int argc, char** argv) {
 
   const double speedup = t_simd_8k > 0.0 ? t_scalar_8k / t_simd_8k : 0.0;
   harness.metric("pp_simd_speedup", speedup, "x");
-  std::printf("  SIMD speedup at 8192 sources: %.2fx\n", speedup);
+  std::printf("  SIMD speedup at 8192 sources (%s tier): %.2fx\n",
+              v6d::simd::to_string(v6d::simd::sweep_tier()), speedup);
+
+  // The SIMD kernel pinned to each tier; every (target, source) pair of
+  // the call counts as an interaction, a skipped group's included.
+  {
+    const std::size_t ns = 8192;
+    Workload w(nt, ns);
+    const PpKernelParams params = split_params();
+    const CutoffPoly poly(params.rcut / (2.0 * params.rs), 14);
+    const double interactions = static_cast<double>(nt * ns);
+    std::vector<float> fax(nt), fay(nt), faz(nt);
+    for (const v6d::simd::SweepTier tier : v6d::simd::supported_tiers()) {
+      const v6d::simd::ScopedSweepTier pin(tier);
+      const std::string name = v6d::simd::to_string(tier);
+      harness.context("pp_lanes_" + name,
+                      std::to_string(v6d::simd::sweep_lanes(tier)));
+      const double t_tier = harness.time_phase(
+          "pp_simd_8192_" + name, reps,
+          [&] {
+            pp_accumulate_simd(w.ftx.data(), w.fty.data(), w.ftz.data(), nt,
+                               w.fsx.data(), w.fsy.data(), w.fsz.data(),
+                               w.fsm.data(), ns, params, poly, fax.data(),
+                               fay.data(), faz.data());
+          },
+          interactions);
+      const double rate = t_tier > 0.0 ? interactions / t_tier : 0.0;
+      const double tier_speedup = t_tier > 0.0 ? t_scalar_8k / t_tier : 0.0;
+      harness.metric("pp_interactions_per_s_" + name, rate, "1/s");
+      harness.metric("pp_simd_speedup_" + name, tier_speedup, "x");
+      std::printf("    %s tier (%d lanes): %.3g interactions/s, %.2fx\n",
+                  name.c_str(), v6d::simd::sweep_lanes(tier), rate,
+                  tier_speedup);
+    }
+  }
   return 0;
 }

@@ -401,6 +401,14 @@ io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
       return io::SnapshotStatus::kShortRead;
     }
   }
+  // The echo holds every key the writer's config writes: a missing one
+  // would resume from a default, not from the run's value.
+  for (const auto& [key, value] : SimulationConfig{}.to_kv()) {
+    if (!cfg_kv.count(key)) {
+      set_error(error, meta_path + ": missing field 'cfg." + key + "'");
+      return io::SnapshotStatus::kShortRead;
+    }
+  }
   // The echo parses as strictly as a command line does.
   try {
     meta.config = SimulationConfig::from_kv(cfg_kv);

@@ -104,9 +104,11 @@ io::SnapshotStatus write_checkpoint(const std::string& dir,
 /// (kVersionMismatch: versions 1-3 are retired), one that names a global
 /// phase-space payload, one that references a payload without a recorded
 /// `bytes.` size, any number field that does not parse to its end (`a`
-/// must also be finite and > 0, `owed_kick` finite), and a config echo
+/// must also be finite and > 0, `owed_kick` finite), a config echo
 /// value that does not parse as its key's type (kBadHeader naming the
-/// `cfg.` field).  Never throws on a malformed meta.
+/// `cfg.` field), and an echo that lacks a key SimulationConfig::to_kv()
+/// writes (kShortRead naming the `cfg.` field).  Never throws on a
+/// malformed meta.
 io::SnapshotStatus read_checkpoint_meta(const std::string& dir,
                                         Checkpoint& meta,
                                         std::string* error = nullptr);

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "gravity/pp_kernel_impl.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/pack.hpp"
 
 namespace v6d::gravity {
 
@@ -90,89 +90,42 @@ void pp_accumulate_scalar(const double* tx, const double* ty,
   }
 }
 
+namespace {
+
+using PpFn = void (*)(const float*, const float*, const float*, std::size_t,
+                      const float*, const float*, const float*, const float*,
+                      std::size_t, const PpKernelParams&, const CutoffPoly&,
+                      float*, float*, float*);
+
+void pp_baseline(const float* tx, const float* ty, const float* tz,
+                 std::size_t nt, const float* sx, const float* sy,
+                 const float* sz, const float* sm, std::size_t ns,
+                 const PpKernelParams& params, const CutoffPoly& poly,
+                 float* ax, float* ay, float* az) {
+  detail::pp_accumulate<simd::sweep_lanes(simd::SweepTier::kBaseline)>(
+      tx, ty, tz, nt, sx, sy, sz, sm, ns, params, poly, ax, ay, az);
+}
+V6D_SWEEP_TIER_AVX512 void pp_avx512(const float* tx, const float* ty,
+                                     const float* tz, std::size_t nt,
+                                     const float* sx, const float* sy,
+                                     const float* sz, const float* sm,
+                                     std::size_t ns,
+                                     const PpKernelParams& params,
+                                     const CutoffPoly& poly, float* ax,
+                                     float* ay, float* az) {
+  detail::pp_accumulate<simd::sweep_lanes(simd::SweepTier::kAvx512)>(
+      tx, ty, tz, nt, sx, sy, sz, sm, ns, params, poly, ax, ay, az);
+}
+
+}  // namespace
+
 void pp_accumulate_simd(const float* tx, const float* ty, const float* tz,
                         std::size_t nt, const float* sx, const float* sy,
                         const float* sz, const float* sm, std::size_t ns,
                         const PpKernelParams& params, const CutoffPoly& poly,
                         float* ax, float* ay, float* az) {
-  // The sweeps' lane count in every build: the lane partial sums, and so
-  // the forces and a run's digest, do not depend on -march.
-  using P = simd::Pack<float, simd::kSweepLanes>;
-  constexpr int L = P::width;
-  const float eps2 = static_cast<float>(params.eps * params.eps);
-  const float inv_2rs =
-      params.rs > 0.0 ? static_cast<float>(1.0 / (2.0 * params.rs)) : 0.0f;
-  const float rcut2 =
-      params.rcut > 0.0 ? static_cast<float>(params.rcut * params.rcut)
-                        : 0.0f;
-  const bool split = params.rs > 0.0;
-  const auto& c = poly.coeffs();
-
-  // Vectorize over sources; pad the tail with zero-mass phantom sources.
-  const std::size_t ns_full = ns / L * L;
-  for (std::size_t t = 0; t < nt; ++t) {
-    const P px = P::broadcast(tx[t]);
-    const P py = P::broadcast(ty[t]);
-    const P pz = P::broadcast(tz[t]);
-    P gx = P::zero(), gy = P::zero(), gz = P::zero();
-    const P veps2 = P::broadcast(eps2);
-    const P one = P::broadcast(1.0f);
-    std::size_t s = 0;
-    for (; s < ns_full; s += L) {
-      const P dx = P::load(sx + s) - px;
-      const P dy = P::load(sy + s) - py;
-      const P dz = P::load(sz + s) - pz;
-      const P r2 = simd::fma(dz, dz, simd::fma(dy, dy, dx * dx)) + veps2;
-      const P r = simd::sqrt(r2);
-      const P inv_r3 = one / (r2 * r);
-      P f = P::load(sm + s) * inv_r3;
-      if (split) {
-        // Clenshaw evaluation of the Chebyshev series at x = 2u/ucut - 1.
-        const P u = r * P::broadcast(inv_2rs);
-        const P x = u * P::broadcast(2.0f / static_cast<float>(poly.u_cut())) -
-                    P::broadcast(1.0f);
-        const P two_x = x + x;
-        P b1 = P::zero(), b2 = P::zero();
-        for (std::size_t k = c.size(); k-- > 1;) {
-          const P b0 = simd::fma(two_x, b1, P::broadcast(c[k]) - b2);
-          b2 = b1;
-          b1 = b0;
-        }
-        const P spoly = simd::fma(x, b1, P::broadcast(c[0]) - b2);
-        f = f * spoly;
-      }
-      if (rcut2 > 0.0f) {
-        const auto inside = r2 < P::broadcast(rcut2);
-        f = simd::select<float, L>(inside, f, P::zero());
-      }
-      // Suppress self-interaction (r2 == 0 with zero softening).
-      f = simd::select<float, L>(r2 > P::zero(), f, P::zero());
-      gx = simd::fma(f, dx, gx);
-      gy = simd::fma(f, dy, gy);
-      gz = simd::fma(f, dz, gz);
-    }
-    float hx = simd::horizontal_sum(gx);
-    float hy = simd::horizontal_sum(gy);
-    float hz = simd::horizontal_sum(gz);
-    // Scalar tail.
-    for (; s < ns; ++s) {
-      const float dx = sx[s] - tx[t];
-      const float dy = sy[s] - ty[t];
-      const float dz = sz[s] - tz[t];
-      float r2 = dx * dx + dy * dy + dz * dz + eps2;
-      if (r2 == 0.0f) continue;
-      if (rcut2 > 0.0f && r2 >= rcut2) continue;
-      const float r = std::sqrt(r2);
-      float f = sm[s] / (r2 * r);
-      if (split) f *= poly.eval(r * inv_2rs);
-      hx += f * dx;
-      hy += f * dy;
-      hz += f * dz;
-    }
-    ax[t] += hx;
-    ay[t] += hy;
-    az[t] += hz;
-  }
+  simd::for_sweep_tier<PpFn>(simd::sweep_tier(), pp_baseline, pp_avx512)(
+      tx, ty, tz, nt, sx, sy, sz, sm, ns, params, poly, ax, ay, az);
 }
 
 }  // namespace v6d::gravity

@@ -4,7 +4,11 @@
 // and sources in single precision with explicit SIMD over sources, plus a
 // scalar double-precision reference.  The paper reports 1.2e9
 // interactions/s with SVE vs 2.4e7 without on one A64FX core; the
-// pp_kernel bench reproduces the scalar-vs-SIMD contrast on this host.
+// pp_kernel bench reproduces the scalar-vs-SIMD contrast on the host, per
+// sweep tier.  The SIMD kernel's one body (pp_kernel_impl.hpp) evaluates
+// 16 sources per group on the AVX-512 tier, as the paper's 16-lane SVE
+// kernel does, and 4 on the baseline tier; it sums in 4-lane order on
+// both, so the tiers give equal bits.
 //
 // The short-range force of the TreePM split (Gaussian split, Bagla 2002) is
 //   f(r) = G m / r^2 * S(r / (2 rs)),
@@ -59,13 +63,15 @@ void pp_accumulate_scalar(const double* tx, const double* ty,
                           const PpKernelParams& params, double* ax,
                           double* ay, double* az);
 
-/// Single-precision SIMD kernel, vectorized over sources in 4-lane packs
-/// in every build: source s adds to lane s % 4 over the full groups, the
-/// lanes are summed in order, then the tail adds one source at a time, so
-/// the result is the same bits under any -march.  Targets and
-/// sources are given as float SoA; the caller is responsible for staging
-/// coordinates relative to a local origin so float precision suffices
-/// (the tree walk stages per-node).
+/// Single-precision SIMD kernel, vectorized over sources on the process's
+/// sweep tier (simd/dispatch.hpp): 16-lane groups, then 4-lane groups on
+/// AVX-512, 4-lane groups on the baseline.  The sums run in 4 lanes on
+/// every tier and under any -march: source s adds to lane s % 4 over the
+/// whole 4-lane groups, the lanes are summed in order, then the tail adds
+/// one source at a time, so the result is the same bits everywhere.
+/// Targets and sources are given as float SoA; the caller is responsible
+/// for staging coordinates relative to a local origin so float precision
+/// suffices (the tree walk stages displacements from each target).
 void pp_accumulate_simd(const float* tx, const float* ty, const float* tz,
                         std::size_t nt, const float* sx, const float* sy,
                         const float* sz, const float* sm, std::size_t ns,

@@ -11,6 +11,17 @@
 // criterion with monopole moments; accepted nodes and leaf particles are
 // batched into per-target interaction lists evaluated by the PP kernel
 // (scalar reference or SIMD).
+//
+// The nodes are stored in preorder, each node's children in octant order,
+// so a node's subtree is one index range and the walk is a loop: it visits
+// node i, and either descends to i + 1 or skips to the end of i's
+// subtree.  It reads per-node constants computed at build time and the
+// particle coordinates in leaf order.  accumulate() threads over chunks
+// of targets (OpenMP, dynamic schedule); each thread reuses one
+// interaction list for all its targets, and each target's list and sum
+// are its own, so the forces do not depend on the thread count.  A chunk
+// runs as one call of a walk-and-sum body compiled per sweep tier
+// (simd/dispatch.hpp), with the PP kernel inlined at the tier's width.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +40,17 @@ struct TreeStats {
 
 class BarnesHutTree {
  public:
-  /// Builds over all particles; `leaf_size` caps particles per leaf.
+  /// Builds over all particles; `leaf_size` caps particles per leaf.  The
+  /// tree copies the coordinates it reads: it does not refer to
+  /// `particles` after construction.
   BarnesHutTree(const nbody::Particles& particles, double box,
                 int leaf_size = 16);
 
   /// Accumulate (+=) short-range accelerations at the given targets with
   /// G = 1 (callers scale by G).  `theta`: opening angle.  If params.rcut
   /// > 0, subtrees entirely beyond the cutoff are pruned — this is what
-  /// makes TreePM short-range walks O(N) per target.
+  /// makes TreePM short-range walks O(N) per target.  Runs on the OpenMP
+  /// threads; every thread count gives the same bits.
   void accumulate(const double* tx, const double* ty, const double* tz,
                   std::size_t nt, const PpKernelParams& params,
                   const CutoffPoly& poly, double theta, bool use_simd,
@@ -51,31 +65,34 @@ class BarnesHutTree {
                      TreeStats* stats = nullptr) const;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
-  double total_mass() const { return nodes_.empty() ? 0.0 : nodes_[0].mass; }
+  double total_mass() const { return total_mass_; }
 
  private:
+  friend struct TreeWalk;  // the walk-and-sum bodies (tree.cpp)
+
+  /// A node as the walk reads it.  Its subtree is the node range
+  /// [its index, end); a leaf's is itself alone.
   struct Node {
-    double cx, cy, cz;   // geometric center
-    double half;         // half side length
-    double comx, comy, comz;
-    double mass;
-    int children[8];     // index into nodes_, -1 if absent
-    int first, count;    // leaf particle range into perm_
-    bool leaf;
+    double comx, comy, comz;  // center of mass
+    double radius;            // half * sqrt(3), center to corner
+    double size2;             // (2 * half)^2, the opening test's size^2
+    float mass;               // the node's mass as a pseudo-particle
+    int end;                  // one past the last node of the subtree
+    int first, count;         // its particles, in leaf order
   };
 
-  int build(int first, int count, double cx, double cy, double cz,
-            double half, int depth);
-  void walk(int node, double tx, double ty, double tz, double theta2,
-            double rcut, std::vector<float>& sx, std::vector<float>& sy,
-            std::vector<float>& sz, std::vector<float>& sm) const;
-  double min_image(double d) const;
+  /// Adds the node of perm[first, first + count) and its subtree;
+  /// reorders that range into leaf order.
+  int build(const nbody::Particles& p, std::vector<int>& perm, int first,
+            int count, double cx, double cy, double cz, double half,
+            int depth);
 
-  const nbody::Particles* particles_;
   double box_;
   int leaf_size_;
-  std::vector<int> perm_;
-  std::vector<Node> nodes_;
+  double total_mass_ = 0.0;
+  float particle_mass_ = 0.0f;
+  std::vector<double> px_, py_, pz_;   // coordinates in leaf order
+  std::vector<Node> nodes_;            // preorder
 };
 
 }  // namespace v6d::gravity

@@ -528,9 +528,12 @@ void HybridSolver::compute_forces(double a) {
                            forces_.az);
   }
   // Each particle's owner holds PM + tree, every other rank 0; the ordered
-  // sum from 0 yields exactly allreduce(PM) + tree on every rank.
+  // sum from 0 yields exactly allreduce(PM) + tree on every rank.  The
+  // allreduces wait for the slowest rank's walk: their own region, so that
+  // wait is not read as PM work.
   if (cdm_.size() > 0) {
     ScopedTimer t(timers_, "pm");
+    ScopedTimer region("force-allreduce");
     comm_.allreduce_sum(forces_.ax.data(), forces_.ax.size());
     comm_.allreduce_sum(forces_.ay.data(), forces_.ay.size());
     comm_.allreduce_sum(forces_.az.data(), forces_.az.size());

@@ -15,7 +15,11 @@
 // copy 16-lane groups (one zmm register, the paper's SVE width) and
 // 4-lane groups past the last of those.  A lane performs the same float
 // operations at any width and no build contracts a multiply-add
-// (-ffp-contract=off), so both tiers give equal bits.
+// (-ffp-contract=off), so both tiers give equal bits.  The short-range
+// force pass is tiered the same way: its walk-and-sum chunk
+// (gravity/tree.cpp) and pp_accumulate_simd (gravity/pp_kernel.cpp) inline
+// the one PP kernel body (gravity/pp_kernel_impl.hpp) at 16 source lanes
+// on AVX-512 and 4 on the baseline, summing in 4-lane order on both.
 #pragma once
 
 #include <string>
@@ -26,7 +30,8 @@ namespace v6d::simd {
 /// fp32 lanes of the narrowest vector group: the baseline tier's only
 /// width, whatever the build's -march, and the tail groups of the wider
 /// tier.  Four lanes tile every velocity extent that is a multiple of 4.
-/// The PP kernel sums in this lane order too (gravity/pp_kernel.cpp).
+/// The PP kernel sums in this many lanes on every tier, whatever width it
+/// evaluates at (gravity/pp_kernel_impl.hpp).
 inline constexpr int kSweepLanes = 4;
 
 /// The tier the sweeps run on, as a perf report records it.
@@ -104,7 +109,7 @@ int thread_count();
 
 }  // namespace v6d::simd
 
-// The function attribute that compiles a sweep body for the AVX-512 tier
+// The function attribute that compiles a tier body for the AVX-512 tier
 // (the baseline copy is a plain function).  `flatten` inlines the whole body,
 // Pack operations and vector kernel included, into the tiered function,
 // so its wide instructions never reach code a baseline caller could

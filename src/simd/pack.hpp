@@ -7,7 +7,8 @@
 // (simd::sweep_lanes): 4-lane packs in the baseline copies, 16-lane packs
 // (one zmm register each) in the AVX-512 tier functions
 // (simd/dispatch.hpp), which inline every Pack operation they use.  The PP
-// kernel uses 4-lane packs in every build (simd::kSweepLanes).  Never
+// kernel's tier bodies do the same (16 source lanes on AVX-512, 4 on the
+// baseline) and sum in 4-lane packs (simd::kSweepLanes) on both.  Never
 // compile a file that includes this header with a per-file -m flag, since
 // the out-of-line copies of these inline functions it may emit could be
 // linked into baseline callers.  No build contracts a multiply-add

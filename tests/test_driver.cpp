@@ -871,6 +871,39 @@ TEST(Checkpoint, ConfigEchoParsesInFull) {
   std::filesystem::remove_all(source);
 }
 
+// The echo must hold every key the config writes, or a resume would run
+// a missing key at its default: a meta cut just before `cfg.theta=` of a
+// theta = 0.5 run once resumed at theta 0.6.  That cut and each single
+// missing key are refused with kShortRead naming the field.
+TEST(Checkpoint, ConfigEchoMustHoldEveryKey) {
+  const auto source = two_shard_checkpoint("v6d_ckpt_cut_source");
+  {
+    const auto dir = copy_checkpoint(source, "v6d_ckpt_cut");
+    const auto path = std::filesystem::path(dir) / "meta";
+    std::string text;
+    {
+      std::ifstream in(path);
+      text.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    }
+    const std::size_t cut = text.find("\ncfg.theta=");
+    ASSERT_NE(cut, std::string::npos);
+    std::ofstream(path) << text.substr(0, cut + 1);
+    expect_meta_refused(dir, io::SnapshotStatus::kShortRead,
+                        "field 'cfg.theta'");
+    std::filesystem::remove_all(dir);
+  }
+  for (const auto& [key, value] : driver::SimulationConfig{}.to_kv()) {
+    SCOPED_TRACE("without cfg." + key);
+    const auto dir = copy_checkpoint(source, "v6d_ckpt_cut");
+    set_meta_field(dir, "cfg." + key, std::nullopt);
+    expect_meta_refused(dir, io::SnapshotStatus::kShortRead,
+                        "field 'cfg." + key + "'");
+    std::filesystem::remove_all(dir);
+  }
+  std::filesystem::remove_all(source);
+}
+
 // Every number in the meta must parse to its end: trailing characters, an
 // empty value, or a scale factor that is not finite and > 0 is refused
 // with kBadHeader naming the field, by the meta reader and by resume.
@@ -985,8 +1018,19 @@ TEST(Checkpoint, MetaSurvivesMutation) {
   };
 
   ASSERT_EQ(check(text, "unmutated"), io::SnapshotStatus::kOk);
-  for (std::size_t n = 0; n < text.size(); ++n)
-    check(text.substr(0, n), "truncated to " + std::to_string(n));
+  // The config echo ends the meta.  A cut at or before the '=' of its last
+  // line drops at least one whole key, which the reader refuses; only a
+  // cut inside that last value may still read.
+  const std::size_t last_eq = text.find('=', text.rfind("\ncfg."));
+  ASSERT_NE(last_eq, std::string::npos);
+  for (std::size_t n = 0; n < text.size(); ++n) {
+    const auto status =
+        check(text.substr(0, n), "truncated to " + std::to_string(n));
+    if (n <= last_eq) {
+      EXPECT_NE(status, io::SnapshotStatus::kOk)
+          << "truncated to " << n << " of " << text.size();
+    }
+  }
 
   std::mt19937 rng(20261020);
   std::uniform_int_distribution<std::size_t> at(0, text.size() - 1);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gravity/pp_kernel.hpp"
+#include "pp_reference.hpp"
+#include "sweep_tiers.hpp"
 
 namespace {
 
@@ -112,67 +115,12 @@ TEST_F(PpFixture, SimdMatchesScalarWithSplitCutoff) {
   EXPECT_LT(worst, 5e-4 * std::max(norm, 1.0));
 }
 
-/// pp_accumulate_simd's summation order written out one float operation
-/// at a time: lane l sums the sources s = l (mod 4) of the full groups, the
-/// lanes add in order, then the tail adds one source at a time.  No build
-/// contracts a multiply-add, so each line rounds as the packs do.
-void four_lane_reference(const std::vector<float>* t,
-                         const std::vector<float>* s,
-                         const std::vector<float>& sm, std::size_t ns,
-                         const PpKernelParams& params, const CutoffPoly& poly,
-                         std::vector<float>* a) {
-  constexpr std::size_t kLanes = 4;
-  const float eps2 = static_cast<float>(params.eps * params.eps);
-  const float inv_2rs =
-      params.rs > 0.0 ? static_cast<float>(1.0 / (2.0 * params.rs)) : 0.0f;
-  const float rcut2 =
-      params.rcut > 0.0 ? static_cast<float>(params.rcut * params.rcut) : 0.0f;
-  const float x_scale = 2.0f / static_cast<float>(poly.u_cut());
-  const auto& c = poly.coeffs();
-  const std::size_t full = ns / kLanes * kLanes;
-  for (std::size_t i = 0; i < t[0].size(); ++i) {
-    float lane[3][kLanes] = {};
-    float d[3];
-    for (std::size_t j = 0; j < full; ++j) {
-      for (int k = 0; k < 3; ++k) d[k] = s[k][j] - t[k][i];
-      const float r2 = (d[2] * d[2] + (d[1] * d[1] + d[0] * d[0])) + eps2;
-      const float r = std::sqrt(r2);
-      float f = sm[j] * (1.0f / (r2 * r));
-      if (params.rs > 0.0) {
-        const float x = r * inv_2rs * x_scale - 1.0f;
-        const float two_x = x + x;
-        float b1 = 0.0f, b2 = 0.0f;
-        for (std::size_t n = c.size(); n-- > 1;) {
-          const float b0 = two_x * b1 + (c[n] - b2);
-          b2 = b1;
-          b1 = b0;
-        }
-        f = f * (x * b1 + (c[0] - b2));
-      }
-      if ((rcut2 > 0.0f && !(r2 < rcut2)) || !(r2 > 0.0f)) f = 0.0f;
-      for (int k = 0; k < 3; ++k)
-        lane[k][j % kLanes] = f * d[k] + lane[k][j % kLanes];
-    }
-    float h[3] = {0.0f, 0.0f, 0.0f};
-    for (int k = 0; k < 3; ++k)
-      for (std::size_t l = 0; l < kLanes; ++l) h[k] += lane[k][l];
-    for (std::size_t j = full; j < ns; ++j) {
-      for (int k = 0; k < 3; ++k) d[k] = s[k][j] - t[k][i];
-      const float r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2;
-      if (r2 == 0.0f || (rcut2 > 0.0f && r2 >= rcut2)) continue;
-      const float r = std::sqrt(r2);
-      float f = sm[j] / (r2 * r);
-      if (params.rs > 0.0) f *= poly.eval(r * inv_2rs);
-      for (int k = 0; k < 3; ++k) h[k] += f * d[k];
-    }
-    for (int k = 0; k < 3; ++k) a[k][i] += h[k];
-  }
-}
-
-// The lane count is fixed, not the build's native width, so an
-// -march=x86-64-v3 or AVX-512 build sums in this order too.
+// The sums run in 4 lanes on every tier and in every build, not at the
+// tier's or the build's native width, so an -march=x86-64-v3 build or an
+// AVX-512 tier that evaluates 16 sources per group sums in this order
+// too.  The lengths cover lists of whole 16-lane groups, 16-lane groups
+// then 4-lane groups, 4-lane groups alone and the scalar tail after each.
 TEST_F(PpFixture, SimdSumsInFourLaneOrderBitForBit) {
-  const std::size_t ns = sx.size() - 1;  // a tail of 3 after 49 full groups
   const std::vector<float> t[3] = {{tx.begin(), tx.end()},
                                    {ty.begin(), ty.end()},
                                    {tz.begin(), tz.end()}};
@@ -185,25 +133,77 @@ TEST_F(PpFixture, SimdSumsInFourLaneOrderBitForBit) {
   PpKernelParams split = plain;
   split.rs = 0.15;
   split.rcut = 4.5 * split.rs;
-  for (const auto& params : {plain, split}) {
-    const CutoffPoly poly(params.rs > 0.0 ? params.rcut / (2.0 * params.rs)
-                                          : 3.0,
-                          14);
-    std::vector<float> got[3], want[3];
-    for (int k = 0; k < 3; ++k) {
-      got[k].assign(t[0].size(), 0.25f);
-      want[k] = got[k];
+
+  // Sources near the origin (inside rcut of every target there) and far
+  // from it (beyond rcut of all of them), laid out so that whole groups
+  // lie beyond the cutoff before and after groups inside it, at 16 and at
+  // 4 lanes, and in the tail.
+  const std::vector<float> near_t[3] = {{0.0f, 0.01f, -0.02f},
+                                        {0.0f, -0.015f, 0.01f},
+                                        {0.0f, 0.02f, 0.005f}};
+  std::vector<float> layered[3], layered_m;
+  v6d::Xoshiro256 rng(99);
+  const auto add = [&](int count, bool far) {
+    for (int i = 0; i < count; ++i) {
+      for (auto& axis : layered) {
+        const double u = 2.0 * rng.next_double() - 1.0;
+        axis.push_back(static_cast<float>(
+            far ? (u < 0.0 ? -1.0 : 1.0) * (0.8 + 0.5 * std::fabs(u))
+                : 0.3 * u));
+      }
+      layered_m.push_back(static_cast<float>(0.5 + rng.next_double()));
     }
-    pp_accumulate_simd(t[0].data(), t[1].data(), t[2].data(), t[0].size(),
-                       src[0].data(), src[1].data(), src[2].data(), m.data(),
-                       ns, params, poly, got[0].data(), got[1].data(),
-                       got[2].data());
-    four_lane_reference(t, src, m, ns, params, poly, want);
-    for (int k = 0; k < 3; ++k)
-      for (std::size_t i = 0; i < t[0].size(); ++i)
-        EXPECT_EQ(got[k][i], want[k][i])
-            << "axis " << k << " target " << i << " rs " << params.rs;
-  }
+  };
+  add(32, true);
+  add(16, false);
+  add(16, true);
+  add(4, true);
+  add(4, false);
+  add(8, true);
+  add(16, false);
+  add(2, true);
+  add(1, false);
+
+  struct Case {
+    const std::vector<float>* targets;
+    const std::vector<float>* sources;
+    const std::vector<float>* masses;
+    std::size_t ns;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t ns :
+       {0, 1, 3, 4, 7, 16, 19, 20, 32, 35, 48, 52, 199})
+    cases.push_back({t, src, &m, ns});
+  for (std::size_t ns = 0; ns <= layered_m.size(); ++ns)
+    cases.push_back({near_t, layered, &layered_m, ns});
+
+  v6d::sweep_tiers::on_every_tier([&] {
+    for (const auto& params : {plain, split}) {
+      const CutoffPoly poly(
+          params.rs > 0.0 ? params.rcut / (2.0 * params.rs) : 3.0, 14);
+      for (const Case& c : cases) {
+        const std::size_t nt = c.targets[0].size();
+        std::vector<float> got[3], want[3];
+        for (int k = 0; k < 3; ++k) {
+          got[k].assign(nt, 0.25f);
+          want[k] = got[k];
+        }
+        pp_accumulate_simd(c.targets[0].data(), c.targets[1].data(),
+                           c.targets[2].data(), nt, c.sources[0].data(),
+                           c.sources[1].data(), c.sources[2].data(),
+                           c.masses->data(), c.ns, params, poly,
+                           got[0].data(), got[1].data(), got[2].data());
+        v6d::pp_reference::four_lane_sum(c.targets, c.sources, *c.masses,
+                                         c.ns, params, poly, want);
+        for (int k = 0; k < 3; ++k)
+          for (std::size_t i = 0; i < nt; ++i)
+            EXPECT_EQ(std::memcmp(&got[k][i], &want[k][i], sizeof(float)), 0)
+                << "axis " << k << " target " << i << " of " << nt
+                << " sources " << c.ns << " rs " << params.rs << ": "
+                << got[k][i] << " vs " << want[k][i];
+      }
+    }
+  });
 }
 
 TEST(PpKernel, NewtonThirdLawPair) {

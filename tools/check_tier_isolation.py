@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""Check that only the AVX-512 sweep bodies hold VEX/EVEX instructions.
+"""Check that only the AVX-512 tier bodies hold VEX/EVEX instructions.
 
     python3 tools/check_tier_isolation.py OBJECT[;OBJECT...] ...
     python3 tools/check_tier_isolation.py --self-test
     python3 tools/check_tier_isolation.py --skip REASON
 
-The sweeps compile each hot body twice (src/simd/dispatch.hpp): a baseline
-copy and an AVX-512 copy, a GCC `target` + `flatten` function whose name
-ends in `_avx512`.  A wide instruction anywhere else in the object would
-run on a CPU without AVX: an out-of-line Pack helper the AVX-512 body
-failed to inline, an OpenMP outlined body, a shift table built at the
-wrong width.  So in each object named velocity_advection.cpp.o or
-position_advection.cpp.o (arguments may be `;`-separated lists, as CMake's
-$<TARGET_OBJECTS> gives them), every function whose name lacks `_avx512`
-must hold no instruction whose AT&T mnemonic starts with `v` (the VEX and
-EVEX encodings).  (An unoptimized build may leave the `_avx512` bodies
-without any: they then only call the baseline copies' code.)
+The sweeps and the short-range force pass compile each hot body twice
+(src/simd/dispatch.hpp): a baseline copy and an AVX-512 copy, a GCC
+`target` + `flatten` function whose name ends in `_avx512`.  A wide
+instruction anywhere else in the object would run on a CPU without AVX:
+an out-of-line Pack helper the AVX-512 body failed to inline, an OpenMP
+outlined body, a shift table built at the wrong width, a baseline helper
+given a `target` attribute of its own.  So in each object that holds
+tier bodies (CHECKED: the velocity and position sweeps, the tree's
+walk-and-sum chunk and the PP kernel's pp_accumulate_simd; arguments may
+be `;`-separated lists, as CMake's $<TARGET_OBJECTS> gives them), every
+function whose name lacks `_avx512` must hold no instruction whose AT&T
+mnemonic starts with `v` (the VEX and EVEX encodings).  (An unoptimized
+build may leave the `_avx512` bodies without any: they then only call the
+baseline copies' code.)
 
 A build whose own -march enables AVX has VEX code in its baseline copies
 by design; CMake passes --skip for it.  Exit 0 when clean, 1 on a
@@ -28,7 +31,8 @@ import shutil
 import subprocess
 import sys
 
-CHECKED = ("velocity_advection.cpp.o", "position_advection.cpp.o")
+CHECKED = ("velocity_advection.cpp.o", "position_advection.cpp.o",
+           "tree.cpp.o", "pp_kernel.cpp.o")
 SKIP = 77
 
 _FUNCTION = re.compile(r"^[0-9a-f]+ <(.*)>:$")
@@ -72,8 +76,16 @@ def self_test():
         "0000000000000080 <ns::run(float*) [clone ._omp_fn.0]>:\n"
         "  80:\tvaddps %ymm1,%ymm0,%ymm0\n"
     )
+    # A baseline helper compiled for AVX2 by a target attribute of its own.
+    retargeted = clean + (
+        "00000000000000c0 <v6d::gravity::(anonymous namespace)::"
+        "walk_chunk_baseline(v6d::gravity::BarnesHutTree const&)>:\n"
+        "  c0:\tvbroadcastss (%rsi),%ymm0\n"
+        "  c5:\tvzeroupper\n"
+    )
     ok = (not violations(wide_instructions(clean))
-          and len(violations(wide_instructions(leaked))) == 1)
+          and len(violations(wide_instructions(leaked))) == 1
+          and len(violations(wide_instructions(retargeted))) == 1)
     print("self-test", "OK" if ok else "FAILED")
     return 0 if ok else 1
 

@@ -47,6 +47,7 @@ KNOWN_EVENTS = {
     "slab-wait",
     "fft-forward",
     "fft-inverse",
+    "force-allreduce",
     "tree",
     "retry-backoff",
     "supervise-relaunch",
